@@ -6,6 +6,7 @@ from .quadrature import (
     EvaluationError,
     integrate,
     integrate_semi_infinite,
+    integrate_nested,
     integrate_2d,
 )
 from .kernels import (

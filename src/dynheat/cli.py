@@ -81,9 +81,18 @@ def _number(block, key, where, default=None, positive=False):
     v = block[key]
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         raise ConfigError(f"{where}.{key} must be a number")
+    if not abs(v) <= sys.float_info.max:  # NaN, +-inf, ints beyond float range
+        raise ConfigError(f"{where}.{key} must be finite")
     if positive and v <= 0:
         raise ConfigError(f"{where}.{key} must be positive")
     return float(v)
+
+
+def _number_list(block, key, where, default=None, positive=False):
+    values = block.get(key, default)
+    if not isinstance(values, list):
+        raise ConfigError(f"{where}.{key} must be a list")
+    return [_number({key: v}, key, where, positive=positive) for v in values]
 
 
 def parse_params(block, where="params") -> Params:
@@ -256,24 +265,28 @@ def cmd_mass_check(cfg, out, args):
                         "tol", "quad"), where="config")
     spec = parse_quad(cfg.get("quad"))
     tol = _number(cfg, "tol", "config", 1e-6)
+    grid = [parse_params({"epsilon": eps, "delta": delta, "kappa": kappa, "dim": dim},
+                         where="config")
+            for dim in _number_list(cfg, "dim", "config", [2, 3])
+            for eps in _number_list(cfg, "epsilon", "config", [0.5, 1.0, 2.0])
+            for delta in _number_list(cfg, "delta", "config", [0.5, 1.0, 2.0])
+            for kappa in _number_list(cfg, "kappa", "config", [0.5, 1.0, 2.0])]
+    times = _number_list(cfg, "t", "config", [0.1, 1.0, 10.0], positive=True)
+    points = [(xn, t) for xn in _number_list(cfg, "x_n", "config", [0.0, 0.5, 3.0])
+              for t in times]
+    if any(xn < 0 for xn, _ in points):
+        raise ConfigError("config.x_n must be nonnegative")
     rows = []
     max_dev = 0.0
     flagged = False
-    for dim in cfg.get("dim", [2, 3]):
-        for eps in cfg.get("epsilon", [0.5, 1.0, 2.0]):
-            for delta in cfg.get("delta", [0.5, 1.0, 2.0]):
-                for kappa in cfg.get("kappa", [0.5, 1.0, 2.0]):
-                    p = Params(eps, delta, kappa, int(dim))
-                    for xn in cfg.get("x_n", [0.0, 0.5, 3.0]):
-                        for t in cfg.get("t", [0.1, 1.0, 10.0]):
-                            res = total_mass(p, xn, t, spec)
-                            dev = abs(res.value - 1.0)
-                            max_dev = max(max_dev, dev)
-                            flagged = flagged or not res.converged
-                            rows.append(_param_cols(p) +
-                                        ["total-mass identity",
-                                         repr(float(xn)), repr(float(t)),
-                                         repr(res.value), repr(dev)])
+    for p in grid:
+        for xn, t in points:
+            res = total_mass(p, xn, t, spec)
+            dev = abs(res.value - 1.0)
+            max_dev = max(max_dev, dev)
+            flagged = flagged or not res.converged
+            rows.append(_param_cols(p) + ["total-mass identity", repr(xn), repr(t),
+                                          repr(res.value), repr(dev)])
     write_csv(os.path.join(out, "mass_check.csv"),
               _PARAM_HEADER + ["theorem", "x_n", "t", "mass", "deviation"], rows)
     passed = max_dev <= tol and not (args.strict and flagged)
@@ -331,11 +344,12 @@ def cmd_solve(cfg, out, args):
     pts = [parse_point(b, f"points[{i}]") for i, b in enumerate(cfg["points"])]
     xp = np.array([float(np.atleast_1d(np.asarray(q.tangential))[0]) for q in pts])
     xn = np.array([q.normal for q in pts])
+    times = _number_list(cfg, "times", "config", positive=True)
     rows = []
     flagged = False
     try:
-        for t in cfg["times"]:
-            u, err, conv = solve_grid(tag, p, data, xp, xn, float(t), spec,
+        for t in times:
+            u, err, conv = solve_grid(tag, p, data, xp, xn, t, spec,
                                       theta=theta)
             flagged = flagged or not conv
             for q, val in zip(pts, u):
@@ -354,7 +368,7 @@ def cmd_solve(cfg, out, args):
 
 def cmd_bounds_check(cfg, out, args):
     _require_keys(cfg, ("command", "params", "samples_per_region", "seed",
-                        "stability_factor", "quad"), where="config")
+                        "stability_factor"), where="config")
     p = parse_params(cfg.get("params", {}))
     res = sandwich_check(p,
                          n_per_region=int(cfg.get("samples_per_region", 500)),

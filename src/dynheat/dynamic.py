@@ -37,7 +37,15 @@ from .kernels import (
     sphere_area,
     tangential_offset,
 )
-from .quadrature import QuadSpec, QuadResult, DEFAULT_SPEC, _adaptive, integrate, tail_exponent
+from .quadrature import (
+    QuadSpec,
+    QuadResult,
+    DEFAULT_SPEC,
+    _adaptive,
+    integrate,
+    integrate_nested,
+    tail_exponent,
+)
 
 __all__ = [
     "Region",
@@ -460,21 +468,9 @@ def exchange_marginal_interior(p: Params, xn: float, t: float,
                                spec: QuadSpec = DEFAULT_SPEC) -> QuadResult:
     """Interior marginal of the exchange kernel: a genuinely 2-D
     (normal x time) quadrature with the tangential direction closed."""
-    lc = tail_exponent(spec)
-    ycut = math.sqrt(4.0 * t * lc / p.epsilon) + 1.0
-    inner_sup = 0.0
-    inner_ok = True
-
-    def outer(ys):
-        nonlocal inner_sup, inner_ok
-        vals, errs, _, conv = exchange_weighted(p, xn + ys, t, spec, _unit_tan)
-        inner_sup = max(inner_sup, float(errs.max()))
-        inner_ok = inner_ok and conv
-        return vals
-
-    res = integrate(outer, 0.0, ycut, spec)
-    return QuadResult(res.value, res.error_estimate + inner_sup,
-                      res.subdivisions_used, res.converged and inner_ok)
+    ycut = math.sqrt(4.0 * t * tail_exponent(spec) / p.epsilon) + 1.0
+    return integrate_nested(
+        lambda ys: exchange_weighted(p, xn + ys, t, spec, _unit_tan), 0.0, ycut, spec)
 
 
 def marginal_interior_reference(p: Params, xn: float, t: float,
@@ -545,67 +541,46 @@ def total_mass_radial(p: Params, xn: float, t: float,
                  max(p.delta, p.kappa * p.epsilon) * t / (p.epsilon * p.delta))
     rcut = math.sqrt(4.0 * spread * lc) + 2.0
     ycut = xn + math.sqrt(4.0 * t * lc / p.epsilon) + 1.0
-    inner_sup = 0.0
-    inner_ok = True
 
     def kernel_slice(rs, yn):
         """area-weighted radial integrand of G at normal height(s) yn."""
-        nonlocal inner_sup, inner_ok
         rr, ss = np.broadcast_arrays(rs, xn + yn)
-        logh, rel, _, conv = exchange_log_grid(p, rr.ravel(), ss.ravel(), t, spec)
+        logh, rel, nsub, conv = exchange_log_grid(p, rr.ravel(), ss.ravel(), t, spec)
         h = exp_flush(logh).reshape(rr.shape)
-        inner_sup = max(inner_sup, float(np.max(rel)))
-        inner_ok = inner_ok and conv
         g0 = dirichlet_radial(rr, xn, np.broadcast_to(yn, rr.shape), t / p.epsilon, p.dim)
         w = np.where(rr > 0, rr, 0.0) ** (p.dim - 2) if p.dim > 2 else np.ones_like(rr)
-        return area * w * (g0 + h / p.delta)
+        h_err = rel.reshape(rr.shape) * h / p.delta
+        return area * w * (g0 + h / p.delta), area * w * h_err, nsub, conv
 
-    def outer(ys):
-        def inner(rs):
-            return kernel_slice(rs[:, None], ys[None, :])
-        res = integrate(inner, 0.0, rcut, spec)
-        return np.asarray(res.value)
-
-    interior = integrate(outer, 0.0, ycut, spec)
-
-    def boundary_inner(rs):
-        return kernel_slice(rs, 0.0)
-
-    bdry = integrate(boundary_inner, 0.0, rcut, spec)
+    interior = integrate_nested(
+        lambda ys: integrate_nested(
+            lambda rs: kernel_slice(rs[:, None], ys[None, :]), 0.0, rcut, spec),
+        0.0, ycut, spec)
+    bdry = integrate_nested(lambda rs: kernel_slice(rs, 0.0), 0.0, rcut, spec)
     value = interior.value + (p.delta / p.epsilon) * bdry.value
-    err = float(np.max(interior.error_estimate)) \
-        + (p.delta / p.epsilon) * float(np.max(bdry.error_estimate)) + inner_sup
+    err = interior.error_estimate + (p.delta / p.epsilon) * bdry.error_estimate
     return QuadResult(value, err,
                       interior.subdivisions_used + bdry.subdivisions_used,
-                      interior.converged and bdry.converged and inner_ok)
+                      interior.converged and bdry.converged)
 
 
 def laplace_dynamic_mass(delta: float, kappa: float, xn: float, t: float,
                          dim: int = 2, spec: QuadSpec = DEFAULT_SPEC) -> QuadResult:
     """Boundary mass of the Laplace dynamic kernel via radial quadrature
     (power-law tails: integrated through the compactifying map)."""
-    from .quadrature import integrate_semi_infinite
-
     z = xn + t / delta
     if z <= 0:
         raise SingularConfigurationError("x_N + t/delta must be positive")
     area = sphere_area(dim - 2)
-    inner_sup = 0.0
-    inner_ok = True
 
     def f(rs):
-        nonlocal inner_sup, inner_ok
         tan = _pointwise_tan(dim, rs)
-        vals, errs, _, conv = gauss_layer_batch(dim, np.full(rs.size, z),
-                                                kappa * t / delta, spec, tan)
-        inner_sup = max(inner_sup, float(errs.max()))
-        inner_ok = inner_ok and conv
+        vals, errs, nsub, conv = gauss_layer_batch(dim, np.full(rs.size, z),
+                                                   kappa * t / delta, spec, tan)
         w = rs ** (dim - 2) if dim > 2 else np.ones_like(rs)
-        return area * w * vals
+        return area * w * vals, area * w * errs, nsub, conv
 
-    res = integrate_semi_infinite(f, 0.0, spec)
-    return QuadResult(res.value, res.error_estimate + inner_sup,
-                      res.subdivisions_used, res.converged and inner_ok)
+    return integrate_nested(f, 0.0, np.inf, spec)
 
 
 def heat_neumann_mass(epsilon: float, kappa: float, xn: float, t: float,
@@ -618,25 +593,17 @@ def heat_neumann_mass(epsilon: float, kappa: float, xn: float, t: float,
     rcut = math.sqrt(4.0 * (T + kappa * tau_cut) * lc) + 2.0
     ycut = xn + math.sqrt(4.0 * T * lc) + 1.0
     area = sphere_area(dim - 2)
-    inner_sup = 0.0
-    inner_ok = True
 
     def slice_at(rs, yn):
-        nonlocal inner_sup, inner_ok
         rr, ss = np.broadcast_arrays(rs, xn + yn)
         tan = _pointwise_tan(dim, rr.ravel())
-        vals, errs, _, conv = hdn_batch(epsilon, kappa, dim, ss.ravel(), t, spec, tan)
-        inner_sup = max(inner_sup, float(errs.max()))
-        inner_ok = inner_ok and conv
+        vals, errs, nsub, conv = hdn_batch(epsilon, kappa, dim, ss.ravel(), t, spec, tan)
         g0 = dirichlet_radial(rr, xn, np.broadcast_to(yn, rr.shape), T, dim)
         w = rr ** (dim - 2) if dim > 2 else np.ones_like(rr)
-        return area * w * (g0 + vals.reshape(rr.shape))
+        return (area * w * (g0 + vals.reshape(rr.shape)),
+                area * w * errs.reshape(rr.shape), nsub, conv)
 
-    def outer(ys):
-        def inner(rs):
-            return slice_at(rs[:, None], ys[None, :])
-        return np.asarray(integrate(inner, 0.0, rcut, spec).value)
-
-    res = integrate(outer, 0.0, ycut, spec)
-    return QuadResult(res.value, float(np.max(res.error_estimate)) + inner_sup,
-                      res.subdivisions_used, res.converged and inner_ok)
+    return integrate_nested(
+        lambda ys: integrate_nested(
+            lambda rs: slice_at(rs[:, None], ys[None, :]), 0.0, rcut, spec),
+        0.0, ycut, spec)

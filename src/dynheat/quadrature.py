@@ -7,6 +7,13 @@ called with a 1-D numpy array of nodes and may return either a matching
 1-D array (scalar integrand) or a 2-D array ``(nodes, m)`` for ``m``
 integrands sharing one subdivision tree (the panel error is then the
 worst component).
+
+Iterated integrals all go through ``integrate_nested`` and share one
+error rule: the error of the outer integral over [a, b] is its own
+estimate plus (b - a) times the largest absolute inner error at any
+outer node (on [a, inf) the inner errors are mapped with the values onto
+(0, 1], length 1).  The K15 weights are positive and sum to b - a, so
+this bounds the error the inner estimates carry into the outer sum.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ __all__ = [
     "EvaluationError",
     "integrate",
     "integrate_semi_infinite",
+    "integrate_nested",
     "integrate_2d",
 ]
 
@@ -103,6 +111,10 @@ class QuadResult:
 
     def tolerance(self, spec: QuadSpec) -> float:
         return max(spec.abs_tol, spec.rel_tol * abs(self.value))
+
+    def __iter__(self):  # unpacks like the tuple of the adaptive core
+        return iter((self.value, self.error_estimate, self.subdivisions_used,
+                     self.converged))
 
 
 def tail_exponent(spec: QuadSpec, margin: float = 40.0) -> float:
@@ -240,6 +252,45 @@ def integrate_semi_infinite(
     return _finalize(value, error, nsub, converged)
 
 
+def integrate_nested(inner, a: float, b: float,
+                     spec: QuadSpec = DEFAULT_SPEC) -> QuadResult:
+    """Outer integral over [a, b] (``b`` may be ``np.inf``) of an inner
+    quadrature run at each batch of outer nodes.
+
+    ``inner(nodes)`` returns ``(values, errors, subdivisions, converged)``
+    (or a QuadResult) with a leading node axis; values and errors already
+    carry the caller's weights.  The outer rule sees the values only.
+    Errors compose by the module's rule; ``converged`` needs the outer and
+    every inner integral, and ``subdivisions_used`` counts all of them.
+    """
+    semi = np.isinf(b)
+    inner_sup = 0.0
+    inner_ok = True
+    inner_sub = 0
+
+    def values(x):
+        nonlocal inner_sup, inner_ok, inner_sub
+        v, e, nsub, converged = inner(x)
+        e = np.abs(np.asarray(e, dtype=float))
+        if semi:  # 1/u^2 at u = 1/(1 + (x - a))
+            e = e * ((1.0 + (x - a)) ** 2).reshape((-1,) + (1,) * (e.ndim - 1))
+        inner_sup = np.maximum(inner_sup, e.max(axis=0))
+        inner_ok = inner_ok and converged
+        inner_sub += nsub
+        return v
+
+    if semi:
+        outer = integrate_semi_infinite(values, a, spec)
+        length = 1.0
+    else:
+        outer = integrate(values, a, b, spec)
+        length = b - a
+    error = np.reshape(outer.error_estimate + length * inner_sup, np.shape(outer.value))
+    return QuadResult(outer.value, error if error.ndim else float(error),
+                      outer.subdivisions_used + inner_sub,
+                      outer.converged and inner_ok)
+
+
 def integrate_2d(
     f,
     x_interval,
@@ -252,35 +303,16 @@ def integrate_2d(
     The inner integral runs in the second (y) variable; ``y_interval``
     may end at ``np.inf`` (semi-infinite inner integrals, optionally
     truncated at ``y_cut``).  ``f(x, y)`` must broadcast elementwise.
-    The reported error estimate is the outer estimate plus the supremum
-    of the inner estimates, and ``converged`` requires every inner
-    integral to have converged as well.
+    Errors compose as in ``integrate_nested``.
     """
-    xa, xb = x_interval
     ya, yb = y_interval
-    inner_sup = 0.0
-    inner_ok = True
-    inner_sub = 0
 
-    def outer_integrand(xs):
-        nonlocal inner_sup, inner_ok, inner_sub
-
-        def inner(ys):
+    def inner(xs):
+        def fy(ys):
             return np.asarray(f(xs[None, :], ys[:, None]), dtype=float)
 
         if np.isinf(yb):
-            res = integrate_semi_infinite(inner, ya, spec, cut=y_cut)
-        else:
-            res = integrate(inner, ya, yb, spec)
-        inner_sup = max(inner_sup, float(np.max(res.error_estimate)))
-        inner_ok = inner_ok and res.converged
-        inner_sub = max(inner_sub, res.subdivisions_used)
-        return np.asarray(res.value)
+            return integrate_semi_infinite(fy, ya, spec, cut=y_cut)
+        return integrate(fy, ya, yb, spec)
 
-    outer = integrate(outer_integrand, xa, xb, spec)
-    return QuadResult(
-        outer.value,
-        float(np.max(outer.error_estimate)) + inner_sup,
-        outer.subdivisions_used + inner_sub,
-        outer.converged and inner_ok,
-    )
+    return integrate_nested(inner, *x_interval, spec)

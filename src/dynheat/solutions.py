@@ -52,7 +52,14 @@ from .kernels import (
     dirichlet_radial,
     free_heat_radial,
 )
-from .quadrature import DEFAULT_SPEC, QuadResult, QuadSpec, integrate, tail_exponent
+from .quadrature import (
+    DEFAULT_SPEC,
+    QuadResult,
+    QuadSpec,
+    integrate,
+    integrate_nested,
+    tail_exponent,
+)
 
 __all__ = [
     "PROBLEM_TAGS",
@@ -71,18 +78,14 @@ _BOUNDARY_ONLY = ("LDD", "LD", "LDpsi", "LDPsi")
 _INTERIOR_ONLY = ("HDN", "HhN", "HD0")
 
 
-class _Acc:
-    """Error/convergence accumulator across the terms of one solve."""
+def _zero(m):
+    return np.zeros(m), np.zeros(m), 0, True
 
-    def __init__(self):
-        self.err = 0.0
-        self.converged = True
-        self.nsub = 0
 
-    def add(self, err, converged, nsub=0, weight=1.0):
-        self.err += weight * float(np.max(err))
-        self.converged = self.converged and converged
-        self.nsub += nsub
+def _per_probe(res):
+    """A QuadResult over the probes as a term 4-tuple of arrays."""
+    return (np.atleast_1d(res.value), np.atleast_1d(res.error_estimate),
+            res.subdivisions_used, res.converged)
 
 
 def _tan_factory(data, offsets, dim):
@@ -96,18 +99,24 @@ def _tan_factory(data, offsets, dim):
     return fn
 
 
-def _reflected_term(eps, dim, phi: Interior, off, xn, t, spec, sign, acc: _Acc):
+def _normal_window(phi: Interior, xn, reach, lc):
+    """Normal profile of ``phi`` (None when the data is constant in the
+    normal direction) and the upper end of the normal integral: ``reach``
+    past the deepest probe, or the end of the profile if that comes first."""
+    prof = phi.normal if phi.kind == "heat_gaussian" else None
+    cut_kernel = float(np.max(xn)) + reach + 1.0
+    return prof, cut_kernel if prof is None else min(prof.support_cut(lc), cut_kernel)
+
+
+def _reflected_term(eps, dim, phi: Interior, off, xn, t, spec, sign):
     """Interior data against the absorbing (sign=-1) or reflecting
     (sign=+1) half-space kernel; tangential part closed, 1-D normal
     quadrature."""
-    m = off.size
     if phi.kind == "zero":
-        return np.zeros(m)
+        return _zero(off.size)
     T = t / eps
     lc = tail_exponent(spec)
-    cut_kernel = float(np.max(xn)) + math.sqrt(4.0 * T * lc) + 1.0
-    prof = phi.normal if phi.kind == "heat_gaussian" else None
-    ycut = cut_kernel if prof is None else min(prof.support_cut(lc), cut_kernel)
+    prof, ycut = _normal_window(phi, xn, math.sqrt(4.0 * T * lc), lc)
     tanfac = np.asarray(tan_conv(phi, off, T, dim), dtype=float)
 
     def f(ys):
@@ -117,143 +126,107 @@ def _reflected_term(eps, dim, phi: Interior, off, xn, t, spec, sign, acc: _Acc):
             k = k * prof.value(ys)[:, None]
         return k
 
-    res = integrate(f, 0.0, ycut, spec)
-    vals = np.atleast_1d(np.asarray(res.value))
-    acc.add(np.abs(tanfac) * np.max(res.error_estimate), res.converged,
-            res.subdivisions_used)
-    return tanfac * vals
+    vals, errs, nsub, conv = _per_probe(integrate(f, 0.0, ycut, spec))
+    return tanfac * vals, np.abs(tanfac) * errs, nsub, conv
 
 
-def _exchange_boundary_term(p, psi: Boundary, off, xn, t, spec, acc: _Acc):
+def _exchange_boundary_term(p, psi: Boundary, off, xn, t, spec):
     """Boundary data against the exchange kernel (no 1/eps weight)."""
     if psi.kind == "zero":
-        return np.zeros(off.size)
-    vals, errs, nsub, conv = exchange_weighted(
-        p, xn, t, spec, _tan_factory(psi, off, p.dim))
-    acc.add(errs, conv, nsub)
-    return vals
+        return _zero(off.size)
+    return exchange_weighted(p, xn, t, spec, _tan_factory(psi, off, p.dim))
 
 
-def _profile_weight(phi: Interior):
-    if phi.kind == "heat_gaussian":
-        return phi.normal
-    return None
-
-
-def _exchange_interior_term(p, phi: Interior, off, xn, t, spec, acc: _Acc):
-    """Interior data against the exchange kernel: 2-D (normal x time)
-    quadrature with the tangential factor closed inside the time
-    integral (no 1/delta weight)."""
+def _interior_term(dim, phi: Interior, off, xn, reach, spec, batch):
+    """Interior data against an exchange-type kernel: 2-D (normal x time)
+    quadrature with the tangential factor closed inside the time integral
+    ``batch(s, tan_fn)``; ``reach`` is the normal extent of the kernel."""
     m = off.size
     if phi.kind == "zero":
-        return np.zeros(m)
+        return _zero(m)
     lc = tail_exponent(spec)
-    cut_kernel = float(np.max(xn)) + math.sqrt(4.0 * t * lc / p.epsilon) + 1.0
-    prof = _profile_weight(phi)
-    ycut = cut_kernel if prof is None else min(prof.support_cut(lc), cut_kernel)
+    prof, ycut = _normal_window(phi, xn, reach, lc)
 
-    def outer(ys):
+    def inner(ys):
         n = ys.size
         s = (xn[None, :] + ys[:, None]).ravel()
         off_flat = np.broadcast_to(off[None, :], (n, m)).ravel()
-        vals, errs, nsub, conv = exchange_weighted(
-            p, s, t, spec, _tan_factory(phi, off_flat, p.dim))
-        acc.add(errs, conv, nsub)
-        h = vals.reshape(n, m)
+        vals, errs, nsub, conv = batch(s, _tan_factory(phi, off_flat, dim))
+        h, e = vals.reshape(n, m), errs.reshape(n, m)
         if prof is not None:
-            h = h * prof.value(ys)[:, None]
-        return h
+            w = prof.value(ys)[:, None]
+            h, e = h * w, e * np.abs(w)
+        return h, e, nsub, conv
 
-    res = integrate(outer, 0.0, ycut, spec)
-    acc.add(res.error_estimate, res.converged, res.subdivisions_used)
-    return np.atleast_1d(np.asarray(res.value))
+    return _per_probe(integrate_nested(inner, 0.0, ycut, spec))
 
 
-def _hdn_interior_term(p, phi: Interior, off, xn, t, spec, acc: _Acc):
+def _exchange_interior_term(p, phi: Interior, off, xn, t, spec):
+    """Interior data against the exchange kernel (no 1/delta weight)."""
+    reach = math.sqrt(4.0 * t * tail_exponent(spec) / p.epsilon)
+    return _interior_term(p.dim, phi, off, xn, reach, spec,
+                          lambda s, tan: exchange_weighted(p, s, t, spec, tan))
+
+
+def _hdn_interior_term(p, phi: Interior, off, xn, t, spec):
     """Interior data against the diffusive-Neumann exchange part."""
+    reach = math.sqrt(4.0 * (t / p.epsilon) * tail_exponent(spec))
+    return _interior_term(
+        p.dim, phi, off, xn, reach, spec,
+        lambda s, tan: hdn_batch(p.epsilon, p.kappa, p.dim, s, t, spec, tan))
+
+
+def _layer_term(dim, psi: Boundary, off, z, trace, batch):
+    """Boundary data carried into the bulk by the layer kernel
+    ``batch(idx, tan_fn)`` at the probes ``idx`` with z > 0; probes on the
+    boundary get ``trace(offsets)``."""
     m = off.size
-    if phi.kind == "zero":
-        return np.zeros(m)
-    lc = tail_exponent(spec)
-    cut_kernel = float(np.max(xn)) + math.sqrt(4.0 * (t / p.epsilon) * lc) + 1.0
-    prof = _profile_weight(phi)
-    ycut = cut_kernel if prof is None else min(prof.support_cut(lc), cut_kernel)
-
-    def outer(ys):
-        n = ys.size
-        s = (xn[None, :] + ys[:, None]).ravel()
-        off_flat = np.broadcast_to(off[None, :], (n, m)).ravel()
-        vals, errs, nsub, conv = hdn_batch(
-            p.epsilon, p.kappa, p.dim, s, t, spec,
-            _tan_factory(phi, off_flat, p.dim))
-        acc.add(errs, conv, nsub)
-        h = vals.reshape(n, m)
-        if prof is not None:
-            h = h * prof.value(ys)[:, None]
-        return h
-
-    res = integrate(outer, 0.0, ycut, spec)
-    acc.add(res.error_estimate, res.converged, res.subdivisions_used)
-    return np.atleast_1d(np.asarray(res.value))
+    if psi.kind == "zero":
+        return _zero(m)
+    out, err = np.empty(m), np.zeros(m)
+    nsub, conv = 0, True
+    on_bdry = z <= 0.0
+    if on_bdry.any():
+        out[on_bdry] = trace(off[on_bdry])
+    if (~on_bdry).any():
+        idx = np.nonzero(~on_bdry)[0]
+        out[idx], err[idx], nsub, conv = batch(idx, _tan_factory(psi, off[idx], dim))
+    return out, err, nsub, conv
 
 
-def _dirichlet_layer_term(p, psi: Boundary, off, xn, t, theta, spec, acc: _Acc):
+def _dirichlet_layer_term(p, psi: Boundary, off, xn, t, theta, spec):
     """Boundary data carried into the bulk by the Dirichlet boundary
     layer; on the boundary itself the trace value is returned (times
     eps, cancelling the caller's 1/eps weight)."""
-    m = off.size
-    if psi.kind == "zero":
-        return np.zeros(m)
-    out = np.empty(m)
-    on_bdry = xn <= 0.0
-    if on_bdry.any():
-        offb = off[on_bdry]
+    def trace(offb):
         if theta is None:
-            trace = boundary_value(psi, offb, p.dim)
-        else:
-            trace = tan_conv(psi, offb, t / theta, p.dim)
-        out[on_bdry] = p.epsilon * np.asarray(trace, dtype=float)
-    if (~on_bdry).any():
-        idx = np.nonzero(~on_bdry)[0]
-        vals, errs, nsub, conv = dirichlet_layer_batch(
-            p.epsilon, p.dim, xn[idx], t, theta, spec,
-            _tan_factory(psi, off[idx], p.dim))
-        acc.add(errs, conv, nsub)
-        out[idx] = vals
-    return out
+            return p.epsilon * np.asarray(boundary_value(psi, offb, p.dim), dtype=float)
+        return p.epsilon * np.asarray(tan_conv(psi, offb, t / theta, p.dim), dtype=float)
+
+    return _layer_term(p.dim, psi, off, xn, trace, lambda idx, tan: dirichlet_layer_batch(
+        p.epsilon, p.dim, xn[idx], t, theta, spec, tan))
 
 
-def _harmonic_layer_term(dim, psi: Boundary, off, z, smoothing, spec, acc: _Acc):
+def _harmonic_layer_term(dim, psi: Boundary, off, z, smoothing, spec):
     """Harmonic-extension layer with tangential pre-smoothing; at z = 0
     the trace of the (smoothed) data is returned."""
-    m = off.size
-    if psi.kind == "zero":
-        return np.zeros(m)
-    out = np.empty(m)
-    at_bdry = z <= 0.0
-    if at_bdry.any():
-        offb = off[at_bdry]
+    def trace(offb):
         if smoothing > 0.0:
-            out[at_bdry] = np.asarray(tan_conv(psi, offb, smoothing, dim), dtype=float)
-        else:
-            out[at_bdry] = np.asarray(boundary_value(psi, offb, dim), dtype=float)
-    if (~at_bdry).any():
-        idx = np.nonzero(~at_bdry)[0]
-        vals, errs, nsub, conv = gauss_layer_batch(
-            dim, z[idx], smoothing, spec, _tan_factory(psi, off[idx], dim))
-        acc.add(errs, conv, nsub)
-        out[idx] = vals
-    return out
+            return np.asarray(tan_conv(psi, offb, smoothing, dim), dtype=float)
+        return np.asarray(boundary_value(psi, offb, dim), dtype=float)
+
+    return _layer_term(dim, psi, off, z, trace, lambda idx, tan: gauss_layer_batch(
+        dim, z[idx], smoothing, spec, tan))
 
 
-def _power_cutoff_term(p, phi: Interior, xp, xn, t, spec, acc: _Acc):
+def _power_cutoff_term(p, phi: Interior, xp, xn, t, spec):
     """Interior data with radial power-law cutoff profile
     |y|^(-alpha) chi_{|y|<1} times the tangential Gaussian factor
     (N = 2): direct polar quadrature of the full kernel."""
     m = xp.size
     alpha = phi.normal.alpha
 
-    def outer(thetas):
+    def radial(thetas):
         n = thetas.size
         ct = np.cos(thetas)
         st = np.sin(thetas)
@@ -264,22 +237,32 @@ def _power_cutoff_term(p, phi: Interior, xp, xn, t, spec, acc: _Acc):
             yn = rhos[:, None, None] * st[None, :, None]
             off = np.abs(xp[None, None, :] - y1)
             s = xn[None, None, :] + yn
-            logh, rel, _, conv = exchange_log_grid(
+            logh, rel, nsub, conv = exchange_log_grid(
                 p, off.reshape(kk, -1).ravel(), s.reshape(kk, -1).ravel(), t, spec)
             h = exp_flush(logh).reshape(kk, n, m)
-            acc.add(0.0, conv)
             g0 = dirichlet_radial(off, xn[None, None, :], yn, t / p.epsilon, p.dim)
             tang = free_heat_radial(1, y1 - phi.center, phi.a)
             w = tang * rhos[:, None, None] ** (1.0 - alpha)
-            return ((g0 + h / p.delta) * w).reshape(kk, n * m)
+            h_err = rel.reshape(kk, n, m) * h / p.delta
+            return (((g0 + h / p.delta) * w).reshape(kk, n * m),
+                    (h_err * w).reshape(kk, n * m), nsub, conv)
 
-        res = integrate(inner, 0.0, 1.0, spec)
-        acc.add(res.error_estimate, res.converged, res.subdivisions_used)
-        return np.asarray(res.value).reshape(n, m)
+        vals, errs, nsub, conv = integrate_nested(inner, 0.0, 1.0, spec)
+        return np.reshape(vals, (n, m)), np.reshape(errs, (n, m)), nsub, conv
 
-    res = integrate(outer, 0.0, math.pi, spec)
-    acc.add(res.error_estimate, res.converged, res.subdivisions_used)
-    return np.atleast_1d(np.asarray(res.value))
+    return _per_probe(integrate_nested(radial, 0.0, math.pi, spec))
+
+
+def _add_terms(first, *weighted):
+    """Sum ``first`` and the (term, divisor) pairs of ``weighted``; the
+    errors take the same weights as the values."""
+    u, err, nsub, conv = first
+    for (vals, errs, ns, cv), divisor in weighted:
+        u = u + vals / divisor
+        err = err + errs / divisor
+        nsub += ns
+        conv = conv and cv
+    return u, err, nsub, conv
 
 
 def _validate(tag, p: Params, data: InitialData, theta):
@@ -300,14 +283,8 @@ def _validate(tag, p: Params, data: InitialData, theta):
                 "power-cutoff data requires zero boundary data")
 
 
-def solve_grid(tag: str, p: Params, data: InitialData, xp, xn, t: float,
-               spec: QuadSpec = DEFAULT_SPEC, theta: float | None = None):
-    """Solution values on a grid of probe points at one time.
-
-    ``xp`` are signed first-axis tangential coordinates, ``xn`` normal
-    coordinates (arrays of equal length).  Returns (values, error,
-    converged).
-    """
+def _solve(tag, p: Params, data: InitialData, xp, xn, t, spec, theta):
+    """(values, per-probe errors, subdivisions, converged) of solve_grid."""
     _validate(tag, p, data, theta)
     if t <= 0:
         raise ValueError("time must be positive")
@@ -320,43 +297,51 @@ def solve_grid(tag: str, p: Params, data: InitialData, xp, xn, t: float,
     phi, psi = data.interior, data.boundary
     off_i = np.abs(xp - phi.center) if phi.kind != "zero" else xp
     off_b = np.abs(xp - psi.center) if psi.kind != "zero" else xp
-    acc = _Acc()
 
     if tag == "HD":
-        return solve_grid("HDD", replace(p, kappa=0.0), data, xp, xn, t, spec)
+        return _solve("HDD", replace(p, kappa=0.0), data, xp, xn, t, spec, theta)
 
-    if tag in ("HDD",):
+    def reflected(sign):
+        return _reflected_term(p.epsilon, p.dim, phi, off_i, xn, t, spec, sign)
+
+    if tag == "HDD":
+        boundary = (_exchange_boundary_term(p, psi, off_b, xn, t, spec), p.epsilon)
         if phi.kind == "heat_gaussian" and phi.is_power_cutoff:
-            u = _power_cutoff_term(p, phi, xp, xn, t, spec, acc)
-        else:
-            u = _reflected_term(p.epsilon, p.dim, phi, off_i, xn, t, spec, -1.0, acc)
-            u = u + _exchange_interior_term(p, phi, off_i, xn, t, spec, acc) / p.delta
-        u = u + _exchange_boundary_term(p, psi, off_b, xn, t, spec, acc) / p.epsilon
-    elif tag == "HD0":
-        u = _reflected_term(p.epsilon, p.dim, phi, off_i, xn, t, spec, -1.0, acc)
-    elif tag == "HhN":
-        u = _reflected_term(p.epsilon, p.dim, phi, off_i, xn, t, spec, +1.0, acc)
-    elif tag == "HDN":
-        u = _reflected_term(p.epsilon, p.dim, phi, off_i, xn, t, spec, -1.0, acc)
-        u = u + _hdn_interior_term(p, phi, off_i, xn, t, spec, acc)
-    elif tag == "HDpsi":
-        u = _reflected_term(p.epsilon, p.dim, phi, off_i, xn, t, spec, -1.0, acc)
-        u = u + _dirichlet_layer_term(p, psi, off_b, xn, t, None, spec, acc) / p.epsilon
-    elif tag == "HDPsi":
-        u = _reflected_term(p.epsilon, p.dim, phi, off_i, xn, t, spec, -1.0, acc)
-        u = u + _dirichlet_layer_term(p, psi, off_b, xn, t, theta, spec, acc) / p.epsilon
-    elif tag == "LDD":
-        u = _harmonic_layer_term(p.dim, psi, off_b, xn + t / p.delta,
-                                 p.kappa * t / p.delta, spec, acc)
-    elif tag == "LD":
-        u = _harmonic_layer_term(p.dim, psi, off_b, xn + t / p.delta, 0.0, spec, acc)
-    elif tag == "LDpsi":
-        u = _harmonic_layer_term(p.dim, psi, off_b, xn, 0.0, spec, acc)
-    elif tag == "LDPsi":
-        u = _harmonic_layer_term(p.dim, psi, off_b, xn, t / theta, spec, acc)
-    else:  # pragma: no cover
-        raise ValueError(tag)
-    return u, acc.err, acc.converged
+            return _add_terms(_power_cutoff_term(p, phi, xp, xn, t, spec), boundary)
+        return _add_terms(reflected(-1.0),
+                          (_exchange_interior_term(p, phi, off_i, xn, t, spec), p.delta),
+                          boundary)
+    if tag == "HD0":
+        return reflected(-1.0)
+    if tag == "HhN":
+        return reflected(+1.0)
+    if tag == "HDN":
+        return _add_terms(reflected(-1.0),
+                          (_hdn_interior_term(p, phi, off_i, xn, t, spec), 1.0))
+    if tag in ("HDpsi", "HDPsi"):
+        layer_theta = theta if tag == "HDPsi" else None
+        return _add_terms(reflected(-1.0), (_dirichlet_layer_term(
+            p, psi, off_b, xn, t, layer_theta, spec), p.epsilon))
+    if tag == "LDD":
+        return _harmonic_layer_term(p.dim, psi, off_b, xn + t / p.delta,
+                                    p.kappa * t / p.delta, spec)
+    if tag == "LD":
+        return _harmonic_layer_term(p.dim, psi, off_b, xn + t / p.delta, 0.0, spec)
+    if tag == "LDpsi":
+        return _harmonic_layer_term(p.dim, psi, off_b, xn, 0.0, spec)
+    return _harmonic_layer_term(p.dim, psi, off_b, xn, t / theta, spec)  # LDPsi
+
+
+def solve_grid(tag: str, p: Params, data: InitialData, xp, xn, t: float,
+               spec: QuadSpec = DEFAULT_SPEC, theta: float | None = None):
+    """Solution values on a grid of probe points at one time.
+
+    ``xp`` are signed first-axis tangential coordinates, ``xn`` normal
+    coordinates (arrays of equal length).  Returns (values, error,
+    converged); ``error`` bounds the quadrature error at every probe.
+    """
+    u, err, _, conv = _solve(tag, p, data, xp, xn, t, spec, theta)
+    return u, float(np.max(err, initial=0.0)), conv
 
 
 def solve(tag: str, p: Params, data: InitialData, x: HalfSpacePoint, t: float,
@@ -365,9 +350,9 @@ def solve(tag: str, p: Params, data: InitialData, x: HalfSpacePoint, t: float,
     xv = x.tangential_vector(p.dim)
     if p.dim > 2 and np.any(xv[1:] != 0.0):
         raise ValueError("probe points must lie on the first tangential axis")
-    vals, err, conv = solve_grid(tag, p, data, [float(xv[0])], [x.normal], t,
-                                 spec, theta)
-    return QuadResult(float(vals[0]), err, 0, conv)
+    vals, err, nsub, conv = _solve(tag, p, data, [float(xv[0])], [x.normal], t,
+                                   spec, theta)
+    return QuadResult(float(vals[0]), float(err[0]), nsub, conv)
 
 
 def boundary_trace(tag: str, p: Params, data: InitialData, xp, t: float,
@@ -401,10 +386,9 @@ def witness_response(p: Params, xp, xn, t: float,
     xp = np.atleast_1d(np.asarray(xp, dtype=float))
     xn = np.atleast_1d(np.asarray(xn, dtype=float))
     T = t / p.epsilon
-    acc = _Acc()
     rho = np.hypot(xp, xn)
     direct = p.epsilon * xn / (4.0 * t) * free_heat_radial(p.dim, rho, 2.0 * T)
     phi_w = Interior("heat_gaussian", a=T,
                      normal=NormalProfile("gaussian_slope", b=T))
-    ex = _exchange_interior_term(p, phi_w, np.abs(xp), xn, t, spec, acc)
-    return direct + ex / p.delta, acc.err, acc.converged
+    ex, err, _, conv = _exchange_interior_term(p, phi_w, np.abs(xp), xn, t, spec)
+    return direct + ex / p.delta, float(np.max(err / p.delta)), conv

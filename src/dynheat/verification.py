@@ -41,7 +41,7 @@ from .kernels import (
     neumann_kernel,
     poisson_kernel,
 )
-from .quadrature import DEFAULT_SPEC, QuadSpec, integrate, tail_exponent
+from .quadrature import DEFAULT_SPEC, QuadSpec, integrate, integrate_nested, tail_exponent
 from .solutions import solve_grid, witness_response
 
 __all__ = [
@@ -587,7 +587,7 @@ def _check_semigroup(spec, seed):
             return dirichlet_radial(r, xa, ya, tt / p.epsilon, p.dim) \
                 + exp_flush(lv) / p.delta
 
-        def outer(zns):
+        def tangential(zns):
             def inner(z1s):
                 Z1, ZN = np.broadcast_arrays(z1s[:, None], zns[None, :])
                 ga = gb(np.abs(x1 - Z1).ravel(), (xnn + ZN).ravel(), t,
@@ -595,9 +595,9 @@ def _check_semigroup(spec, seed):
                 gc = gb(np.abs(Z1 - y1).ravel(), (ZN + ynn).ravel(), s,
                         ZN.ravel(), ynn).reshape(Z1.shape)
                 return ga * gc
-            return np.asarray(integrate(inner, -R, R, tight).value)
+            return integrate(inner, -R, R, tight)
 
-        bulk = integrate(outer, 0.0, Zc, tight)
+        bulk = integrate_nested(tangential, 0.0, Zc, tight)
 
         def line(z1s):
             ga = gb(np.abs(x1 - z1s), np.full_like(z1s, xnn), t, xnn, 0.0)

@@ -1,4 +1,7 @@
 import json
+import math
+
+import pytest
 
 from dynheat.cli import main
 
@@ -59,6 +62,26 @@ class TestConfigHandling:
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"command": "solve"}))
         rc = main(["report", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 2
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_numbers_rejected(self, tmp_path, bad):
+        rc = run_cli(tmp_path, "solve", {
+            "tag": "HDD", "points": [{"normal": 0.0}], "times": [bad]})
+        assert rc == 2
+        assert not (tmp_path / "solve.csv").exists()
+        rc = run_cli(tmp_path, "solve", {
+            "tag": "HDD", "points": [{"normal": 0.0}], "times": [1.0],
+            "params": {"kappa": bad}})
+        assert rc == 2
+
+    @pytest.mark.parametrize("axis", [{"epsilon": [-1.0]}, {"dim": [None]},
+                                      {"t": [0.0]}, {"x_n": [-0.5]}, {"kappa": 1.0}])
+    def test_mass_check_axes_validated(self, tmp_path, axis):
+        assert run_cli(tmp_path, "mass-check", axis) == 2
+
+    def test_bounds_check_rejects_quad(self, tmp_path):
+        rc = run_cli(tmp_path, "bounds-check", {"quad": {"rel_tol": -1}})
         assert rc == 2
 
     def test_invalid_params_rejected(self, tmp_path):

@@ -9,6 +9,7 @@ from dynheat.quadrature import (
     QuadSpec,
     integrate,
     integrate_2d,
+    integrate_nested,
     integrate_semi_infinite,
 )
 
@@ -75,6 +76,36 @@ def test_2d_product_of_halves():
 
     res = integrate_2d(f, (0.0, 40.0), (0.0, np.inf))
     assert res.value == pytest.approx(0.25, rel=1e-9)
+
+
+def test_nested_error_covers_inner_errors():
+    # negative control: inner errors of 1e-3 at every node of [0, 2] add up
+    # to 2e-3 (the sup alone would report 1e-3); one unconverged batch
+    # taints the result
+    batches = []
+
+    def inner(x):
+        batches.append(x.size)
+        return np.sqrt(x), np.full_like(x, 1e-3), 1, len(batches) != 2
+
+    res = integrate_nested(inner, 0.0, 2.0)
+    assert len(batches) > 2
+    assert res.value == pytest.approx(2.0 / 3.0 * 2.0**1.5, rel=1e-8)
+    assert res.error_estimate >= 2e-3
+    assert not res.converged
+    assert res.subdivisions_used == \
+        integrate(np.sqrt, 0.0, 2.0).subdivisions_used + len(batches)
+
+
+def test_nested_semi_infinite_maps_inner_errors():
+    # inner errors 1e-3 exp(-x) integrate to 1e-3 over [0, inf)
+    def inner(x):
+        return np.exp(-x), 1e-3 * np.exp(-x), 0, True
+
+    res = integrate_nested(inner, 0.0, np.inf)
+    assert res.value == pytest.approx(1.0, rel=1e-9)
+    assert res.error_estimate >= 1e-3
+    assert res.converged
 
 
 def test_preconditions():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import erfc
 
 from dynheat.data import (
@@ -189,6 +190,53 @@ class TestBruteForceOracle:
 
             A = integrate_2d(fg, (-20.0, 20.0), (0.0, 12.0)).value
             assert u[j] == pytest.approx(A + B + I, rel=1e-8)
+
+
+GATE_INTERIORS = (
+    Interior("constant", c=1.0),
+    GAUSS_PHI,
+    Interior("heat_gaussian", a=0.7, center=0.3,
+             normal=NormalProfile("indicator", lo=0.2, hi=1.0)),
+    Interior("heat_gaussian", a=0.5, normal=NormalProfile("gaussian_slope", b=0.5)),
+)
+GATE_BOUNDARIES = (Boundary("constant", c=1.0), GAUSS_PSI,
+                   Boundary("indicator", rho=1.0),
+                   Boundary("complement_indicator", rho=0.5))
+POWER_CUTOFF = Interior("heat_gaussian", a=1.0,
+                        normal=NormalProfile("power_cutoff", alpha=0.5))
+
+
+class TestReportedErrorBound:
+    # the error reported at rel_tol 1e-4 covers the distance to a
+    # reference at rel_tol 1e-11, across tags and the data family
+    @pytest.mark.parametrize("case", ["HDD", "HD", "HDN", "HDpsi", "HDPsi", "LDD",
+                                      "HDD power cutoff"])
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(draws=st.data())
+    def test_error_covers_reference_distance(self, case, draws):
+        unit = st.floats(0.5, 2.0)
+        p = Params(draws.draw(unit), draws.draw(unit), draws.draw(unit), 2)
+        t = draws.draw(st.floats(0.25, 1.0))
+        theta = draws.draw(unit)
+        pair = dict(min_size=2, max_size=2)
+        xp = np.array(draws.draw(st.lists(st.floats(-1.5, 1.5), **pair)))
+        xn = np.array(draws.draw(st.lists(
+            st.one_of(st.just(0.0), st.floats(0.0, 1.5)), **pair)))
+        tag = case.split()[0]
+        if case == "HDD power cutoff":
+            data = InitialData(POWER_CUTOFF)
+        else:
+            interior = Interior("zero") if tag == "LDD" \
+                else draws.draw(st.sampled_from(GATE_INTERIORS))
+            boundary = Boundary("zero") if tag == "HDN" \
+                else draws.draw(st.sampled_from(GATE_BOUNDARIES))
+            data = InitialData(interior, boundary)
+        u, err, conv = solve_grid(tag, p, data, xp, xn, t, QuadSpec(rel_tol=1e-4),
+                                  theta=theta)
+        ref, _, ref_conv = solve_grid(tag, p, data, xp, xn, t,
+                                      QuadSpec(rel_tol=1e-11), theta=theta)
+        assert conv and ref_conv
+        assert err >= np.max(np.abs(u - ref))
 
 
 class TestValidation:
