@@ -5,7 +5,8 @@ Subcommands: eval-kernel, mass-check, identity-suite, solve, bounds-check,
 limit-rate, opnorm, oracle-compare, report.  Results are written as CSV
 tables (RFC-4180 quoting) and JSON summaries; identical configs produce
 byte-identical outputs.  Exit codes: 0 all checks passed, 1 a check
-failed (reports are still written), 2 configuration or I/O error.
+failed (reports are still written), 2 configuration or I/O error, or a
+value the library rejects.
 """
 
 from __future__ import annotations
@@ -18,10 +19,12 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 
-from .data import Boundary, InitialData, Interior, NormalProfile, UnsupportedDataError
+from .data import Boundary, InitialData, Interior, NormalProfile
 from .dynamic import (
     dirichlet_layer_kernel,
     exchange_kernel,
@@ -30,6 +33,7 @@ from .dynamic import (
     laplace_dynamic_kernel,
     total_mass,
 )
+from .fdsolver import FdGrid, SchemeError, compare, fd_solve
 from .kernels import (
     HalfSpacePoint,
     Params,
@@ -38,12 +42,11 @@ from .kernels import (
     neumann_kernel,
     poisson_kernel,
 )
-from .quadrature import DEFAULT_SPEC, QuadSpec
-from .solutions import PROBLEM_TAGS, solve_grid
+from .quadrature import DEFAULT_SPEC, EvaluationError, QuadSpec
+from .solutions import PROBLEM_TAGS, first_axis, solve_grid
 from .verification import (
     EXPERIMENTS,
     IDENTITIES,
-    LimitExperiment,
     check_identity,
     default_experiment,
     opnorm_decay,
@@ -51,7 +54,7 @@ from .verification import (
     sandwich_check,
 )
 
-__all__ = ["main", "entry"]
+__all__ = ["main", "entry", "validate"]
 
 
 class ConfigError(ValueError):
@@ -59,110 +62,217 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# config validation (unknown keys rejected)
+# config validation: one table, one function
 # ---------------------------------------------------------------------------
+#
+# A kind is a function (value, where) -> typed value that raises ConfigError.
+# Value ranges are left to the library constructors and validators; a sign
+# rule appears only where the library has no clean check of its own.
 
-def _require_keys(block, allowed, required=(), where="config"):
-    if not isinstance(block, dict):
-        raise ConfigError(f"{where} must be an object")
-    unknown = sorted(set(block) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {', '.join(unknown)}")
-    missing = sorted(set(required) - set(block))
-    if missing:
-        raise ConfigError(f"missing keys in {where}: {', '.join(missing)}")
-
-
-def _number(block, key, where, default=None, positive=False):
-    if key not in block:
-        if default is None:
-            raise ConfigError(f"missing {where}.{key}")
-        return default
-    v = block[key]
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ConfigError(f"{where}.{key} must be a number")
+def _finite(v, where):
+    """A finite JSON number, returned as written (theta and the opnorm
+    exponents are echoed into the outputs unchanged)."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigError(f"{where} must be a number")
     if not abs(v) <= sys.float_info.max:  # NaN, +-inf, ints beyond float range
-        raise ConfigError(f"{where}.{key} must be finite")
-    if positive and v <= 0:
-        raise ConfigError(f"{where}.{key} must be positive")
+        raise ConfigError(f"{where} must be finite")
+    return v
+
+
+def _num(v, where):
+    return float(_finite(v, where))
+
+
+def _measured(v, where):
+    """A number a run measured: NaN and infinities pass, since a failed
+    check may report them."""
+    return v if isinstance(v, float) else _num(v, where)
+
+
+def _int(v, where):
+    if not _num(v, where).is_integer():
+        raise ConfigError(f"{where} must be an integer")
+    return int(v)
+
+
+def _str(v, where):
+    if not isinstance(v, str):
+        raise ConfigError(f"{where} must be a string")
+    return v
+
+
+def _bool(v, where):
+    if not isinstance(v, bool):
+        raise ConfigError(f"{where} must be true or false")
+    return v
+
+
+def _nonneg(v, where):
+    if _num(v, where) < 0:
+        raise ConfigError(f"{where} must be nonnegative")
     return float(v)
 
 
-def _number_list(block, key, where, default=None, positive=False):
-    values = block.get(key, default)
-    if not isinstance(values, list):
-        raise ConfigError(f"{where}.{key} must be a list")
-    return [_number({key: v}, key, where, positive=positive) for v in values]
+def _positive(v, where):
+    if _num(v, where) <= 0:
+        raise ConfigError(f"{where} must be positive")
+    return float(v)
 
 
-def parse_params(block, where="params") -> Params:
-    _require_keys(block, ("epsilon", "delta", "kappa", "dim"), where=where)
+def _exponent(v, where):
+    return v if v == "inf" else _finite(v, where)
+
+
+def _tangential(v, where):
+    return tuple(_list(_num)(v, where)) if isinstance(v, list) else _num(v, where)
+
+
+def _choice(names):
+    def check(v, where):
+        if _str(v, where) not in names:
+            raise ConfigError(f"{where} must be one of: {', '.join(sorted(names))}")
+        return v
+    return check
+
+
+def _list(kind):
+    def check(v, where):
+        if not isinstance(v, list) or not v:
+            raise ConfigError(f"{where} must be a non-empty list")
+        return [kind(x, f"{where}[{i}]") for i, x in enumerate(v)]
+    return check
+
+
+def _mapping(kind):
+    def check(v, where):
+        if not isinstance(v, dict) or not v:
+            raise ConfigError(f"{where} must be a non-empty object")
+        return {k: kind(x, f"{where}.{k}") for k, x in v.items()}
+    return check
+
+
+def _block(name):
+    return lambda v, where: validate(v, name, where)
+
+
+_REQUIRED = object()
+_KERNELS = ("gamma", "g0", "gn", "poisson", "h", "g", "h_tilde", "g_ldd", "g_hdn")
+_AXIS = [0.5, 1.0, 2.0]
+
+# block name -> (constructor, {key: (kind, default)}).  A missing key takes its
+# default, which is checked like a given value; a default of None also
+# admits null and stands for "not given".
+_TABLE = {
+    "params": (Params, {
+        "epsilon": (_num, 1.0), "delta": (_num, 1.0), "kappa": (_num, 1.0),
+        "dim": (_int, 2)}),
+    "quad": (QuadSpec, {
+        "rel_tol": (_num, DEFAULT_SPEC.rel_tol),
+        "abs_tol": (_num, DEFAULT_SPEC.abs_tol),
+        "max_subdivisions": (_int, DEFAULT_SPEC.max_subdivisions),
+        "tail_cut": (_num, DEFAULT_SPEC.tail_cut)}),
+    "point": (HalfSpacePoint, {
+        "tangential": (_tangential, 0.0), "normal": (_num, _REQUIRED)}),
+    "data": (InitialData.of, {
+        "interior": (_block("interior"), None), "boundary": (_block("boundary"), None)}),
+    "interior": (Interior, {
+        "kind": (_str, _REQUIRED), "c": (_num, 1.0), "center": (_num, 0.0),
+        "a": (_num, 1.0), "normal": (_block("normal"), None)}),
+    "normal": (NormalProfile, {
+        "kind": (_str, _REQUIRED), "m": (_num, 0.0), "b": (_num, 1.0),
+        "lo": (_num, 0.0), "hi": (_num, 1.0), "alpha": (_num, 0.5)}),
+    "boundary": (Boundary, {
+        "kind": (_str, _REQUIRED), "c": (_num, 1.0), "center": (_num, 0.0),
+        "a": (_num, 1.0), "rho": (_num, 1.0)}),
+    "grid": (FdGrid, {
+        "Lx": (_num, 8.0), "Lz": (_num, 8.0), "nx": (_int, 256), "nz": (_int, 256),
+        "dt": (_num, 1e-3), "scheme": (_str, "crank_nicolson"),
+        "flux": (_str, "compact")}),
+    "window": (SimpleNamespace, {"x": (_num, 2.0), "z": (_num, 2.0)}),
+    # the *.summary.json files that report reads
+    "summary": (dict, {
+        "experiment": (_str, None), "theorem": (_str, ""), "detail": (_str, ""),
+        "slope": (_measured, None), "max_deviation": (_measured, None),
+        "sup_rel": (_measured, None), "pass": (_bool, _REQUIRED),
+        "results": (_mapping(_block("identity result")), None),
+        "tolerance": (_num, None), "r2": (_measured, None),
+        "expected_slope": (_num, None), "mode": (_str, None),
+        "p": (_exponent, None), "q": (_exponent, None),
+        "grid_approximate": (_bool, None), "upper_constant": (_measured, None),
+        "lower_constant": (_measured, None), "stability": (_measured, None)}),
+    "identity result": (dict, {
+        "statement": (_str, ""), "tolerance": (_num, _REQUIRED),
+        "max_deviation": (_measured, _REQUIRED), "pass": (_bool, _REQUIRED)}),
+}
+
+_COMMAND_KEYS = {
+    "eval-kernel": {
+        "kernel": (_choice(_KERNELS), _REQUIRED), "params": (_block("params"), {}),
+        "theta": (_finite, None), "t": (_nonneg, _REQUIRED),
+        "x": (_block("point"), _REQUIRED), "y": (_block("point"), {"normal": 0.0}),
+        "quad": (_block("quad"), {}), "d": (_int, 1)},
+    "mass-check": {
+        "epsilon": (_list(_num), _AXIS), "delta": (_list(_num), _AXIS),
+        "kappa": (_list(_num), _AXIS), "dim": (_list(_int), [2, 3]),
+        "x_n": (_list(_nonneg), [0.0, 0.5, 3.0]),
+        "t": (_list(_positive), [0.1, 1.0, 10.0]),
+        "tol": (_num, 1e-6), "quad": (_block("quad"), {})},
+    "identity-suite": {
+        "identities": (_list(_choice(IDENTITIES)), sorted(IDENTITIES)),
+        "seed": (_int, 2024), "quad": (_block("quad"), {})},
+    "solve": {
+        "tag": (_choice(PROBLEM_TAGS), _REQUIRED), "params": (_block("params"), {}),
+        "theta": (_finite, None), "data": (_block("data"), {}),
+        "points": (_list(_block("point")), _REQUIRED),
+        "times": (_list(_num), _REQUIRED), "quad": (_block("quad"), {})},
+    "bounds-check": {
+        "params": (_block("params"), {}), "samples_per_region": (_int, 500),
+        "seed": (_int, 7), "stability_factor": (_num, 1.5)},
+    "limit-rate": {
+        "which": (_choice(EXPERIMENTS), _REQUIRED), "ladder": (_list(_num), None),
+        "quad": (_block("quad"), {}), "density": (_int, 1)},
+    "opnorm": {
+        "p": (_exponent, _REQUIRED), "q": (_exponent, _REQUIRED),
+        "params": (_block("params"), {}),
+        "t_ladder": (_list(_num), [1.0, 2.0, 4.0, 8.0]), "quad": (_block("quad"), {})},
+    "oracle-compare": {
+        "params": (_block("params"), {}),
+        "data": (_block("data"), {"boundary": {"kind": "heat_gaussian", "a": 0.5}}),
+        "grid": (_block("grid"), {}), "times": (_list(_num), [0.25, 0.5, 1.0]),
+        "window": (_block("window"), {}), "tol": (_num, 2e-2),
+        "quad": (_block("quad"), {})},
+    "report": {},
+}
+# "command" may repeat the subcommand's own name and nothing else
+_TABLE.update({name: (SimpleNamespace, {"command": (_choice((name,)), name), **keys})
+               for name, keys in _COMMAND_KEYS.items()})
+
+
+def validate(block, name, where="config"):
+    """Check ``block`` against ``_TABLE[name]`` and return its typed value.
+
+    Unknown and missing keys, wrong types, non-finite numbers, non-integral
+    integers and empty lists raise ConfigError, as do the ValueErrors of the
+    library constructor that builds the value.
+    """
+    build, keys = _TABLE[name]
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be an object")
+    unknown = sorted(set(block) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown keys in {where}: {', '.join(unknown)}")
+    missing = [k for k, (_, default) in keys.items()
+               if default is _REQUIRED and k not in block]
+    if missing:
+        raise ConfigError(f"missing keys in {where}: {', '.join(missing)}")
+    values = {}
+    for key, (kind, default) in keys.items():
+        v = block.get(key, default)
+        values[key] = None if v is None and default is None else kind(v, f"{where}.{key}")
     try:
-        return Params(_number(block, "epsilon", where, 1.0),
-                      _number(block, "delta", where, 1.0),
-                      _number(block, "kappa", where, 1.0),
-                      int(block.get("dim", 2)))
+        return build(**values)
     except ValueError as exc:
         raise ConfigError(f"invalid {where}: {exc}") from exc
-
-
-def parse_quad(block, where="quad") -> QuadSpec:
-    if block is None:
-        return DEFAULT_SPEC
-    _require_keys(block, ("rel_tol", "abs_tol", "max_subdivisions", "tail_cut"),
-                  where=where)
-    try:
-        return QuadSpec(_number(block, "rel_tol", where, DEFAULT_SPEC.rel_tol),
-                        _number(block, "abs_tol", where, DEFAULT_SPEC.abs_tol),
-                        int(block.get("max_subdivisions", DEFAULT_SPEC.max_subdivisions)),
-                        _number(block, "tail_cut", where, DEFAULT_SPEC.tail_cut))
-    except ValueError as exc:
-        raise ConfigError(f"invalid {where}: {exc}") from exc
-
-
-def parse_data(block, where="data") -> InitialData:
-    if block is None:
-        return InitialData()
-    _require_keys(block, ("interior", "boundary"), where=where)
-    interior = Interior("zero")
-    boundary = Boundary("zero")
-    try:
-        if "interior" in block:
-            b = block["interior"]
-            _require_keys(b, ("kind", "c", "center", "a", "normal"),
-                          required=("kind",), where=f"{where}.interior")
-            normal = None
-            if "normal" in b:
-                nb = b["normal"]
-                _require_keys(nb, ("kind", "m", "b", "lo", "hi", "alpha"),
-                              required=("kind",), where=f"{where}.interior.normal")
-                normal = NormalProfile(nb["kind"], m=_number(nb, "m", where, 0.0),
-                                       b=_number(nb, "b", where, 1.0),
-                                       lo=_number(nb, "lo", where, 0.0),
-                                       hi=_number(nb, "hi", where, 1.0),
-                                       alpha=_number(nb, "alpha", where, 0.5))
-            interior = Interior(b["kind"], c=_number(b, "c", where, 1.0),
-                                center=_number(b, "center", where, 0.0),
-                                a=_number(b, "a", where, 1.0), normal=normal)
-        if "boundary" in block:
-            b = block["boundary"]
-            _require_keys(b, ("kind", "c", "center", "a", "rho"),
-                          required=("kind",), where=f"{where}.boundary")
-            boundary = Boundary(b["kind"], c=_number(b, "c", where, 1.0),
-                                center=_number(b, "center", where, 0.0),
-                                a=_number(b, "a", where, 1.0),
-                                rho=_number(b, "rho", where, 1.0))
-    except (UnsupportedDataError, ValueError) as exc:
-        raise ConfigError(f"invalid {where}: {exc}") from exc
-    return InitialData(interior, boundary)
-
-
-def parse_point(block, where="point") -> HalfSpacePoint:
-    _require_keys(block, ("tangential", "normal"), required=("normal",), where=where)
-    tang = block.get("tangential", 0.0)
-    if isinstance(tang, list):
-        tang = tuple(float(v) for v in tang)
-    return HalfSpacePoint(tang, _number(block, "normal", where, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +290,7 @@ def write_csv(path, header, rows):
     buf = io.StringIO()
     w = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
     w.writerow(header)
-    for row in rows:
-        w.writerow(row)
+    w.writerows(rows)
     _atomic_write(path, buf.getvalue())
 
 
@@ -196,17 +305,6 @@ def write_summary(path, obj):
                                    default=_json_default) + "\n")
 
 
-def _fmt(x):
-    if isinstance(x, float):
-        return repr(x)
-    return x
-
-
-def _param_block(p: Params, theta=None):
-    return {"epsilon": p.epsilon, "delta": p.delta, "kappa": p.kappa,
-            "theta": theta, "dim": p.dim}
-
-
 def _param_cols(p: Params, theta=None):
     return [repr(p.epsilon), repr(p.delta), repr(p.kappa),
             "" if theta is None else repr(theta), p.dim]
@@ -216,27 +314,15 @@ _PARAM_HEADER = ["epsilon", "delta", "kappa", "theta", "dim"]
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the validated config, the output directory and
+# the parsed flags
 # ---------------------------------------------------------------------------
 
-_KERNELS = ("gamma", "g0", "gn", "poisson", "h", "g", "h_tilde", "g_ldd", "g_hdn")
-
-
-def cmd_eval_kernel(cfg, out, args):
-    _require_keys(cfg, ("command", "kernel", "params", "theta", "t", "x", "y",
-                        "quad", "d"), required=("kernel", "t", "x"), where="config")
-    kern = cfg["kernel"]
-    if kern not in _KERNELS:
-        raise ConfigError(f"unknown kernel {kern!r}")
-    p = parse_params(cfg.get("params", {}))
-    spec = parse_quad(cfg.get("quad"))
-    t = _number(cfg, "t", "config", positive=(kern != "g_ldd"))
-    x = parse_point(cfg["x"])
-    y = parse_point(cfg.get("y", {"tangential": 0.0, "normal": 0.0}))
-    theta = cfg.get("theta")
+def cmd_eval_kernel(c, out, args):
+    p, spec, x, y, t, kern = c.params, c.quad, c.x, c.y, c.t, c.kernel
     converged = True
     if kern == "gamma":
-        value = float(free_heat_kernel(int(cfg.get("d", 1)), np.asarray(x.tangential), t))
+        value = float(free_heat_kernel(c.d, np.asarray(x.tangential), t))
     elif kern == "g0":
         value = float(dirichlet_kernel(x, y, t, p.dim))
     elif kern == "gn":
@@ -244,9 +330,10 @@ def cmd_eval_kernel(cfg, out, args):
     elif kern == "poisson":
         value = float(poisson_kernel(np.abs(np.asarray(x.tangential)), x.normal, p.dim))
     else:
+        theta = 1.0 if c.theta is None else c.theta
         fn = {"h": lambda: exchange_kernel(p, x, y, t, spec),
               "g": lambda: fundamental_kernel(p, x, y, t, spec),
-              "h_tilde": lambda: dirichlet_layer_kernel(p, float(theta or 1.0), x, y, t, spec),
+              "h_tilde": lambda: dirichlet_layer_kernel(p, theta, x, y, t, spec),
               "g_ldd": lambda: laplace_dynamic_kernel(p.delta, p.kappa, x, y, t, p.dim, spec),
               "g_hdn": lambda: heat_neumann_kernel(p.epsilon, p.kappa, x, y, t, p.dim, spec),
               }[kern]
@@ -255,63 +342,41 @@ def cmd_eval_kernel(cfg, out, args):
     print(f"{kern} = {value!r}")
     write_csv(os.path.join(out, "eval_kernel.csv"),
               _PARAM_HEADER + ["kernel", "t", "value", "converged"],
-              [_param_cols(p, theta) + [kern, repr(t), repr(value),
-                                        bool(converged)]])
+              [_param_cols(p, c.theta) + [kern, repr(t), repr(value),
+                                          bool(converged)]])
     return 0 if (converged or not args.strict) else 1
 
 
-def cmd_mass_check(cfg, out, args):
-    _require_keys(cfg, ("command", "epsilon", "delta", "kappa", "dim", "x_n", "t",
-                        "tol", "quad"), where="config")
-    spec = parse_quad(cfg.get("quad"))
-    tol = _number(cfg, "tol", "config", 1e-6)
-    grid = [parse_params({"epsilon": eps, "delta": delta, "kappa": kappa, "dim": dim},
-                         where="config")
-            for dim in _number_list(cfg, "dim", "config", [2, 3])
-            for eps in _number_list(cfg, "epsilon", "config", [0.5, 1.0, 2.0])
-            for delta in _number_list(cfg, "delta", "config", [0.5, 1.0, 2.0])
-            for kappa in _number_list(cfg, "kappa", "config", [0.5, 1.0, 2.0])]
-    times = _number_list(cfg, "t", "config", [0.1, 1.0, 10.0], positive=True)
-    points = [(xn, t) for xn in _number_list(cfg, "x_n", "config", [0.0, 0.5, 3.0])
-              for t in times]
-    if any(xn < 0 for xn, _ in points):
-        raise ConfigError("config.x_n must be nonnegative")
+def cmd_mass_check(c, out, args):
+    grid = [Params(eps, delta, kappa, dim) for dim in c.dim for eps in c.epsilon
+            for delta in c.delta for kappa in c.kappa]
     rows = []
     max_dev = 0.0
     flagged = False
     for p in grid:
-        for xn, t in points:
-            res = total_mass(p, xn, t, spec)
-            dev = abs(res.value - 1.0)
-            max_dev = max(max_dev, dev)
-            flagged = flagged or not res.converged
-            rows.append(_param_cols(p) + ["total-mass identity", repr(xn), repr(t),
-                                          repr(res.value), repr(dev)])
+        for xn in c.x_n:
+            for t in c.t:
+                res = total_mass(p, xn, t, c.quad)
+                dev = abs(res.value - 1.0)
+                max_dev = max(max_dev, dev)
+                flagged = flagged or not res.converged
+                rows.append(_param_cols(p) + ["total-mass identity", repr(xn), repr(t),
+                                              repr(res.value), repr(dev)])
     write_csv(os.path.join(out, "mass_check.csv"),
               _PARAM_HEADER + ["theorem", "x_n", "t", "mass", "deviation"], rows)
-    passed = max_dev <= tol and not (args.strict and flagged)
+    passed = max_dev <= c.tol and not (args.strict and flagged)
     write_summary(os.path.join(out, "mass_check.summary.json"),
                   {"experiment": "mass-check", "theorem": "total-mass identity",
-                   "max_deviation": max_dev, "tolerance": tol, "pass": passed})
-    print(f"mass-check: max deviation {max_dev:.3e} (tol {tol:g}) -> "
+                   "max_deviation": max_dev, "tolerance": c.tol, "pass": passed})
+    print(f"mass-check: max deviation {max_dev:.3e} (tol {c.tol:g}) -> "
           f"{'PASS' if passed else 'FAIL'}")
     return 0 if passed else 1
 
 
-def cmd_identity_suite(cfg, out, args):
-    _require_keys(cfg, ("command", "identities", "seed", "quad"), where="config")
-    spec = parse_quad(cfg.get("quad"))
-    names = cfg.get("identities", sorted(IDENTITIES))
-    for n in names:
-        if n not in IDENTITIES:
-            raise ConfigError(f"unknown identity {n!r}")
-    seed = int(cfg.get("seed", 2024))
-
-    def one(name):
-        return check_identity(name, spec, seed)
-
+def cmd_identity_suite(c, out, args):
     with ThreadPoolExecutor(max_workers=args.threads) as ex:
-        reports = list(ex.map(one, names))
+        reports = list(ex.map(lambda name: check_identity(name, c.quad, c.seed),
+                              c.identities))
     rows = []
     summary = {}
     ok = True
@@ -330,35 +395,19 @@ def cmd_identity_suite(cfg, out, args):
     return 0 if ok else 1
 
 
-def cmd_solve(cfg, out, args):
-    _require_keys(cfg, ("command", "tag", "params", "theta", "data", "points",
-                        "times", "quad"), required=("tag", "points", "times"),
-                  where="config")
-    tag = cfg["tag"]
-    if tag not in PROBLEM_TAGS:
-        raise ConfigError(f"unknown problem tag {tag!r}")
-    p = parse_params(cfg.get("params", {}))
-    spec = parse_quad(cfg.get("quad"))
-    data = parse_data(cfg.get("data"))
-    theta = cfg.get("theta")
-    pts = [parse_point(b, f"points[{i}]") for i, b in enumerate(cfg["points"])]
-    xp = np.array([float(np.atleast_1d(np.asarray(q.tangential))[0]) for q in pts])
-    xn = np.array([q.normal for q in pts])
-    times = _number_list(cfg, "times", "config", positive=True)
+def cmd_solve(c, out, args):
+    p = c.params
+    xp = np.array([first_axis(q, p.dim) for q in c.points])
+    xn = np.array([q.normal for q in c.points])
     rows = []
     flagged = False
-    try:
-        for t in times:
-            u, err, conv = solve_grid(tag, p, data, xp, xn, t, spec,
-                                      theta=theta)
-            flagged = flagged or not conv
-            for q, val in zip(pts, u):
-                rows.append(_param_cols(p, theta) +
-                            [tag, repr(float(t)),
-                             repr(float(np.atleast_1d(np.asarray(q.tangential))[0])),
-                             repr(q.normal), repr(float(val))])
-    except (UnsupportedDataError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    for t in c.times:
+        u, _, conv = solve_grid(c.tag, p, c.data, xp, xn, t, c.quad, theta=c.theta)
+        flagged = flagged or not conv
+        for xpi, xni, val in zip(xp, xn, u):
+            rows.append(_param_cols(p, c.theta) +
+                        [c.tag, repr(t), repr(float(xpi)), repr(float(xni)),
+                         repr(float(val))])
     write_csv(os.path.join(out, "solve.csv"),
               _PARAM_HEADER + ["tag", "t", "x_tangential", "x_normal", "value"],
               rows)
@@ -366,15 +415,10 @@ def cmd_solve(cfg, out, args):
     return 0 if (not flagged or not args.strict) else 1
 
 
-def cmd_bounds_check(cfg, out, args):
-    _require_keys(cfg, ("command", "params", "samples_per_region", "seed",
-                        "stability_factor"), where="config")
-    p = parse_params(cfg.get("params", {}))
-    res = sandwich_check(p,
-                         n_per_region=int(cfg.get("samples_per_region", 500)),
-                         seed=int(cfg.get("seed", 7)),
-                         stability_factor=_number(cfg, "stability_factor",
-                                                  "config", 1.5))
+def cmd_bounds_check(c, out, args):
+    p = c.params
+    res = sandwich_check(p, n_per_region=c.samples_per_region, seed=c.seed,
+                         stability_factor=c.stability_factor)
     rows = [_param_cols(p) + ["two-sided envelopes", tag,
                                  repr(v["upper_max"]), repr(v["lower_max"])]
             for tag, v in sorted(res.per_region.items())]
@@ -395,95 +439,61 @@ def cmd_bounds_check(cfg, out, args):
     return 0 if res.passed else 1
 
 
-def cmd_limit_rate(cfg, out, args):
-    _require_keys(cfg, ("command", "which", "ladder", "quad", "density"),
-                  required=("which",), where="config")
-    which = cfg["which"]
-    if which not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {which!r}; "
-                          f"choose from {', '.join(sorted(EXPERIMENTS))}")
-    exp = default_experiment(which)
-    if "ladder" in cfg:
-        ladder = tuple(float(v) for v in cfg["ladder"])
-        if len(ladder) < (4 if exp.mode in ("slope", "bound") else 1):
-            raise ConfigError("ladder too short for a rate fit")
-        exp = LimitExperiment(**{**exp.__dict__, "ladder": ladder})
-    spec = parse_quad(cfg.get("quad"))
-    res = run_limit(exp, spec, density=int(cfg.get("density", 1)))
+def cmd_limit_rate(c, out, args):
+    exp = default_experiment(c.which)
+    if c.ladder is not None:
+        exp = replace(exp, ladder=tuple(c.ladder))
+    res = run_limit(exp, c.quad, density=c.density)
     rows = [[res.which, res.theorem, repr(float(h)), repr(float(e))]
             for h, e in res.table]
-    write_csv(os.path.join(out, f"limit_{which}.csv"),
+    write_csv(os.path.join(out, f"limit_{c.which}.csv"),
               ["experiment", "theorem", "ladder_value", "sup_error"], rows)
-    write_summary(os.path.join(out, f"limit_{which}.summary.json"),
-                  {"experiment": which, "theorem": res.theorem,
+    write_summary(os.path.join(out, f"limit_{c.which}.summary.json"),
+                  {"experiment": c.which, "theorem": res.theorem,
                    "slope": None if res.fit is None else res.fit.slope,
                    "r2": None if res.fit is None else res.fit.r_squared,
                    "expected_slope": res.expected_slope,
                    "tolerance": res.slope_tol, "mode": res.mode,
                    "detail": res.detail, "pass": res.passed})
-    print(f"limit-rate {which}: {res.detail} -> {'PASS' if res.passed else 'FAIL'}")
+    print(f"limit-rate {c.which}: {res.detail} -> {'PASS' if res.passed else 'FAIL'}")
     return 0 if res.passed else 1
 
 
-def cmd_opnorm(cfg, out, args):
-    _require_keys(cfg, ("command", "p", "q", "params", "t_ladder", "quad"),
-                  required=("p", "q"), where="config")
-    p_exp = math.inf if cfg["p"] == "inf" else float(cfg["p"])
-    q_exp = math.inf if cfg["q"] == "inf" else float(cfg["q"])
-    pp = parse_params(cfg.get("params", {}))
-    spec = parse_quad(cfg.get("quad"))
+def cmd_opnorm(c, out, args):
+    p_exp, q_exp = (math.inf if v == "inf" else v for v in (c.p, c.q))
+    pp = c.params
     res = opnorm_decay(p_exp, q_exp, pp.epsilon, pp.delta, pp.kappa,
-                       tuple(cfg.get("t_ladder", (1.0, 2.0, 4.0, 8.0))),
-                       spec, pp.dim)
+                       tuple(c.t_ladder), c.quad, pp.dim)
     write_csv(os.path.join(out, "opnorm.csv"),
               ["p", "q", "theorem", "t", "ratio"],
-              [[str(cfg["p"]), str(cfg["q"]), "operator-norm decay",
+              [[str(c.p), str(c.q), "operator-norm decay",
                 repr(float(t)), repr(float(v))] for t, v in res.table])
     write_summary(os.path.join(out, "opnorm.summary.json"),
                   {"experiment": "opnorm", "theorem": "operator-norm decay",
-                   "p": cfg["p"], "q": cfg["q"],
+                   "p": c.p, "q": c.q,
                    "slope": None if res.fit is None else res.fit.slope,
                    "expected_slope": res.expected_slope,
                    "grid_approximate": res.grid_approximate,
                    "detail": res.detail, "pass": res.passed})
-    print(f"opnorm ({cfg['p']},{cfg['q']}): {res.detail} -> "
+    print(f"opnorm ({c.p},{c.q}): {res.detail} -> "
           f"{'PASS' if res.passed else 'FAIL'}")
     return 0 if res.passed else 1
 
 
-def cmd_oracle_compare(cfg, out, args):
-    from .fdsolver import FdGrid, fd_solve, compare
-
-    _require_keys(cfg, ("command", "params", "data", "grid", "times", "window",
-                        "tol", "quad"), where="config")
-    p = parse_params(cfg.get("params", {}))
-    spec = parse_quad(cfg.get("quad"))
-    data = parse_data(cfg.get("data", {
-        "boundary": {"kind": "heat_gaussian", "a": 0.5}}))
-    gb = cfg.get("grid", {})
-    _require_keys(gb, ("Lx", "Lz", "nx", "nz", "dt", "scheme", "flux"),
-                  where="config.grid")
-    grid = FdGrid(Lx=_number(gb, "Lx", "grid", 8.0), Lz=_number(gb, "Lz", "grid", 8.0),
-                  nx=int(gb.get("nx", 256)), nz=int(gb.get("nz", 256)),
-                  dt=_number(gb, "dt", "grid", 1e-3),
-                  scheme=gb.get("scheme", "crank_nicolson"),
-                  flux=gb.get("flux", "compact"))
-    times = [float(t) for t in cfg.get("times", (0.25, 0.5, 1.0))]
-    tol = _number(cfg, "tol", "config", 2e-2)
-    win = cfg.get("window", {})
-    _require_keys(win, ("x", "z"), where="config.window")
-    wx = _number(win, "x", "window", 2.0)
-    wz = _number(win, "z", "window", 2.0)
-    res = fd_solve(p, data, grid, max(times), snapshots=times)
+def cmd_oracle_compare(c, out, args):
+    p, grid = c.params, c.grid
+    res = fd_solve(p, c.data, grid, max(c.times), snapshots=c.times)
     xs, zs = grid.x_nodes(), grid.z_nodes()
-    jj = np.nonzero(np.abs(xs) <= wx)[0]
-    ii = np.nonzero(zs <= wz)[0]
+    jj = np.nonzero(np.abs(xs) <= c.window.x)[0]
+    ii = np.nonzero(zs <= c.window.z)[0]
     xp = np.repeat(xs[jj], len(ii))
     xn = np.tile(zs[ii], len(jj))
     rows = []
     worst = 0.0
-    for t in times:
-        uk, _, _ = solve_grid("HDD", p, data, xp, xn, t, spec)
+    flagged = False
+    for t in c.times:
+        uk, _, conv = solve_grid("HDD", p, c.data, xp, xn, t, c.quad)
+        flagged = flagged or not conv
         uf = res.field_at(t)[np.ix_(ii, jj)].T.ravel()
         sup, l2 = compare(uk, uf)
         worst = max(worst, sup)
@@ -491,45 +501,44 @@ def cmd_oracle_compare(cfg, out, args):
                                       repr(t), repr(sup), repr(l2)])
     write_csv(os.path.join(out, "oracle_compare.csv"),
               _PARAM_HEADER + ["theorem", "t", "sup_rel", "l2_rel"], rows)
-    passed = worst <= tol
+    passed = worst <= c.tol and not (args.strict and flagged)
     write_summary(os.path.join(out, "oracle_compare.summary.json"),
                   {"experiment": "oracle-compare",
                    "theorem": "kernel/finite-difference agreement",
-                   "sup_rel": worst, "tolerance": tol, "pass": passed})
-    print(f"oracle-compare: sup rel {worst:.3e} (tol {tol:g}) -> "
+                   "sup_rel": worst, "tolerance": c.tol, "pass": passed})
+    print(f"oracle-compare: sup rel {worst:.3e} (tol {c.tol:g}) -> "
           f"{'PASS' if passed else 'FAIL'}")
     return 0 if passed else 1
 
 
-def cmd_report(cfg, out, args):
-    entries = []
+def cmd_report(c, out, args):
+    summaries = []
     for name in sorted(os.listdir(out)):
-        if not name.endswith(".summary.json"):
-            continue
-        with open(os.path.join(out, name)) as fh:
-            obj = json.load(fh)
-        if "results" in obj:  # identity suite: one row per identity
-            for k, v in sorted(obj["results"].items()):
-                entries.append((k, v.get("statement", ""), "",
+        if name.endswith(".summary.json"):
+            with open(os.path.join(out, name)) as fh:
+                summaries.append((name, validate(json.load(fh), "summary", name)))
+    entries = []
+    for name, s in summaries:
+        if s["results"] is not None:  # identity suite: one row per identity
+            for k, v in sorted(s["results"].items()):
+                entries.append((k, v["statement"], "",
                                 f"{v['max_deviation']:.3e} <= {v['tolerance']:g}",
                                 v["pass"]))
-        else:
-            detail = obj.get("detail") or (
-                f"max dev {obj.get('max_deviation'):.3e}" if "max_deviation" in obj
-                else f"sup {obj.get('sup_rel'):.3e}" if "sup_rel" in obj
-                else "")
-            slope = obj.get("slope")
-            entries.append((obj.get("experiment", name),
-                            obj.get("theorem", ""),
-                            "" if slope is None else f"{slope:.3f}",
-                            detail, obj["pass"]))
+            continue
+        detail = s["detail"] or (
+            f"max dev {s['max_deviation']:.3e}" if s["max_deviation"] is not None
+            else f"sup {s['sup_rel']:.3e}" if s["sup_rel"] is not None
+            else "")
+        entries.append((name if s["experiment"] is None else s["experiment"],
+                        s["theorem"], "" if s["slope"] is None else f"{s['slope']:.3f}",
+                        detail, s["pass"]))
     lines = ["# Verification report", "",
              "| experiment | statement | slope | detail | pass |",
              "|---|---|---|---|---|"]
     for e in entries:
         cells = [str(e[0]), str(e[1]), str(e[2]), str(e[3]),
                  "yes" if e[4] else "NO"]
-        lines.append("| " + " | ".join(c.replace("|", "\\|") for c in cells) + " |")
+        lines.append("| " + " | ".join(cell.replace("|", "\\|") for cell in cells) + " |")
     _atomic_write(os.path.join(out, "report.md"), "\n".join(lines) + "\n")
     print(f"report: {len(entries)} entries -> report.md")
     return 0 if all(e[4] for e in entries) else 1
@@ -555,9 +564,10 @@ def main(argv=None) -> int:
     ap.add_argument("--config", help="JSON run configuration")
     ap.add_argument("--out", default="out", help="output directory")
     ap.add_argument("--threads", type=int, default=0,
-                    help="experiment-level parallelism (0 = auto)")
+                    help="identity-suite parallelism (0 = auto)")
     ap.add_argument("--strict", action="store_true",
-                    help="treat flagged quadrature as failure")
+                    help="treat flagged quadrature as failure (eval-kernel, "
+                         "mass-check, solve, oracle-compare)")
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:
@@ -567,27 +577,15 @@ def main(argv=None) -> int:
     if args.threads < 1:
         print("error: --threads must be nonnegative", file=sys.stderr)
         return 2
-    cfg = {}
-    if args.config is not None:
-        try:
+    try:
+        cfg = {}
+        if args.config is not None:
             with open(args.config) as fh:
                 cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read config: {exc}", file=sys.stderr)
-            return 2
-    if not isinstance(cfg, dict):
-        print("error: config root must be a JSON object", file=sys.stderr)
-        return 2
-    if "command" in cfg and cfg["command"] != args.command:
-        print("error: config command does not match CLI command", file=sys.stderr)
-        return 2
-    try:
+        c = validate(cfg, args.command)
         os.makedirs(args.out, exist_ok=True)
-        return _COMMANDS[args.command](cfg, args.out, args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        return _COMMANDS[args.command](c, args.out, args)
+    except (OSError, ValueError, EvaluationError, SchemeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -240,6 +240,9 @@ def fd_solve(p: Params, data: InitialData, grid: FdGrid, t_end: float,
     for w in want:
         if w < 0 or w > nsteps:
             raise ValueError("snapshot outside [0, t_end]")
+    for t in snapshots or []:
+        if abs(round(t / grid.dt) * grid.dt - t) >= 1e-12:
+            raise ValueError("snapshots must be multiples of dt")
     u = _initial_state(p, data, grid)
     res = FdResult(grid, p, [], [])
     limit = 10.0 * max(1.0, float(np.max(np.abs(u))))
@@ -284,6 +287,8 @@ def compare(kernel_values: np.ndarray, fd_values: np.ndarray, scale: float | Non
     fd_values = np.asarray(fd_values, dtype=float)
     if kernel_values.shape != fd_values.shape:
         raise ValueError("mismatched probe windows")
+    if kernel_values.size == 0:
+        raise ValueError("empty probe window")
     if scale is None:
         scale = float(np.max(np.abs(kernel_values)))
     if scale == 0.0:

@@ -63,6 +63,7 @@ from .quadrature import (
 
 __all__ = [
     "PROBLEM_TAGS",
+    "first_axis",
     "solve",
     "solve_grid",
     "boundary_trace",
@@ -344,13 +345,19 @@ def solve_grid(tag: str, p: Params, data: InitialData, xp, xn, t: float,
     return u, float(np.max(err, initial=0.0)), conv
 
 
+def first_axis(x: HalfSpacePoint, dim: int) -> float:
+    """Signed first-axis coordinate of a probe point in dimension ``dim``;
+    the solution operators take probes on the first tangential axis only."""
+    xv = x.tangential_vector(dim)
+    if np.any(xv[1:] != 0.0):
+        raise ValueError("probe points must lie on the first tangential axis")
+    return float(xv[0])
+
+
 def solve(tag: str, p: Params, data: InitialData, x: HalfSpacePoint, t: float,
           spec: QuadSpec = DEFAULT_SPEC, theta: float | None = None) -> QuadResult:
     """Solution of the tagged problem at one space-time point."""
-    xv = x.tangential_vector(p.dim)
-    if p.dim > 2 and np.any(xv[1:] != 0.0):
-        raise ValueError("probe points must lie on the first tangential axis")
-    vals, err, nsub, conv = _solve(tag, p, data, [float(xv[0])], [x.normal], t,
+    vals, err, nsub, conv = _solve(tag, p, data, [first_axis(x, p.dim)], [x.normal], t,
                                    spec, theta)
     return QuadResult(float(vals[0]), float(err[0]), nsub, conv)
 

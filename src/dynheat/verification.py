@@ -396,6 +396,10 @@ def run_limit(exp: LimitExperiment | str, spec: QuadSpec = DEFAULT_SPEC,
     ladder, a log-log fit where a rate is stated, and a pass flag."""
     if isinstance(exp, str):
         exp = default_experiment(exp)
+    if len(exp.ladder) < (4 if exp.mode in ("slope", "bound") else 1):
+        raise ValueError("ladder too short for a rate fit")
+    if density < 1:
+        raise ValueError("density must be >= 1")
     table = [(h, _sup_error(exp, h, spec, density)) for h in exp.ladder]
     errs = np.array([e for _, e in table])
     monotone = bool(np.all(errs[1:] <= errs[:-1] * 1.01)) if errs.size > 1 else True
@@ -783,6 +787,8 @@ def sandwich_check(p: Params | None = None, n_per_region: int = 500,
     the full set, nested) must move them by less than the stability
     factor.
     """
+    if n_per_region < 2:
+        raise ValueError("sandwich_check needs n_per_region >= 2")
     p = p or Params(1.0, 1.0, 1.0, 2)
     spec = spec or QuadSpec(rel_tol=1e-8, abs_tol=1e-12)
     rng = np.random.default_rng(seed)
@@ -859,8 +865,8 @@ def opnorm_decay(p_exp: float, q_exp: float, epsilon: float = 1.0,
     ratio must equal 1.  For q < inf the output norm is evaluated on the
     probe grid (grid-approximate, flagged).
     """
-    if q_exp < p_exp:
-        raise ValueError("need q >= p")
+    if not 1 <= p_exp <= q_exp:
+        raise ValueError("opnorm_decay needs 1 <= p <= q")
     p = Params(epsilon, delta, kappa, dim)
     if p_exp == q_exp:
         ones = InitialData(Interior("constant", c=1.0), Boundary("constant", c=1.0))

@@ -1,7 +1,11 @@
 import json
 import math
+import os
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dynheat.cli import main
 
@@ -184,3 +188,210 @@ class TestReportAndDeterminism:
 
     def test_unknown_command_exits_2(self, tmp_path):
         assert main(["frobnicate", "--out", str(tmp_path)]) == 2
+
+
+# ---------------------------------------------------------------------------
+# the exit-2 contract: one error line, no traceback, no output file
+# ---------------------------------------------------------------------------
+
+_SOLVE = {"tag": "HDD", "points": [{"normal": 0.5}], "times": [1.0]}
+_GAUSS = {"boundary": {"kind": "heat_gaussian", "a": 0.5}}
+_ORACLE = {"grid": {"nx": 16, "nz": 16, "dt": 0.05}, "times": [0.25]}
+
+# Wrong types, and values the library rejects: exit 2, never a traceback.
+_REJECTED = {
+    "limit-rate-ladder-str": ("limit-rate", {"which": "hdpsi_eps_to_0",
+                                             "ladder": ["x", 1, 2, 3]}),
+    "limit-rate-density-str": ("limit-rate", {"which": "hdpsi_eps_to_0", "density": "x"}),
+    "limit-rate-which-list": ("limit-rate", {"which": []}),
+    "solve-theta-str": ("solve", {**_SOLVE, "tag": "HDPsi", "theta": "abc"}),
+    "solve-tangential-str": ("solve", {**_SOLVE,
+                                       "points": [{"tangential": ["x"], "normal": 0.5}]}),
+    "solve-normal-negative": ("solve", {**_SOLVE, "points": [{"normal": -1.0}]}),
+    "solve-points-number": ("solve", {**_SOLVE, "points": 5}),
+    "opnorm-p-zero": ("opnorm", {"p": 0, "q": "inf"}),
+    "opnorm-p-negative": ("opnorm", {"p": -1, "q": "inf"}),
+    "opnorm-p-str": ("opnorm", {"p": "x", "q": "inf"}),
+    "opnorm-q-below-p": ("opnorm", {"p": 2, "q": 1}),
+    "opnorm-t-nan": ("opnorm", {"p": "inf", "q": "inf", "t_ladder": [math.nan, 1.0]}),
+    "opnorm-t-empty": ("opnorm", {"p": "inf", "q": "inf", "t_ladder": []}),
+    "bounds-samples-zero": ("bounds-check", {"samples_per_region": 0}),
+    "bounds-samples-one": ("bounds-check", {"samples_per_region": 1}),
+    "bounds-seed-str": ("bounds-check", {"seed": "x"}),
+    "bounds-seed-negative": ("bounds-check", {"samples_per_region": 8, "seed": -1}),
+    "oracle-nx-two": ("oracle-compare", {**_ORACLE, "grid": {"nx": 2}}),
+    "oracle-times-empty": ("oracle-compare", {**_ORACLE, "times": []}),
+    "oracle-scheme-unknown": ("oracle-compare", {**_ORACLE, "grid": {"scheme": "x"}}),
+    "oracle-dim-three": ("oracle-compare", {**_ORACLE, "params": {"dim": 3}}),
+    "eval-g_ldd-t-negative": ("eval-kernel", {"kernel": "g_ldd", "t": -1,
+                                              "x": {"normal": 1.0}}),
+    "eval-gamma-d-str": ("eval-kernel", {"kernel": "gamma", "d": "x", "t": 1.0,
+                                         "x": {"normal": 0.0}}),
+    "eval-normal-negative": ("eval-kernel", {"kernel": "g", "t": 1.0,
+                                             "x": {"normal": -1.0}}),
+    "identity-seed-str": ("identity-suite", {"identities": ["k0_poisson"], "seed": "x"}),
+    "identity-name-list": ("identity-suite", {"identities": [[]]}),
+    "report-empty-summary": ("report", "{}"),
+}
+# Values that must not be rounded, replaced or ignored.
+_NOT_COERCED = {
+    "eval-h_tilde-theta-zero": ("eval-kernel", {"kernel": "h_tilde", "theta": 0, "t": 1.0,
+                                                "x": {"normal": 0.5}}),
+    "mass-dim-fraction": ("mass-check", {"epsilon": [1.0], "delta": [1.0], "kappa": [1.0],
+                                         "dim": [2.5], "x_n": [0.5], "t": [0.5]}),
+    "quad-subdivisions-fraction": ("eval-kernel", {"kernel": "g", "t": 1.0,
+                                                   "x": {"normal": 0.5},
+                                                   "quad": {"max_subdivisions": 1.9}}),
+    "solve-off-axis": ("solve", {**_SOLVE, "params": {"dim": 3}, "data": _GAUSS,
+                                 "points": [{"tangential": [0, 1], "normal": 0.5}]}),
+    "solve-tangential-length": ("solve", {**_SOLVE, "params": {"dim": 3}, "data": _GAUSS,
+                                          "points": [{"tangential": [0, 1, 5],
+                                                      "normal": 0.5}]}),
+}
+# Empty lists: a check over nothing must fail.
+_EMPTY = {
+    "mass-axis-empty": ("mass-check", {"epsilon": []}),
+    "identities-empty": ("identity-suite", {"identities": []}),
+    "solve-points-empty": ("solve", {**_SOLVE, "points": []}),
+    "solve-times-empty": ("solve", {**_SOLVE, "times": []}),
+}
+
+
+def _run_in(tmp, command, cfg, extra=("--threads", "1")):
+    """Run ``command`` with ``cfg`` written beside (not into) ``tmp/out``;
+    for ``report`` the cfg text is a summary file placed in the output."""
+    out = os.path.join(tmp, "out")
+    os.makedirs(out)
+    args = [command, "--out", out, *extra]
+    if command == "report":
+        with open(os.path.join(out, "x.summary.json"), "w") as fh:
+            fh.write(cfg)
+    else:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        args += ["--config", path]
+    before = set(os.listdir(out))
+    rc = main(args)
+    return rc, set(os.listdir(out)) - before
+
+
+@pytest.mark.parametrize("command,cfg", [
+    pytest.param(*case, id=name)
+    for name, case in {**_REJECTED, **_NOT_COERCED, **_EMPTY}.items()])
+def test_bad_config_exits_2(tmp_path, capsys, command, cfg):
+    rc, written = _run_in(str(tmp_path), command, cfg)
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not written
+
+
+def test_report_lists_failed_run_with_nan(tmp_path):
+    (tmp_path / "bounds_check.summary.json").write_text(
+        '{"experiment": "bounds-check", "stability": NaN, "upper_constant": Infinity,'
+        ' "lower_constant": 1.0, "detail": "d", "pass": false}')
+    assert run_cli(tmp_path, "report") == 1
+    assert "| bounds-check |  |  | d | NO |" in (tmp_path / "report.md").read_text()
+
+
+def test_solve_probe_on_first_axis_is_accepted(tmp_path):
+    rows = {}
+    for tang in (0.5, [0.5, 0.0]):
+        out = tmp_path / str(len(rows))
+        out.mkdir()
+        assert run_cli(out, "solve", {**_SOLVE, "params": {"dim": 3}, "data": _GAUSS,
+                                      "points": [{"tangential": tang, "normal": 0.5}]}) == 0
+        rows[str(tang)] = (out / "solve.csv").read_text()
+    assert len(set(rows.values())) == 1
+
+
+def test_oracle_compare_honours_strict(tmp_path):
+    cfg = {**_ORACLE, "tol": 1.0, "quad": {"max_subdivisions": 1}}
+    (tmp_path / "plain").mkdir()
+    (tmp_path / "strict").mkdir()
+    assert run_cli(tmp_path / "plain", "oracle-compare", cfg) == 0
+    assert run_cli(tmp_path / "strict", "oracle-compare", cfg, extra=["--strict"]) == 1
+    assert ((tmp_path / "plain" / "oracle_compare.csv").read_bytes()
+            == (tmp_path / "strict" / "oracle_compare.csv").read_bytes())
+
+
+# ---------------------------------------------------------------------------
+# fuzz: one bad value or one unknown key never escapes as a traceback
+# ---------------------------------------------------------------------------
+
+_SEEDS = {
+    "eval-kernel": {"kernel": "g", "params": {"epsilon": 1.0, "delta": 1.0, "kappa": 1.0,
+                                              "dim": 2},
+                    "t": 1.0, "x": {"tangential": 0.5, "normal": 0.5}},
+    "mass-check": {"epsilon": [1.0], "delta": [1.0], "kappa": [1.0], "dim": [2],
+                   "x_n": [0.5], "t": [0.5]},
+    "identity-suite": {"identities": ["k0_poisson"], "seed": 5},
+    "limit-rate": {"which": "hdpsi_eps_to_0"},
+    "bounds-check": {"samples_per_region": 8, "seed": 7},
+    "opnorm": {"p": "inf", "q": "inf", "t_ladder": [0.5, 1.0]},
+    "oracle-compare": {**_ORACLE, "window": {"x": 1.0, "z": 1.0}},
+    "solve": {**_SOLVE, "data": _GAUSS, "points": [{"tangential": 0.5, "normal": 0.5}]},
+}
+_SUMMARIES = [
+    {"experiment": "mass-check", "theorem": "total-mass identity",
+     "max_deviation": 1e-9, "tolerance": 1e-6, "pass": True},
+    {"experiment": "identity-suite", "pass": True,
+     "results": {"k0_poisson": {"statement": "s", "tolerance": 1e-8,
+                                "max_deviation": 1e-16, "pass": True}}},
+    {"experiment": "opnorm", "theorem": "operator-norm decay", "p": "inf", "q": 2,
+     "slope": -0.5, "expected_slope": 0.0, "grid_approximate": False,
+     "detail": "d", "pass": True},
+]
+_BAD_VALUES = [None, True, "x", [], {}, math.nan, math.inf, -math.inf, -1, 0, 0.5, 2.5]
+
+
+def _places(obj, path=()):
+    """Every (path, holds-an-object) position below the root of a JSON value."""
+    children = (obj.items() if isinstance(obj, dict)
+                else enumerate(obj) if isinstance(obj, list) else ())
+    for k, v in children:
+        yield path + (k,), isinstance(v, dict)
+        yield from _places(v, path + (k,))
+
+
+@st.composite
+def _mutated(draw, seed):
+    """``seed`` with one value replaced by a bad one, or one unknown key added
+    to one of its objects (the root included)."""
+    cfg = json.loads(json.dumps(seed))
+    path, is_object = draw(st.sampled_from([*_places(cfg), ((), True)]))
+    bad = draw(st.sampled_from(_BAD_VALUES))
+    parent = cfg
+    for k in path[:-1]:
+        parent = parent[k]
+    if not path or (is_object and draw(st.integers(0, 3)) == 0):
+        (parent[path[-1]] if path else cfg)["unknown_key"] = bad
+    else:
+        parent[path[-1]] = bad
+    return cfg
+
+
+def _assert_contract(command, cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        rc, written = _run_in(tmp, command, cfg)
+    assert rc in (0, 1, 2)
+    if rc == 2:
+        assert not written
+
+
+_FUZZ = settings(max_examples=40, derandomize=True, deadline=None, database=None,
+                 suppress_health_check=list(HealthCheck))
+
+
+@pytest.mark.parametrize("command", sorted(_SEEDS))
+@_FUZZ
+@given(data=st.data())
+def test_fuzz_exit_contract(command, data):
+    _assert_contract(command, data.draw(_mutated(_SEEDS[command])))
+
+
+@_FUZZ
+@given(summary=st.sampled_from(_SUMMARIES).flatmap(_mutated))
+def test_fuzz_report_exit_contract(summary):
+    _assert_contract("report", json.dumps(summary))

@@ -50,6 +50,8 @@ class TestBasics:
         g = FdGrid(nx=8, nz=8, dt=1e-2)
         with pytest.raises(ValueError):
             fd_solve(P111, InitialData(), g, 0.055)
+        with pytest.raises(ValueError, match="multiples of dt"):
+            fd_solve(P111, InitialData(), g, 0.05, snapshots=[0.025])
 
 
 class TestConservation:
@@ -119,6 +121,10 @@ class TestAgreementAndOrder:
     def test_compare_requires_matching_windows(self):
         with pytest.raises(ValueError):
             compare(np.zeros(3), np.zeros(4))
+
+    def test_compare_rejects_empty_window(self):
+        with pytest.raises(ValueError, match="empty probe window"):
+            compare(np.zeros(0), np.zeros(0))
 
     def test_compare_identical_is_zero(self):
         sup, l2 = compare(np.ones(5), np.ones(5))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -92,6 +93,13 @@ class TestRunLimit:
         with pytest.raises(ValueError):
             run_limit("nope")
 
+    def test_rejects_short_ladder_and_bad_density(self):
+        exp = default_experiment("hdpsi_eps_to_0")
+        with pytest.raises(ValueError, match="ladder too short"):
+            run_limit(replace(exp, ladder=(0.1, 0.05)))
+        with pytest.raises(ValueError, match="density must be >= 1"):
+            run_limit(exp, density=0)
+
     def test_registry_complete(self):
         for name in EXPERIMENTS:
             exp = default_experiment(name)
@@ -126,6 +134,11 @@ class TestSandwich:
         assert math.isfinite(res.upper_max) and math.isfinite(res.lower_max)
         assert set(res.per_region) == {"D1", "D2", "D3", "D4"}
 
+    @pytest.mark.parametrize("n", [-1, 0, 1])
+    def test_needs_two_samples_per_region(self, n):
+        with pytest.raises(ValueError, match="n_per_region >= 2"):
+            sandwich_check(n_per_region=n)
+
 
 class TestOpnorm:
     def test_p_to_p_is_one(self):
@@ -147,3 +160,8 @@ class TestOpnorm:
     def test_rejects_bad_exponents(self):
         with pytest.raises(ValueError):
             opnorm_decay(2.0, 1.0)
+
+    @pytest.mark.parametrize("p_exp", [0.0, -1.0, 0.5, math.nan])
+    def test_rejects_p_below_one(self, p_exp):
+        with pytest.raises(ValueError, match="1 <= p <= q"):
+            opnorm_decay(p_exp, math.inf)
