@@ -16,6 +16,11 @@ parametrisations are implemented:
 ``auto`` switches to ``xi`` where eps (x_N + y_N + t/delta)^2 >= 6 t,
 which is exactly the regime where the tau-integrand concentrates.
 
+The full kernels are composed in one place each: ``fundamental_grid``
+builds G = G0 + H/delta and ``heat_neumann_grid`` the diffusive-Neumann
+kernel G0 + H_N, on broadcast arrays of (r, x_N, y_N) in one batch.  The
+pointwise kernels and every quadrature over G call them.
+
 Batched evaluation shares one subdivision tree across all requested
 components (arrays ``r``, ``s``); results are identical to sequential
 evaluation of the same component set.
@@ -42,6 +47,8 @@ from .quadrature import (
     QuadResult,
     DEFAULT_SPEC,
     _adaptive,
+    _finalize,
+    add_terms,
     integrate,
     integrate_nested,
     tail_exponent,
@@ -166,10 +173,9 @@ def _pointwise_tan(dim, r, log_ref=None):
     r = np.asarray(r, dtype=float)
 
     def fn(T, idx):
-        lg = _log_heat(dim - 1, r[idx][None, :] if np.ndim(idx) else r[idx], T)
+        lg = _log_heat(dim - 1, r[idx][None, :], T)
         if log_ref is not None:
-            ref = log_ref[idx][None, :] if np.ndim(idx) else log_ref[idx]
-            lg = lg - ref
+            lg = lg - log_ref[idx][None, :]
         return exp_flush(lg)
 
     return fn
@@ -225,15 +231,29 @@ def exchange_kernel(p: Params, x: HalfSpacePoint, y: HalfSpacePoint, t: float,
     return QuadResult(float(value), float(rel[0]) * float(value), nsub, conv)
 
 
+def fundamental_grid(p: Params, r, xn, yn, t: float, spec: QuadSpec = DEFAULT_SPEC,
+                     path: str = "auto"):
+    """Fundamental solution G = G0 + H/delta on broadcast arrays of
+    tangential offsets ``r`` and normal coordinates ``xn``, ``yn``.
+
+    G0 is the absorbing-boundary kernel at time t/epsilon, H the exchange
+    kernel; all components share one exchange batch.  Returns (values,
+    errors, subdivisions, converged) with values and errors in the
+    broadcast shape; the error is that of H/delta (G0 is closed form).
+    """
+    r, xn, yn = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (r, xn, yn)))
+    logh, rel, nsub, conv = exchange_log_grid(p, r, xn + yn, t, spec, path)
+    h = exp_flush(logh)
+    g0 = dirichlet_radial(r, xn, yn, t / p.epsilon, p.dim)
+    return g0 + h / p.delta, rel * h / p.delta, nsub, conv
+
+
 def fundamental_kernel(p: Params, x: HalfSpacePoint, y: HalfSpacePoint, t: float,
                        spec: QuadSpec = DEFAULT_SPEC, path: str = "auto") -> QuadResult:
     """Fundamental solution: absorbing-boundary part plus the exchange
     part weighted by the boundary capacity."""
-    h = exchange_kernel(p, x, y, t, spec, path)
     r = tangential_offset(x, y, p.dim)
-    g0 = dirichlet_radial(r, x.normal, y.normal, t / p.epsilon, p.dim)
-    return QuadResult(float(g0) + h.value / p.delta, h.error_estimate / p.delta,
-                      h.subdivisions_used, h.converged)
+    return _finalize(*fundamental_grid(p, [r], [x.normal], [y.normal], t, spec, path))
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +284,19 @@ def hdn_batch(eps, kappa, dim, s, t, spec, tan_fn):
     return _adaptive(f, [(0.0, eta_max)], spec)
 
 
+def heat_neumann_grid(epsilon: float, kappa: float, r, xn, yn, t: float,
+                      dim: int = 2, spec: QuadSpec = DEFAULT_SPEC):
+    """Diffusive-Neumann kernel G0 + H_N on broadcast arrays of tangential
+    offsets ``r`` and normal coordinates ``xn``, ``yn``, in one
+    ``hdn_batch``.  Returns (values, errors, subdivisions, converged) in
+    the broadcast shape."""
+    r, xn, yn = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (r, xn, yn)))
+    vals, errs, nsub, conv = hdn_batch(epsilon, kappa, dim, (xn + yn).ravel(), t, spec,
+                                       _pointwise_tan(dim, r.ravel()))
+    g0 = dirichlet_radial(r, xn, yn, t / epsilon, dim)
+    return g0 + vals.reshape(r.shape), errs.reshape(r.shape), nsub, conv
+
+
 def heat_neumann_kernel(epsilon: float, kappa: float, x: HalfSpacePoint,
                         y: HalfSpacePoint, t: float, dim: int = 2,
                         spec: QuadSpec = DEFAULT_SPEC) -> QuadResult:
@@ -274,11 +307,8 @@ def heat_neumann_kernel(epsilon: float, kappa: float, x: HalfSpacePoint,
     if epsilon <= 0 or kappa < 0:
         raise ValueError("need epsilon > 0 and kappa >= 0")
     r = tangential_offset(x, y, dim)
-    tan = _pointwise_tan(dim, np.array([r]))
-    vals, errs, nsub, conv = hdn_batch(epsilon, kappa, dim,
-                                       [x.normal + y.normal], t, spec, tan)
-    g0 = dirichlet_radial(r, x.normal, y.normal, t / epsilon, dim)
-    return QuadResult(float(g0 + vals[0]), float(errs[0]), nsub, conv)
+    return _finalize(*heat_neumann_grid(epsilon, kappa, [r], [x.normal], [y.normal], t,
+                                        dim, spec))
 
 
 def gauss_layer_batch(dim, z, A, spec, tan_fn):
@@ -324,8 +354,7 @@ def laplace_dynamic_kernel(delta: float, kappa: float, x: HalfSpacePoint,
             "kernel degenerates to a point mass at x_N + y_N + t/delta = 0")
     r = tangential_offset(x, y, dim)
     tan = _pointwise_tan(dim, np.array([r]))
-    vals, errs, nsub, conv = gauss_layer_batch(dim, [z], kappa * t / delta, spec, tan)
-    return QuadResult(float(vals[0]), float(errs[0]), nsub, conv)
+    return _finalize(*gauss_layer_batch(dim, [z], kappa * t / delta, spec, tan))
 
 
 def dirichlet_layer_batch(eps, dim, xn, t, theta, spec, tan_fn):
@@ -369,9 +398,7 @@ def dirichlet_layer_kernel(p: Params, theta: float, x: HalfSpacePoint,
         return QuadResult(0.0, 0.0, 0, True)
     r = tangential_offset(x, y, p.dim)
     tan = _pointwise_tan(p.dim, np.array([r]))
-    vals, errs, nsub, conv = dirichlet_layer_batch(
-        p.epsilon, p.dim, [x.normal], t, theta, spec, tan)
-    return QuadResult(float(vals[0]), float(errs[0]), nsub, conv)
+    return _finalize(*dirichlet_layer_batch(p.epsilon, p.dim, [x.normal], t, theta, spec, tan))
 
 
 # ---------------------------------------------------------------------------
@@ -460,8 +487,7 @@ def exchange_marginal_boundary(p: Params, xn: float, t: float,
                                spec: QuadSpec = DEFAULT_SPEC) -> QuadResult:
     """Boundary marginal of the exchange kernel (tangential integral done
     in closed form; the remaining time integral by quadrature)."""
-    vals, errs, nsub, conv = exchange_weighted(p, [xn], t, spec, _unit_tan)
-    return QuadResult(float(vals[0]), float(errs[0]), nsub, conv)
+    return _finalize(*exchange_weighted(p, [xn], t, spec, _unit_tan))
 
 
 def exchange_marginal_interior(p: Params, xn: float, t: float,
@@ -500,8 +526,7 @@ def marginal_boundary_reference(p: Params, xn: float, t: float,
         return exp_flush(logv)
 
     split = t * (1.0 - _SLIVER)
-    vals, errs, nsub, conv = _adaptive(f, [(0.0, split), (split, t)], spec)
-    return QuadResult(float(vals[0]), float(errs[0]), nsub, conv)
+    return _finalize(*_adaptive(f, [(0.0, split), (split, t)], spec))
 
 
 def dirichlet_mass(eps: float, xn: float, t: float,
@@ -520,15 +545,9 @@ def total_mass(p: Params, xn: float, t: float,
                spec: QuadSpec = DEFAULT_SPEC) -> QuadResult:
     """Interior plus weighted boundary mass of the fundamental solution;
     equals 1 identically."""
-    g0 = dirichlet_mass(p.epsilon, xn, t, spec)
-    inner = exchange_marginal_interior(p, xn, t, spec)
-    bdry = exchange_marginal_boundary(p, xn, t, spec)
-    value = g0.value + inner.value / p.delta + bdry.value / p.epsilon
-    err = g0.error_estimate + inner.error_estimate / p.delta \
-        + bdry.error_estimate / p.epsilon
-    return QuadResult(value, err,
-                      g0.subdivisions_used + inner.subdivisions_used + bdry.subdivisions_used,
-                      g0.converged and inner.converged and bdry.converged)
+    return QuadResult(*add_terms(dirichlet_mass(p.epsilon, xn, t, spec),
+                                 (exchange_marginal_interior(p, xn, t, spec), p.delta),
+                                 (exchange_marginal_boundary(p, xn, t, spec), p.epsilon)))
 
 
 def total_mass_radial(p: Params, xn: float, t: float,
@@ -544,24 +563,17 @@ def total_mass_radial(p: Params, xn: float, t: float,
 
     def kernel_slice(rs, yn):
         """area-weighted radial integrand of G at normal height(s) yn."""
-        rr, ss = np.broadcast_arrays(rs, xn + yn)
-        logh, rel, nsub, conv = exchange_log_grid(p, rr.ravel(), ss.ravel(), t, spec)
-        h = exp_flush(logh).reshape(rr.shape)
-        g0 = dirichlet_radial(rr, xn, np.broadcast_to(yn, rr.shape), t / p.epsilon, p.dim)
+        g, err, nsub, conv = fundamental_grid(p, rs, xn, yn, t, spec)
+        rr = np.broadcast_to(rs, g.shape)
         w = np.where(rr > 0, rr, 0.0) ** (p.dim - 2) if p.dim > 2 else np.ones_like(rr)
-        h_err = rel.reshape(rr.shape) * h / p.delta
-        return area * w * (g0 + h / p.delta), area * w * h_err, nsub, conv
+        return area * w * g, area * w * err, nsub, conv
 
     interior = integrate_nested(
         lambda ys: integrate_nested(
             lambda rs: kernel_slice(rs[:, None], ys[None, :]), 0.0, rcut, spec),
         0.0, ycut, spec)
     bdry = integrate_nested(lambda rs: kernel_slice(rs, 0.0), 0.0, rcut, spec)
-    value = interior.value + (p.delta / p.epsilon) * bdry.value
-    err = interior.error_estimate + (p.delta / p.epsilon) * bdry.error_estimate
-    return QuadResult(value, err,
-                      interior.subdivisions_used + bdry.subdivisions_used,
-                      interior.converged and bdry.converged)
+    return QuadResult(*add_terms(interior, (bdry, p.epsilon / p.delta)))
 
 
 def laplace_dynamic_mass(delta: float, kappa: float, xn: float, t: float,
@@ -595,13 +607,10 @@ def heat_neumann_mass(epsilon: float, kappa: float, xn: float, t: float,
     area = sphere_area(dim - 2)
 
     def slice_at(rs, yn):
-        rr, ss = np.broadcast_arrays(rs, xn + yn)
-        tan = _pointwise_tan(dim, rr.ravel())
-        vals, errs, nsub, conv = hdn_batch(epsilon, kappa, dim, ss.ravel(), t, spec, tan)
-        g0 = dirichlet_radial(rr, xn, np.broadcast_to(yn, rr.shape), T, dim)
+        g, err, nsub, conv = heat_neumann_grid(epsilon, kappa, rs, xn, yn, t, dim, spec)
+        rr = np.broadcast_to(rs, g.shape)
         w = rr ** (dim - 2) if dim > 2 else np.ones_like(rr)
-        return (area * w * (g0 + vals.reshape(rr.shape)),
-                area * w * errs.reshape(rr.shape), nsub, conv)
+        return area * w * g, area * w * err, nsub, conv
 
     return integrate_nested(
         lambda ys: integrate_nested(

@@ -14,6 +14,10 @@ estimate plus (b - a) times the largest absolute inner error at any
 outer node (on [a, inf) the inner errors are mapped with the values onto
 (0, 1], length 1).  The K15 weights are positive and sum to b - a, so
 this bounds the error the inner estimates carry into the outer sum.
+
+Weighted sums of terms all go through ``add_terms`` and share one rule:
+each term's value and error are divided by the same divisor, the
+subdivisions add, and ``converged`` is the AND of the terms.
 """
 
 from __future__ import annotations
@@ -220,27 +224,14 @@ def integrate(f, a: float, b: float, spec: QuadSpec = DEFAULT_SPEC) -> QuadResul
     return _finalize(value, error, nsub, converged)
 
 
-def integrate_semi_infinite(
-    f,
-    a: float,
-    spec: QuadSpec = DEFAULT_SPEC,
-    cut: float | None = None,
-) -> QuadResult:
+def integrate_semi_infinite(f, a: float, spec: QuadSpec = DEFAULT_SPEC) -> QuadResult:
     """Integrate ``f`` over [a, infinity).
 
-    With ``cut=None`` the interval is mapped onto (0, 1] via
-    u = 1/(1 + (x - a)); integrands must decay faster than any power.
-    Callers holding a decay envelope may instead pass ``cut``: the point
-    beyond which the envelope contributes less than ``spec.tail_cut`` in
-    relative mass; the integral is then evaluated on [a, cut] only, and
-    certifying the dropped tail is the caller's responsibility.
+    The interval is mapped onto (0, 1] via u = 1/(1 + (x - a)); integrands
+    must decay faster than any power.
     """
     if not np.isfinite(a):
         raise ValueError("lower endpoint must be finite")
-    if cut is not None:
-        if not cut > a:
-            raise ValueError("cut must lie above the lower endpoint")
-        return integrate(f, a, cut, spec)
 
     def mapped(u):
         x = a + (1.0 - u) / u
@@ -291,18 +282,27 @@ def integrate_nested(inner, a: float, b: float,
                       outer.converged and inner_ok)
 
 
-def integrate_2d(
-    f,
-    x_interval,
-    y_interval,
-    spec: QuadSpec = DEFAULT_SPEC,
-    y_cut: float | None = None,
-) -> QuadResult:
+def add_terms(first, *weighted):
+    """Sum ``first`` and the (term, divisor) pairs of ``weighted``.
+
+    Terms are ``(values, errors, subdivisions, converged)`` tuples or
+    QuadResults.  Values and errors take the same divisor, subdivisions
+    add and ``converged`` is the AND of the terms; returns the same 4-tuple.
+    """
+    u, err, nsub, conv = first
+    for (vals, errs, ns, cv), divisor in weighted:
+        u = u + vals / divisor
+        err = err + errs / divisor
+        nsub += ns
+        conv = conv and cv
+    return u, err, nsub, conv
+
+
+def integrate_2d(f, x_interval, y_interval, spec: QuadSpec = DEFAULT_SPEC) -> QuadResult:
     """Iterated integral over ``x_interval`` x ``y_interval``.
 
     The inner integral runs in the second (y) variable; ``y_interval``
-    may end at ``np.inf`` (semi-infinite inner integrals, optionally
-    truncated at ``y_cut``).  ``f(x, y)`` must broadcast elementwise.
+    may end at ``np.inf``.  ``f(x, y)`` must broadcast elementwise.
     Errors compose as in ``integrate_nested``.
     """
     ya, yb = y_interval
@@ -312,7 +312,7 @@ def integrate_2d(
             return np.asarray(f(xs[None, :], ys[:, None]), dtype=float)
 
         if np.isinf(yb):
-            return integrate_semi_infinite(fy, ya, spec, cut=y_cut)
+            return integrate_semi_infinite(fy, ya, spec)
         return integrate(fy, ya, yb, spec)
 
     return integrate_nested(inner, *x_interval, spec)

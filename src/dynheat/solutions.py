@@ -40,22 +40,22 @@ from .data import (
 )
 from .dynamic import (
     dirichlet_layer_batch,
-    exchange_log_grid,
     exchange_weighted,
+    fundamental_grid,
     gauss_layer_batch,
     hdn_batch,
 )
 from .kernels import (
     HalfSpacePoint,
     Params,
-    exp_flush,
-    dirichlet_radial,
     free_heat_radial,
 )
 from .quadrature import (
     DEFAULT_SPEC,
     QuadResult,
     QuadSpec,
+    _finalize,
+    add_terms,
     integrate,
     integrate_nested,
     tail_exponent,
@@ -236,34 +236,16 @@ def _power_cutoff_term(p, phi: Interior, xp, xn, t, spec):
             kk = rhos.size
             y1 = rhos[:, None, None] * ct[None, :, None]
             yn = rhos[:, None, None] * st[None, :, None]
-            off = np.abs(xp[None, None, :] - y1)
-            s = xn[None, None, :] + yn
-            logh, rel, nsub, conv = exchange_log_grid(
-                p, off.reshape(kk, -1).ravel(), s.reshape(kk, -1).ravel(), t, spec)
-            h = exp_flush(logh).reshape(kk, n, m)
-            g0 = dirichlet_radial(off, xn[None, None, :], yn, t / p.epsilon, p.dim)
+            g, err, nsub, conv = fundamental_grid(
+                p, np.abs(xp[None, None, :] - y1), xn[None, None, :], yn, t, spec)
             tang = free_heat_radial(1, y1 - phi.center, phi.a)
             w = tang * rhos[:, None, None] ** (1.0 - alpha)
-            h_err = rel.reshape(kk, n, m) * h / p.delta
-            return (((g0 + h / p.delta) * w).reshape(kk, n * m),
-                    (h_err * w).reshape(kk, n * m), nsub, conv)
+            return (g * w).reshape(kk, n * m), (err * w).reshape(kk, n * m), nsub, conv
 
         vals, errs, nsub, conv = integrate_nested(inner, 0.0, 1.0, spec)
         return np.reshape(vals, (n, m)), np.reshape(errs, (n, m)), nsub, conv
 
     return _per_probe(integrate_nested(radial, 0.0, math.pi, spec))
-
-
-def _add_terms(first, *weighted):
-    """Sum ``first`` and the (term, divisor) pairs of ``weighted``; the
-    errors take the same weights as the values."""
-    u, err, nsub, conv = first
-    for (vals, errs, ns, cv), divisor in weighted:
-        u = u + vals / divisor
-        err = err + errs / divisor
-        nsub += ns
-        conv = conv and cv
-    return u, err, nsub, conv
 
 
 def _validate(tag, p: Params, data: InitialData, theta):
@@ -308,8 +290,8 @@ def _solve(tag, p: Params, data: InitialData, xp, xn, t, spec, theta):
     if tag == "HDD":
         boundary = (_exchange_boundary_term(p, psi, off_b, xn, t, spec), p.epsilon)
         if phi.kind == "heat_gaussian" and phi.is_power_cutoff:
-            return _add_terms(_power_cutoff_term(p, phi, xp, xn, t, spec), boundary)
-        return _add_terms(reflected(-1.0),
+            return add_terms(_power_cutoff_term(p, phi, xp, xn, t, spec), boundary)
+        return add_terms(reflected(-1.0),
                           (_exchange_interior_term(p, phi, off_i, xn, t, spec), p.delta),
                           boundary)
     if tag == "HD0":
@@ -317,11 +299,11 @@ def _solve(tag, p: Params, data: InitialData, xp, xn, t, spec, theta):
     if tag == "HhN":
         return reflected(+1.0)
     if tag == "HDN":
-        return _add_terms(reflected(-1.0),
+        return add_terms(reflected(-1.0),
                           (_hdn_interior_term(p, phi, off_i, xn, t, spec), 1.0))
     if tag in ("HDpsi", "HDPsi"):
         layer_theta = theta if tag == "HDPsi" else None
-        return _add_terms(reflected(-1.0), (_dirichlet_layer_term(
+        return add_terms(reflected(-1.0), (_dirichlet_layer_term(
             p, psi, off_b, xn, t, layer_theta, spec), p.epsilon))
     if tag == "LDD":
         return _harmonic_layer_term(p.dim, psi, off_b, xn + t / p.delta,
@@ -357,9 +339,8 @@ def first_axis(x: HalfSpacePoint, dim: int) -> float:
 def solve(tag: str, p: Params, data: InitialData, x: HalfSpacePoint, t: float,
           spec: QuadSpec = DEFAULT_SPEC, theta: float | None = None) -> QuadResult:
     """Solution of the tagged problem at one space-time point."""
-    vals, err, nsub, conv = _solve(tag, p, data, [first_axis(x, p.dim)], [x.normal], t,
-                                   spec, theta)
-    return QuadResult(float(vals[0]), float(err[0]), nsub, conv)
+    return _finalize(*_solve(tag, p, data, [first_axis(x, p.dim)], [x.normal], t,
+                             spec, theta))
 
 
 def boundary_trace(tag: str, p: Params, data: InitialData, xp, t: float,

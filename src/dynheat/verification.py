@@ -23,6 +23,7 @@ from .dynamic import (
     exchange_log_grid,
     exchange_marginal_boundary,
     exchange_marginal_interior,
+    fundamental_grid,
     heat_neumann_kernel,
     heat_neumann_mass,
     laplace_dynamic_kernel,
@@ -37,7 +38,6 @@ from .kernels import (
     HalfSpacePoint,
     Params,
     dirichlet_radial,
-    exp_flush,
     neumann_kernel,
     poisson_kernel,
 )
@@ -533,11 +533,12 @@ def _check_symmetry(spec, seed):
         x = HalfSpacePoint(tuple(xv), rng.uniform(0, 2))
         y = HalfSpacePoint(tuple(yv), rng.uniform(0, 2))
         r_xy = float(np.linalg.norm(np.asarray(xv) - np.asarray(yv)))
-        lv1, _, _, _ = exchange_log_grid(p, [r_xy], [x.normal + y.normal], t, spec)
-        lv2, _, _, _ = exchange_log_grid(p, [r_xy], [y.normal + x.normal], t, spec)
-        h1, h2 = exp_flush(lv1[0]), exp_flush(lv2[0])
-        g1 = h1 / p.delta + dirichlet_radial(r_xy, x.normal, y.normal, t / p.epsilon, dim)
-        g2 = h2 / p.delta + dirichlet_radial(r_xy, y.normal, x.normal, t / p.epsilon, dim)
+        # G(x, y), G(y, x), and G with y on the wall and x at height
+        # x_N + y_N, where G0 vanishes and G = H/delta: three equal
+        # exchange components in one batch
+        s_xy = x.normal + y.normal
+        (g1, g2, h1), _, _, _ = fundamental_grid(
+            p, r_xy, [x.normal, y.normal, s_xy], [y.normal, x.normal, 0.0], t, spec)
         if g1 <= 0.0 or h1 <= 0.0:
             rows.append((f"positivity sample {i}", float("inf")))
             continue
@@ -567,12 +568,6 @@ def _check_positivity(spec, seed):
     return rows, "strict positivity of the limit kernels on admissible samples"
 
 
-def _g_point(p, spec, r, xn, yn, t):
-    lv, _, _, _ = exchange_log_grid(p, np.atleast_1d(r), np.atleast_1d(xn + yn), t, spec)
-    g0 = dirichlet_radial(np.atleast_1d(r), xn, yn, t / p.epsilon, p.dim)
-    return float(g0[0] + exp_flush(lv[0]) / p.delta)
-
-
 def _check_semigroup(spec, seed):
     p = Params(1.0, 1.0, 1.0, 2)
     tight = QuadSpec(rel_tol=1e-7, abs_tol=1e-10,
@@ -582,30 +577,23 @@ def _check_semigroup(spec, seed):
     lc = tail_exponent(tight)
     spread = max(t / p.epsilon, max(p.delta, p.kappa * p.epsilon) * t / (p.epsilon * p.delta))
     for (x1, xnn, y1, ynn) in ((0.0, 0.7, 0.5, 0.2), (0.3, 0.0, 0.0, 1.0)):
-        lhs = _g_point(p, tight, abs(x1 - y1), xnn, ynn, t + s)
+        lhs = fundamental_grid(p, abs(x1 - y1), xnn, ynn, t + s, tight)[0]
         R = math.sqrt(4 * spread * lc) + max(abs(x1), abs(y1)) + 2.0
         Zc = math.sqrt(4 * t * lc / p.epsilon) + max(xnn, ynn) + 2.0
 
-        def gb(r, ss, tt, xa, ya):
-            lv, _, _, _ = exchange_log_grid(p, r, ss, tt, tight)
-            return dirichlet_radial(r, xa, ya, tt / p.epsilon, p.dim) \
-                + exp_flush(lv) / p.delta
-
         def tangential(zns):
             def inner(z1s):
-                Z1, ZN = np.broadcast_arrays(z1s[:, None], zns[None, :])
-                ga = gb(np.abs(x1 - Z1).ravel(), (xnn + ZN).ravel(), t,
-                        xnn, ZN.ravel()).reshape(Z1.shape)
-                gc = gb(np.abs(Z1 - y1).ravel(), (ZN + ynn).ravel(), s,
-                        ZN.ravel(), ynn).reshape(Z1.shape)
+                Z1, ZN = z1s[:, None], zns[None, :]
+                ga = fundamental_grid(p, np.abs(x1 - Z1), xnn, ZN, t, tight)[0]
+                gc = fundamental_grid(p, np.abs(Z1 - y1), ZN, ynn, s, tight)[0]
                 return ga * gc
             return integrate(inner, -R, R, tight)
 
         bulk = integrate_nested(tangential, 0.0, Zc, tight)
 
         def line(z1s):
-            ga = gb(np.abs(x1 - z1s), np.full_like(z1s, xnn), t, xnn, 0.0)
-            gc = gb(np.abs(z1s - y1), np.full_like(z1s, ynn), s, 0.0, ynn)
+            ga = fundamental_grid(p, np.abs(x1 - z1s), xnn, 0.0, t, tight)[0]
+            gc = fundamental_grid(p, np.abs(z1s - y1), 0.0, ynn, s, tight)[0]
             return ga * gc
 
         bd = integrate(line, -R, R, tight)
@@ -630,7 +618,7 @@ def _check_pde_residual(spec, seed):
     h = 6e-3
 
     def G(p, r, xn, yn, t):
-        return _g_point(p, tight, r, xn, yn, t)
+        return float(fundamental_grid(p, r, xn, yn, t, tight)[0])
 
     for i in range(25):
         p = Params(*rng.uniform(0.5, 2.0, 3), 2)
@@ -747,33 +735,41 @@ class SandwichResult:
     passed: bool
 
 
+# Consecutive rejected draws after which a region counts as unreachable;
+# feasible parameters reject at most one draw in a row.
+_MAX_REJECTIONS = 1000
+
+
 def _sample_regions(p: Params, n_per: int, rng):
-    out = {tag: [] for tag in ("D1", "D2", "D3", "D4")}
+    """``n_per`` stratified (r, s, t) samples per envelope region; raises
+    ValueError when a region cannot be sampled for ``p``."""
     scale_t = 12.0 * p.delta**2 / p.epsilon
-    while any(len(v) < n_per for v in out.values()):
-        tag_needed = [k for k, v in out.items() if len(v) < n_per]
-        tag = tag_needed[0]
-        if tag == "D1":
-            t = rng.uniform(0.05, 0.99 * scale_t)
-            s = rng.uniform(0.0, math.sqrt(6.0 * t / p.epsilon) * 0.999)
-        elif tag == "D2":
-            t = rng.uniform(scale_t, 4.0 * scale_t)
-            s = rng.uniform(0.0, math.sqrt(6.0 * t / p.epsilon) * 0.999)
-        elif tag == "D3":
-            t = rng.uniform(1e-3, 0.12 * p.delta**2 / p.epsilon)
+    t_ranges = {"D1": (0.05, 0.99 * scale_t), "D2": (scale_t, 4.0 * scale_t),
+                "D3": (1e-3, 0.12 * p.delta**2 / p.epsilon), "D4": (0.05, 8.0)}
+    out = {}
+    for tag, (t_lo, t_hi) in t_ranges.items():
+        if not t_lo < t_hi:
+            raise ValueError(f"region {tag} cannot be sampled for {p}: "
+                             f"empty time interval [{t_lo:g}, {t_hi:g}]")
+        out[tag], rejected = [], 0
+        while len(out[tag]) < n_per:
+            t = rng.uniform(t_lo, t_hi)
             s0 = math.sqrt(6.0 * t / p.epsilon)
-            hi = p.delta / p.epsilon - t / p.delta
-            if hi <= s0:
-                continue
-            s = rng.uniform(s0, hi * 0.9999)
-        else:
-            t = rng.uniform(0.05, 8.0)
-            s0 = math.sqrt(6.0 * t / p.epsilon)
-            s = rng.uniform(s0, s0 + 6.0)
-        r = rng.uniform(0.0, 4.0)
-        if str(region_tag(p.epsilon, p.delta, s, t)) != tag:
-            continue
-        out[tag].append((r, s, t))
+            if tag in ("D1", "D2"):
+                s = rng.uniform(0.0, s0 * 0.999)
+            elif tag == "D3":  # t <= 0.12 delta^2/eps keeps s0 below the upper end
+                s = rng.uniform(s0, (p.delta / p.epsilon - t / p.delta) * 0.9999)
+            else:
+                s = rng.uniform(s0, s0 + 6.0)
+            r = rng.uniform(0.0, 4.0)
+            if str(region_tag(p.epsilon, p.delta, s, t)) == tag:
+                out[tag].append((r, s, t))
+                rejected = 0
+            else:
+                rejected += 1
+                if rejected == _MAX_REJECTIONS:
+                    raise ValueError(f"region {tag} cannot be sampled for {p}: "
+                                     f"{_MAX_REJECTIONS} consecutive draws rejected")
     return out
 
 

@@ -219,6 +219,8 @@ _REJECTED = {
     "bounds-samples-one": ("bounds-check", {"samples_per_region": 1}),
     "bounds-seed-str": ("bounds-check", {"seed": "x"}),
     "bounds-seed-negative": ("bounds-check", {"samples_per_region": 8, "seed": -1}),
+    "bounds-region-unreachable": ("bounds-check", {"params": {"epsilon": 0.5, "delta": 20},
+                                                   "samples_per_region": 8}),
     "oracle-nx-two": ("oracle-compare", {**_ORACLE, "grid": {"nx": 2}}),
     "oracle-times-empty": ("oracle-compare", {**_ORACLE, "times": []}),
     "oracle-scheme-unknown": ("oracle-compare", {**_ORACLE, "grid": {"scheme": "x"}}),

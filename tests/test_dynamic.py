@@ -11,7 +11,9 @@ from dynheat.dynamic import (
     exchange_log_grid,
     exchange_marginal_boundary,
     exchange_marginal_interior,
+    fundamental_grid,
     fundamental_kernel,
+    heat_neumann_grid,
     heat_neumann_kernel,
     heat_neumann_mass,
     laplace_dynamic_kernel,
@@ -88,6 +90,24 @@ class TestExchangeKernel:
         for r, s, ref in zip(rs, ss, exp_flush(lv)):
             one = exchange_kernel(P111, HalfSpacePoint(r, s), HalfSpacePoint(0.0, 0.0), t)
             assert one.value == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("grid, pointwise", [
+        (lambda r, xn, yn, t: fundamental_grid(P111, r, xn, yn, t),
+         lambda x, y, t: fundamental_kernel(P111, x, y, t)),
+        (lambda r, xn, yn, t: heat_neumann_grid(1.0, 1.0, r, xn, yn, t),
+         lambda x, y, t: heat_neumann_kernel(1.0, 1.0, x, y, t)),
+    ], ids=["fundamental", "heat_neumann"])
+    def test_grid_matches_pointwise(self, grid, pointwise):
+        # one batch over a broadcast 3 x 4 (r, y_N) grid
+        rs = np.array([0.0, 0.7, 1.9])[:, None]
+        yns = np.array([0.0, 0.3, 1.0, 2.5])[None, :]
+        xn, t = 0.4, 0.8
+        vals, errs, _, conv = grid(rs, xn, yns, t)
+        assert conv
+        assert vals.shape == errs.shape == (3, 4)
+        for i, j in np.ndindex(3, 4):
+            one = pointwise(HalfSpacePoint(rs[i, 0], xn), HalfSpacePoint(0.0, yns[0, j]), t)
+            assert abs(vals[i, j] - one.value) <= errs[i, j] + one.error_estimate
 
     def test_fundamental_on_wall_is_pure_exchange(self):
         x = HalfSpacePoint(0.4, 0.0)

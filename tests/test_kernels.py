@@ -43,9 +43,9 @@ class TestFreeHeatKernel:
             res = integrate(lambda x: free_heat_radial(1, x, t),
                             -40.0 * math.sqrt(t), 40.0 * math.sqrt(t))
         else:
-            res = integrate_semi_infinite(
+            res = integrate(
                 lambda r: sphere_area(d - 1) * r ** (d - 1) * free_heat_radial(d, r, t),
-                0.0, cut=50.0 * math.sqrt(t))
+                0.0, 50.0 * math.sqrt(t))
         assert res.value == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("t,s", [(0.4, 0.6), (1.0, 2.0)])

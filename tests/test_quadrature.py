@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from dynheat.quadrature import (
     EvaluationError,
+    QuadResult,
     QuadSpec,
+    add_terms,
     integrate,
     integrate_2d,
     integrate_nested,
@@ -49,11 +51,6 @@ def test_semi_infinite_gaussian_half():
 
     res = integrate_semi_infinite(lambda x: free_heat_radial(1, x, 1.0), 0.0)
     assert res.value == pytest.approx(0.5, rel=1e-10)
-
-
-def test_semi_infinite_with_cut():
-    res = integrate_semi_infinite(lambda x: np.exp(-x), 0.0, cut=60.0)
-    assert res.value == pytest.approx(1.0, rel=1e-9)
 
 
 def test_2d_unit_square():
@@ -106,6 +103,18 @@ def test_nested_semi_infinite_maps_inner_errors():
     assert res.value == pytest.approx(1.0, rel=1e-9)
     assert res.error_estimate >= 1e-3
     assert res.converged
+
+
+def test_add_terms_sum_rule():
+    # divisors 1, 2 and 4; the second term did not converge
+    first = (1.0, 1e-3, 3, True)
+    second = QuadResult(2.0, 2e-3, 5, False)
+    third = (np.array([4.0, 8.0]), np.array([4e-3, 8e-3]), 7, True)
+    u, err, nsub, conv = add_terms(first, (second, 2.0), (third, 4.0))
+    assert u == pytest.approx(np.array([1.0 + 1.0 + 1.0, 1.0 + 1.0 + 2.0]), rel=1e-15)
+    assert err == pytest.approx(1e-3 + 2e-3 / 2 + third[1] / 4, rel=1e-15)
+    assert nsub == 15
+    assert conv is False
 
 
 def test_preconditions():

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dynheat.kernels import Params
 from dynheat.verification import (
     EXPERIMENTS,
     IDENTITIES,
@@ -133,6 +134,15 @@ class TestSandwich:
         assert res.upper_max > 0 and res.lower_max > 0
         assert math.isfinite(res.upper_max) and math.isfinite(res.lower_max)
         assert set(res.per_region) == {"D1", "D2", "D3", "D4"}
+
+    @pytest.mark.parametrize("params, region", [
+        (Params(0.5, 20.0, 1.0, 2), "D4"),    # D4 lies beyond every draw
+        (Params(0.01, 2.5, 1.0, 2), "D4"),
+        (Params(0.5, 0.05, 1.0, 2), "D3"),    # empty D3 time interval
+    ])
+    def test_unreachable_region_raises(self, params, region):
+        with pytest.raises(ValueError, match=f"region {region} cannot be sampled"):
+            sandwich_check(params, n_per_region=8)
 
     @pytest.mark.parametrize("n", [-1, 0, 1])
     def test_needs_two_samples_per_region(self, n):
