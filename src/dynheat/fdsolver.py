@@ -16,6 +16,16 @@ Two one-sided second-order discretisations of the wall flux are provided:
 * ``wide``: the plain three-point formula (-3u0 + 4u1 - u2)/(2h).  Same
   formal order, but the flux does not telescope against the bulk stencil
   and the discrete mass drifts at O(h).
+
+The semi-discrete system is M du/dt = L u with L = Lx + Lz: Lx is the
+Dirichlet 3-point Laplacian along each row (scaled by the surface
+diffusivity on the wall row), Lz the normal 3-point stencil with the
+flux's one-sided row at the wall.  Each step solves lhs u+ = rhs u with
+one sparse LU of lhs, factored once per run:
+
+* ``crank_nicolson``: (M/dt - L/2, M/dt + L/2);
+* ``imex_euler``: (M/dt - Lz, M/dt + Lx), normal direction implicit,
+  tangential explicit.
 """
 
 from __future__ import annotations
@@ -25,7 +35,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import solve_banded
 
 from .data import InitialData, boundary_value, interior_value
 from .kernels import Params
@@ -89,66 +98,62 @@ class FdResult:
         raise KeyError(f"no snapshot stored at t={t}")
 
 
-def _capacities(p: Params, grid: FdGrid):
-    """(boundary capacity, boundary tangential diffusivity) per flux mode."""
+def _wall(p: Params, grid: FdGrid):
+    """(boundary capacity, boundary tangential diffusivity, one-sided
+    stencil of the wall flux on rows 0, 1, ...) per flux mode."""
+    hz = grid.hz
     if grid.flux == "compact":
-        return p.delta + p.epsilon * grid.hz / 2.0, p.kappa + grid.hz / 2.0
-    return p.delta, p.kappa
+        return (p.delta + p.epsilon * hz / 2.0, p.kappa + hz / 2.0,
+                [-1.0 / hz, 1.0 / hz])  # face flux (u1-u0)/hz
+    return p.delta, p.kappa, [-3.0 / (2.0 * hz), 4.0 / (2.0 * hz), -1.0 / (2.0 * hz)]
+
+
+def _split(p: Params, grid: FdGrid):
+    """Tangential part Lx, normal part Lz and capacity diagonal M of
+    M du/dt = (Lx + Lz) u.
+
+    Unknowns: interior columns j = 1..nx-1 at rows i = 0..nz-1, row-major
+    (row 0 is the boundary line; i = nz and j in {0, nx} are clamped to
+    zero).
+    """
+    nz, ncol = grid.nz, grid.nx - 1
+    hx2, hz2 = grid.hx**2, grid.hz**2
+    cap0, kap0, flux = _wall(p, grid)
+
+    def dxx(c):
+        # c / hx2 rather than c * (1 / hx2): the wall diagonal must round
+        # exactly as -2 kap0 / hx2 does
+        return sp.diags([c / hx2, -2.0 * c / hx2, c / hx2], [-1, 0, 1], shape=(ncol, ncol))
+
+    Lx = sp.block_diag([dxx(kap0), sp.kron(sp.identity(nz - 1), dxx(1.0))], format="csr")
+    wall = np.zeros((1, nz))
+    wall[0, :len(flux)] = flux
+    bulk = sp.diags([1.0 / hz2, -2.0 / hz2, 1.0 / hz2], [0, 1, 2], shape=(nz - 1, nz))
+    Lz = sp.kron(sp.vstack([sp.csr_matrix(wall), bulk]), sp.identity(ncol), format="csr")
+    mdiag = np.full(nz * ncol, p.epsilon, dtype=float)
+    mdiag[:ncol] = cap0
+    return Lx, Lz, mdiag
 
 
 def _assemble(p: Params, grid: FdGrid):
-    """Sparse operator L and capacity diagonal M for M du/dt = L u.
+    """Sparse operator L = Lx + Lz and capacity diagonal M for M du/dt = L u."""
+    Lx, Lz, mdiag = _split(p, grid)
+    return Lx + Lz, mdiag
 
-    Unknowns: interior columns j = 1..nx-1 at rows i = 0..nz-1 (row 0 is
-    the boundary line; i = nz and j in {0, nx} are clamped to zero).
+
+def _operators(p: Params, grid: FdGrid):
+    """(lhs, rhs) of the scheme's step lhs u+ = rhs u, lhs in CSC for splu.
+
+    Built in a frame of its own, so that L, Lx and Lz are freed before the
+    factorisation and do not add to its peak memory.
     """
-    nx, nz = grid.nx, grid.nz
-    hx2, hz = grid.hx**2, grid.hz
-    hz2 = hz * hz
-    ncol = nx - 1
-    n = nz * ncol
-
-    def k(i, j):
-        return i * ncol + (j - 1)
-
-    rows, cols, vals = [], [], []
-    mdiag = np.empty(n)
-    cap0, kap0 = _capacities(p, grid)
-
-    def add(a, b, v):
-        rows.append(a)
-        cols.append(b)
-        vals.append(v)
-
-    for j in range(1, nx):
-        # boundary line row
-        a = k(0, j)
-        mdiag[a] = cap0
-        if grid.flux == "compact":
-            add(a, a, -2.0 * kap0 / hx2 - 1.0 / hz)  # face flux (u1-u0)/hz
-            add(a, k(1, j), 1.0 / hz)
-        else:
-            add(a, a, -2.0 * kap0 / hx2 - 3.0 / (2.0 * hz))
-            add(a, k(1, j), 4.0 / (2.0 * hz))
-            add(a, k(2, j), -1.0 / (2.0 * hz))
-        if j > 1:
-            add(a, k(0, j - 1), kap0 / hx2)
-        if j < nx - 1:
-            add(a, k(0, j + 1), kap0 / hx2)
-        # bulk rows
-        for i in range(1, nz):
-            a = k(i, j)
-            mdiag[a] = p.epsilon
-            add(a, a, -2.0 / hx2 - 2.0 / hz2)
-            if j > 1:
-                add(a, k(i, j - 1), 1.0 / hx2)
-            if j < nx - 1:
-                add(a, k(i, j + 1), 1.0 / hx2)
-            add(a, k(i - 1, j), 1.0 / hz2)
-            if i < nz - 1:
-                add(a, k(i + 1, j), 1.0 / hz2)
-    L = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    return L, mdiag
+    if grid.scheme == "crank_nicolson":
+        L, mdiag = _assemble(p, grid)
+        M = sp.diags(mdiag / grid.dt)
+        return (M - 0.5 * L).tocsc(), (M + 0.5 * L).tocsr()
+    Lx, Lz, mdiag = _split(p, grid)
+    M = sp.diags(mdiag / grid.dt)
+    return (M - Lz).tocsc(), (M + Lx).tocsr()
 
 
 def _initial_state(p: Params, data: InitialData, grid: FdGrid) -> np.ndarray:
@@ -168,60 +173,10 @@ def discrete_mass(p: Params, grid: FdGrid, u: np.ndarray) -> float:
     discrete counterpart of the conservation identity; bulk sum uses the
     trapezoidal half-cell at the wall, which is where the compact flux
     stores it)."""
-    cap0, _ = _capacities(p, grid)
+    cap0, _, _ = _wall(p, grid)
     bulk = p.epsilon * grid.hx * grid.hz * float(np.sum(u[1:-1, 1:-1]))
     line = cap0 * grid.hx * float(np.sum(u[0, 1:-1]))
     return bulk + line
-
-
-def _step_imex(p, grid, u):
-    """One IMEX step: normal direction implicit, tangential explicit."""
-    nx, nz = grid.nx, grid.nz
-    hx2, hz = grid.hx**2, grid.hz
-    hz2 = hz * hz
-    dt = grid.dt
-    cap0, kap0 = _capacities(p, grid)
-    un = u.copy()
-    # explicit tangential pieces
-    dxx = np.zeros_like(u)
-    dxx[:, 1:-1] = (u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]) / hx2
-    nrow = nz  # rows 0..nz-1 unknown per column
-    if grid.flux == "compact":
-        ab = np.zeros((3, nrow))
-        rhs = np.empty(nrow)
-        for j in range(1, nx):
-            # row 0: cap0/dt u0+ + (u0+ - u1+)/hz2*hz = cap0/dt u0 + kap0 dxx
-            ab[:] = 0.0
-            ab[1, 0] = cap0 / dt + 1.0 / hz
-            ab[0, 1] = -1.0 / hz
-            rhs[0] = cap0 / dt * u[0, j] + kap0 * dxx[0, j]
-            ab[1, 1:] = p.epsilon / dt + 2.0 / hz2
-            ab[0, 2:] = -1.0 / hz2
-            ab[2, 0:nrow - 1] = -1.0 / hz2
-            rhs[1:] = p.epsilon / dt * u[1:nz, j] + dxx[1:nz, j]
-            # clamped top row (i = nz) contributes nothing
-            sol = solve_banded((1, 1), ab, rhs, overwrite_ab=True, overwrite_b=True)
-            un[:nz, j] = sol
-    else:
-        # wide flux couples rows 0..2: bandwidth (1, 2)
-        ab = np.zeros((4, nrow))
-        rhs = np.empty(nrow)
-        for j in range(1, nx):
-            ab[:] = 0.0
-            ab[2, 0] = cap0 / dt + 3.0 / (2.0 * hz)
-            ab[1, 1] = -4.0 / (2.0 * hz)
-            ab[0, 2] = 1.0 / (2.0 * hz)
-            rhs[0] = cap0 / dt * u[0, j] + kap0 * dxx[0, j]
-            ab[2, 1:] = p.epsilon / dt + 2.0 / hz2
-            ab[1, 2:] = -1.0 / hz2
-            ab[3, 0:nrow - 1] = -1.0 / hz2
-            rhs[1:] = p.epsilon / dt * u[1:nz, j] + dxx[1:nz, j]
-            sol = solve_banded((1, 2), ab, rhs, overwrite_ab=True, overwrite_b=True)
-            un[:nz, j] = sol
-    un[nz, :] = 0.0
-    un[:, 0] = 0.0
-    un[:, -1] = 0.0
-    return un
 
 
 def fd_solve(p: Params, data: InitialData, grid: FdGrid, t_end: float,
@@ -229,7 +184,8 @@ def fd_solve(p: Params, data: InitialData, grid: FdGrid, t_end: float,
     """March the coupled bulk/boundary system to ``t_end``.
 
     ``snapshots`` is a list of times at which fields are stored (always
-    includes ``t_end``); each must be a multiple of dt.
+    includes ``t_end``); each must be a multiple of dt, and 0 stores the
+    initial state.
     """
     if p.dim != 2:
         raise ValueError("the finite-difference oracle is two-dimensional")
@@ -246,37 +202,22 @@ def fd_solve(p: Params, data: InitialData, grid: FdGrid, t_end: float,
     u = _initial_state(p, data, grid)
     res = FdResult(grid, p, [], [])
     limit = 10.0 * max(1.0, float(np.max(np.abs(u))))
-
-    if grid.scheme == "crank_nicolson":
-        L, mdiag = _assemble(p, grid)
-        M = sp.diags(mdiag / grid.dt)
-        lhs = (M - 0.5 * L).tocsc()
-        rhs_op = (M + 0.5 * L).tocsr()
-        lu = spla.splu(lhs)
-        vec = u[:grid.nz, 1:-1].reshape(-1)
-        for step in range(1, nsteps + 1):
+    lhs, rhs_op = _operators(p, grid)
+    lu = spla.splu(lhs)
+    vec = u[:grid.nz, 1:-1].reshape(-1)
+    for step in range(nsteps + 1):
+        if step > 0:
             vec = lu.solve(rhs_op @ vec)
             if step % 50 == 0 or step == nsteps:
                 mx = float(np.max(np.abs(vec)))
                 if not np.isfinite(mx) or mx > limit:
                     raise SchemeError(f"instability detected at step {step}")
-            if step in want:
-                u = np.zeros_like(u)
-                u[:grid.nz, 1:-1] = vec.reshape(grid.nz, grid.nx - 1)
-                res.times.append(step * grid.dt)
-                res.fields.append(u.copy())
-                res.masses.append(discrete_mass(p, grid, u))
-    else:
-        for step in range(1, nsteps + 1):
-            u = _step_imex(p, grid, u)
-            if step % 50 == 0 or step == nsteps:
-                mx = float(np.max(np.abs(u)))
-                if not np.isfinite(mx) or mx > limit:
-                    raise SchemeError(f"instability detected at step {step}")
-            if step in want:
-                res.times.append(step * grid.dt)
-                res.fields.append(u.copy())
-                res.masses.append(discrete_mass(p, grid, u))
+        if step in want:
+            u = np.zeros_like(u)
+            u[:grid.nz, 1:-1] = vec.reshape(grid.nz, grid.nx - 1)
+            res.times.append(step * grid.dt)
+            res.fields.append(u)
+            res.masses.append(discrete_mass(p, grid, u))
     return res
 
 

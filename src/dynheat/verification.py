@@ -206,7 +206,7 @@ _GAUSS_PSI_L1 = Boundary("heat_gaussian", a=0.3)
 _ONE_PHI = Interior("constant", c=1.0)
 
 
-def _pair(which: str, h: float, dim: int, p_exp):
+def _pair(which: str, h: float, dim: int):
     """(tag_A, params_A, data_A, theta_A, tag_B, params_B, data_B, theta_B)
     for ladder value ``h``."""
     if which == "eps_to_0":
@@ -374,7 +374,7 @@ def _probe_for(exp: LimitExperiment, density: int):
 
 
 def _sup_error(exp: LimitExperiment, h: float, spec: QuadSpec, density: int):
-    tag_a, pa, da, tha, tag_b, pb, db, thb = _pair(exp.which, h, exp.dim, exp.p_exp)
+    tag_a, pa, da, tha, tag_b, pb, db, thb = _pair(exp.which, h, exp.dim)
     xp, xn, ts = _probe_for(exp, density)
     sup = 0.0
     for t in sorted(set(ts.tolist())):

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from dynheat.data import Boundary, InitialData, Interior, NormalProfile
 from dynheat.fdsolver import FdGrid, SchemeError, compare, discrete_mass, fd_solve
-from dynheat.fdsolver import _initial_state
+from dynheat.fdsolver import _assemble, _initial_state, _operators
 from dynheat.kernels import Params
 from dynheat.solutions import solve_grid
 
@@ -52,6 +54,64 @@ class TestBasics:
             fd_solve(P111, InitialData(), g, 0.055)
         with pytest.raises(ValueError, match="multiples of dt"):
             fd_solve(P111, InitialData(), g, 0.05, snapshots=[0.025])
+
+    @pytest.mark.parametrize("scheme", ["crank_nicolson", "imex_euler"])
+    def test_initial_snapshot_stored(self, scheme):
+        g = FdGrid(nx=8, nz=8, dt=1e-2, scheme=scheme)
+        res = fd_solve(P111, GAUSS_PSI, g, 0.05, snapshots=[0.0, 0.05])
+        u0 = _initial_state(P111, GAUSS_PSI, g)
+        assert res.times == [0.0, 0.05]
+        assert np.array_equal(res.field_at(0.0), u0)
+        assert res.masses[0] == discrete_mass(P111, g, u0)
+        assert fd_solve(P111, GAUSS_PSI, g, 0.0).times == [0.0]
+
+
+class TestOperator:
+    """L against the stencil it encodes, applied to a random field that is
+    zero on the clamped sides j = 0, j = nx and i = nz."""
+
+    # integer parameters, as a JSON config gives them, must not truncate
+    # the fractional wall capacity
+    P = Params(2, 3, 4, 2)
+
+    def stencil(self, grid, u):
+        eps, delta, kappa = self.P.epsilon, self.P.delta, self.P.kappa
+        hx2, hz = grid.hx**2, grid.hz
+        U = np.zeros((grid.nz + 1, grid.nx + 1))
+        U[:-1, 1:-1] = u
+        dxx = (U[:, :-2] - 2.0 * U[:, 1:-1] + U[:, 2:]) / hx2
+        out = np.empty_like(u)
+        out[1:] = dxx[1:-1] + (U[:-2, 1:-1] - 2.0 * U[1:-1, 1:-1] + U[2:, 1:-1]) / hz**2
+        if grid.flux == "compact":
+            cap0, kap0 = delta + eps * hz / 2.0, kappa + hz / 2.0
+            flux = (U[1, 1:-1] - U[0, 1:-1]) / hz
+        else:
+            cap0, kap0 = delta, kappa
+            flux = (-3.0 * U[0, 1:-1] + 4.0 * U[1, 1:-1] - U[2, 1:-1]) / (2.0 * hz)
+        out[0] = kap0 * dxx[0] + flux
+        mdiag = np.full_like(u, eps)
+        mdiag[0] = cap0
+        return out.ravel(), mdiag.ravel()
+
+    @pytest.mark.parametrize("flux", ["compact", "wide"])
+    def test_operator_matches_stencil(self, flux):
+        rng = np.random.default_rng(5)
+        g = FdGrid(Lx=3.0, Lz=2.0, nx=12, nz=7, dt=0.5, flux=flux)
+        u = rng.standard_normal((g.nz, g.nx - 1))
+        L, mdiag = _assemble(self.P, g)
+        want, m_want = self.stencil(g, u)
+        assert np.max(np.abs(L @ u.ravel() - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.array_equal(mdiag, m_want)
+        for scheme in ("crank_nicolson", "imex_euler"):
+            lhs, rhs = _operators(self.P, replace(g, scheme=scheme))
+            # CN's halves and IMEX's implicit and explicit parts add up to L
+            got = rhs @ u.ravel() - lhs @ u.ravel()
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), scheme
+        # IMEX is implicit in the normal direction only: its lhs couples no
+        # two columns
+        lhs, _ = _operators(self.P, replace(g, scheme="imex_euler"))
+        rows, cols = lhs.nonzero()
+        assert np.array_equal(rows % (g.nx - 1), cols % (g.nx - 1))
 
 
 class TestConservation:
