@@ -1,20 +1,20 @@
 """Kernels of the dynamical-boundary problems and their sharp envelopes.
 
 The bulk-boundary exchange kernel is a time integral whose integrand
-develops a Gaussian boundary layer at the upper endpoint.  Two exact
-parametrisations are implemented:
+develops a Gaussian boundary layer at the upper endpoint.  It is
+evaluated in one exact parametrisation, the stabilising change of
+variables xi = sqrt(t / (t - tau)) * (x_N + y_N + tau / delta) = s + eta,
+under which the exponential factor becomes a plain Gaussian
+exp(-eps xi^2 / 4t) and the remaining factors stay smooth and bounded.
+The inverse map is closed form: with z = x_N + y_N + t/delta,
+sqrt(t - tau) = 2 sqrt(t) z / (xi + sqrt(xi^2 + 4 t z / delta)).
 
-* ``tau``: direct integration in the original time variable, split at
-  t(1 - 1e-4) so the adaptive rule keeps the layer in its own panels;
-* ``xi``: the stabilising change of variables
-  xi = sqrt(t / (t - tau)) * (x_N + y_N + tau / delta), under which the
-  exponential factor becomes a plain Gaussian exp(-eps xi^2 / 4t) and the
-  remaining factors stay smooth and bounded.  The inverse map is closed
-  form: with z = x_N + y_N + t/delta,
-  sqrt(t - tau) = 2 sqrt(t) z / (xi + sqrt(xi^2 + 4 t z / delta)).
-
-``auto`` switches to ``xi`` where eps (x_N + y_N + t/delta)^2 >= 6 t,
-which is exactly the regime where the tau-integrand concentrates.
+``exchange_log_grid`` shifts each component by one number, the
+log-maximum over eta of its whole integrand (normal times tangential
+factor), and integrates through a sinh map centred on that maximum and
+scaled to its width, so peaks of any width and position are resolved and
+relative accuracy holds deep in the Gaussian tails.  The shifted
+integrand is formed in one exponent, so no factor overflows.
 
 The full kernels are composed in one place each: ``fundamental_grid``
 builds G = G0 + H/delta and ``heat_neumann_grid`` the diffusive-Neumann
@@ -38,7 +38,6 @@ from .kernels import (
     HalfSpacePoint,
     exp_flush,
     dirichlet_radial,
-    free_heat_radial,
     sphere_area,
     tangential_offset,
 )
@@ -49,7 +48,6 @@ from .quadrature import (
     _adaptive,
     _finalize,
     add_terms,
-    integrate,
     integrate_nested,
     tail_exponent,
 )
@@ -76,9 +74,6 @@ __all__ = [
     "heat_neumann_mass",
 ]
 
-_SLIVER = 1e-4
-
-
 class SingularConfigurationError(ValueError):
     """Kernel evaluated where it degenerates to a boundary point mass."""
 
@@ -90,149 +85,174 @@ def _log_heat(d, r, t):
             - np.asarray(r, dtype=float) ** 2 / (4.0 * np.asarray(t, dtype=float))
 
 
-def _unit_tan(T, idx):
-    return 1.0
-
-
 # ---------------------------------------------------------------------------
 # exchange kernel core
 # ---------------------------------------------------------------------------
 
-def _exchange_core(eps, delta, kappa, s, t, spec, tan_fn, log_shift, path):
-    """Shared-grid evaluation of the exchange integral for components ``s``.
+def _xi_map(eps, delta, kappa, s, t, eta):
+    """Tangential time argument and log of the normal factor of the
+    exchange integrand at xi = s + eta; ``eta`` broadcasts against
+    ``s[None, :]``."""
+    z = s[None, :] + t / delta
+    xi = s[None, :] + eta
+    q = 2.0 * math.sqrt(t) * z / (xi + np.sqrt(xi * xi + (4.0 * t / delta) * z))
+    w = q * q  # elapsed bulk time t - tau
+    t_tan = w / eps + (kappa / delta) * (t - w)
+    log_pref = math.log(2.0 * eps) + 0.5 * (math.log(eps) - math.log(4.0 * math.pi * t))
+    with np.errstate(divide="ignore"):
+        log_ratio = np.log(xi) - np.log(xi + (2.0 / delta) * math.sqrt(t) * q)
+    return t_tan, log_pref + log_ratio - eps * xi * xi / (4.0 * t)
 
-    ``tan_fn(T, idx)`` supplies the tangential factor for components
-    ``idx`` at Gaussian time arguments ``T``; ``log_shift`` is subtracted
-    from the exponent of each component (output is the shifted value).
-    Returns (values, errors, subdivisions, converged).
+
+# Peak-search nodes in units of the normal Gaussian's reach: the coarse
+# grid is geometric towards 0 (boundary-layer peaks), uniform on [0, 1]
+# and geometric up to 64 (tangential factors that grow with eta); the
+# width ladder holds the offsets 8^-17 .. 64 on both sides of the peak.
+_COARSE = np.unique(np.concatenate([4.0 ** -np.arange(26.0, 2.0, -1.0),
+                                    np.linspace(0.0, 1.0, 33), 2.0 ** np.arange(1.0, 7.0)]))
+_ZOOM = np.linspace(0.0, 1.0, 17)[:, None]
+_LADDER = np.concatenate([-8.0 ** np.arange(-17.0, 3.0), 8.0 ** np.arange(-17.0, 3.0)])
+
+
+def _frame(eps, delta, kappa, s, t, spec, log_tan):
+    """Per-component (log_mass, centre, scale, eta_hi) of the exchange
+    integrand exp(log_n(eta) + log_tan(T(eta), idx)), eta >= 0, taken
+    unimodal.  Its peak is bracketed on ``_COARSE``, then the bracket is
+    zoomed (17 nodes, 8x narrower per pass) while the log drops by more
+    than 2 from the best node to a neighbour.  ``scale`` is the nearest
+    ``_LADDER`` offset where the log has dropped by 1, ``log_mass`` is
+    log(peak * scale) and ``eta_hi`` the first coarse node past the last
+    one within exp(-tail_exponent) of the peak."""
+    cols = np.arange(s.size)
+    lc = tail_exponent(spec)
+    reach = math.sqrt(4.0 * t * lc / eps)
+
+    def log_f(eta, idx):
+        t_tan, log_n = _xi_map(eps, delta, kappa, s[idx], t, eta)
+        return log_n + log_tan(t_tan, idx)
+
+    grid = np.broadcast_to(reach * _COARSE[:, None], (len(_COARSE), s.size))
+    lg = log_f(grid, cols)
+    peak = lg.max(axis=0)
+    last = len(grid) - 1 - np.argmax((lg >= peak - lc)[::-1], axis=0)
+    eta_hi = reach * _COARSE[np.minimum(last + 1, len(grid) - 1)]
+    centre, lo, hi = np.empty((3, s.size))
+    active = cols
+    while True:  # the bracket shrinks 8x per pass until nodes coincide
+        a = np.arange(active.size)
+        j = np.argmax(lg, axis=0)
+        side = np.clip([j - 1, j + 1], 0, len(grid) - 1)
+        centre[active], (lo[active], hi[active]) = grid[j, a], grid[side, a]
+        peak[active] = np.maximum(peak[active], lg[j, a])
+        active = active[lg[j, a] - lg[side, a].min(axis=0) > 2.0]
+        if not active.size:
+            break
+        grid = lo[active] + (hi[active] - lo[active]) * _ZOOM
+        lg = log_f(grid, active)
+    offsets = centre + reach * _LADDER[:, None]
+    fell = (log_f(np.abs(offsets), cols) < peak - 1.0) & (offsets >= 0.0)
+    scale = np.min(np.where(fell, reach * np.abs(_LADDER[:, None]), reach), axis=0)
+    return peak + np.log(scale), centre, scale, np.maximum(eta_hi, centre + scale)
+
+
+def _exchange_core(eps, delta, kappa, s, t, spec, tan_fn, frame, path):
+    """Shared-grid evaluation of the exchange integral for components ``s``
+    in the stabilising variable xi = s + eta.
+
+    ``frame = (log_shift, centre, scale, eta_hi)`` per component (see
+    ``_frame``): each component is integrated over eta in [0, eta_hi]
+    through eta = centre + scale * sinh(v), v linear in the shared
+    variable u in [0, 1], and ``log_shift`` is subtracted from its
+    exponent (output is the shifted value).  ``tan_fn(T, idx, log_w)``
+    returns the tangential factor of components ``idx`` at Gaussian time
+    arguments ``T`` times the weight exp(log_w).  Returns (values, errors,
+    subdivisions, converged).
     """
+    # ``path`` is kept because the benchmark tracer wraps this signature.
+    if path != "xi":
+        raise ValueError(f"unknown path {path!r}")
     s = np.asarray(s, dtype=float)
-    m = s.size
-    idx_all = np.arange(m)
-    if path == "auto":
-        z = s + t / delta
-        use_xi = eps * z * z >= 6.0 * t
-        if use_xi.all():
-            path = "xi"
-        elif not use_xi.any():
-            path = "tau"
-        else:
-            out_v = np.empty(m)
-            out_e = np.empty(m)
-            nsub = 0
-            conv = True
-            for sub_path, sel in (("xi", use_xi), ("tau", ~use_xi)):
-                idx = np.nonzero(sel)[0]
-                sub_tan = lambda T, j, idx=idx: tan_fn(T, idx[j])
-                v, e, ns, cv = _exchange_core(
-                    eps, delta, kappa, s[idx], t, spec,
-                    sub_tan, log_shift[idx], sub_path)
-                out_v[idx] = v
-                out_e[idx] = e
-                nsub += ns
-                conv = conv and cv
-            return out_v, out_e, nsub, conv
+    idx_all = np.arange(s.size)
+    log_shift, centre, scale, eta_hi = frame
+    v0 = np.arcsinh(-centre / scale)
+    v1 = np.arcsinh((eta_hi - centre) / scale)
+    log_len = np.log(scale * (v1 - v0)) - log_shift
 
-    if path == "xi":
-        z = s + t / delta
-        lc = tail_exponent(spec)
-        eta_max = math.sqrt(4.0 * t * lc / eps)
-        log_pref = math.log(2.0 * eps) + 0.5 * (math.log(eps) - math.log(4.0 * math.pi * t))
+    def f(u):
+        v = v0 + (v1 - v0) * u[:, None]
+        eta = np.maximum(centre + scale * np.sinh(v), 0.0)
+        t_tan, log_n = _xi_map(eps, delta, kappa, s, t, eta)
+        return tan_fn(t_tan, idx_all, log_n + np.log(np.cosh(v)) + log_len)
 
-        def f(eta):
-            xi = s[None, :] + eta[:, None]
-            disc = np.sqrt(xi * xi + (4.0 * t / delta) * z[None, :])
-            q = 2.0 * math.sqrt(t) * z[None, :] / (xi + disc)
-            w = q * q
-            t_tan = w / eps + (kappa / delta) * (t - w)
-            ratio = xi / (xi + (2.0 / delta) * np.sqrt(t * w))
-            logg = log_pref - eps * xi * xi / (4.0 * t) - log_shift[None, :]
-            return tan_fn(t_tan, idx_all) * ratio * exp_flush(logg)
-
-        return _adaptive(f, [(0.0, eta_max)], spec)
-
-    if path == "tau":
-        split = t * (1.0 - _SLIVER)
-
-        def f(tau):
-            w = (t - tau)[:, None]
-            ztau = s[None, :] + tau[:, None] / delta
-            t_tan = w / eps + kappa * tau[:, None] / delta
-            with np.errstate(divide="ignore"):
-                logg = np.log(eps * ztau) - np.log(w) \
-                    - 0.5 * (math.log(4.0 * math.pi / eps) + np.log(w)) \
-                    - eps * ztau * ztau / (4.0 * w) - log_shift[None, :]
-            return tan_fn(t_tan, idx_all) * exp_flush(logg)
-
-        return _adaptive(f, [(0.0, split), (split, t)], spec)
-
-    raise ValueError(f"unknown path {path!r}")
+    return _adaptive(f, [(0.0, 1.0)], spec)
 
 
-def _pointwise_tan(dim, r, log_ref=None):
+def _pointwise_tan(dim, r):
     r = np.asarray(r, dtype=float)
 
     def fn(T, idx):
-        lg = _log_heat(dim - 1, r[idx][None, :], T)
-        if log_ref is not None:
-            lg = lg - log_ref[idx][None, :]
-        return exp_flush(lg)
+        return exp_flush(_log_heat(dim - 1, r[idx][None, :], T))
 
     return fn
 
 
-def exchange_log_grid(p: Params, r, s, t: float, spec: QuadSpec = DEFAULT_SPEC,
-                      path: str = "auto"):
+def exchange_log_grid(p: Params, r, s, t: float, spec: QuadSpec = DEFAULT_SPEC):
     """log of the exchange kernel on arrays of (r, s) pairs at fixed t.
 
-    Internally every component is rescaled by its dominant exponential
-    magnitude so that the relative accuracy of the adaptive rule applies
-    even deep in the Gaussian tails.  Returns (log_values, rel_errors,
-    subdivisions, converged); values of exactly zero map to -inf.
+    Every component is shifted by the log of its integrand's maximum times
+    its width (see ``_frame``) and the shifted integrand is formed in one
+    exponent, so relative accuracy holds deep in the Gaussian tails and no
+    factor overflows.  Returns (log_values, rel_errors, subdivisions,
+    converged); values of exactly zero map to -inf.
     """
     if t <= 0:
         raise ValueError("time must be positive")
     r, s = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(s, dtype=float))
-    shape = r.shape
-    r = r.ravel()
-    s = s.ravel()
-    log_ref = _log_heat(p.dim - 1, r, t / p.epsilon)
-    g_shift = -p.epsilon * s * s / (4.0 * t)
-    tan = _pointwise_tan(p.dim, r, log_ref)
+    shape, r, s = r.shape, r.ravel(), s.ravel()
+
+    def log_tan(T, idx):
+        return _log_heat(p.dim - 1, r[idx][None, :], T)
+
+    frame = _frame(p.epsilon, p.delta, p.kappa, s, t, spec, log_tan)
     vals, errs, nsub, conv = _exchange_core(
-        p.epsilon, p.delta, p.kappa, s, t, spec, tan, g_shift, path)
-    total_shift = g_shift + log_ref
-    with np.errstate(divide="ignore"):
-        logv = np.where(vals > 0.0, np.log(np.maximum(vals, 1e-320)), -np.inf) + total_shift
-        rel = np.where(vals > 0.0, errs / np.maximum(vals, 1e-320), errs)
+        p.epsilon, p.delta, p.kappa, s, t, spec,
+        lambda T, idx, log_w: exp_flush(log_tan(T, idx) + log_w), frame, "xi")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logv = np.log(vals) + frame[0]
+        # the error of the value plus one rounding of the returned log
+        rel = np.where(vals > 0.0, errs / vals + np.spacing(np.abs(logv)), errs)
     return logv.reshape(shape), rel.reshape(shape), nsub, conv
 
 
-def exchange_weighted(p: Params, s, t: float, spec: QuadSpec, tan_fn,
-                      path: str = "auto"):
-    """Exchange integral with a caller-supplied tangential factor.
+def exchange_weighted(p: Params, s, t: float, spec: QuadSpec, tan_fn):
+    """Exchange integral with a caller-supplied tangential factor
+    ``tan_fn(T, idx)``.
 
     Used by the solution operators, where ``tan_fn`` is the closed
     tangential convolution of the data.  No rescaling: values carry the
     natural magnitude of the data.
     """
     s = np.asarray(s, dtype=float).ravel()
-    return _exchange_core(p.epsilon, p.delta, p.kappa, s, t, spec, tan_fn,
-                          np.zeros(s.size), path)
+    # the data factor's peak is unknown: no shift, and eta in [0, reach]
+    # (the normal Gaussian's reach) through a sinh map of the same scale
+    zero = np.zeros(s.size)
+    reach = np.full(s.size, math.sqrt(4.0 * t * tail_exponent(spec) / p.epsilon))
+    return _exchange_core(p.epsilon, p.delta, p.kappa, s, t, spec,
+                          lambda T, idx, log_w: tan_fn(T, idx) * exp_flush(log_w),
+                          (zero, zero, reach, reach), "xi")
 
 
 def exchange_kernel(p: Params, x: HalfSpacePoint, y: HalfSpacePoint, t: float,
-                    spec: QuadSpec = DEFAULT_SPEC, path: str = "auto") -> QuadResult:
+                    spec: QuadSpec = DEFAULT_SPEC) -> QuadResult:
     """Bulk-boundary exchange kernel (the dynamical part of the
     fundamental solution), evaluated pointwise."""
     r = tangential_offset(x, y, p.dim)
-    logv, rel, nsub, conv = exchange_log_grid(p, [r], [x.normal + y.normal], t, spec, path)
+    logv, rel, nsub, conv = exchange_log_grid(p, [r], [x.normal + y.normal], t, spec)
     value = exp_flush(logv[0])
     return QuadResult(float(value), float(rel[0]) * float(value), nsub, conv)
 
 
-def fundamental_grid(p: Params, r, xn, yn, t: float, spec: QuadSpec = DEFAULT_SPEC,
-                     path: str = "auto"):
+def fundamental_grid(p: Params, r, xn, yn, t: float, spec: QuadSpec = DEFAULT_SPEC):
     """Fundamental solution G = G0 + H/delta on broadcast arrays of
     tangential offsets ``r`` and normal coordinates ``xn``, ``yn``.
 
@@ -242,18 +262,18 @@ def fundamental_grid(p: Params, r, xn, yn, t: float, spec: QuadSpec = DEFAULT_SP
     broadcast shape; the error is that of H/delta (G0 is closed form).
     """
     r, xn, yn = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (r, xn, yn)))
-    logh, rel, nsub, conv = exchange_log_grid(p, r, xn + yn, t, spec, path)
+    logh, rel, nsub, conv = exchange_log_grid(p, r, xn + yn, t, spec)
     h = exp_flush(logh)
     g0 = dirichlet_radial(r, xn, yn, t / p.epsilon, p.dim)
     return g0 + h / p.delta, rel * h / p.delta, nsub, conv
 
 
 def fundamental_kernel(p: Params, x: HalfSpacePoint, y: HalfSpacePoint, t: float,
-                       spec: QuadSpec = DEFAULT_SPEC, path: str = "auto") -> QuadResult:
+                       spec: QuadSpec = DEFAULT_SPEC) -> QuadResult:
     """Fundamental solution: absorbing-boundary part plus the exchange
     part weighted by the boundary capacity."""
     r = tangential_offset(x, y, p.dim)
-    return _finalize(*fundamental_grid(p, [r], [x.normal], [y.normal], t, spec, path))
+    return _finalize(*fundamental_grid(p, [r], [x.normal], [y.normal], t, spec))
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +507,7 @@ def exchange_marginal_boundary(p: Params, xn: float, t: float,
                                spec: QuadSpec = DEFAULT_SPEC) -> QuadResult:
     """Boundary marginal of the exchange kernel (tangential integral done
     in closed form; the remaining time integral by quadrature)."""
-    return _finalize(*exchange_weighted(p, [xn], t, spec, _unit_tan))
+    return _finalize(*exchange_weighted(p, [xn], t, spec, lambda T, idx: 1.0))
 
 
 def exchange_marginal_interior(p: Params, xn: float, t: float,
@@ -496,58 +516,65 @@ def exchange_marginal_interior(p: Params, xn: float, t: float,
     (normal x time) quadrature with the tangential direction closed."""
     ycut = math.sqrt(4.0 * t * tail_exponent(spec) / p.epsilon) + 1.0
     return integrate_nested(
-        lambda ys: exchange_weighted(p, xn + ys, t, spec, _unit_tan), 0.0, ycut, spec)
+        lambda ys: exchange_weighted(p, xn + ys, t, spec, lambda T, idx: 1.0), 0.0, ycut, spec)
 
 
-def marginal_interior_reference(p: Params, xn: float, t: float,
-                                spec: QuadSpec = DEFAULT_SPEC) -> QuadResult:
-    """Closed 1-D form of the interior marginal (including the capacity
-    weight 2/delta), integrated directly in the original time variable."""
+def _marginal_terms(p: Params, xn: float, t: float):
+    """erfc(a) and e^(-a^2) erfcx(c) with a = sqrt(eps) x_N / (2 sqrt(t))
+    and c = sqrt(eps) (x_N + 2t/delta) / (2 sqrt(t))."""
+    from scipy.special import erfcx
 
-    def f(tau):
-        return 2.0 / p.delta * free_heat_radial(1, xn + tau / p.delta,
-                                                (t - tau) / p.epsilon)
-
-    return integrate(f, 0.0, t, spec)
+    a = math.sqrt(p.epsilon) * xn / (2.0 * math.sqrt(t))
+    c = math.sqrt(p.epsilon) * (xn + 2.0 * t / p.delta) / (2.0 * math.sqrt(t))
+    return math.erfc(a), math.exp(-a * a) * float(erfcx(c))
 
 
-def marginal_boundary_reference(p: Params, xn: float, t: float,
-                                spec: QuadSpec = DEFAULT_SPEC) -> QuadResult:
-    """Closed 1-D form of the boundary marginal (including the 1/epsilon
-    weight), integrated directly in the original time variable."""
-    eps, delta = p.epsilon, p.delta
-
-    def f(tau):
-        w = t - tau
-        zt = xn + tau / delta
-        with np.errstate(divide="ignore"):
-            logv = -0.5 * (np.log(4.0 * math.pi * w) - math.log(eps)) \
-                + np.log(zt) - np.log(w) - eps * zt * zt / (4.0 * w)
-        return exp_flush(logv)
-
-    split = t * (1.0 - _SLIVER)
-    return _finalize(*_adaptive(f, [(0.0, split), (split, t)], spec))
+def marginal_interior_reference(p: Params, xn: float, t: float) -> float:
+    """Closed form of the interior marginal (including the capacity weight
+    2/delta): erfc(a) - e^(-a^2) erfcx(c), see ``_marginal_terms``."""
+    outside, boundary = _marginal_terms(p, xn, t)
+    return outside - boundary
 
 
-def dirichlet_mass(eps: float, xn: float, t: float,
-                   spec: QuadSpec = DEFAULT_SPEC) -> QuadResult:
-    """Interior mass of the absorbing-boundary kernel at height ``xn``."""
-    T = t / eps
-    ycut = xn + math.sqrt(4.0 * T * tail_exponent(spec)) + 1.0
-
-    def f(y):
-        return free_heat_radial(1, xn - y, T) - free_heat_radial(1, xn + y, T)
-
-    return integrate(f, 0.0, ycut, spec)
+def marginal_boundary_reference(p: Params, xn: float, t: float) -> float:
+    """Closed form of the boundary marginal (including the 1/epsilon
+    weight): e^(-a^2) erfcx(c), see ``_marginal_terms``.  With the
+    absorbing-boundary mass erf(a) the two marginals sum to 1."""
+    return _marginal_terms(p, xn, t)[1]
 
 
 def total_mass(p: Params, xn: float, t: float,
                spec: QuadSpec = DEFAULT_SPEC) -> QuadResult:
     """Interior plus weighted boundary mass of the fundamental solution;
-    equals 1 identically."""
-    return QuadResult(*add_terms(dirichlet_mass(p.epsilon, xn, t, spec),
+    equals 1 identically.  The absorbing-boundary mass is the closed form
+    erf(sqrt(eps) x_N / (2 sqrt(t))); the exchange marginals are quadratures."""
+    g0 = math.erf(math.sqrt(p.epsilon) * xn / (2.0 * math.sqrt(t)))
+    return QuadResult(*add_terms((g0, 0.0, 0, True),
                                  (exchange_marginal_interior(p, xn, t, spec), p.delta),
                                  (exchange_marginal_boundary(p, xn, t, spec), p.epsilon)))
+
+
+def _area_weighted(dim, kernel):
+    """Radial integrand |S^(N-2)| r^(N-2) K of a kernel grid
+    ``kernel(rs, yn)`` that returns (values, errors, subdivisions,
+    converged)."""
+    area = sphere_area(dim - 2)
+
+    def weighted(rs, yn):
+        g, err, nsub, conv = kernel(rs, yn)
+        w = area * np.broadcast_to(rs, np.shape(g)) ** (dim - 2)
+        return w * g, w * err, nsub, conv
+
+    return weighted
+
+
+def _bulk_mass(weighted, rcut, ycut, spec):
+    """Integral of an area-weighted radial integrand over r in [0, rcut]
+    (inner) and y_N in [0, ycut] (outer)."""
+    return integrate_nested(
+        lambda ys: integrate_nested(
+            lambda rs: weighted(rs[:, None], ys[None, :]), 0.0, rcut, spec),
+        0.0, ycut, spec)
 
 
 def total_mass_radial(p: Params, xn: float, t: float,
@@ -555,23 +582,12 @@ def total_mass_radial(p: Params, xn: float, t: float,
     """Total mass with the tangential integral done numerically (radial
     reduction), exercising the dimension-dependent factors."""
     lc = tail_exponent(spec)
-    area = sphere_area(p.dim - 2)
     spread = max(t / p.epsilon,
                  max(p.delta, p.kappa * p.epsilon) * t / (p.epsilon * p.delta))
     rcut = math.sqrt(4.0 * spread * lc) + 2.0
     ycut = xn + math.sqrt(4.0 * t * lc / p.epsilon) + 1.0
-
-    def kernel_slice(rs, yn):
-        """area-weighted radial integrand of G at normal height(s) yn."""
-        g, err, nsub, conv = fundamental_grid(p, rs, xn, yn, t, spec)
-        rr = np.broadcast_to(rs, g.shape)
-        w = np.where(rr > 0, rr, 0.0) ** (p.dim - 2) if p.dim > 2 else np.ones_like(rr)
-        return area * w * g, area * w * err, nsub, conv
-
-    interior = integrate_nested(
-        lambda ys: integrate_nested(
-            lambda rs: kernel_slice(rs[:, None], ys[None, :]), 0.0, rcut, spec),
-        0.0, ycut, spec)
+    kernel_slice = _area_weighted(p.dim, lambda rs, yn: fundamental_grid(p, rs, xn, yn, t, spec))
+    interior = _bulk_mass(kernel_slice, rcut, ycut, spec)
     bdry = integrate_nested(lambda rs: kernel_slice(rs, 0.0), 0.0, rcut, spec)
     return QuadResult(*add_terms(interior, (bdry, p.epsilon / p.delta)))
 
@@ -583,16 +599,9 @@ def laplace_dynamic_mass(delta: float, kappa: float, xn: float, t: float,
     z = xn + t / delta
     if z <= 0:
         raise SingularConfigurationError("x_N + t/delta must be positive")
-    area = sphere_area(dim - 2)
-
-    def f(rs):
-        tan = _pointwise_tan(dim, rs)
-        vals, errs, nsub, conv = gauss_layer_batch(dim, np.full(rs.size, z),
-                                                   kappa * t / delta, spec, tan)
-        w = rs ** (dim - 2) if dim > 2 else np.ones_like(rs)
-        return area * w * vals, area * w * errs, nsub, conv
-
-    return integrate_nested(f, 0.0, np.inf, spec)
+    f = _area_weighted(dim, lambda rs, _: gauss_layer_batch(
+        dim, np.full(rs.size, z), kappa * t / delta, spec, _pointwise_tan(dim, rs)))
+    return integrate_nested(lambda rs: f(rs, None), 0.0, np.inf, spec)
 
 
 def heat_neumann_mass(epsilon: float, kappa: float, xn: float, t: float,
@@ -604,15 +613,5 @@ def heat_neumann_mass(epsilon: float, kappa: float, xn: float, t: float,
     tau_cut = 2.0 * math.sqrt(T * lc)
     rcut = math.sqrt(4.0 * (T + kappa * tau_cut) * lc) + 2.0
     ycut = xn + math.sqrt(4.0 * T * lc) + 1.0
-    area = sphere_area(dim - 2)
-
-    def slice_at(rs, yn):
-        g, err, nsub, conv = heat_neumann_grid(epsilon, kappa, rs, xn, yn, t, dim, spec)
-        rr = np.broadcast_to(rs, g.shape)
-        w = rr ** (dim - 2) if dim > 2 else np.ones_like(rr)
-        return area * w * g, area * w * err, nsub, conv
-
-    return integrate_nested(
-        lambda ys: integrate_nested(
-            lambda rs: slice_at(rs[:, None], ys[None, :]), 0.0, rcut, spec),
-        0.0, ycut, spec)
+    return _bulk_mass(_area_weighted(dim, lambda rs, yn: heat_neumann_grid(
+        epsilon, kappa, rs, xn, yn, t, dim, spec)), rcut, ycut, spec)

@@ -1,3 +1,6 @@
+import math
+from decimal import Decimal
+
 import numpy as np
 import pytest
 
@@ -36,6 +39,93 @@ from dynheat.quadrature import QuadSpec, integrate
 P111 = Params(1.0, 1.0, 1.0, 2)
 
 
+def parameter_sweep(n=600):
+    """Derandomised sweep off the unit box: (epsilon, delta, kappa)
+    log-uniform on [0.05, 20], t log-uniform on [1e-3, 10], r and s
+    uniform on [0, 5] with s = 0 on every fifth sample, N alternating 2, 3.
+    Returns (Params, r, s, t) tuples."""
+    rng = np.random.default_rng(7)
+    out = []
+    for i in range(n):
+        eps, delta, kappa = np.exp(rng.uniform(math.log(0.05), math.log(20.0), 3))
+        t = math.exp(rng.uniform(math.log(1e-3), math.log(10.0)))
+        r = rng.uniform(0.0, 5.0)
+        s = 0.0 if i % 5 == 0 else rng.uniform(0.0, 5.0)
+        out.append((Params(float(eps), float(delta), float(kappa), 2 + i % 2), float(r), s, t))
+    return out
+
+
+SWEEP = parameter_sweep()
+
+
+# log H(r, s, t) to 25 digits for samples of SWEEP (every 12th, plus 6, 15,
+# 40 and 212: narrow, boundary-layer and distant peaks), computed once with
+# mpmath at 40 digits.  The defining time integral was taken in
+# u = log(t - tau), split at the integrand's peak and at geometrically
+# growing offsets around it; a rerun at 50 digits with a finer split agreed
+# to 4e-36.
+EXCHANGE_LOG_REF = {
+    0: "-144.3139353329020534170374",
+    6: "-3484.973798423475174090649",
+    12: "-5.147807431961089568868188",
+    15: "-1626.764949878393512514405",
+    24: "-829.0617737258862034492069",
+    36: "-1127.264483293003662895224",
+    40: "-18711.36810664670447947344",
+    48: "-294.8145469758646249290458",
+    60: "-4.161795447978353689918358",
+    72: "-14.52262862388811637536535",
+    84: "-271.5078603047239145147444",
+    96: "-214.3100164399849064198493",
+    108: "-24475.20783721817454613563",
+    120: "-68.50219518055790944556616",
+    132: "-27.89799189939020450868252",
+    144: "-23.07812989274388325063218",
+    156: "-2.224391102017742273405592",
+    168: "-4.725711017234906933952037",
+    180: "-7.516815609707664019113911",
+    192: "-6432.48774122321774534501",
+    204: "-1545.266523892921186856848",
+    212: "-5161.92253325707340864084",
+    216: "-515.2427962354556123203484",
+    228: "-5.944069265930606825010866",
+    240: "-475.9819001104943868126974",
+    252: "-5.564280126834532918004784",
+    264: "-2901.427164473693298631043",
+    276: "-1035.498033021007837058828",
+    288: "-5.942992862032289432023702",
+    300: "-2.667659769629978382557493",
+    312: "-100.7721947528909021526425",
+    324: "-97.79068875054737947832548",
+    336: "-573.6666605096563537028995",
+    348: "-6.513444883893227387720353",
+    360: "-477.5306585247796339866985",
+    372: "-20.66787744334524681381822",
+    384: "-48.89604786384998649756397",
+    396: "-54.87487390584892081981412",
+    408: "-6.918057628158719464894639",
+    420: "-4.293087466399137085093205",
+    432: "-74163.61368661336832798949",
+    444: "-204.4365608963544866420992",
+    456: "-7.65253649507028187770937",
+    468: "-13.01068250609532870683248",
+    480: "-3.833859258162377326272299",
+    492: "-50.95727671262101516849158",
+    504: "-22.64258337895469881526322",
+    516: "-13168.61446787120196130159",
+    528: "-78.25400110978768963304165",
+    540: "-5.115172533439719610715092",
+    552: "-1488.987301498826789158212",
+    564: "0.6869485581239077133562661",
+    576: "-676.9887701264329428915284",
+    588: "-5.517525604345253424161921",
+}
+# symmetry-suite sample 471 (seed 2024), where the former time-variable
+# path missed its reported error
+SYMMETRY_471 = (Params(0.6068029278315161, 1.945860573898854, 1.9978966984891953, 3),
+                2.3510590577704393, 2.2264213633764087, 0.7599448706433177, "-6.428793899101096520855658")
+
+
 def exchange_direct(p, r, s, t, spec=QuadSpec()):
     """Independent route: direct quadrature of the defining time integral."""
     def f(tau):
@@ -61,15 +151,6 @@ class TestExchangeKernel:
             ref = exchange_direct(params, r, s, t)
             assert conv
             assert got == pytest.approx(ref, rel=1e-9)
-
-    def test_paths_agree(self):
-        rng = np.random.default_rng(6)
-        rs = rng.uniform(0, 3, 10)
-        ss = rng.uniform(0, 5, 10)
-        for t in (0.1, 1.0, 5.0):
-            a, _, _, _ = exchange_log_grid(P111, rs, ss, t, path="xi")
-            b, _, _, _ = exchange_log_grid(P111, rs, ss, t, path="tau")
-            assert np.max(np.abs(a - b)) < 1e-11
 
     def test_symmetry_structural(self):
         rng = np.random.default_rng(7)
@@ -121,6 +202,26 @@ class TestExchangeKernel:
             exchange_log_grid(P111, [0.0], [0.0], 0.0)
 
 
+class TestExchangeSweep:
+    @pytest.mark.filterwarnings("error")
+    def test_sweep_is_finite_converged_and_relatively_accurate(self):
+        rel_tol = QuadSpec().rel_tol
+        for p, r, s, t in SWEEP:
+            lv, rel, _, conv = exchange_log_grid(p, [r], [s], t)
+            assert conv and np.isfinite(lv[0])
+            assert rel[0] <= 2.0 * rel_tol  # the shift makes rel_tol the binding one
+
+    @pytest.mark.filterwarnings("error")
+    def test_against_40_digit_values(self):
+        cases = [(*SWEEP[i], ref) for i, ref in EXCHANGE_LOG_REF.items()] + [SYMMETRY_471]
+        for p, r, s, t, ref in cases:
+            lv, rel, _, conv = exchange_log_grid(p, [r], [s], t)
+            hi = float(ref)
+            lo = float(Decimal(ref) - Decimal(hi))  # hi + lo carries all 25 digits
+            assert conv
+            assert abs(math.expm1((lv[0] - hi) - lo)) <= rel[0]
+
+
 class TestMarginals:
     @pytest.mark.parametrize("eps,delta,xn,t", [
         (1.0, 1.0, 0.3, 0.5),
@@ -130,7 +231,7 @@ class TestMarginals:
     def test_interior_marginal_matches_reference(self, eps, delta, xn, t):
         p = Params(eps, delta, 1.0, 2)
         got = exchange_marginal_interior(p, xn, t).value / delta
-        ref = marginal_interior_reference(p, xn, t).value
+        ref = marginal_interior_reference(p, xn, t)
         assert got == pytest.approx(ref, rel=1e-8)
 
     @pytest.mark.parametrize("eps,delta,xn,t", [
@@ -140,8 +241,45 @@ class TestMarginals:
     def test_boundary_marginal_matches_reference(self, eps, delta, xn, t):
         p = Params(eps, delta, 1.0, 2)
         got = exchange_marginal_boundary(p, xn, t).value / eps
-        ref = marginal_boundary_reference(p, xn, t).value
+        ref = marginal_boundary_reference(p, xn, t)
         assert got == pytest.approx(ref, rel=1e-8)
+
+    def test_closed_forms_close_the_mass(self):
+        # with the absorbing-boundary mass erf(a) the marginals sum to 1
+        for p, _, xn, t in SWEEP[::7]:
+            a = math.sqrt(p.epsilon) * xn / (2.0 * math.sqrt(t))
+            total = (math.erf(a) + marginal_interior_reference(p, xn, t)
+                     + marginal_boundary_reference(p, xn, t))
+            assert abs(total - 1.0) <= 4e-16
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("side", ["boundary", "interior"])
+    def test_sweep_against_closed_forms(self, side):
+        spec = QuadSpec()
+        # the one boundary-marginal sample whose reported error once
+        # missed the truth (5.0e-13 against 4.5e-13)
+        miss = (Params(0.05858686973786566, 16.015047282722687, 3.5958456764082305, 2),
+                0.0, 0.0, 0.006591049810069323)
+        checked = 0
+        for p, _, xn, t in SWEEP + [miss]:
+            if side == "boundary":
+                res, weight = exchange_marginal_boundary(p, xn, t, spec), p.epsilon
+                exact = marginal_boundary_reference(p, xn, t)
+            else:
+                res, weight = exchange_marginal_interior(p, xn, t, spec), p.delta
+                exact = marginal_interior_reference(p, xn, t)
+            # rounding of the closed form: a few ulps of its two terms,
+            # amplified by 2 a^2 through the exponent e^(-a^2)
+            a2 = p.epsilon * xn * xn / (4.0 * t)
+            rounding = 8.0 * np.finfo(float).eps * (1.0 + a2) * (
+                math.erfc(math.sqrt(a2)) + marginal_boundary_reference(p, xn, t))
+            true_err = abs(res.value - weight * exact)
+            assert res.converged
+            assert true_err <= res.tolerance(spec) + weight * rounding
+            if weight * exact >= spec.abs_tol:  # relative accuracy is promised
+                assert true_err <= res.error_estimate + weight * rounding
+                checked += 1
+        assert checked >= 400
 
     def test_marginals_are_kappa_free(self):
         a = exchange_marginal_boundary(Params(1, 1, 0.0, 2), 0.4, 0.8).value

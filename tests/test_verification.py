@@ -135,6 +135,14 @@ class TestSandwich:
         assert math.isfinite(res.upper_max) and math.isfinite(res.lower_max)
         assert set(res.per_region) == {"D1", "D2", "D3", "D4"}
 
+    @pytest.mark.filterwarnings("error")
+    def test_no_overflow_off_the_unit_box(self):
+        # kappa/delta > 1/epsilon: the tangential factor grows along the
+        # integrand, which once overflowed to an infinite upper constant
+        res = sandwich_check(Params(2.5, 0.5, 1.0, 2), n_per_region=8)
+        assert math.isfinite(res.upper_max) and res.upper_max > 0
+        assert math.isfinite(res.lower_max) and math.isfinite(res.stability)
+
     @pytest.mark.parametrize("params, region", [
         (Params(0.5, 20.0, 1.0, 2), "D4"),    # D4 lies beyond every draw
         (Params(0.01, 2.5, 1.0, 2), "D4"),
