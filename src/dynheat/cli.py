@@ -448,15 +448,16 @@ def cmd_limit_rate(c, out, args):
             for h, e in res.table]
     write_csv(os.path.join(out, f"limit_{c.which}.csv"),
               ["experiment", "theorem", "ladder_value", "sup_error"], rows)
+    passed = res.passed and not (args.strict and not res.converged)
     write_summary(os.path.join(out, f"limit_{c.which}.summary.json"),
                   {"experiment": c.which, "theorem": res.theorem,
                    "slope": None if res.fit is None else res.fit.slope,
                    "r2": None if res.fit is None else res.fit.r_squared,
                    "expected_slope": res.expected_slope,
                    "tolerance": res.slope_tol, "mode": res.mode,
-                   "detail": res.detail, "pass": res.passed})
-    print(f"limit-rate {c.which}: {res.detail} -> {'PASS' if res.passed else 'FAIL'}")
-    return 0 if res.passed else 1
+                   "detail": res.detail, "pass": passed})
+    print(f"limit-rate {c.which}: {res.detail} -> {'PASS' if passed else 'FAIL'}")
+    return 0 if passed else 1
 
 
 def cmd_opnorm(c, out, args):
@@ -567,7 +568,7 @@ def main(argv=None) -> int:
                     help="identity-suite parallelism (0 = auto)")
     ap.add_argument("--strict", action="store_true",
                     help="treat flagged quadrature as failure (eval-kernel, "
-                         "mass-check, solve, oracle-compare)")
+                         "mass-check, solve, limit-rate, oracle-compare)")
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:

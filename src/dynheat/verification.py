@@ -42,7 +42,7 @@ from .kernels import (
     poisson_kernel,
 )
 from .quadrature import DEFAULT_SPEC, QuadSpec, integrate, integrate_nested, tail_exponent
-from .solutions import solve_grid, witness_response
+from .solutions import _BOUNDARY_ONLY, _INTERIOR_ONLY, solve_grid, witness_response
 
 __all__ = [
     "RateFit",
@@ -159,9 +159,9 @@ def probe_points(region: str, density: int = 1):
     xp = refine(_XP_DEFAULT)
     if region == "omega_L_I":
         return _grid(xn, xp, _I_DEFAULT)
-    if region == "Q":        # x_N + t > R, R = 0.5
+    if region in ("Q", "Q1"):  # x_N + t > R with R = 0.5, or x_N + t >= 1
         gxp, gxn, gts = _grid(xn, xp, _I_DEFAULT)
-        m = gxn + gts > 0.5
+        m = gxn + gts > 0.5 if region == "Q" else gxn + gts >= 1.0
         return gxp[m], gxn[m], gts[m]
     if region == "omega_c":  # x_N > L = 0.5
         return _grid(refine((1.0, 2.0, 3.0)), xp, _I_DEFAULT)
@@ -180,21 +180,29 @@ def probe_points(region: str, density: int = 1):
 
 @dataclass(frozen=True)
 class LimitExperiment:
-    """One diffusion-limit experiment: which parameter runs along the
-    ladder, which pair of solutions is compared on which probe region,
-    and the documented slope expectation."""
+    """One diffusion-limit experiment: which pair of solutions is compared
+    on which probe region as parameters run down the ladder, and the
+    documented slope expectation.
+
+    At ladder value h, side A solves ``tags[0]`` with ``Params(1, 1, 1,
+    dim)`` and ``theta``, each name in ``vary`` (a ``Params`` field or
+    ``"theta"``) set to h.  Side B, ``tags[1]``, is a problem tag that
+    reuses those values and sees only the part of ``data`` it admits;
+    None compares with zero and ``"data"`` with the interior data."""
 
     which: str
     theorem: str
+    tags: tuple
+    vary: tuple
+    data: InitialData
     ladder: tuple
     region: str
     mode: str                    # "slope" | "bound" | "plain" | "log_corrected"
     expected_slope: float | None = None
     slope_tol: float = 0.1
     plain_tol: float = 1e-2
-    p_exp: float | None = None
+    theta: float | None = None
     dim: int = 2
-    note: str = ""
 
 
 _GAUSS_PHI = Interior("heat_gaussian", a=0.5,
@@ -204,144 +212,82 @@ _GAUSS_PHI_L1 = Interior("heat_gaussian", a=0.3,
 _GAUSS_PSI = Boundary("heat_gaussian", a=0.5)
 _GAUSS_PSI_L1 = Boundary("heat_gaussian", a=0.3)
 _ONE_PHI = Interior("constant", c=1.0)
+_ONE_PSI = Boundary("constant", c=1.0)
 
-
-def _pair(which: str, h: float, dim: int):
-    """(tag_A, params_A, data_A, theta_A, tag_B, params_B, data_B, theta_B)
-    for ladder value ``h``."""
-    if which == "eps_to_0":
-        d = InitialData(_ONE_PHI, _GAUSS_PSI)
-        return ("HDD", Params(h, 1, 1, dim), d, None,
-                "LDD", Params(h, 1, 1, dim), InitialData(boundary=_GAUSS_PSI), None)
-    if which == "k_to_0":
-        d = InitialData(boundary=Boundary("complement_indicator", rho=1.0))
-        return ("HDD", Params(1, 1, h, dim), d, None,
-                "HD", Params(1, 1, 0.0, dim), d, None)
-    if which == "delta_to_0":
-        d = InitialData(_GAUSS_PHI)
-        return ("HDD", Params(1, h, 1, dim), d, None,
-                "HDN", Params(1, h, 1, dim), d, None)
-    if which == "delta_to_inf":
-        d = InitialData(_ONE_PHI)
-        return ("HDD", Params(1, h, 1, dim), d, None,
-                "HDpsi", Params(1, h, 1, dim), d, None)
-    if which == "k_to_inf_theta":
-        d = InitialData(_ONE_PHI)
-        return ("HDD", Params(1, h, h, dim), d, 1.0,
-                "HDPsi", Params(1, h, h, dim), d, 1.0)
-    if which in ("k_to_inf_fp", "k_to_inf_fp_log"):
-        d = InitialData(_GAUSS_PHI_L1, _GAUSS_PSI_L1)
-        return ("HDD", Params(1, 1, h, dim), d, None,
-                "HD0", Params(1, 1, h, dim), InitialData(_GAUSS_PHI_L1), None)
-    if which in ("hdn_eps_to_0", "hdn_eps_to_0_p2"):
-        d = InitialData(_GAUSS_PHI_L1)
-        return ("HDN", Params(h, 1, 1, dim), d, None, None, None, None, None)
-    if which == "hdn_k_to_0":
-        d = InitialData(_GAUSS_PHI_L1)
-        return ("HDN", Params(1, 1, h, dim), d, None,
-                "HhN", Params(1, 1, 0.0, dim), d, None)
-    if which == "hdn_k_to_inf":
-        d = InitialData(_GAUSS_PHI_L1)
-        return ("HDN", Params(1, 1, h, dim), d, None,
-                "HD0", Params(1, 1, h, dim), d, None)
-    if which == "ldd_delta_to_0":
-        d = InitialData(boundary=_GAUSS_PSI_L1)
-        return ("LDD", Params(1, h, 1, dim), d, None, None, None, None, None)
-    if which == "ldd_k_to_inf":
-        d = InitialData(boundary=_GAUSS_PSI_L1)
-        return ("LDD", Params(1, 1, h, dim), d, None, None, None, None, None)
-    if which == "ldd_delta_to_inf":
-        d = InitialData(boundary=_GAUSS_PSI)
-        return ("LDD", Params(1, h, 1, dim), d, None,
-                "LDpsi", Params(1, h, 1, dim), d, None)
-    if which == "eps_to_inf":
-        d = InitialData(_GAUSS_PHI, Boundary("constant", c=1.0))
-        return ("HDD", Params(h, 1, 1, dim), d, None, "data", None, d, None)
-    if which == "hdpsi_eps_to_0":
-        d = InitialData(boundary=Boundary("constant", c=1.0))
-        return ("HDpsi", Params(h, 1, 1, dim), d, None,
-                "LDpsi", Params(h, 1, 1, dim), d, None)
-    if which == "hdpsi_theta_to_0":
-        d = InitialData(boundary=_GAUSS_PSI_L1)
-        return ("HDPsi", Params(1, 1, 1, dim), d, h,
-                "HD0", Params(1, 1, 1, dim), InitialData(), None)
-    if which == "hdpsi_theta_to_inf":
-        d = InitialData(boundary=Boundary("complement_indicator", rho=2.0))
-        return ("HDPsi", Params(1, 1, 1, dim), d, h,
-                "HDpsi", Params(1, 1, 1, dim), d, None)
-    if which == "hdpsi_eps_to_inf":
-        d = InitialData(_GAUSS_PHI, Boundary("constant", c=1.0))
-        return ("HDPsi", Params(h, 1, 1, dim), d, 1.0, "data", None, d, None)
-    raise ValueError(f"unknown experiment {which!r}")
-
-
-EXPERIMENTS = {
-    "eps_to_0": LimitExperiment(
-        "eps_to_0", "bulk-time limit (rate 1/2)", (0.02, 0.01, 0.005, 0.0025),
-        "omega_L_I", "slope", 0.5, 0.1,
-        note="ladder sits below the max-principle saturation of the erf factor"),
-    "k_to_0": LimitExperiment(
-        "k_to_0", "surface-diffusivity limit (rate 1)", (0.2, 0.1, 0.05, 0.025),
-        "Q1", "slope", 1.0, 0.15,
-        note="complement-indicator data keeps the rate sharp"),
-    "delta_to_0": LimitExperiment(
-        "delta_to_0", "capacity limit to diffusive Neumann (rate 1)",
-        (0.2, 0.1, 0.05, 0.025), "Q", "slope", 1.0, 0.15),
-    "delta_to_inf": LimitExperiment(
-        "delta_to_inf", "large-capacity limit (rate -1)", (4.0, 8.0, 16.0, 32.0),
-        "omega_c", "slope", -1.0, 0.15,
-        note="constant interior data per the sharpness witness"),
-    "k_to_inf_theta": LimitExperiment(
-        "k_to_inf_theta", "joint large-diffusivity limit at fixed ratio (rate -1)",
-        (8.0, 16.0, 32.0, 64.0), "omega_L_I", "slope", -1.0, 0.15),
-    "k_to_inf_fp": LimitExperiment(
-        "k_to_inf_fp", "large-diffusivity error law, N=2 p=1 (rate -1/2)",
-        (32.0, 64.0, 128.0, 256.0, 512.0), "Q", "slope", -0.5, 0.1,
-        p_exp=1.0, note="high ladder: the power law carries a slow 1/sqrt(k) correction"),
-    "k_to_inf_fp_log": LimitExperiment(
-        "k_to_inf_fp_log", "large-diffusivity error law at the threshold index (N=3, p=1)",
-        (16.0, 32.0, 64.0, 128.0), "Q", "log_corrected", None, 0.0,
-        p_exp=1.0, dim=3, plain_tol=1.3,
-        note="e(k) k / log k held constant within a factor 1.3"),
-    "hdn_eps_to_0": LimitExperiment(
-        "hdn_eps_to_0", "diffusive-Neumann decay in the bulk-time limit",
-        (0.05, 0.025, 0.0125, 0.00625), "late", "slope", 1.0, 0.15, p_exp=1.0,
-        note="family data is integrable, so the attained law is the p=1 instance"),
-    "hdn_eps_to_0_p2": LimitExperiment(
-        "hdn_eps_to_0_p2", "diffusive-Neumann decay, p=2 upper bound",
-        (0.05, 0.025, 0.0125, 0.00625), "late", "bound", 0.5, 0.1, p_exp=2.0,
-        note="one-sided: measured decay must be at least as fast as the p=2 bound"),
-    "hdn_k_to_0": LimitExperiment(
-        "hdn_k_to_0", "diffusive-to-plain Neumann (rate 1)",
-        (0.1, 0.05, 0.025, 0.0125), "Q", "slope", 1.0, 0.15),
-    "hdn_k_to_inf": LimitExperiment(
-        "hdn_k_to_inf", "diffusive Neumann to absorbing wall, N=2 p=1 (rate -1/2)",
-        (16.0, 32.0, 64.0, 128.0, 256.0), "Q", "slope", -0.5, 0.15, p_exp=1.0),
-    "ldd_delta_to_0": LimitExperiment(
-        "ldd_delta_to_0", "harmonic-layer decay in the small-capacity limit (rate 1)",
-        (0.1, 0.05, 0.025, 0.0125), "late", "slope", 1.0, 0.15, p_exp=1.0),
-    "ldd_k_to_inf": LimitExperiment(
-        "ldd_k_to_inf", "harmonic-layer decay in the large-diffusivity limit (rate -1/2)",
-        (16.0, 32.0, 64.0, 128.0), "late", "slope", -0.5, 0.15, p_exp=1.0),
-    "ldd_delta_to_inf": LimitExperiment(
-        "ldd_delta_to_inf", "large-capacity harmonic limit (plain)", (1000.0,),
-        "omega_c", "plain", None, 0.0, plain_tol=1e-2),
-    "eps_to_inf": LimitExperiment(
-        "eps_to_inf", "slow-bulk limit freezes the interior data (plain)", (4096.0,),
-        "K", "plain", None, 0.0, plain_tol=1e-2),
-    "hdpsi_eps_to_0": LimitExperiment(
-        "hdpsi_eps_to_0", "fixed-Dirichlet to harmonic extension (rate 1/2)",
-        (0.1, 0.05, 0.025, 0.0125), "omega_late", "slope", 0.5, 0.1),
-    "hdpsi_theta_to_0": LimitExperiment(
-        "hdpsi_theta_to_0", "fast surface diffusion empties the layer (rate 1/2 at p=1)",
-        (0.04, 0.02, 0.01, 0.005), "Q", "slope", 0.5, 0.15, p_exp=1.0),
-    "hdpsi_theta_to_inf": LimitExperiment(
-        "hdpsi_theta_to_inf", "slow surface diffusion freezes the layer (rate -1)",
-        (8.0, 16.0, 32.0, 64.0), "omega_c", "slope", -1.0, 0.15),
-    "hdpsi_eps_to_inf": LimitExperiment(
-        "hdpsi_eps_to_inf", "slow-bulk limit with diffusing layer (plain)", (4096.0,),
-        "K", "plain", None, 0.0, plain_tol=1e-2),
-}
+EXPERIMENTS = {e.which: e for e in (
+    # the ladder sits below the max-principle saturation of the erf factor
+    LimitExperiment("eps_to_0", "bulk-time limit (rate 1/2)",
+                    ("HDD", "LDD"), ("epsilon",), InitialData(_ONE_PHI, _GAUSS_PSI),
+                    (0.02, 0.01, 0.005, 0.0025), "omega_L_I", "slope", 0.5, 0.1),
+    # complement-indicator data keeps the rate sharp
+    LimitExperiment("k_to_0", "surface-diffusivity limit (rate 1)", ("HDD", "HD"), ("kappa",),
+                    InitialData(boundary=Boundary("complement_indicator", rho=1.0)),
+                    (0.2, 0.1, 0.05, 0.025), "Q1", "slope", 1.0, 0.15),
+    LimitExperiment("delta_to_0", "capacity limit to diffusive Neumann (rate 1)",
+                    ("HDD", "HDN"), ("delta",), InitialData(_GAUSS_PHI),
+                    (0.2, 0.1, 0.05, 0.025), "Q", "slope", 1.0, 0.15),
+    # constant interior data per the sharpness witness
+    LimitExperiment("delta_to_inf", "large-capacity limit (rate -1)",
+                    ("HDD", "HDpsi"), ("delta",), InitialData(_ONE_PHI),
+                    (4.0, 8.0, 16.0, 32.0), "omega_c", "slope", -1.0, 0.15),
+    LimitExperiment("k_to_inf_theta",
+                    "joint large-diffusivity limit at fixed ratio (rate -1)",
+                    ("HDD", "HDPsi"), ("delta", "kappa"), InitialData(_ONE_PHI),
+                    (8.0, 16.0, 32.0, 64.0), "omega_L_I", "slope", -1.0, 0.15, theta=1.0),
+    # high ladder: the power law carries a slow 1/sqrt(k) correction
+    LimitExperiment("k_to_inf_fp", "large-diffusivity error law, N=2 p=1 (rate -1/2)",
+                    ("HDD", "HD0"), ("kappa",), InitialData(_GAUSS_PHI_L1, _GAUSS_PSI_L1),
+                    (32.0, 64.0, 128.0, 256.0, 512.0), "Q", "slope", -0.5, 0.1),
+    # e(k) k / log k held constant within a factor 1.3
+    LimitExperiment("k_to_inf_fp_log",
+                    "large-diffusivity error law at the threshold index (N=3, p=1)",
+                    ("HDD", "HD0"), ("kappa",), InitialData(_GAUSS_PHI_L1, _GAUSS_PSI_L1),
+                    (16.0, 32.0, 64.0, 128.0), "Q", "log_corrected", None, 0.0, 1.3, dim=3),
+    # the family data is integrable, so the attained law is the p=1 instance
+    LimitExperiment("hdn_eps_to_0", "diffusive-Neumann decay in the bulk-time limit",
+                    ("HDN", None), ("epsilon",), InitialData(_GAUSS_PHI_L1),
+                    (0.05, 0.025, 0.0125, 0.00625), "late", "slope", 1.0, 0.15),
+    # one-sided: the measured decay must be at least as fast as the p=2 bound
+    LimitExperiment("hdn_eps_to_0_p2", "diffusive-Neumann decay, p=2 upper bound",
+                    ("HDN", None), ("epsilon",), InitialData(_GAUSS_PHI_L1),
+                    (0.05, 0.025, 0.0125, 0.00625), "late", "bound", 0.5, 0.1),
+    LimitExperiment("hdn_k_to_0", "diffusive-to-plain Neumann (rate 1)",
+                    ("HDN", "HhN"), ("kappa",), InitialData(_GAUSS_PHI_L1),
+                    (0.1, 0.05, 0.025, 0.0125), "Q", "slope", 1.0, 0.15),
+    LimitExperiment("hdn_k_to_inf",
+                    "diffusive Neumann to absorbing wall, N=2 p=1 (rate -1/2)",
+                    ("HDN", "HD0"), ("kappa",), InitialData(_GAUSS_PHI_L1),
+                    (16.0, 32.0, 64.0, 128.0, 256.0), "Q", "slope", -0.5, 0.15),
+    LimitExperiment("ldd_delta_to_0",
+                    "harmonic-layer decay in the small-capacity limit (rate 1)",
+                    ("LDD", None), ("delta",), InitialData(boundary=_GAUSS_PSI_L1),
+                    (0.1, 0.05, 0.025, 0.0125), "late", "slope", 1.0, 0.15),
+    LimitExperiment("ldd_k_to_inf",
+                    "harmonic-layer decay in the large-diffusivity limit (rate -1/2)",
+                    ("LDD", None), ("kappa",), InitialData(boundary=_GAUSS_PSI_L1),
+                    (16.0, 32.0, 64.0, 128.0), "late", "slope", -0.5, 0.15),
+    LimitExperiment("ldd_delta_to_inf", "large-capacity harmonic limit (plain)",
+                    ("LDD", "LDpsi"), ("delta",), InitialData(boundary=_GAUSS_PSI),
+                    (1000.0,), "omega_c", "plain", None, 0.0),
+    LimitExperiment("eps_to_inf", "slow-bulk limit freezes the interior data (plain)",
+                    ("HDD", "data"), ("epsilon",), InitialData(_GAUSS_PHI, _ONE_PSI),
+                    (4096.0,), "K", "plain", None, 0.0),
+    LimitExperiment("hdpsi_eps_to_0", "fixed-Dirichlet to harmonic extension (rate 1/2)",
+                    ("HDpsi", "LDpsi"), ("epsilon",), InitialData(boundary=_ONE_PSI),
+                    (0.1, 0.05, 0.025, 0.0125), "omega_late", "slope", 0.5, 0.1),
+    LimitExperiment("hdpsi_theta_to_0",
+                    "fast surface diffusion empties the layer (rate 1/2 at p=1)",
+                    ("HDPsi", "HD0"), ("theta",), InitialData(boundary=_GAUSS_PSI_L1),
+                    (0.04, 0.02, 0.01, 0.005), "Q", "slope", 0.5, 0.15),
+    LimitExperiment("hdpsi_theta_to_inf",
+                    "slow surface diffusion freezes the layer (rate -1)",
+                    ("HDPsi", "HDpsi"), ("theta",),
+                    InitialData(boundary=Boundary("complement_indicator", rho=2.0)),
+                    (8.0, 16.0, 32.0, 64.0), "omega_c", "slope", -1.0, 0.15),
+    LimitExperiment("hdpsi_eps_to_inf", "slow-bulk limit with diffusing layer (plain)",
+                    ("HDPsi", "data"), ("epsilon",), InitialData(_GAUSS_PHI, _ONE_PSI),
+                    (4096.0,), "K", "plain", None, 0.0, theta=1.0),
+)}
 
 
 def default_experiment(which: str) -> LimitExperiment:
@@ -362,32 +308,40 @@ class LimitResult:
     mode: str
     passed: bool
     monotone: bool
+    converged: bool              # every solve_grid down the ladder converged
     detail: str = ""
 
 
-def _probe_for(exp: LimitExperiment, density: int):
-    if exp.region == "Q1":
-        gxp, gxn, gts = probe_points("omega_L_I", density)
-        m = gxn + gts >= 1.0
-        return gxp[m], gxn[m], gts[m]
-    return probe_points(exp.region, density)
+def _admitted(tag: str, data: InitialData) -> InitialData:
+    """The part of ``data`` that problem ``tag`` admits."""
+    if tag in _BOUNDARY_ONLY:
+        return InitialData(boundary=data.boundary)
+    if tag in _INTERIOR_ONLY:
+        return InitialData(data.interior)
+    return data
 
 
 def _sup_error(exp: LimitExperiment, h: float, spec: QuadSpec, density: int):
-    tag_a, pa, da, tha, tag_b, pb, db, thb = _pair(exp.which, h, exp.dim)
-    xp, xn, ts = _probe_for(exp, density)
-    sup = 0.0
+    """(sup |u_A - u_B| over the probe region, converged) at ladder value h."""
+    p = replace(Params(1, 1, 1, exp.dim), **{f: h for f in exp.vary if f != "theta"})
+    theta = h if "theta" in exp.vary else exp.theta
+    tag_a, tag_b = exp.tags
+    xp, xn, ts = probe_points(exp.region, density)
+    sup, converged = 0.0, True
     for t in sorted(set(ts.tolist())):
         m = ts == t
-        ua, _, _ = solve_grid(tag_a, pa, da, xp[m], xn[m], t, spec, theta=tha)
+        ua, _, conv = solve_grid(tag_a, p, exp.data, xp[m], xn[m], t, spec, theta=theta)
+        converged = converged and bool(conv)
         if tag_b is None:
             ub = 0.0
         elif tag_b == "data":
-            ub = interior_value(da.interior, np.abs(xp[m]), xn[m], exp.dim)
+            ub = interior_value(exp.data.interior, np.abs(xp[m]), xn[m], exp.dim)
         else:
-            ub, _, _ = solve_grid(tag_b, pb, db, xp[m], xn[m], t, spec, theta=thb)
+            ub, _, conv = solve_grid(tag_b, p, _admitted(tag_b, exp.data), xp[m], xn[m],
+                                     t, spec, theta=theta)
+            converged = converged and bool(conv)
         sup = max(sup, float(np.max(np.abs(ua - ub))))
-    return sup
+    return sup, converged
 
 
 def run_limit(exp: LimitExperiment | str, spec: QuadSpec = DEFAULT_SPEC,
@@ -396,11 +350,14 @@ def run_limit(exp: LimitExperiment | str, spec: QuadSpec = DEFAULT_SPEC,
     ladder, a log-log fit where a rate is stated, and a pass flag."""
     if isinstance(exp, str):
         exp = default_experiment(exp)
-    if len(exp.ladder) < (4 if exp.mode in ("slope", "bound") else 1):
+    if len(exp.ladder) < {"slope": 4, "bound": 4, "log_corrected": 2}.get(exp.mode, 1):
         raise ValueError("ladder too short for a rate fit")
+    if exp.mode == "log_corrected" and min(exp.ladder) <= 1:
+        raise ValueError("log_corrected ladder values must exceed 1")
     if density < 1:
         raise ValueError("density must be >= 1")
-    table = [(h, _sup_error(exp, h, spec, density)) for h in exp.ladder]
+    rungs = [_sup_error(exp, h, spec, density) for h in exp.ladder]
+    table = [(h, e) for h, (e, _) in zip(exp.ladder, rungs)]
     errs = np.array([e for _, e in table])
     monotone = bool(np.all(errs[1:] <= errs[:-1] * 1.01)) if errs.size > 1 else True
     fit = None
@@ -426,7 +383,8 @@ def run_limit(exp: LimitExperiment | str, spec: QuadSpec = DEFAULT_SPEC,
             detail = (f"slope {fit.slope:.3f} vs {exp.expected_slope:+.3f}"
                       f" +/- {exp.slope_tol:g}, R^2 {fit.r_squared:.4f}")
     return LimitResult(exp.which, exp.theorem, table, fit, exp.expected_slope,
-                       exp.slope_tol, exp.mode, passed, monotone, detail)
+                       exp.slope_tol, exp.mode, passed, monotone,
+                       all(c for _, c in rungs), detail)
 
 
 # ---------------------------------------------------------------------------

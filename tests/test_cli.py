@@ -204,6 +204,9 @@ _REJECTED = {
                                              "ladder": ["x", 1, 2, 3]}),
     "limit-rate-density-str": ("limit-rate", {"which": "hdpsi_eps_to_0", "density": "x"}),
     "limit-rate-which-list": ("limit-rate", {"which": []}),
+    "limit-rate-log-one-rung": ("limit-rate", {"which": "k_to_inf_fp_log", "ladder": [16]}),
+    "limit-rate-log-sub-unit": ("limit-rate", {"which": "k_to_inf_fp_log",
+                                               "ladder": [0.5, 2]}),
     "solve-theta-str": ("solve", {**_SOLVE, "tag": "HDPsi", "theta": "abc"}),
     "solve-tangential-str": ("solve", {**_SOLVE,
                                        "points": [{"tangential": ["x"], "normal": 0.5}]}),
@@ -316,6 +319,16 @@ def test_oracle_compare_honours_strict(tmp_path):
     assert run_cli(tmp_path / "strict", "oracle-compare", cfg, extra=["--strict"]) == 1
     assert ((tmp_path / "plain" / "oracle_compare.csv").read_bytes()
             == (tmp_path / "strict" / "oracle_compare.csv").read_bytes())
+
+
+def test_limit_rate_honours_strict(tmp_path):
+    cfg = {"which": "hdpsi_eps_to_0", "quad": {"max_subdivisions": 1}}
+    (tmp_path / "plain").mkdir()
+    (tmp_path / "strict").mkdir()
+    assert run_cli(tmp_path / "plain", "limit-rate", cfg) == 0
+    assert run_cli(tmp_path / "strict", "limit-rate", cfg, extra=["--strict"]) == 1
+    assert ((tmp_path / "plain" / "limit_hdpsi_eps_to_0.csv").read_bytes()
+            == (tmp_path / "strict" / "limit_hdpsi_eps_to_0.csv").read_bytes())
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,7 @@ class TestRateLaw:
 
 class TestProbePoints:
     def test_regions_nonempty(self):
-        for region in ("omega_L_I", "Q", "omega_c", "K", "late", "omega_late"):
+        for region in ("omega_L_I", "Q", "Q1", "omega_c", "K", "late", "omega_late"):
             xp, xn, ts = probe_points(region)
             assert len(xp) == len(xn) == len(ts) > 0
 
@@ -75,6 +75,8 @@ class TestProbePoints:
     def test_q_region_filter(self):
         xp, xn, ts = probe_points("Q")
         assert np.all(xn + ts > 0.5)
+        xp, xn, ts = probe_points("Q1")
+        assert np.all(xn + ts >= 1.0)
 
 
 class TestRunLimit:
@@ -84,6 +86,7 @@ class TestRunLimit:
         assert res.fit is not None
         assert abs(res.fit.slope - 0.5) <= 0.1
         assert res.monotone
+        assert res.converged
 
     def test_plain_experiment(self):
         res = run_limit("ldd_delta_to_inf")
@@ -100,6 +103,12 @@ class TestRunLimit:
             run_limit(replace(exp, ladder=(0.1, 0.05)))
         with pytest.raises(ValueError, match="density must be >= 1"):
             run_limit(exp, density=0)
+        log = default_experiment("k_to_inf_fp_log")
+        with pytest.raises(ValueError, match="ladder too short"):
+            run_limit(replace(log, ladder=(16.0,)))
+        for ladder in ((0.5, 2.0), (1.0, 16.0)):
+            with pytest.raises(ValueError, match="must exceed 1"):
+                run_limit(replace(log, ladder=ladder))
 
     def test_registry_complete(self):
         for name in EXPERIMENTS:
