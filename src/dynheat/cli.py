@@ -454,7 +454,7 @@ def cmd_limit_rate(c, out, args):
                    "slope": None if res.fit is None else res.fit.slope,
                    "r2": None if res.fit is None else res.fit.r_squared,
                    "expected_slope": res.expected_slope,
-                   "tolerance": res.slope_tol, "mode": res.mode,
+                   "tolerance": res.tolerance, "mode": res.mode,
                    "detail": res.detail, "pass": passed})
     print(f"limit-rate {c.which}: {res.detail} -> {'PASS' if passed else 'FAIL'}")
     return 0 if passed else 1

@@ -26,6 +26,13 @@ one sparse LU of lhs, factored once per run:
 * ``crank_nicolson``: (M/dt - L/2, M/dt + L/2);
 * ``imex_euler``: (M/dt - Lz, M/dt + Lx), normal direction implicit,
   tangential explicit.
+
+The 5-point pattern is structurally symmetric (the wide flux breaks
+that only where the wall row reaches row 2), so the LU is ordered by
+minimum degree on A^T + A rather than SuperLU's default COLAMD.  At the
+default 256 x 256 Crank-Nicolson grid that halves the fill (3.4e6
+against 6.4e6 nonzeros in L and U) and the cost of a step; SuperLU still
+takes the diagonal pivots.
 """
 
 from __future__ import annotations
@@ -203,7 +210,7 @@ def fd_solve(p: Params, data: InitialData, grid: FdGrid, t_end: float,
     res = FdResult(grid, p, [], [])
     limit = 10.0 * max(1.0, float(np.max(np.abs(u))))
     lhs, rhs_op = _operators(p, grid)
-    lu = spla.splu(lhs)
+    lu = spla.splu(lhs, permc_spec="MMD_AT_PLUS_A")
     vec = u[:grid.nz, 1:-1].reshape(-1)
     for step in range(nsteps + 1):
         if step > 0:

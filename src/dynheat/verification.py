@@ -304,7 +304,7 @@ class LimitResult:
     table: list                  # (ladder value, sup error)
     fit: RateFit | None
     expected_slope: float | None
-    slope_tol: float
+    tolerance: float             # the verdict's: plain_tol or slope_tol by mode
     mode: str
     passed: bool
     monotone: bool
@@ -362,28 +362,29 @@ def run_limit(exp: LimitExperiment | str, spec: QuadSpec = DEFAULT_SPEC,
     monotone = bool(np.all(errs[1:] <= errs[:-1] * 1.01)) if errs.size > 1 else True
     fit = None
     detail = ""
+    tol = exp.plain_tol if exp.mode in ("plain", "log_corrected") else exp.slope_tol
     if exp.mode == "plain":
-        passed = bool(errs[-1] <= exp.plain_tol)
-        detail = f"extreme-rung error {errs[-1]:.3e} vs tolerance {exp.plain_tol:g}"
+        passed = bool(errs[-1] <= tol)
+        detail = f"extreme-rung error {errs[-1]:.3e} vs tolerance {tol:g}"
     elif exp.mode == "log_corrected":
         k = np.array([h for h, _ in table])
         q = errs * k / np.log(k)
         ratio = float(q.max() / q.min())
-        passed = ratio <= exp.plain_tol
-        detail = f"corrected-constancy ratio {ratio:.3f} vs {exp.plain_tol:g}"
+        passed = ratio <= tol
+        detail = f"corrected-constancy ratio {ratio:.3f} vs {tol:g}"
     else:
         fit = fit_rate(table)
         if exp.mode == "bound":
-            passed = fit.slope >= exp.expected_slope - exp.slope_tol
+            passed = fit.slope >= exp.expected_slope - tol
             detail = (f"slope {fit.slope:.3f} vs one-sided bound "
-                      f">= {exp.expected_slope - exp.slope_tol:.3f}")
+                      f">= {exp.expected_slope - tol:.3f}")
         else:
-            passed = (abs(fit.slope - exp.expected_slope) <= exp.slope_tol
+            passed = (abs(fit.slope - exp.expected_slope) <= tol
                       and fit.r_squared >= 0.98 and monotone)
             detail = (f"slope {fit.slope:.3f} vs {exp.expected_slope:+.3f}"
-                      f" +/- {exp.slope_tol:g}, R^2 {fit.r_squared:.4f}")
+                      f" +/- {tol:g}, R^2 {fit.r_squared:.4f}")
     return LimitResult(exp.which, exp.theorem, table, fit, exp.expected_slope,
-                       exp.slope_tol, exp.mode, passed, monotone,
+                       tol, exp.mode, passed, monotone,
                        all(c for _, c in rungs), detail)
 
 

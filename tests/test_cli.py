@@ -143,6 +143,14 @@ class TestChecks:
         assert abs(summary["slope"] - 0.5) <= 0.1
         assert summary["pass"] is True
 
+    def test_limit_rate_plain_tolerance(self, tmp_path):
+        # a plain experiment is judged against plain_tol, not slope_tol
+        assert run_cli(tmp_path, "limit-rate", {"which": "ldd_delta_to_inf"}) == 0
+        summary = json.loads(
+            (tmp_path / "limit_ldd_delta_to_inf.summary.json").read_text())
+        assert summary["mode"] == "plain"
+        assert summary["tolerance"] == float(summary["detail"].split()[-1]) == 0.01
+
     def test_limit_rate_custom_ladder_validated(self, tmp_path):
         rc = run_cli(tmp_path, "limit-rate",
                      {"which": "hdpsi_eps_to_0", "ladder": [0.1, 0.05]})

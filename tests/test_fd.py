@@ -1,8 +1,11 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+from dynheat import fdsolver
 from dynheat.data import Boundary, InitialData, Interior, NormalProfile
 from dynheat.fdsolver import FdGrid, SchemeError, compare, discrete_mass, fd_solve
 from dynheat.fdsolver import _assemble, _initial_state, _operators
@@ -112,6 +115,41 @@ class TestOperator:
         lhs, _ = _operators(self.P, replace(g, scheme="imex_euler"))
         rows, cols = lhs.nonzero()
         assert np.array_equal(rows % (g.nx - 1), cols % (g.nx - 1))
+
+
+class TestOrdering:
+    """The LU of the step is ordered by minimum degree on A^T + A."""
+
+    def test_fill_guard(self, monkeypatch):
+        # deterministic counts at 128^2 CN: MMD_AT_PLUS_A 656,494 nonzeros in
+        # L and U, SuperLU's default COLAMD 1,195,108
+        fills = []
+
+        def splu(A, *args, **kwargs):
+            lu = spla.splu(A, *args, **kwargs)
+            fills.append(lu.L.nnz + lu.U.nnz)
+            return lu
+
+        monkeypatch.setattr(fdsolver, "spla", SimpleNamespace(splu=splu))
+        g = FdGrid(nx=128, nz=128)
+        fd_solve(P111, GAUSS_PSI, g, g.dt)
+        assert len(fills) == 1
+        assert fills[0] <= 700_000
+
+    @pytest.mark.parametrize("flux", ["compact", "wide"])
+    def test_ordering_changes_only_rounding(self, flux):
+        g = FdGrid(nx=96, nz=96, flux=flux)
+        steps = 5
+        got = fd_solve(P111, GAUSS_PSI, g, steps * g.dt).fields[-1]
+        lhs, rhs = _operators(P111, g)
+        lu = spla.splu(lhs)
+        u = _initial_state(P111, GAUSS_PSI, g)
+        vec = u[:g.nz, 1:-1].reshape(-1)
+        for _ in range(steps):
+            vec = lu.solve(rhs @ vec)
+        want = np.zeros_like(u)
+        want[:g.nz, 1:-1] = vec.reshape(g.nz, g.nx - 1)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestConservation:
