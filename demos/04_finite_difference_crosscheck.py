@@ -15,9 +15,7 @@ from dynheat import (
     Interior,
     NormalProfile,
     Params,
-    fd_compare,
-    fd_solve,
-    solve_grid,
+    oracle_compare,
 )
 
 p = Params(1.0, 1.0, 1.0, 2)
@@ -25,19 +23,10 @@ data = InitialData(boundary=Boundary("heat_gaussian", a=0.5))
 
 grid = FdGrid(nx=128, nz=128, dt=2e-3)
 print(f"marching {grid.nx}x{grid.nz} cells, dt={grid.dt} ...")
-res = fd_solve(p, data, grid, 1.0, snapshots=[0.25, 0.5, 1.0])
+table, _, res = oracle_compare(p, data, grid, (0.25, 0.5, 1.0))
 print("discrete mass along the way:",
       "  ".join(f"{m:.9f}" for m in res.masses))
-
-xs, zs = grid.x_nodes(), grid.z_nodes()
-jj = np.nonzero(np.abs(xs) <= 2.0)[0]
-ii = np.nonzero(zs <= 2.0)[0]
-xp = np.repeat(xs[jj], len(ii))
-xn = np.tile(zs[ii], len(jj))
-for t in (0.25, 0.5, 1.0):
-    uk, _, _ = solve_grid("HDD", p, data, xp, xn, t)
-    uf = res.field_at(t)[np.ix_(ii, jj)].T.ravel()
-    sup, l2 = fd_compare(uk, uf)
+for t, sup, l2 in table:
     print(f"t={t}: sup rel discrepancy {sup:.3e}, L2 rel {l2:.3e}")
 
 print("\nrefinement study on smooth, wall-compatible data:")
@@ -46,15 +35,8 @@ smooth = InitialData(Interior("heat_gaussian", a=0.4,
 errs = []
 for nx, steps in ((64, 32), (128, 64), (256, 128)):
     g = FdGrid(nx=nx, nz=nx, dt=0.25 / steps)
-    r = fd_solve(p, smooth, g, 0.25, snapshots=[0.25])
-    gx, gz = g.x_nodes(), g.z_nodes()
-    j2 = np.nonzero(np.abs(gx) <= 2.0)[0]
-    i2 = np.nonzero(gz <= 2.0)[0]
-    qp = np.repeat(gx[j2], len(i2))
-    qn = np.tile(gz[i2], len(j2))
-    uk, _, _ = solve_grid("HDD", p, smooth, qp, qn, 0.25)
-    uf = r.field_at(0.25)[np.ix_(i2, j2)].T.ravel()
-    errs.append(fd_compare(uk, uf)[0])
+    table, _, _ = oracle_compare(p, smooth, g, (0.25,))
+    errs.append(table[0][1])
     print(f"  nx={nx:>3}: sup rel error {errs[-1]:.3e}")
 orders = [float(np.log2(errs[i] / errs[i + 1])) for i in range(len(errs) - 1)]
 print("observed convergence orders:", [round(o, 3) for o in orders])

@@ -76,6 +76,7 @@ from .verification import (
     sandwich_check,
     opnorm_decay,
     witness_norm,
+    oracle_compare,
 )
 from .fdsolver import FdGrid, FdResult, SchemeError, fd_solve, discrete_mass
 from .fdsolver import compare as fd_compare

@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -33,7 +32,7 @@ from .dynamic import (
     laplace_dynamic_kernel,
     total_mass,
 )
-from .fdsolver import FdGrid, SchemeError, compare, fd_solve
+from .fdsolver import FdGrid, SchemeError
 from .kernels import (
     HalfSpacePoint,
     Params,
@@ -50,6 +49,7 @@ from .verification import (
     check_identity,
     default_experiment,
     opnorm_decay,
+    oracle_compare,
     run_limit,
     sandwich_check,
 )
@@ -230,7 +230,7 @@ _COMMAND_KEYS = {
         "seed": (_int, 7), "stability_factor": (_num, 1.5)},
     "limit-rate": {
         "which": (_choice(EXPERIMENTS), _REQUIRED), "ladder": (_list(_num), None),
-        "quad": (_block("quad"), {}), "density": (_int, 1)},
+        "quad": (_block("quad"), {})},
     "opnorm": {
         "p": (_exponent, _REQUIRED), "q": (_exponent, _REQUIRED),
         "params": (_block("params"), {}),
@@ -374,13 +374,11 @@ def cmd_mass_check(c, out, args):
 
 
 def cmd_identity_suite(c, out, args):
-    with ThreadPoolExecutor(max_workers=args.threads) as ex:
-        reports = list(ex.map(lambda name: check_identity(name, c.quad, c.seed),
-                              c.identities))
     rows = []
     summary = {}
     ok = True
-    for rep in reports:
+    for name in c.identities:
+        rep = check_identity(name, c.quad, c.seed)
         rows.append([rep.name, rep.statement, repr(rep.tol), repr(rep.max_dev),
                      rep.passed])
         summary[rep.name] = {"statement": rep.statement, "tolerance": rep.tol,
@@ -443,7 +441,7 @@ def cmd_limit_rate(c, out, args):
     exp = default_experiment(c.which)
     if c.ladder is not None:
         exp = replace(exp, ladder=tuple(c.ladder))
-    res = run_limit(exp, c.quad, density=c.density)
+    res = run_limit(exp, c.quad)
     rows = [[res.which, res.theorem, repr(float(h)), repr(float(e))]
             for h, e in res.table]
     write_csv(os.path.join(out, f"limit_{c.which}.csv"),
@@ -482,27 +480,15 @@ def cmd_opnorm(c, out, args):
 
 
 def cmd_oracle_compare(c, out, args):
-    p, grid = c.params, c.grid
-    res = fd_solve(p, c.data, grid, max(c.times), snapshots=c.times)
-    xs, zs = grid.x_nodes(), grid.z_nodes()
-    jj = np.nonzero(np.abs(xs) <= c.window.x)[0]
-    ii = np.nonzero(zs <= c.window.z)[0]
-    xp = np.repeat(xs[jj], len(ii))
-    xn = np.tile(zs[ii], len(jj))
-    rows = []
-    worst = 0.0
-    flagged = False
-    for t in c.times:
-        uk, _, conv = solve_grid("HDD", p, c.data, xp, xn, t, c.quad)
-        flagged = flagged or not conv
-        uf = res.field_at(t)[np.ix_(ii, jj)].T.ravel()
-        sup, l2 = compare(uk, uf)
-        worst = max(worst, sup)
-        rows.append(_param_cols(p) + ["kernel/finite-difference agreement",
-                                      repr(t), repr(sup), repr(l2)])
+    p = c.params
+    table, converged, _ = oracle_compare(p, c.data, c.grid, c.times,
+                                         (c.window.x, c.window.z), c.quad)
+    worst = max(sup for _, sup, _ in table)
+    rows = [_param_cols(p) + ["kernel/finite-difference agreement",
+                              repr(t), repr(sup), repr(l2)] for t, sup, l2 in table]
     write_csv(os.path.join(out, "oracle_compare.csv"),
               _PARAM_HEADER + ["theorem", "t", "sup_rel", "l2_rel"], rows)
-    passed = worst <= c.tol and not (args.strict and flagged)
+    passed = worst <= c.tol and not (args.strict and not converged)
     write_summary(os.path.join(out, "oracle_compare.summary.json"),
                   {"experiment": "oracle-compare",
                    "theorem": "kernel/finite-difference agreement",
@@ -564,8 +550,6 @@ def main(argv=None) -> int:
     ap.add_argument("command", choices=sorted(_COMMANDS))
     ap.add_argument("--config", help="JSON run configuration")
     ap.add_argument("--out", default="out", help="output directory")
-    ap.add_argument("--threads", type=int, default=0,
-                    help="identity-suite parallelism (0 = auto)")
     ap.add_argument("--strict", action="store_true",
                     help="treat flagged quadrature as failure (eval-kernel, "
                          "mass-check, solve, limit-rate, oracle-compare)")
@@ -573,11 +557,6 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if args.threads == 0:
-        args.threads = min(8, os.cpu_count() or 1)
-    if args.threads < 1:
-        print("error: --threads must be nonnegative", file=sys.stderr)
-        return 2
     try:
         cfg = {}
         if args.config is not None:

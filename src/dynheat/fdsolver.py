@@ -6,29 +6,24 @@ close the far sides, so domains must be large enough that the exact
 solution's tails are negligible there.  The dynamical boundary line is
 advanced together with the bulk.
 
-Two one-sided second-order discretisations of the wall flux are provided:
-
-* ``compact`` (default): the ghost-free form obtained by eliminating the
-  O(h) error of the two-point flux with the interior equation itself.
-  It shifts the wall capacity by eps*h/2 (the trapezoidal half-cell) and
-  the surface diffusivity by h/2, couples only the first interior row,
-  and conserves the discrete total mass to round-off.
-* ``wide``: the plain three-point formula (-3u0 + 4u1 - u2)/(2h).  Same
-  formal order, but the flux does not telescope against the bulk stencil
-  and the discrete mass drifts at O(h).
+The wall flux is the compact one-sided second-order form: the ghost-free
+discretisation obtained by eliminating the O(h) error of the two-point
+flux with the interior equation itself.  It shifts the wall capacity by
+eps*h/2 (the trapezoidal half-cell) and the surface diffusivity by h/2,
+couples only the first interior row, and conserves the discrete total
+mass to round-off.
 
 The semi-discrete system is M du/dt = L u with L = Lx + Lz: Lx is the
 Dirichlet 3-point Laplacian along each row (scaled by the surface
 diffusivity on the wall row), Lz the normal 3-point stencil with the
-flux's one-sided row at the wall.  Each step solves lhs u+ = rhs u with
+two-point flux row at the wall.  Each step solves lhs u+ = rhs u with
 one sparse LU of lhs, factored once per run:
 
 * ``crank_nicolson``: (M/dt - L/2, M/dt + L/2);
 * ``imex_euler``: (M/dt - Lz, M/dt + Lx), normal direction implicit,
   tangential explicit.
 
-The 5-point pattern is structurally symmetric (the wide flux breaks
-that only where the wall row reaches row 2), so the LU is ordered by
+The 5-point pattern is structurally symmetric, so the LU is ordered by
 minimum degree on A^T + A rather than SuperLU's default COLAMD.  At the
 default 256 x 256 Crank-Nicolson grid that halves the fill (3.4e6
 against 6.4e6 nonzeros in L and U) and the cost of a step; SuperLU still
@@ -63,7 +58,7 @@ class FdGrid:
     nz: int = 256
     dt: float = 1e-3
     scheme: str = "crank_nicolson"
-    flux: str = "compact"
+    flux: str = "compact"  # the only wall flux
 
     def __post_init__(self):
         if self.Lx <= 0 or self.Lz <= 0 or self.nx < 4 or self.nz < 4:
@@ -72,7 +67,7 @@ class FdGrid:
             raise ValueError("dt must be positive")
         if self.scheme not in ("crank_nicolson", "imex_euler"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.flux not in ("compact", "wide"):
+        if self.flux != "compact":
             raise ValueError(f"unknown flux {self.flux!r}")
 
     @property
@@ -106,13 +101,10 @@ class FdResult:
 
 
 def _wall(p: Params, grid: FdGrid):
-    """(boundary capacity, boundary tangential diffusivity, one-sided
-    stencil of the wall flux on rows 0, 1, ...) per flux mode."""
+    """(boundary capacity, boundary tangential diffusivity) of the compact
+    flux."""
     hz = grid.hz
-    if grid.flux == "compact":
-        return (p.delta + p.epsilon * hz / 2.0, p.kappa + hz / 2.0,
-                [-1.0 / hz, 1.0 / hz])  # face flux (u1-u0)/hz
-    return p.delta, p.kappa, [-3.0 / (2.0 * hz), 4.0 / (2.0 * hz), -1.0 / (2.0 * hz)]
+    return p.delta + p.epsilon * hz / 2.0, p.kappa + hz / 2.0
 
 
 def _split(p: Params, grid: FdGrid):
@@ -124,8 +116,9 @@ def _split(p: Params, grid: FdGrid):
     zero).
     """
     nz, ncol = grid.nz, grid.nx - 1
-    hx2, hz2 = grid.hx**2, grid.hz**2
-    cap0, kap0, flux = _wall(p, grid)
+    hz = grid.hz
+    hx2, hz2 = grid.hx**2, hz**2
+    cap0, kap0 = _wall(p, grid)
 
     def dxx(c):
         # c / hx2 rather than c * (1 / hx2): the wall diagonal must round
@@ -134,7 +127,7 @@ def _split(p: Params, grid: FdGrid):
 
     Lx = sp.block_diag([dxx(kap0), sp.kron(sp.identity(nz - 1), dxx(1.0))], format="csr")
     wall = np.zeros((1, nz))
-    wall[0, :len(flux)] = flux
+    wall[0, :2] = -1.0 / hz, 1.0 / hz  # face flux (u1-u0)/hz
     bulk = sp.diags([1.0 / hz2, -2.0 / hz2, 1.0 / hz2], [0, 1, 2], shape=(nz - 1, nz))
     Lz = sp.kron(sp.vstack([sp.csr_matrix(wall), bulk]), sp.identity(ncol), format="csr")
     mdiag = np.full(nz * ncol, p.epsilon, dtype=float)
@@ -180,7 +173,7 @@ def discrete_mass(p: Params, grid: FdGrid, u: np.ndarray) -> float:
     discrete counterpart of the conservation identity; bulk sum uses the
     trapezoidal half-cell at the wall, which is where the compact flux
     stores it)."""
-    cap0, _, _ = _wall(p, grid)
+    cap0, _ = _wall(p, grid)
     bulk = p.epsilon * grid.hx * grid.hz * float(np.sum(u[1:-1, 1:-1]))
     line = cap0 * grid.hx * float(np.sum(u[0, 1:-1]))
     return bulk + line
@@ -228,17 +221,16 @@ def fd_solve(p: Params, data: InitialData, grid: FdGrid, t_end: float,
     return res
 
 
-def compare(kernel_values: np.ndarray, fd_values: np.ndarray, scale: float | None = None):
-    """Sup and L2 relative discrepancies between two fields on the same
-    probe window; ``scale`` defaults to the sup of the kernel values."""
+def compare(kernel_values: np.ndarray, fd_values: np.ndarray):
+    """Sup and L2 discrepancies between two fields on the same probe
+    window, relative to the sup of the kernel values."""
     kernel_values = np.asarray(kernel_values, dtype=float)
     fd_values = np.asarray(fd_values, dtype=float)
     if kernel_values.shape != fd_values.shape:
         raise ValueError("mismatched probe windows")
     if kernel_values.size == 0:
         raise ValueError("empty probe window")
-    if scale is None:
-        scale = float(np.max(np.abs(kernel_values)))
+    scale = float(np.max(np.abs(kernel_values)))
     if scale == 0.0:
         scale = 1.0
     diff = kernel_values - fd_values

@@ -121,13 +121,13 @@ class QuadResult:
                      self.converged))
 
 
-def tail_exponent(spec: QuadSpec, margin: float = 40.0) -> float:
+def tail_exponent(spec: QuadSpec) -> float:
     """Exponent budget L so that exp(-L) tails fall below ``tail_cut``.
 
-    The margin absorbs polynomially growing prefactors in truncated
+    The margin of 40 absorbs polynomially growing prefactors in truncated
     integrands.
     """
-    return -np.log(spec.tail_cut) + margin
+    return -np.log(spec.tail_cut) + 40.0
 
 
 def _eval_panel(f, a, b):

@@ -1,12 +1,12 @@
 """Executable verification suites: identity checks, diffusion-limit rate
-experiments, envelope-bound stability, and operator-norm decay.
+experiments, envelope-bound stability, operator-norm decay, and the
+kernel-vs-finite-difference comparison.
 
 Every experiment reports the theorem-style tag it exercises, the measured
 quantity, the tolerance it is held to, and a pass flag.  Suprema over
-probe regions are maxima over finite grids (with a density-refinement
-sanity option); rate tolerances absorb quadrature noise and the
-sub-leading terms visible at desk-scale ladders and are documented per
-experiment in ``EXPERIMENTS``.
+probe regions are maxima over finite grids; rate tolerances absorb
+quadrature noise and the sub-leading terms visible at desk-scale ladders
+and are documented per experiment in ``EXPERIMENTS``.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .dynamic import (
     total_mass,
     total_mass_radial,
 )
+from .fdsolver import FdGrid, compare, fd_solve
 from .kernels import (
     HalfSpacePoint,
     Params,
@@ -62,6 +63,7 @@ __all__ = [
     "OpnormResult",
     "opnorm_decay",
     "witness_norm",
+    "oracle_compare",
 ]
 
 
@@ -142,35 +144,23 @@ _I_DEFAULT = (0.25, 0.5, 1.0)
 _LATE = (1.0, 2.0, 4.0)
 
 
-def probe_points(region: str, density: int = 1):
+def probe_points(region: str):
     """Finite probe grids for the uniformity regions of the limit
-    statements.  ``density`` > 1 refines each axis for the sup sanity
-    check."""
-    def refine(vals):
-        vals = np.asarray(vals, dtype=float)
-        if density <= 1:
-            return vals
-        out = [vals[0]]
-        for a, b in zip(vals[:-1], vals[1:]):
-            out.extend(np.linspace(a, b, density + 1)[1:])
-        return np.array(out)
-
-    xn = refine(_XN_DEFAULT)
-    xp = refine(_XP_DEFAULT)
+    statements."""
     if region == "omega_L_I":
-        return _grid(xn, xp, _I_DEFAULT)
+        return _grid(_XN_DEFAULT, _XP_DEFAULT, _I_DEFAULT)
     if region in ("Q", "Q1"):  # x_N + t > R with R = 0.5, or x_N + t >= 1
-        gxp, gxn, gts = _grid(xn, xp, _I_DEFAULT)
+        gxp, gxn, gts = _grid(_XN_DEFAULT, _XP_DEFAULT, _I_DEFAULT)
         m = gxn + gts > 0.5 if region == "Q" else gxn + gts >= 1.0
         return gxp[m], gxn[m], gts[m]
     if region == "omega_c":  # x_N > L = 0.5
-        return _grid(refine((1.0, 2.0, 3.0)), xp, _I_DEFAULT)
+        return _grid((1.0, 2.0, 3.0), _XP_DEFAULT, _I_DEFAULT)
     if region == "K":        # compact interior set
-        return _grid(refine((0.5, 1.0, 2.0)), refine((0.0, 1.0)), _I_DEFAULT)
+        return _grid((0.5, 1.0, 2.0), (0.0, 1.0), _I_DEFAULT)
     if region == "late":     # Omega x (T, infinity), T = 1
-        return _grid(xn, xp, _LATE)
+        return _grid(_XN_DEFAULT, _XP_DEFAULT, _LATE)
     if region == "omega_late":
-        return _grid(refine((0.25, 0.5, 1.0, 2.0)), xp, (1.0, 2.0))
+        return _grid((0.25, 0.5, 1.0, 2.0), _XP_DEFAULT, (1.0, 2.0))
     raise ValueError(f"unknown probe region {region!r}")
 
 
@@ -321,12 +311,12 @@ def _admitted(tag: str, data: InitialData) -> InitialData:
     return data
 
 
-def _sup_error(exp: LimitExperiment, h: float, spec: QuadSpec, density: int):
+def _sup_error(exp: LimitExperiment, h: float, spec: QuadSpec):
     """(sup |u_A - u_B| over the probe region, converged) at ladder value h."""
     p = replace(Params(1, 1, 1, exp.dim), **{f: h for f in exp.vary if f != "theta"})
     theta = h if "theta" in exp.vary else exp.theta
     tag_a, tag_b = exp.tags
-    xp, xn, ts = probe_points(exp.region, density)
+    xp, xn, ts = probe_points(exp.region)
     sup, converged = 0.0, True
     for t in sorted(set(ts.tolist())):
         m = ts == t
@@ -344,8 +334,7 @@ def _sup_error(exp: LimitExperiment, h: float, spec: QuadSpec, density: int):
     return sup, converged
 
 
-def run_limit(exp: LimitExperiment | str, spec: QuadSpec = DEFAULT_SPEC,
-              density: int = 1) -> LimitResult:
+def run_limit(exp: LimitExperiment | str, spec: QuadSpec = DEFAULT_SPEC) -> LimitResult:
     """Run a diffusion-limit experiment: sup errors down the parameter
     ladder, a log-log fit where a rate is stated, and a pass flag."""
     if isinstance(exp, str):
@@ -354,9 +343,7 @@ def run_limit(exp: LimitExperiment | str, spec: QuadSpec = DEFAULT_SPEC,
         raise ValueError("ladder too short for a rate fit")
     if exp.mode == "log_corrected" and min(exp.ladder) <= 1:
         raise ValueError("log_corrected ladder values must exceed 1")
-    if density < 1:
-        raise ValueError("density must be >= 1")
-    rungs = [_sup_error(exp, h, spec, density) for h in exp.ladder]
+    rungs = [_sup_error(exp, h, spec) for h in exp.ladder]
     table = [(h, e) for h, (e, _) in zip(exp.ladder, rungs)]
     errs = np.array([e for _, e in table])
     monotone = bool(np.all(errs[1:] <= errs[:-1] * 1.01)) if errs.size > 1 else True
@@ -400,7 +387,6 @@ class IdentityReport:
     max_dev: float
     passed: bool
     rows: list = field(default_factory=list)   # (label, deviation)
-    notes: str = ""
 
 
 _PARAM_AXIS = (0.5, 1.0, 2.0)
@@ -687,8 +673,6 @@ def check_identity(which: str, spec: QuadSpec = DEFAULT_SPEC,
 class SandwichResult:
     upper_max: float
     lower_max: float
-    upper_max_half: float
-    lower_max_half: float
     per_region: dict
     stability: float
     passed: bool
@@ -773,7 +757,6 @@ def sandwich_check(p: Params | None = None, n_per_region: int = 500,
                   and np.all(up_all > 0) and np.all(low_all > 0))
     passed = finite and stability < stability_factor
     return SandwichResult(float(up_all.max()), float(low_all.max()),
-                          float(up_half.max()), float(low_half.max()),
                           per_region, float(stability), passed)
 
 
@@ -849,3 +832,31 @@ def opnorm_decay(p_exp: float, q_exp: float, epsilon: float = 1.0,
     return OpnormResult(p_exp, q_exp, table, fit, expected, passed,
                         f"slope {fit.slope:.3f} vs {expected:+.3f} +/- 0.1",
                         grid_approx)
+
+
+# ---------------------------------------------------------------------------
+# finite-difference oracle
+# ---------------------------------------------------------------------------
+
+def oracle_compare(p: Params, data: InitialData, grid: FdGrid, times,
+                   window=(2.0, 2.0), spec: QuadSpec = DEFAULT_SPEC):
+    """The kernel route (``HDD``) against ``fd_solve`` on the grid nodes
+    with |x| <= window[0] and z <= window[1].
+
+    One ``fd_solve`` runs to max(times).  Returns the rows (t, sup_rel,
+    l2_rel), one per time, whether every ``solve_grid`` converged, and the
+    ``FdResult``.
+    """
+    res = fd_solve(p, data, grid, max(times), snapshots=times)
+    xs, zs = grid.x_nodes(), grid.z_nodes()
+    jj = np.nonzero(np.abs(xs) <= window[0])[0]
+    ii = np.nonzero(zs <= window[1])[0]
+    xp = np.repeat(xs[jj], len(ii))
+    xn = np.tile(zs[ii], len(jj))
+    rows, converged = [], True
+    for t in times:
+        uk, _, conv = solve_grid("HDD", p, data, xp, xn, t, spec)
+        converged = converged and bool(conv)
+        sup, l2 = compare(uk, res.field_at(t)[np.ix_(ii, jj)].T.ravel())
+        rows.append((t, sup, l2))
+    return rows, converged, res

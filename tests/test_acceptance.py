@@ -9,11 +9,10 @@ import json
 import math
 import time
 
-import numpy as np
 import pytest
 
 from dynheat.data import Boundary, InitialData, Interior, NormalProfile
-from dynheat.fdsolver import FdGrid, compare, fd_solve
+from dynheat.fdsolver import FdGrid
 from dynheat.kernels import Params
 from dynheat.quadrature import QuadSpec
 from dynheat.solutions import solve_grid
@@ -21,6 +20,7 @@ from dynheat.verification import (
     check_identity,
     fit_rate,
     opnorm_decay,
+    oracle_compare,
     run_limit,
     sandwich_check,
     witness_norm,
@@ -201,17 +201,8 @@ class TestCriterion13Oracle:
 
     def test_default_grid_agreement(self):
         grid = FdGrid()  # the default resolution
-        res = fd_solve(self.P, self.DATA, grid, 1.0, snapshots=[0.25, 0.5, 1.0])
-        xs, zs = grid.x_nodes(), grid.z_nodes()
-        jj = np.nonzero(np.abs(xs) <= 2.0)[0]
-        ii = np.nonzero(zs <= 2.0)[0]
-        xp = np.repeat(xs[jj], len(ii))
-        xn = np.tile(zs[ii], len(jj))
-        worst = 0.0
-        for t in (0.25, 0.5, 1.0):
-            uk, _, _ = solve_grid("HDD", self.P, self.DATA, xp, xn, t)
-            uf = res.field_at(t)[np.ix_(ii, jj)].T.ravel()
-            worst = max(worst, compare(uk, uf)[0])
+        table, _, _ = oracle_compare(self.P, self.DATA, grid, (0.25, 0.5, 1.0))
+        worst = max(sup for _, sup, _ in table)
         report("13a (kernel vs finite differences)", worst <= 2e-2,
                f"sup relative discrepancy {worst:.3e} <= 2e-2 "
                f"at t in (0.25, 0.5, 1)")
@@ -224,15 +215,8 @@ class TestCriterion13Oracle:
         errs = []
         for nx, steps in ((64, 32), (128, 64), (256, 128)):
             grid = FdGrid(nx=nx, nz=nx, dt=t_end / steps)
-            res = fd_solve(self.P, smooth, grid, t_end, snapshots=[t_end])
-            xs, zs = grid.x_nodes(), grid.z_nodes()
-            jj = np.nonzero(np.abs(xs) <= 2.0)[0]
-            ii = np.nonzero(zs <= 2.0)[0]
-            xp = np.repeat(xs[jj], len(ii))
-            xn = np.tile(zs[ii], len(jj))
-            uk, _, _ = solve_grid("HDD", self.P, smooth, xp, xn, t_end)
-            uf = res.field_at(t_end)[np.ix_(ii, jj)].T.ravel()
-            errs.append(compare(uk, uf)[0])
+            table, _, _ = oracle_compare(self.P, smooth, grid, (t_end,))
+            errs.append(table[0][1])
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
         ok = all(1.7 <= o <= 2.3 for o in orders)
         report("13b (refinement order)", ok,

@@ -129,8 +129,7 @@ class TestChecks:
 
     def test_identity_suite_subset(self, tmp_path):
         rc = run_cli(tmp_path, "identity-suite",
-                     {"identities": ["marginal_masses", "k0_poisson"]},
-                     extra=["--threads", "2"])
+                     {"identities": ["marginal_masses", "k0_poisson"]})
         assert rc == 0
         summary = json.loads((tmp_path / "identity_suite.summary.json").read_text())
         assert set(summary["results"]) == {"marginal_masses", "k0_poisson"}
@@ -210,7 +209,6 @@ _ORACLE = {"grid": {"nx": 16, "nz": 16, "dt": 0.05}, "times": [0.25]}
 _REJECTED = {
     "limit-rate-ladder-str": ("limit-rate", {"which": "hdpsi_eps_to_0",
                                              "ladder": ["x", 1, 2, 3]}),
-    "limit-rate-density-str": ("limit-rate", {"which": "hdpsi_eps_to_0", "density": "x"}),
     "limit-rate-which-list": ("limit-rate", {"which": []}),
     "limit-rate-log-one-rung": ("limit-rate", {"which": "k_to_inf_fp_log", "ladder": [16]}),
     "limit-rate-log-sub-unit": ("limit-rate", {"which": "k_to_inf_fp_log",
@@ -235,6 +233,7 @@ _REJECTED = {
     "oracle-nx-two": ("oracle-compare", {**_ORACLE, "grid": {"nx": 2}}),
     "oracle-times-empty": ("oracle-compare", {**_ORACLE, "times": []}),
     "oracle-scheme-unknown": ("oracle-compare", {**_ORACLE, "grid": {"scheme": "x"}}),
+    "oracle-flux-wide": ("oracle-compare", {**_ORACLE, "grid": {"flux": "wide"}}),
     "oracle-dim-three": ("oracle-compare", {**_ORACLE, "params": {"dim": 3}}),
     "eval-g_ldd-t-negative": ("eval-kernel", {"kernel": "g_ldd", "t": -1,
                                               "x": {"normal": 1.0}}),
@@ -270,12 +269,12 @@ _EMPTY = {
 }
 
 
-def _run_in(tmp, command, cfg, extra=("--threads", "1")):
+def _run_in(tmp, command, cfg):
     """Run ``command`` with ``cfg`` written beside (not into) ``tmp/out``;
     for ``report`` the cfg text is a summary file placed in the output."""
     out = os.path.join(tmp, "out")
     os.makedirs(out)
-    args = [command, "--out", out, *extra]
+    args = [command, "--out", out]
     if command == "report":
         with open(os.path.join(out, "x.summary.json"), "w") as fh:
             fh.write(cfg)
