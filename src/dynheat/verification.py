@@ -847,6 +847,9 @@ def oracle_compare(p: Params, data: InitialData, grid: FdGrid, times,
     l2_rel), one per time, whether every ``solve_grid`` converged, and the
     ``FdResult``.
     """
+    # checked here, not by solve_grid, so that bad times fail before the march
+    if len(times) == 0 or not all(t > 0 for t in times):
+        raise ValueError("oracle times must be non-empty and positive")
     res = fd_solve(p, data, grid, max(times), snapshots=times)
     xs, zs = grid.x_nodes(), grid.z_nodes()
     jj = np.nonzero(np.abs(xs) <= window[0])[0]

@@ -3,9 +3,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.fft import dst
 
-from dynheat import fdsolver
+from dynheat import fdsolver, verification
 from dynheat.data import Boundary, InitialData, Interior
 from dynheat.fdsolver import FdGrid, SchemeError, compare, discrete_mass, fd_solve
 from dynheat.fdsolver import _assemble, _initial_state, _operators
@@ -63,25 +65,35 @@ class TestBasics:
 
 class TestOperator:
     """L against the stencil it encodes, applied to a random field that is
-    zero on the clamped sides j = 0, j = nx and i = nz."""
+    zero on the clamped sides j = 0, j = nx and i = nz.  The solver holds L
+    in the orthonormal sine basis along x, mode-major; the stencil works on
+    physical (nz, nx-1) fields, rows i = 0..nz-1 and columns j = 1..nx-1."""
 
     # integer parameters, as a JSON config gives them, must not truncate
     # the fractional wall capacity
     P = Params(2, 3, 4, 2)
 
     def stencil(self, grid, u):
+        """(tangential part, normal part, capacity) of the physical operator
+        on the field u."""
         eps, delta, kappa = self.P.epsilon, self.P.delta, self.P.kappa
         hx2, hz = grid.hx**2, grid.hz
         U = np.zeros((grid.nz + 1, grid.nx + 1))
         U[:-1, 1:-1] = u
-        dxx = (U[:, :-2] - 2.0 * U[:, 1:-1] + U[:, 2:]) / hx2
-        out = np.empty_like(u)
-        out[1:] = dxx[1:-1] + (U[:-2, 1:-1] - 2.0 * U[1:-1, 1:-1] + U[2:, 1:-1]) / hz**2
         cap0, kap0 = delta + eps * hz / 2.0, kappa + hz / 2.0
-        out[0] = kap0 * dxx[0] + (U[1, 1:-1] - U[0, 1:-1]) / hz
+        tan = (U[:-1, :-2] - 2.0 * U[:-1, 1:-1] + U[:-1, 2:]) / hx2
+        tan[0] *= kap0
+        nor = np.empty_like(u)
+        nor[1:] = (U[:-2, 1:-1] - 2.0 * U[1:-1, 1:-1] + U[2:, 1:-1]) / hz**2
+        nor[0] = (U[1, 1:-1] - U[0, 1:-1]) / hz
         mdiag = np.full_like(u, eps)
         mdiag[0] = cap0
-        return out.ravel(), mdiag.ravel()
+        return tan, nor, mdiag
+
+    @staticmethod
+    def modes(u):
+        """Physical (nz, nx-1) field -> mode-major sine coefficients."""
+        return dst(u, type=1, norm="ortho", axis=1).T.ravel()
 
     @pytest.mark.parametrize("flux", ["compact"])
     def test_operator_matches_stencil(self, flux):
@@ -89,27 +101,31 @@ class TestOperator:
         g = FdGrid(Lx=3.0, Lz=2.0, nx=12, nz=7, dt=0.5, flux=flux)
         u = rng.standard_normal((g.nz, g.nx - 1))
         L, mdiag = _assemble(self.P, g)
-        want, m_want = self.stencil(g, u)
-        assert np.max(np.abs(L @ u.ravel() - want)) <= 1e-12 * np.max(np.abs(want))
-        assert np.array_equal(mdiag, m_want)
+        tan, nor, m_want = self.stencil(g, u)
+        want = self.modes(tan + nor)
+        v = self.modes(u)
+        assert np.max(np.abs(L @ v - want)) <= 1e-12 * np.max(np.abs(want))
+        # the capacity is constant along x, so it is the same in either basis
+        assert np.array_equal(mdiag, m_want.T.ravel())
         for scheme in ("crank_nicolson", "imex_euler"):
             lhs, rhs = _operators(self.P, replace(g, scheme=scheme))
             # CN's halves and IMEX's implicit and explicit parts add up to L
-            got = rhs @ u.ravel() - lhs @ u.ravel()
+            got = rhs @ v - lhs @ v
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), scheme
-        # IMEX is implicit in the normal direction only: its lhs couples no
-        # two columns
-        lhs, _ = _operators(self.P, replace(g, scheme="imex_euler"))
-        rows, cols = lhs.nonzero()
-        assert np.array_equal(rows % (g.nx - 1), cols % (g.nx - 1))
+            # neither lhs couples two modes (IMEX is implicit in the normal
+            # direction only, and Lx is diagonal in the sine basis)
+            rows, cols = lhs.nonzero()
+            assert np.array_equal(rows // g.nz, cols // g.nz), scheme
 
 
-class TestOrdering:
-    """The LU of the step is ordered by minimum degree on A^T + A."""
+class TestSineBasis:
+    """The march in the sine basis against one in the physical basis, and
+    the fill of its LU."""
 
     def test_fill_guard(self, monkeypatch):
-        # deterministic counts at 128^2 CN: MMD_AT_PLUS_A 656,494 nonzeros in
-        # L and U, SuperLU's default COLAMD 1,195,108
+        # no fill: each of the nx-1 modes is a tridiagonal system in z, whose
+        # L and U hold at most 4 nonzeros per unknown (65,024 at 128^2; the
+        # 5-point LU in the physical basis held 656,494)
         fills = []
 
         def splu(A, *args, **kwargs):
@@ -121,22 +137,30 @@ class TestOrdering:
         g = FdGrid(nx=128, nz=128)
         fd_solve(P111, GAUSS_PSI, g, g.dt)
         assert len(fills) == 1
-        assert fills[0] <= 700_000
+        assert fills[0] <= 4 * g.nz * (g.nx - 1)
 
-    @pytest.mark.parametrize("flux", ["compact"])
-    def test_ordering_changes_only_rounding(self, flux):
-        g = FdGrid(nx=96, nz=96, flux=flux)
+    def test_march_matches_physical_reference(self):
+        # the physical operator, column by column, from the stencil alone
+        op = TestOperator()
+        g = FdGrid(Lx=3.0, Lz=2.0, nx=24, nz=17, dt=1e-2)
+        n = g.nz * (g.nx - 1)
+        cols = [op.stencil(g, e.reshape(g.nz, g.nx - 1)) for e in np.eye(n)]
+        Lx = sp.csr_matrix(np.column_stack([c[0].ravel() for c in cols]))
+        Lz = sp.csr_matrix(np.column_stack([c[1].ravel() for c in cols]))
+        M = sp.diags(cols[0][2].ravel() / g.dt)
         steps = 5
-        got = fd_solve(P111, GAUSS_PSI, g, steps * g.dt).fields[-1]
-        lhs, rhs = _operators(P111, g)
-        lu = spla.splu(lhs)
-        u = _initial_state(P111, GAUSS_PSI, g)
-        vec = u[:g.nz, 1:-1].reshape(-1)
-        for _ in range(steps):
-            vec = lu.solve(rhs @ vec)
-        want = np.zeros_like(u)
-        want[:g.nz, 1:-1] = vec.reshape(g.nz, g.nx - 1)
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        u0 = _initial_state(op.P, GAUSS_PSI, g)
+        for scheme, lhs, rhs in (("crank_nicolson", M - 0.5 * (Lx + Lz), M + 0.5 * (Lx + Lz)),
+                                 ("imex_euler", M - Lz, M + Lx)):
+            lu = spla.splu(lhs.tocsc())
+            vec = u0[:g.nz, 1:-1].ravel()
+            for _ in range(steps):
+                vec = lu.solve(rhs @ vec)
+            want = np.zeros_like(u0)
+            want[:g.nz, 1:-1] = vec.reshape(g.nz, g.nx - 1)
+            gs = replace(g, scheme=scheme)
+            got = fd_solve(op.P, GAUSS_PSI, gs, steps * g.dt).fields[-1]
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), scheme
 
 
 class TestConservation:
@@ -187,6 +211,15 @@ class TestAgreementAndOrder:
         _, converged, _ = oracle_compare(P111, GAUSS_PSI, g, (0.25,),
                                          spec=QuadSpec(max_subdivisions=1))
         assert not converged
+
+    @pytest.mark.parametrize("times", [(), (0.0, 0.25), (0.25, -0.5)])
+    def test_oracle_compare_rejects_times_before_the_march(self, monkeypatch, times):
+        def fd_solve(*args, **kwargs):
+            raise AssertionError("fd_solve ran")
+
+        monkeypatch.setattr(verification, "fd_solve", fd_solve)
+        with pytest.raises(ValueError, match="non-empty and positive"):
+            oracle_compare(P111, GAUSS_PSI, FdGrid(nx=8, nz=8), times)
 
     def test_compare_requires_matching_windows(self):
         with pytest.raises(ValueError):

@@ -1,0 +1,16 @@
+import os
+import subprocess
+import sys
+
+import dynheat
+
+
+def test_import_loads_no_fft_or_special():
+    # scipy.fft and scipy.special add about 5 MB of resident memory each to
+    # every run; the functions that need them import them when called
+    src = os.path.dirname(os.path.dirname(dynheat.__file__))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import dynheat; "
+            "print(sorted(m for m in ('scipy.fft', 'scipy.special') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"
