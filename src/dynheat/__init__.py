@@ -7,7 +7,6 @@ from .quadrature import (
     integrate,
     integrate_semi_infinite,
     integrate_nested,
-    integrate_2d,
 )
 from .kernels import (
     Params,
@@ -27,7 +26,6 @@ from .data import (
     InitialData,
     UnsupportedDataError,
     tan_conv,
-    surface_heat,
     interior_value,
     boundary_value,
 )
@@ -57,13 +55,10 @@ from .solutions import (
     solve,
     solve_grid,
     boundary_trace,
-    witness_phi,
     witness_response,
 )
 from .verification import (
     RateFit,
-    RateLaw,
-    limit_rate_law,
     fit_rate,
     LimitExperiment,
     LimitResult,

@@ -40,6 +40,7 @@ from .kernels import (
     free_heat_kernel,
     neumann_kernel,
     poisson_kernel,
+    tangential_offset,
 )
 from .quadrature import DEFAULT_SPEC, EvaluationError, QuadSpec
 from .solutions import PROBLEM_TAGS, first_axis, solve_grid
@@ -169,8 +170,7 @@ _TABLE = {
     "quad": (QuadSpec, {
         "rel_tol": (_num, DEFAULT_SPEC.rel_tol),
         "abs_tol": (_num, DEFAULT_SPEC.abs_tol),
-        "max_subdivisions": (_int, DEFAULT_SPEC.max_subdivisions),
-        "tail_cut": (_num, DEFAULT_SPEC.tail_cut)}),
+        "max_subdivisions": (_int, DEFAULT_SPEC.max_subdivisions)}),
     "point": (HalfSpacePoint, {
         "tangential": (_tangential, 0.0), "normal": (_num, _REQUIRED)}),
     "data": (InitialData.of, {
@@ -321,14 +321,17 @@ _PARAM_HEADER = ["epsilon", "delta", "kappa", "theta", "dim"]
 def cmd_eval_kernel(c, out, args):
     p, spec, x, y, t, kern = c.params, c.quad, c.x, c.y, c.t, c.kernel
     converged = True
-    if kern == "gamma":
-        value = float(free_heat_kernel(c.d, np.asarray(x.tangential), t))
+    if kern == "gamma":  # x' is the point of R^d
+        if c.d < 1:  # before tangential_vector, which cannot pad into R^0
+            raise ConfigError("d must be at least 1")
+        r = np.linalg.norm(x.tangential_vector(c.d + 1))
+        value = float(free_heat_kernel(c.d, r, t))
     elif kern == "g0":
         value = float(dirichlet_kernel(x, y, t, p.dim))
     elif kern == "gn":
         value = float(neumann_kernel(x, y, t, p.dim))
     elif kern == "poisson":
-        value = float(poisson_kernel(np.abs(np.asarray(x.tangential)), x.normal, p.dim))
+        value = float(poisson_kernel(tangential_offset(x, y, p.dim), x.normal, p.dim))
     else:
         theta = 1.0 if c.theta is None else c.theta
         fn = {"h": lambda: exchange_kernel(p, x, y, t, spec),

@@ -22,7 +22,6 @@ __all__ = [
     "InitialData",
     "UnsupportedDataError",
     "tan_conv",
-    "surface_heat",
     "interior_value",
     "boundary_value",
 ]
@@ -161,19 +160,6 @@ def tan_conv(data, offset, T, dim: int):
         _check_indicator_dim(dim)
         return 1.0 - gaussian_interval_mass(offset, -data.rho, data.rho, T)
     raise UnsupportedDataError(f"no tangential convolution for {data.kind!r}")
-
-
-def surface_heat(psi: Boundary, offset, t, theta: float, dim: int = 2):
-    """Solution of the tangential heat flow with capacity ``theta`` and
-    initial trace ``psi``, evaluated at tangential offset ``offset`` and
-    time ``t`` (the boundary forcing used by the Dirichlet comparison
-    problems)."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0):
-        raise ValueError("time must be positive")
-    if theta <= 0:
-        raise ValueError("theta must be positive")
-    return tan_conv(psi, offset, t / theta, dim)
 
 
 def boundary_value(psi: Boundary, offset, dim: int):

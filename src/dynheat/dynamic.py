@@ -49,7 +49,7 @@ from .quadrature import (
     _finalize,
     add_terms,
     integrate_nested,
-    tail_exponent,
+    TAIL_EXPONENT,
 )
 
 __all__ = [
@@ -114,7 +114,7 @@ _ZOOM = np.linspace(0.0, 1.0, 17)[:, None]
 _LADDER = np.concatenate([-8.0 ** np.arange(-17.0, 3.0), 8.0 ** np.arange(-17.0, 3.0)])
 
 
-def _frame(eps, delta, kappa, s, t, spec, log_tan):
+def _frame(eps, delta, kappa, s, t, log_tan):
     """Per-component (log_mass, centre, scale, eta_hi) of the exchange
     integrand exp(log_n(eta) + log_tan(T(eta), idx)), eta >= 0, taken
     unimodal.  Its peak is bracketed on ``_COARSE``, then the bracket is
@@ -122,9 +122,9 @@ def _frame(eps, delta, kappa, s, t, spec, log_tan):
     than 2 from the best node to a neighbour.  ``scale`` is the nearest
     ``_LADDER`` offset where the log has dropped by 1, ``log_mass`` is
     log(peak * scale) and ``eta_hi`` the first coarse node past the last
-    one within exp(-tail_exponent) of the peak."""
+    one within exp(-TAIL_EXPONENT) of the peak."""
     cols = np.arange(s.size)
-    lc = tail_exponent(spec)
+    lc = TAIL_EXPONENT
     reach = math.sqrt(4.0 * t * lc / eps)
 
     def log_f(eta, idx):
@@ -213,7 +213,7 @@ def exchange_log_grid(p: Params, r, s, t: float, spec: QuadSpec = DEFAULT_SPEC):
     def log_tan(T, idx):
         return _log_heat(p.dim - 1, r[idx][None, :], T)
 
-    frame = _frame(p.epsilon, p.delta, p.kappa, s, t, spec, log_tan)
+    frame = _frame(p.epsilon, p.delta, p.kappa, s, t, log_tan)
     vals, errs, nsub, conv = _exchange_core(
         p.epsilon, p.delta, p.kappa, s, t, spec,
         lambda T, idx, log_w: exp_flush(log_tan(T, idx) + log_w), frame, "xi")
@@ -236,7 +236,7 @@ def exchange_weighted(p: Params, s, t: float, spec: QuadSpec, tan_fn):
     # the data factor's peak is unknown: no shift, and eta in [0, reach]
     # (the normal Gaussian's reach) through a sinh map of the same scale
     zero = np.zeros(s.size)
-    reach = np.full(s.size, math.sqrt(4.0 * t * tail_exponent(spec) / p.epsilon))
+    reach = np.full(s.size, math.sqrt(4.0 * t * TAIL_EXPONENT / p.epsilon))
     return _exchange_core(p.epsilon, p.delta, p.kappa, s, t, spec,
                           lambda T, idx, log_w: tan_fn(T, idx) * exp_flush(log_w),
                           (zero, zero, reach, reach), "xi")
@@ -291,7 +291,7 @@ def hdn_batch(eps, kappa, dim, s, t, spec, tan_fn):
     idx_all = np.arange(s.size)
     T = t / eps
     v0 = s / (2.0 * math.sqrt(T))
-    eta_max = math.sqrt(tail_exponent(spec))
+    eta_max = math.sqrt(TAIL_EXPONENT)
     log_norm = -0.5 * math.log(4.0 * math.pi * T)
 
     def f(eta):
@@ -344,7 +344,7 @@ def gauss_layer_batch(dim, z, A, spec, tan_fn):
         raise SingularConfigurationError("normal offset must be positive")
     A = np.broadcast_to(np.asarray(A, dtype=float), z.shape)
     idx_all = np.arange(z.size)
-    w_max = math.sqrt(tail_exponent(spec))
+    w_max = math.sqrt(TAIL_EXPONENT)
     pref = 2.0 / math.sqrt(math.pi)
 
     def f(w):
@@ -390,7 +390,7 @@ def dirichlet_layer_batch(eps, dim, xn, t, theta, spec, tan_fn):
         raise ValueError("dirichlet_layer_batch needs x_N > 0")
     idx_all = np.arange(xn.size)
     v0 = 0.5 * xn * math.sqrt(eps / t)
-    eta_max = math.sqrt(tail_exponent(spec))
+    eta_max = math.sqrt(TAIL_EXPONENT)
     log_pref = math.log(2.0 * eps) - 0.5 * math.log(math.pi)
 
     def f(eta):
@@ -514,7 +514,7 @@ def exchange_marginal_interior(p: Params, xn: float, t: float,
                                spec: QuadSpec = DEFAULT_SPEC) -> QuadResult:
     """Interior marginal of the exchange kernel: a genuinely 2-D
     (normal x time) quadrature with the tangential direction closed."""
-    ycut = math.sqrt(4.0 * t * tail_exponent(spec) / p.epsilon) + 1.0
+    ycut = math.sqrt(4.0 * t * TAIL_EXPONENT / p.epsilon) + 1.0
     return integrate_nested(
         lambda ys: exchange_weighted(p, xn + ys, t, spec, lambda T, idx: 1.0), 0.0, ycut, spec)
 
@@ -581,7 +581,7 @@ def total_mass_radial(p: Params, xn: float, t: float,
                       spec: QuadSpec = DEFAULT_SPEC) -> QuadResult:
     """Total mass with the tangential integral done numerically (radial
     reduction), exercising the dimension-dependent factors."""
-    lc = tail_exponent(spec)
+    lc = TAIL_EXPONENT
     spread = max(t / p.epsilon,
                  max(p.delta, p.kappa * p.epsilon) * t / (p.epsilon * p.delta))
     rcut = math.sqrt(4.0 * spread * lc) + 2.0
@@ -608,7 +608,7 @@ def heat_neumann_mass(epsilon: float, kappa: float, xn: float, t: float,
                       dim: int = 2, spec: QuadSpec = DEFAULT_SPEC) -> QuadResult:
     """Interior mass of the diffusive-Neumann heat kernel via radial and
     normal quadrature; equals 1 identically."""
-    lc = tail_exponent(spec)
+    lc = TAIL_EXPONENT
     T = t / epsilon
     tau_cut = 2.0 * math.sqrt(T * lc)
     rcut = math.sqrt(4.0 * (T + kappa * tau_cut) * lc) + 2.0

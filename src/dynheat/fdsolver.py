@@ -21,21 +21,18 @@ tangential stencil as the bulk rows, the orthonormal sine transform
 (DST-I) along x diagonalises Lx, and Lz and M are constant along x, so
 the solver works in that basis: Lx is diagonal there, with eigenvalues
 -4/hx^2 sin^2(pi k / (2 nx)), k = 1..nx-1, scaled by the surface
-diffusivity on the wall row.  Each step solves lhs v+ = rhs v with one
-sparse LU of lhs, factored once per run:
+diffusivity on the wall row.  Time stepping is Crank-Nicolson: each step
+solves (M/dt - L/2) v+ = (M/dt + L/2) v with one sparse LU of the left
+side, factored once per run.
 
-* ``crank_nicolson``: (M/dt - L/2, M/dt + L/2);
-* ``imex_euler``: (M/dt - Lz, M/dt + Lx), normal direction implicit,
-  tangential explicit.
-
-Either lhs couples no two sine modes, so it is nx-1 independent
+That left side couples no two sine modes, so it is nx-1 independent
 tridiagonal systems in z and its LU has no fill.  The unknowns are
 stored mode by mode, so each system is one contiguous block.  At the
-default 256 x 256 Crank-Nicolson grid the LU holds 2.6e5 nonzeros and
-a step costs about 1.5 ms on a 2-core host, against 3.4e6 nonzeros and
-3.4 ms for the minimum-degree LU of the 5-point operator in the physical
-basis.  The state is transformed once at the start and back only for
-the periodic instability check and the stored snapshots.
+default 256 x 256 grid the LU holds 2.6e5 nonzeros and a step costs
+about 1.5 ms on a 2-core host, against 3.4e6 nonzeros and 3.4 ms for the
+minimum-degree LU of the 5-point operator in the physical basis.  The
+state is transformed once at the start and back only for the periodic
+instability check and the stored snapshots.
 """
 
 from __future__ import annotations
@@ -65,7 +62,7 @@ class FdGrid:
     nx: int = 256
     nz: int = 256
     dt: float = 1e-3
-    scheme: str = "crank_nicolson"
+    scheme: str = "crank_nicolson"  # the only time scheme
     flux: str = "compact"  # the only wall flux
 
     def __post_init__(self):
@@ -73,7 +70,7 @@ class FdGrid:
             raise ValueError("degenerate grid")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.scheme not in ("crank_nicolson", "imex_euler"):
+        if self.scheme != "crank_nicolson":
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.flux != "compact":
             raise ValueError(f"unknown flux {self.flux!r}")
@@ -123,9 +120,9 @@ def _sine(n: int) -> np.ndarray:
     return np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * (np.outer(k, k) % (2 * (n + 1))) / (n + 1))
 
 
-def _split(p: Params, grid: FdGrid):
-    """Tangential part Lx, normal part Lz and capacity diagonal M of
-    M dv/dt = (Lx + Lz) v in the sine basis along x.
+def _assemble(p: Params, grid: FdGrid):
+    """Sparse operator L = Lx + Lz and capacity diagonal M of
+    M dv/dt = L v in the sine basis along x.
 
     Unknowns: sine modes k = 1..nx-1 of rows i = 0..nz-1, mode-major (row 0
     is the boundary line; the physical field vanishes at i = nz and on the
@@ -144,29 +141,19 @@ def _split(p: Params, grid: FdGrid):
     Lz = sp.kron(sp.identity(lam.size), sp.vstack([sp.csr_matrix(wall), bulk]), format="csr")
     mcol = np.full(nz, p.epsilon, dtype=float)
     mcol[0] = cap0
-    return Lx, Lz, np.tile(mcol, lam.size)
-
-
-def _assemble(p: Params, grid: FdGrid):
-    """Sparse operator L = Lx + Lz and capacity diagonal M for M dv/dt = L v,
-    in the sine basis of ``_split``."""
-    Lx, Lz, mdiag = _split(p, grid)
-    return Lx + Lz, mdiag
+    return Lx + Lz, np.tile(mcol, lam.size)
 
 
 def _operators(p: Params, grid: FdGrid):
-    """(lhs, rhs) of the scheme's step lhs v+ = rhs v, lhs in CSC for splu.
+    """(lhs, rhs) of the Crank-Nicolson step lhs v+ = rhs v, lhs in CSC
+    for splu.
 
-    Built in a frame of its own, so that L, Lx and Lz are freed before the
-    factorisation and do not add to its peak memory.
+    Built in a frame of its own, so that L is freed before the
+    factorisation and does not add to its peak memory.
     """
-    if grid.scheme == "crank_nicolson":
-        L, mdiag = _assemble(p, grid)
-        M = sp.diags(mdiag / grid.dt)
-        return (M - 0.5 * L).tocsc(), (M + 0.5 * L).tocsr()
-    Lx, Lz, mdiag = _split(p, grid)
+    L, mdiag = _assemble(p, grid)
     M = sp.diags(mdiag / grid.dt)
-    return (M - Lz).tocsc(), (M + Lx).tocsr()
+    return (M - 0.5 * L).tocsc(), (M + 0.5 * L).tocsr()
 
 
 def _initial_state(p: Params, data: InitialData, grid: FdGrid) -> np.ndarray:

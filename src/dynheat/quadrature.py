@@ -33,7 +33,6 @@ __all__ = [
     "integrate",
     "integrate_semi_infinite",
     "integrate_nested",
-    "integrate_2d",
 ]
 
 
@@ -86,18 +85,19 @@ class QuadSpec:
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
     max_subdivisions: int = 2000
-    tail_cut: float = 1e-14
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
-        if self.tail_cut <= 0:
-            raise ValueError("tail_cut must be positive")
 
 
 DEFAULT_SPEC = QuadSpec()
+
+# Exponent budget L of truncated integrals: exp(-L) tails fall below 1e-14,
+# and the margin of 40 absorbs polynomially growing prefactors.
+TAIL_EXPONENT = -np.log(1e-14) + 40.0
 
 
 @dataclass
@@ -119,15 +119,6 @@ class QuadResult:
     def __iter__(self):  # unpacks like the tuple of the adaptive core
         return iter((self.value, self.error_estimate, self.subdivisions_used,
                      self.converged))
-
-
-def tail_exponent(spec: QuadSpec) -> float:
-    """Exponent budget L so that exp(-L) tails fall below ``tail_cut``.
-
-    The margin of 40 absorbs polynomially growing prefactors in truncated
-    integrands.
-    """
-    return -np.log(spec.tail_cut) + 40.0
 
 
 def _eval_panel(f, a, b):
@@ -296,23 +287,3 @@ def add_terms(first, *weighted):
         nsub += ns
         conv = conv and cv
     return u, err, nsub, conv
-
-
-def integrate_2d(f, x_interval, y_interval, spec: QuadSpec = DEFAULT_SPEC) -> QuadResult:
-    """Iterated integral over ``x_interval`` x ``y_interval``.
-
-    The inner integral runs in the second (y) variable; ``y_interval``
-    may end at ``np.inf``.  ``f(x, y)`` must broadcast elementwise.
-    Errors compose as in ``integrate_nested``.
-    """
-    ya, yb = y_interval
-
-    def inner(xs):
-        def fy(ys):
-            return np.asarray(f(xs[None, :], ys[:, None]), dtype=float)
-
-        if np.isinf(yb):
-            return integrate_semi_infinite(fy, ya, spec)
-        return integrate(fy, ya, yb, spec)
-
-    return integrate_nested(inner, *x_interval, spec)

@@ -58,7 +58,7 @@ from .quadrature import (
     add_terms,
     integrate,
     integrate_nested,
-    tail_exponent,
+    TAIL_EXPONENT,
 )
 
 __all__ = [
@@ -67,7 +67,6 @@ __all__ = [
     "solve",
     "solve_grid",
     "boundary_trace",
-    "witness_phi",
     "witness_response",
 ]
 
@@ -100,13 +99,14 @@ def _tan_factory(data, offsets, dim):
     return fn
 
 
-def _normal_window(phi: Interior, xn, reach, lc):
+def _normal_window(phi: Interior, xn, reach):
     """Normal profile of ``phi`` (None when the data is constant in the
     normal direction) and the upper end of the normal integral: ``reach``
     past the deepest probe, or the end of the profile if that comes first."""
     prof = phi.normal if phi.kind == "heat_gaussian" else None
     cut_kernel = float(np.max(xn)) + reach + 1.0
-    return prof, cut_kernel if prof is None else min(prof.support_cut(lc), cut_kernel)
+    return prof, (cut_kernel if prof is None
+                  else min(prof.support_cut(TAIL_EXPONENT), cut_kernel))
 
 
 def _reflected_term(eps, dim, phi: Interior, off, xn, t, spec, sign):
@@ -116,8 +116,7 @@ def _reflected_term(eps, dim, phi: Interior, off, xn, t, spec, sign):
     if phi.kind == "zero":
         return _zero(off.size)
     T = t / eps
-    lc = tail_exponent(spec)
-    prof, ycut = _normal_window(phi, xn, math.sqrt(4.0 * T * lc), lc)
+    prof, ycut = _normal_window(phi, xn, math.sqrt(4.0 * T * TAIL_EXPONENT))
     tanfac = np.asarray(tan_conv(phi, off, T, dim), dtype=float)
 
     def f(ys):
@@ -145,8 +144,7 @@ def _interior_term(dim, phi: Interior, off, xn, reach, spec, batch):
     m = off.size
     if phi.kind == "zero":
         return _zero(m)
-    lc = tail_exponent(spec)
-    prof, ycut = _normal_window(phi, xn, reach, lc)
+    prof, ycut = _normal_window(phi, xn, reach)
 
     def inner(ys):
         n = ys.size
@@ -164,14 +162,14 @@ def _interior_term(dim, phi: Interior, off, xn, reach, spec, batch):
 
 def _exchange_interior_term(p, phi: Interior, off, xn, t, spec):
     """Interior data against the exchange kernel (no 1/delta weight)."""
-    reach = math.sqrt(4.0 * t * tail_exponent(spec) / p.epsilon)
+    reach = math.sqrt(4.0 * t * TAIL_EXPONENT / p.epsilon)
     return _interior_term(p.dim, phi, off, xn, reach, spec,
                           lambda s, tan: exchange_weighted(p, s, t, spec, tan))
 
 
 def _hdn_interior_term(p, phi: Interior, off, xn, t, spec):
     """Interior data against the diffusive-Neumann exchange part."""
-    reach = math.sqrt(4.0 * (t / p.epsilon) * tail_exponent(spec))
+    reach = math.sqrt(4.0 * (t / p.epsilon) * TAIL_EXPONENT)
     return _interior_term(
         p.dim, phi, off, xn, reach, spec,
         lambda s, tan: hdn_batch(p.epsilon, p.kappa, p.dim, s, t, spec, tan))
@@ -348,17 +346,6 @@ def boundary_trace(tag: str, p: Params, data: InitialData, xp, t: float,
     """Solution restricted to the boundary (normal coordinate zero)."""
     xp = np.atleast_1d(np.asarray(xp, dtype=float))
     return solve_grid(tag, p, data, xp, np.zeros_like(xp), t, spec, theta)
-
-
-def witness_phi(epsilon: float, x: HalfSpacePoint, t: float, dim: int = 2) -> float:
-    """Normal-derivative witness profile whose Lebesgue norms are known
-    in closed form; vanishes on the boundary."""
-    if t <= 0:
-        raise ValueError("time must be positive")
-    xv = x.tangential_vector(dim)
-    rho2 = float(xv @ xv) + x.normal**2
-    return float(epsilon * x.normal / (2.0 * t)
-                 * free_heat_radial(dim, math.sqrt(rho2), t / epsilon))
 
 
 def witness_response(p: Params, xp, xn, t: float,

@@ -42,13 +42,11 @@ from .kernels import (
     neumann_kernel,
     poisson_kernel,
 )
-from .quadrature import DEFAULT_SPEC, QuadSpec, integrate, integrate_nested, tail_exponent
+from .quadrature import DEFAULT_SPEC, TAIL_EXPONENT, QuadSpec, integrate, integrate_nested
 from .solutions import _BOUNDARY_ONLY, _INTERIOR_ONLY, solve_grid, witness_response
 
 __all__ = [
     "RateFit",
-    "RateLaw",
-    "limit_rate_law",
     "fit_rate",
     "LimitExperiment",
     "LimitResult",
@@ -97,34 +95,6 @@ def fit_rate(points) -> RateFit:
     denom = float(np.sum((le - le.mean()) ** 2))
     r2 = 1.0 if denom == 0.0 else 1.0 - float(np.sum((le - pred) ** 2)) / denom
     return RateFit(float(sol[0]), float(sol[1]), r2, pts)
-
-
-@dataclass(frozen=True)
-class RateLaw:
-    """High-surface-diffusivity error law: a plain power with a
-    logarithmic correction exactly at the threshold index."""
-
-    kind: str          # "power" | "power_log"
-    exponent: float
-    p_threshold: float
-
-    def evaluate(self, r):
-        r = np.asarray(r, dtype=float)
-        if self.kind == "power_log":
-            return r ** self.exponent * np.log(r)
-        return r ** self.exponent
-
-
-def limit_rate_law(p: float, dim: int) -> RateLaw:
-    """Error law f_p(r) for the large-diffusivity limits."""
-    if p < 1:
-        raise ValueError("p must be at least 1")
-    p_n = (dim - 1) / 2.0
-    if p < p_n:
-        return RateLaw("power", -1.0, p_n)
-    if p == p_n:
-        return RateLaw("power_log", -1.0, p_n)
-    return RateLaw("power", -(dim - 1) / (2.0 * p), p_n)
 
 
 # ---------------------------------------------------------------------------
@@ -516,10 +486,10 @@ def _check_positivity(spec, seed):
 def _check_semigroup(spec, seed):
     p = Params(1.0, 1.0, 1.0, 2)
     tight = QuadSpec(rel_tol=1e-7, abs_tol=1e-10,
-                     max_subdivisions=spec.max_subdivisions, tail_cut=spec.tail_cut)
+                     max_subdivisions=spec.max_subdivisions)
     t = s = 0.5
     rows = []
-    lc = tail_exponent(tight)
+    lc = TAIL_EXPONENT
     spread = max(t / p.epsilon, max(p.delta, p.kappa * p.epsilon) * t / (p.epsilon * p.delta))
     for (x1, xnn, y1, ynn) in ((0.0, 0.7, 0.5, 0.2), (0.3, 0.0, 0.0, 1.0)):
         lhs = fundamental_grid(p, abs(x1 - y1), xnn, ynn, t + s, tight)[0]
@@ -557,7 +527,7 @@ def _d2c(f, h):
 
 def _check_pde_residual(spec, seed):
     tight = QuadSpec(rel_tol=1e-12, abs_tol=1e-15,
-                     max_subdivisions=spec.max_subdivisions, tail_cut=spec.tail_cut)
+                     max_subdivisions=spec.max_subdivisions)
     rng = np.random.default_rng(seed + 2)
     rows = []
     h = 6e-3
@@ -717,8 +687,7 @@ def _sample_regions(p: Params, n_per: int, rng):
 
 
 def sandwich_check(p: Params | None = None, n_per_region: int = 500,
-                   seed: int = 7, stability_factor: float = 1.5,
-                   spec: QuadSpec | None = None) -> SandwichResult:
+                   seed: int = 7, stability_factor: float = 1.5) -> SandwichResult:
     """Empirical two-sided envelope constants over stratified samples.
 
     The maxima of kernel/upper-envelope and lower-envelope/kernel are the
@@ -729,7 +698,7 @@ def sandwich_check(p: Params | None = None, n_per_region: int = 500,
     if n_per_region < 2:
         raise ValueError("sandwich_check needs n_per_region >= 2")
     p = p or Params(1.0, 1.0, 1.0, 2)
-    spec = spec or QuadSpec(rel_tol=1e-8, abs_tol=1e-12)
+    spec = QuadSpec(rel_tol=1e-8, abs_tol=1e-12)
     rng = np.random.default_rng(seed)
     samples = _sample_regions(p, n_per_region, rng)
     per_region = {}

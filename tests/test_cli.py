@@ -33,6 +33,33 @@ class TestEvalKernel:
         assert "0.15915494309189535" in out
         assert (tmp_path / "eval_kernel.csv").exists()
 
+    @pytest.mark.parametrize("kernel, extra, listed, number", [
+        ("gamma", {}, [0.5], 0.5),
+        ("gamma", {"d": 2}, [0.3, 0.4], 0.5),
+        ("poisson", {"params": {"dim": 3}}, [0.6, 0.8], 1.0),
+    ])
+    def test_list_point_matches_number(self, tmp_path, capsys, kernel, extra, listed,
+                                       number):
+        # a point's tangential part may be written as a list
+        lines = []
+        for i, tangential in enumerate((listed, number)):
+            (tmp_path / str(i)).mkdir()
+            rc = run_cli(tmp_path / str(i), "eval-kernel", {
+                "kernel": kernel, "t": 1.0, **extra,
+                "x": {"tangential": tangential, "normal": 1.0}})
+            assert rc == 0
+            lines.append(capsys.readouterr().out)
+        assert lines[0] == lines[1]
+
+    def test_poisson_uses_tangential_offset(self, tmp_path, capsys):
+        # x' = y' gives the value at offset 0, 1/pi at x_N = 1 in N = 2
+        rc = run_cli(tmp_path, "eval-kernel", {
+            "kernel": "poisson", "t": 1.0,
+            "x": {"tangential": 1.0, "normal": 1.0},
+            "y": {"tangential": 1.0, "normal": 0.0}})
+        assert rc == 0
+        assert capsys.readouterr().out == "poisson = 0.3183098861837907\n"
+
     def test_unknown_kernel(self, tmp_path):
         rc = run_cli(tmp_path, "eval-kernel", {
             "kernel": "nope", "t": 1.0, "x": {"normal": 0.0}})
@@ -234,6 +261,7 @@ _REJECTED = {
     "oracle-times-empty": ("oracle-compare", {**_ORACLE, "times": []}),
     "oracle-scheme-unknown": ("oracle-compare", {**_ORACLE, "grid": {"scheme": "x"}}),
     "oracle-flux-wide": ("oracle-compare", {**_ORACLE, "grid": {"flux": "wide"}}),
+    "oracle-scheme-imex": ("oracle-compare", {**_ORACLE, "grid": {"scheme": "imex_euler"}}),
     "oracle-dim-three": ("oracle-compare", {**_ORACLE, "params": {"dim": 3}}),
     "eval-g_ldd-t-negative": ("eval-kernel", {"kernel": "g_ldd", "t": -1,
                                               "x": {"normal": 1.0}}),
@@ -241,6 +269,17 @@ _REJECTED = {
                                          "x": {"normal": 0.0}}),
     "eval-normal-negative": ("eval-kernel", {"kernel": "g", "t": 1.0,
                                              "x": {"normal": -1.0}}),
+    "eval-gamma-d-zero": ("eval-kernel", {"kernel": "gamma", "d": 0, "t": 1.0,
+                                          "x": {"normal": 0.0}}),
+    "eval-gamma-tangential-size": ("eval-kernel", {"kernel": "gamma", "t": 1.0,
+                                                   "x": {"tangential": [0.6, 0.8],
+                                                         "normal": 0.0}}),
+    "eval-poisson-tangential-size": ("eval-kernel", {"kernel": "poisson", "t": 1.0,
+                                                     "params": {"dim": 3},
+                                                     "x": {"tangential": [1, 2, 3],
+                                                           "normal": 1.0}}),
+    "quad-tail-cut": ("eval-kernel", {"kernel": "g", "t": 1.0, "x": {"normal": 0.5},
+                                      "quad": {"tail_cut": 1e-14}}),
     "identity-seed-str": ("identity-suite", {"identities": ["k0_poisson"], "seed": "x"}),
     "identity-name-list": ("identity-suite", {"identities": [[]]}),
     "report-empty-summary": ("report", "{}"),

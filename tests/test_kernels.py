@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dynheat.data import Boundary, Interior, NormalProfile, surface_heat, tan_conv
+from dynheat.data import Boundary, Interior, NormalProfile, tan_conv
 from dynheat.kernels import (
     HalfSpacePoint,
     Params,
@@ -96,14 +96,15 @@ class TestHalfSpaceKernels:
 
     def test_neumann_mass(self):
         # reflection makes the half-space mass exactly one
-        def f(y1, yn):
-            r = np.abs(y1)
-            return (free_heat_radial(1, r, 1.0)
-                    * (free_heat_radial(1, 1.0 - yn, 1.0)
-                       + free_heat_radial(1, 1.0 + yn, 1.0)))
+        from dynheat.quadrature import integrate_nested, integrate_semi_infinite
 
-        from dynheat.quadrature import integrate_2d
-        res = integrate_2d(lambda a, b: f(a, b), (-30.0, 30.0), (0.0, np.inf))
+        def inner(y1):
+            return integrate_semi_infinite(
+                lambda yn: free_heat_radial(1, np.abs(y1)[None, :], 1.0)
+                * (free_heat_radial(1, 1.0 - yn[:, None], 1.0)
+                   + free_heat_radial(1, 1.0 + yn[:, None], 1.0)), 0.0)
+
+        res = integrate_nested(inner, -30.0, 30.0)
         assert res.value == pytest.approx(1.0, abs=1e-8)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -162,19 +163,22 @@ class TestPoints:
 
 
 class TestSurfaceHeat:
+    """The tangential heat flow with capacity theta, whose solution at time t
+    is the tangential convolution at T = t / theta."""
+
     def test_constant(self):
         psi = Boundary("constant", c=1.0)
         for t, th in ((0.5, 1.0), (3.0, 0.2)):
-            assert surface_heat(psi, 1.3, t, th) == pytest.approx(1.0)
+            assert tan_conv(psi, 1.3, t / th, 2) == pytest.approx(1.0)
 
     def test_gaussian_semigroup(self):
         psi = Boundary("heat_gaussian", a=0.7)
-        v = surface_heat(psi, 0.4, 1.2, 2.0)
+        v = tan_conv(psi, 0.4, 1.2 / 2.0, 2)
         assert v == pytest.approx(free_heat_radial(1, 0.4, 1.2 / 2.0 + 0.7), rel=1e-14)
 
     def test_indicator_approximate_identity(self):
         psi = Boundary("indicator", rho=1.0)
-        assert surface_heat(psi, 0.0, 1e-8, 1.0) == pytest.approx(1.0, abs=1e-12)
+        assert tan_conv(psi, 0.0, 1e-8, 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_interval_mass_is_erf_difference(self):
         from scipy.special import erf

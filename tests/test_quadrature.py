@@ -10,7 +10,6 @@ from dynheat.quadrature import (
     QuadSpec,
     add_terms,
     integrate,
-    integrate_2d,
     integrate_nested,
     integrate_semi_infinite,
 )
@@ -54,24 +53,27 @@ def test_semi_infinite_gaussian_half():
 
 
 def test_2d_unit_square():
-    res = integrate_2d(lambda x, y: np.ones(np.broadcast(x, y).shape),
-                       (0.0, 1.0), (0.0, 1.0))
+    res = integrate_nested(
+        lambda xs: integrate(lambda ys: np.ones((ys.size, xs.size)), 0.0, 1.0), 0.0, 1.0)
     assert res.value == pytest.approx(1.0, rel=1e-12)
 
 
 def test_2d_semi_infinite_inner():
-    res = integrate_2d(lambda x, y: np.exp(-y) * np.ones_like(x),
-                       (0.0, 1.0), (0.0, np.inf))
+    res = integrate_nested(
+        lambda xs: integrate_semi_infinite(
+            lambda ys: np.exp(-ys)[:, None] * np.ones(xs.size), 0.0), 0.0, 1.0)
     assert res.value == pytest.approx(1.0, rel=1e-9)
 
 
 def test_2d_product_of_halves():
     from dynheat.kernels import free_heat_radial
 
-    def f(x, y):
-        return free_heat_radial(1, x, 1.0) * free_heat_radial(1, y, 1.0)
+    def inner(xs):
+        return integrate_semi_infinite(
+            lambda ys: free_heat_radial(1, xs[None, :], 1.0)
+            * free_heat_radial(1, ys[:, None], 1.0), 0.0)
 
-    res = integrate_2d(f, (0.0, 40.0), (0.0, np.inf))
+    res = integrate_nested(inner, 0.0, 40.0)
     assert res.value == pytest.approx(0.25, rel=1e-9)
 
 

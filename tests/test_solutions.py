@@ -12,6 +12,7 @@ from dynheat.data import (
     NormalProfile,
     UnsupportedDataError,
     boundary_value,
+    interior_value,
 )
 from dynheat.kernels import HalfSpacePoint, Params, free_heat_radial
 from dynheat.quadrature import QuadSpec
@@ -19,7 +20,6 @@ from dynheat.solutions import (
     boundary_trace,
     solve,
     solve_grid,
-    witness_phi,
     witness_response,
 )
 
@@ -154,7 +154,7 @@ class TestBruteForceOracle:
         # kernels (the library eliminates these in closed form)
         from dynheat.dynamic import exchange_log_grid
         from dynheat.kernels import dirichlet_radial, exp_flush
-        from dynheat.quadrature import integrate, integrate_2d
+        from dynheat.quadrature import integrate, integrate_nested
 
         p = Params(1.3, 0.7, 0.9, 2)
         t = 0.8
@@ -162,6 +162,11 @@ class TestBruteForceOracle:
         xs = np.array([0.3, 1.0])
         ns = np.array([0.5, 0.0])
         u, _, _ = solve_grid("HDD", p, data, xs, ns, t)
+
+        def over_window(f):  # y1 in [-20, 20] outer, y_N in [0, 12] inner
+            return integrate_nested(lambda y1: integrate(
+                lambda yn: f(y1[None, :], yn[:, None]), 0.0, 12.0), -20.0, 20.0).value
+
         for j in range(len(xs)):
             xpj, xnj = xs[j], ns[j]
 
@@ -180,7 +185,7 @@ class TestBruteForceOracle:
                 return (h * free_heat_radial(1, y1b, GAUSS_PHI.a)
                         * free_heat_radial(1, ynb - 0.6, 0.3))
 
-            I = integrate_2d(fi, (-20.0, 20.0), (0.0, 12.0)).value / p.delta
+            I = over_window(fi) / p.delta
 
             def fg(y1, yn):
                 y1b, ynb = np.broadcast_arrays(y1, yn)
@@ -188,7 +193,7 @@ class TestBruteForceOracle:
                 return (g0 * free_heat_radial(1, y1b, GAUSS_PHI.a)
                         * free_heat_radial(1, ynb - 0.6, 0.3))
 
-            A = integrate_2d(fg, (-20.0, 20.0), (0.0, 12.0)).value
+            A = over_window(fg)
             assert u[j] == pytest.approx(A + B + I, rel=1e-8)
 
 
@@ -307,9 +312,11 @@ class TestTraceBehaviour:
 
 class TestWitness:
     def test_values(self):
-        assert witness_phi(1.0, HalfSpacePoint(0.0, 1.0), 1.0, 2) == pytest.approx(
+        # the witness data of witness_response at eps = t = 1
+        phi = Interior("heat_gaussian", a=1.0, normal=NormalProfile("gaussian_slope", b=1.0))
+        assert interior_value(phi, 0.0, 1.0, 2) == pytest.approx(
             0.030987498577413244, abs=1e-16)
-        assert witness_phi(1.0, HalfSpacePoint(0.7, 0.0), 1.0, 2) == 0.0
+        assert interior_value(phi, 0.7, 0.0, 2) == 0.0
 
     def test_norm_scaling_is_exact(self):
         from dynheat.verification import witness_norm

@@ -11,7 +11,6 @@ from dynheat.verification import (
     check_identity,
     default_experiment,
     fit_rate,
-    limit_rate_law,
     opnorm_decay,
     probe_points,
     run_limit,
@@ -39,26 +38,6 @@ class TestFitRate:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             fit_rate([(1.0, 1.0), (0.5, 0.5), (0.25, -0.25), (0.1, 0.1)])
-
-
-class TestRateLaw:
-    def test_branches(self):
-        # plane: threshold index is 1/2
-        law = limit_rate_law(1.0, 2)
-        assert law.kind == "power" and law.exponent == pytest.approx(-0.5)
-        # three dimensions: threshold at p = 1
-        law = limit_rate_law(1.0, 3)
-        assert law.kind == "power_log" and law.exponent == -1.0
-        law = limit_rate_law(2.0, 3)
-        assert law.kind == "power" and law.exponent == pytest.approx(-0.5)
-        # below the threshold (possible from four dimensions up): plain 1/r
-        law = limit_rate_law(1.0, 4)
-        assert law.kind == "power"
-        assert law.exponent == -1.0
-
-    def test_log_branch_values(self):
-        law = limit_rate_law(1.0, 3)
-        assert law.evaluate(math.e) == pytest.approx(math.exp(-1.0))
 
 
 class TestProbePoints:
