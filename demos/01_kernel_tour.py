@@ -9,7 +9,6 @@ two-sided envelope bounds.
 from dynheat import (
     HalfSpacePoint,
     Params,
-    classify_region,
     dirichlet_kernel,
     envelope,
     exchange_kernel,
@@ -60,8 +59,7 @@ print("\n== envelope regions along a ray ==")
 for s, tt in ((0.0, 1.0), (0.0, 13.0), (10.0, 1.0)):
     xx = HalfSpacePoint(0.0, s)
     yy = HalfSpacePoint(0.0, 0.0)
-    reg = classify_region(p, xx, yy, tt)
     env = envelope(p, xx, yy, tt)
     hh = exchange_kernel(p, xx, yy, tt).value
-    print(f"offset {s:>4}, t={tt:>4}: region {reg.tag},  "
+    print(f"offset {s:>4}, t={tt:>4}: region {env.region},  "
           f"lower/H = {env.lower / hh:.3e},  H/upper = {hh / env.upper:.3e}")

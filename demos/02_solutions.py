@@ -14,7 +14,6 @@ from dynheat import (
     Interior,
     NormalProfile,
     Params,
-    boundary_trace,
     boundary_value,
     solve_grid,
 )
@@ -36,7 +35,7 @@ for t in (0.25, 1.0, 4.0):
 print("\n== the boundary trace approaches the boundary data as t -> 0 ==")
 target = boundary_value(data.boundary, np.abs(xp), 2)
 for t in (1e-1, 1e-2, 1e-3):
-    u, _, _ = boundary_trace("HDD", p, data, xp, t)
+    u, _, _ = solve_grid("HDD", p, data, xp, np.zeros_like(xp), t)
     dev = np.max(np.abs(u - target))
     print(f"t={t:.0e}: max |trace - data| = {dev:.4f}")
 

@@ -11,7 +11,6 @@ from .quadrature import (
 from .kernels import (
     Params,
     HalfSpacePoint,
-    free_heat_kernel,
     free_heat_radial,
     dirichlet_kernel,
     neumann_kernel,
@@ -30,7 +29,6 @@ from .data import (
     boundary_value,
 )
 from .dynamic import (
-    Region,
     Envelope,
     SingularConfigurationError,
     exchange_kernel,
@@ -38,7 +36,6 @@ from .dynamic import (
     dirichlet_layer_kernel,
     laplace_dynamic_kernel,
     heat_neumann_kernel,
-    classify_region,
     envelope,
     exchange_log_grid,
     exchange_marginal_interior,
@@ -52,10 +49,7 @@ from .dynamic import (
 )
 from .solutions import (
     PROBLEM_TAGS,
-    solve,
     solve_grid,
-    boundary_trace,
-    witness_response,
 )
 from .verification import (
     RateFit,

@@ -37,7 +37,7 @@ from .kernels import (
     HalfSpacePoint,
     Params,
     dirichlet_kernel,
-    free_heat_kernel,
+    free_heat_radial,
     neumann_kernel,
     poisson_kernel,
     tangential_offset,
@@ -322,10 +322,8 @@ def cmd_eval_kernel(c, out, args):
     p, spec, x, y, t, kern = c.params, c.quad, c.x, c.y, c.t, c.kernel
     converged = True
     if kern == "gamma":  # x' is the point of R^d
-        if c.d < 1:  # before tangential_vector, which cannot pad into R^0
-            raise ConfigError("d must be at least 1")
         r = np.linalg.norm(x.tangential_vector(c.d + 1))
-        value = float(free_heat_kernel(c.d, r, t))
+        value = float(free_heat_radial(c.d, r, t))
     elif kern == "g0":
         value = float(dirichlet_kernel(x, y, t, p.dim))
     elif kern == "gn":
@@ -420,6 +418,7 @@ def cmd_bounds_check(c, out, args):
     p = c.params
     res = sandwich_check(p, n_per_region=c.samples_per_region, seed=c.seed,
                          stability_factor=c.stability_factor)
+    passed = res.passed and not (args.strict and not res.converged)
     rows = [_param_cols(p) + ["two-sided envelopes", tag,
                                  repr(v["upper_max"]), repr(v["lower_max"])]
             for tag, v in sorted(res.per_region.items())]
@@ -434,10 +433,10 @@ def cmd_bounds_check(c, out, args):
                    "detail": f"empirical constants ({res.upper_max:.4g}, "
                              f"{res.lower_max:.4g}), doubling stability "
                              f"{res.stability:.4g}",
-                   "pass": res.passed})
+                   "pass": passed})
     print(f"bounds-check: constants ({res.upper_max:.3f}, {res.lower_max:.3f}), "
-          f"stability {res.stability:.3f} -> {'PASS' if res.passed else 'FAIL'}")
-    return 0 if res.passed else 1
+          f"stability {res.stability:.3f} -> {'PASS' if passed else 'FAIL'}")
+    return 0 if passed else 1
 
 
 def cmd_limit_rate(c, out, args):
@@ -463,9 +462,8 @@ def cmd_limit_rate(c, out, args):
 
 def cmd_opnorm(c, out, args):
     p_exp, q_exp = (math.inf if v == "inf" else v for v in (c.p, c.q))
-    pp = c.params
-    res = opnorm_decay(p_exp, q_exp, pp.epsilon, pp.delta, pp.kappa,
-                       tuple(c.t_ladder), c.quad, pp.dim)
+    res = opnorm_decay(p_exp, q_exp, c.params, tuple(c.t_ladder), c.quad)
+    passed = res.passed and not (args.strict and not res.converged)
     write_csv(os.path.join(out, "opnorm.csv"),
               ["p", "q", "theorem", "t", "ratio"],
               [[str(c.p), str(c.q), "operator-norm decay",
@@ -476,10 +474,10 @@ def cmd_opnorm(c, out, args):
                    "slope": None if res.fit is None else res.fit.slope,
                    "expected_slope": res.expected_slope,
                    "grid_approximate": res.grid_approximate,
-                   "detail": res.detail, "pass": res.passed})
+                   "detail": res.detail, "pass": passed})
     print(f"opnorm ({c.p},{c.q}): {res.detail} -> "
-          f"{'PASS' if res.passed else 'FAIL'}")
-    return 0 if res.passed else 1
+          f"{'PASS' if passed else 'FAIL'}")
+    return 0 if passed else 1
 
 
 def cmd_oracle_compare(c, out, args):
@@ -554,8 +552,8 @@ def main(argv=None) -> int:
     ap.add_argument("--config", help="JSON run configuration")
     ap.add_argument("--out", default="out", help="output directory")
     ap.add_argument("--strict", action="store_true",
-                    help="treat flagged quadrature as failure (eval-kernel, "
-                         "mass-check, solve, limit-rate, oracle-compare)")
+                    help="treat flagged quadrature as failure (every "
+                         "subcommand but identity-suite and report)")
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:

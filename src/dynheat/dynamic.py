@@ -53,7 +53,6 @@ from .quadrature import (
 )
 
 __all__ = [
-    "Region",
     "Envelope",
     "SingularConfigurationError",
     "exchange_kernel",
@@ -61,7 +60,6 @@ __all__ = [
     "dirichlet_layer_kernel",
     "laplace_dynamic_kernel",
     "heat_neumann_kernel",
-    "classify_region",
     "envelope",
     "exchange_log_grid",
     "exchange_marginal_interior",
@@ -426,16 +424,6 @@ def dirichlet_layer_kernel(p: Params, theta: float, x: HalfSpacePoint,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Region:
-    """Tag of the envelope region together with the extreme tangential
-    time scales Lambda = max(delta, kappa * epsilon), lambda = min(...)."""
-
-    tag: str
-    lambda_big: float
-    lambda_small: float
-
-
-@dataclass(frozen=True)
 class Envelope:
     """Two-sided envelope values (upper and lower profiles times their
     tangential Gaussians); the unknown comparison constant is not
@@ -456,16 +444,6 @@ def region_tag(eps, delta, s, t):
     tags = np.where(near, np.where(early, "D1", "D2"),
                     np.where(shallow, "D3", "D4"))
     return tags
-
-
-def classify_region(p: Params, x: HalfSpacePoint, y: HalfSpacePoint, t: float) -> Region:
-    if p.kappa <= 0:
-        raise ValueError("region classification requires kappa > 0")
-    if t <= 0:
-        raise ValueError("time must be positive")
-    tag = str(region_tag(p.epsilon, p.delta, x.normal + y.normal, t))
-    return Region(tag, max(p.delta, p.kappa * p.epsilon),
-                  min(p.delta, p.kappa * p.epsilon))
 
 
 def envelope_log(p: Params, r, s, t):
@@ -492,6 +470,8 @@ def envelope_log(p: Params, r, s, t):
 
 
 def envelope(p: Params, x: HalfSpacePoint, y: HalfSpacePoint, t: float) -> Envelope:
+    """Upper and lower envelopes of the exchange kernel at (x, y, t), and
+    the region D1-D4 that (x_N + y_N, t) lies in."""
     if t <= 0:
         raise ValueError("time must be positive")
     r = tangential_offset(x, y, p.dim)

@@ -19,7 +19,6 @@ __all__ = [
     "Params",
     "HalfSpacePoint",
     "exp_flush",
-    "free_heat_kernel",
     "free_heat_radial",
     "dirichlet_kernel",
     "neumann_kernel",
@@ -70,6 +69,8 @@ class HalfSpacePoint:
             raise ValueError("normal coordinate must be nonnegative")
 
     def tangential_vector(self, dim: int) -> np.ndarray:
+        if dim < 2:
+            raise ValueError(f"no tangential axis in dimension {dim}; dim must be at least 2")
         v = np.atleast_1d(np.asarray(self.tangential, dtype=float))
         if v.size == dim - 1:
             return v
@@ -109,21 +110,6 @@ def free_heat_radial(d: int, r, t):
     r = np.asarray(r, dtype=float)
     logv = -(d / 2.0) * np.log(4.0 * np.pi * t) - r * r / (4.0 * t)
     return exp_flush(logv)
-
-
-def free_heat_kernel(d: int, x, t: float):
-    """Whole-space heat kernel (4 pi t)^(-d/2) exp(-|x|^2 / 4t).
-
-    ``x`` is a scalar radius or a length-d vector.
-    """
-    if d < 1:
-        raise ValueError("dimension must be at least 1")
-    xv = np.asarray(x, dtype=float)
-    if xv.ndim == 1 and xv.size == d and d > 1:
-        r = float(np.linalg.norm(xv))
-    else:
-        r = xv
-    return free_heat_radial(d, r, t)
 
 
 def dirichlet_kernel(x: HalfSpacePoint, y: HalfSpacePoint, t: float, dim: int):

@@ -4,9 +4,9 @@ Tags name the problem being solved:
 
 ========  ==========================================================
 HDD       heat flow, diffusive dynamical boundary condition
-HD        heat flow, non-diffusive dynamical condition (kappa = 0)
+HD        HDD at kappa = 0 (non-diffusive dynamical condition)
 LDD       Laplace equation, diffusive dynamical condition
-LD        Laplace equation, non-diffusive dynamical condition
+LD        LDD at kappa = 0 (non-diffusive dynamical condition)
 HDN       heat flow, diffusive Neumann condition
 HhN       heat flow, homogeneous Neumann condition
 HD0       heat flow, homogeneous Dirichlet condition
@@ -33,7 +33,6 @@ from .data import (
     Boundary,
     InitialData,
     Interior,
-    NormalProfile,
     UnsupportedDataError,
     boundary_value,
     tan_conv,
@@ -52,9 +51,7 @@ from .kernels import (
 )
 from .quadrature import (
     DEFAULT_SPEC,
-    QuadResult,
     QuadSpec,
-    _finalize,
     add_terms,
     integrate,
     integrate_nested,
@@ -64,10 +61,7 @@ from .quadrature import (
 __all__ = [
     "PROBLEM_TAGS",
     "first_axis",
-    "solve",
     "solve_grid",
-    "boundary_trace",
-    "witness_response",
 ]
 
 PROBLEM_TAGS = ("HDD", "HD", "LDD", "LD", "HDN", "HhN", "HD0",
@@ -267,6 +261,8 @@ def _validate(tag, p: Params, data: InitialData, theta):
 def _solve(tag, p: Params, data: InitialData, xp, xn, t, spec, theta):
     """(values, per-probe errors, subdivisions, converged) of solve_grid."""
     _validate(tag, p, data, theta)
+    if tag in ("HD", "LD"):  # the kappa = 0 aliases
+        return _solve(tag + "D", replace(p, kappa=0.0), data, xp, xn, t, spec, theta)
     if t <= 0:
         raise ValueError("time must be positive")
     xp = np.atleast_1d(np.asarray(xp, dtype=float))
@@ -278,9 +274,6 @@ def _solve(tag, p: Params, data: InitialData, xp, xn, t, spec, theta):
     phi, psi = data.interior, data.boundary
     off_i = np.abs(xp - phi.center) if phi.kind != "zero" else xp
     off_b = np.abs(xp - psi.center) if psi.kind != "zero" else xp
-
-    if tag == "HD":
-        return _solve("HDD", replace(p, kappa=0.0), data, xp, xn, t, spec, theta)
 
     def reflected(sign):
         return _reflected_term(p.epsilon, p.dim, phi, off_i, xn, t, spec, sign)
@@ -306,8 +299,6 @@ def _solve(tag, p: Params, data: InitialData, xp, xn, t, spec, theta):
     if tag == "LDD":
         return _harmonic_layer_term(p.dim, psi, off_b, xn + t / p.delta,
                                     p.kappa * t / p.delta, spec)
-    if tag == "LD":
-        return _harmonic_layer_term(p.dim, psi, off_b, xn + t / p.delta, 0.0, spec)
     if tag == "LDpsi":
         return _harmonic_layer_term(p.dim, psi, off_b, xn, 0.0, spec)
     return _harmonic_layer_term(p.dim, psi, off_b, xn, t / theta, spec)  # LDPsi
@@ -333,37 +324,3 @@ def first_axis(x: HalfSpacePoint, dim: int) -> float:
         raise ValueError("probe points must lie on the first tangential axis")
     return float(xv[0])
 
-
-def solve(tag: str, p: Params, data: InitialData, x: HalfSpacePoint, t: float,
-          spec: QuadSpec = DEFAULT_SPEC, theta: float | None = None) -> QuadResult:
-    """Solution of the tagged problem at one space-time point."""
-    return _finalize(*_solve(tag, p, data, [first_axis(x, p.dim)], [x.normal], t,
-                             spec, theta))
-
-
-def boundary_trace(tag: str, p: Params, data: InitialData, xp, t: float,
-                   spec: QuadSpec = DEFAULT_SPEC, theta: float | None = None):
-    """Solution restricted to the boundary (normal coordinate zero)."""
-    xp = np.atleast_1d(np.asarray(xp, dtype=float))
-    return solve_grid(tag, p, data, xp, np.zeros_like(xp), t, spec, theta)
-
-
-def witness_response(p: Params, xp, xn, t: float,
-                     spec: QuadSpec = DEFAULT_SPEC):
-    """Action of the solution operator on the witness profile at time t
-    (with zero boundary component).
-
-    The absorbed part propagates the witness exactly (time shift t -> 2t);
-    the exchange part is a 2-D quadrature against the witness profile,
-    whose tangential factor is a Gaussian of parameter t/epsilon and whose
-    normal factor is the Gaussian slope profile.
-    """
-    xp = np.atleast_1d(np.asarray(xp, dtype=float))
-    xn = np.atleast_1d(np.asarray(xn, dtype=float))
-    T = t / p.epsilon
-    rho = np.hypot(xp, xn)
-    direct = p.epsilon * xn / (4.0 * t) * free_heat_radial(p.dim, rho, 2.0 * T)
-    phi_w = Interior("heat_gaussian", a=T,
-                     normal=NormalProfile("gaussian_slope", b=T))
-    ex, err, _, conv = _exchange_interior_term(p, phi_w, np.abs(xp), xn, t, spec)
-    return direct + ex / p.delta, float(np.max(err / p.delta)), conv

@@ -43,7 +43,7 @@ from .kernels import (
     poisson_kernel,
 )
 from .quadrature import DEFAULT_SPEC, TAIL_EXPONENT, QuadSpec, integrate, integrate_nested
-from .solutions import _BOUNDARY_ONLY, _INTERIOR_ONLY, solve_grid, witness_response
+from .solutions import _BOUNDARY_ONLY, _INTERIOR_ONLY, solve_grid
 
 __all__ = [
     "RateFit",
@@ -646,6 +646,7 @@ class SandwichResult:
     per_region: dict
     stability: float
     passed: bool
+    converged: bool
 
 
 # Consecutive rejected draws after which a region counts as unreachable;
@@ -693,7 +694,8 @@ def sandwich_check(p: Params | None = None, n_per_region: int = 500,
     The maxima of kernel/upper-envelope and lower-envelope/kernel are the
     empirical comparison constants; sample doubling (the first half vs
     the full set, nested) must move them by less than the stability
-    factor.
+    factor.  ``converged`` is False when any exchange-kernel value did not
+    converge.
     """
     if n_per_region < 2:
         raise ValueError("sandwich_check needs n_per_region >= 2")
@@ -703,10 +705,12 @@ def sandwich_check(p: Params | None = None, n_per_region: int = 500,
     samples = _sample_regions(p, n_per_region, rng)
     per_region = {}
     ups, lows = [], []
+    converged = True
     for tag, pts in samples.items():
         lu_r, ll_r, lh_r = [], [], []
         for (r, s, t) in pts:
-            lh, _, _, _ = exchange_log_grid(p, [r], [s], t, spec)
+            lh, _, _, conv = exchange_log_grid(p, [r], [s], t, spec)
+            converged = converged and bool(conv)
             lu, ll, _ = envelope_log(p, np.array([r]), np.array([s]), t)
             lh_r.append(lh[0])
             lu_r.append(lu[0])
@@ -726,7 +730,7 @@ def sandwich_check(p: Params | None = None, n_per_region: int = 500,
                   and np.all(up_all > 0) and np.all(low_all > 0))
     passed = finite and stability < stability_factor
     return SandwichResult(float(up_all.max()), float(low_all.max()),
-                          per_region, float(stability), passed)
+                          per_region, float(stability), passed, converged)
 
 
 # ---------------------------------------------------------------------------
@@ -758,49 +762,57 @@ class OpnormResult:
     expected_slope: float | None
     passed: bool
     detail: str
+    converged: bool
     grid_approximate: bool = False
 
 
-def opnorm_decay(p_exp: float, q_exp: float, epsilon: float = 1.0,
-                 delta: float = 1.0, kappa: float = 1.0,
+def opnorm_decay(p_exp: float, q_exp: float, p: Params | None = None,
                  t_ladder=(1.0, 2.0, 4.0, 8.0),
-                 spec: QuadSpec = DEFAULT_SPEC, dim: int = 2) -> OpnormResult:
+                 spec: QuadSpec = DEFAULT_SPEC) -> OpnormResult:
     """Witness-based lower-bound curve for the operator norm between
     Lebesgue exponents, fitted in time.
 
-    For p == q the constant pair (1, 1) is propagated instead and the
-    ratio must equal 1.  For q < inf the output norm is evaluated on the
-    probe grid (grid-approximate, flagged).
+    At each t, ``solve_grid("HDD", p, ...)`` propagates the witness profile
+    (interior data: a tangential Gaussian of parameter t/eps times the
+    Gaussian slope profile of the same parameter; zero boundary data) to
+    the ``omega_L_I`` probes.  The ratio of the output's q-norm to the
+    witness's p-norm must decay with slope -N/2 (1/p - 1/q) in log t.  For
+    p == q the constant pair (1, 1) is propagated instead and the ratio
+    must equal 1.  For q < inf the output norm is evaluated on the probe
+    grid (grid-approximate, flagged).  ``converged`` is False when any
+    ``solve_grid`` call did not; ``p`` defaults to Params(1, 1, 1, 2).
     """
     if not 1 <= p_exp <= q_exp:
         raise ValueError("opnorm_decay needs 1 <= p <= q")
-    p = Params(epsilon, delta, kappa, dim)
+    p = p or Params(1.0, 1.0, 1.0, 2)
+    xp, xn, _ = probe_points("omega_L_I")
+    table, converged = [], True
     if p_exp == q_exp:
         ones = InitialData(Interior("constant", c=1.0), Boundary("constant", c=1.0))
-        xp, xn, _ = probe_points("omega_L_I")
-        ratios = []
         for t in t_ladder:
-            u, _, _ = solve_grid("HDD", p, ones, xp, xn, t, spec)
-            ratios.append(float(np.max(np.abs(u))))
-        dev = max(abs(rr - 1.0) for rr in ratios)
-        return OpnormResult(p_exp, q_exp, list(zip(t_ladder, ratios)), None, 0.0,
-                            dev <= 1e-6, f"max |ratio - 1| = {dev:.2e}")
-    xp, xn, _ = probe_points("omega_L_I")
-    grid_approx = q_exp != math.inf
-    table = []
+            u, _, conv = solve_grid("HDD", p, ones, xp, xn, t, spec)
+            converged = converged and bool(conv)
+            table.append((t, float(np.max(np.abs(u)))))
+        dev = max(abs(r - 1.0) for _, r in table)
+        return OpnormResult(p_exp, q_exp, table, None, 0.0, dev <= 1e-6,
+                            f"max |ratio - 1| = {dev:.2e}", converged)
     for t in t_ladder:
-        u, _, _ = witness_response(p, xp, xn, t, spec)
+        T = t / p.epsilon
+        witness = InitialData(Interior("heat_gaussian", a=T,
+                                       normal=NormalProfile("gaussian_slope", b=T)))
+        u, _, conv = solve_grid("HDD", p, witness, xp, xn, t, spec)
+        converged = converged and bool(conv)
         if q_exp == math.inf:
             num = float(np.max(np.abs(u)))
         else:
             num = float(np.mean(np.abs(u) ** q_exp) ** (1.0 / q_exp))
-        table.append((t, num / witness_norm(p_exp, epsilon, t, dim)))
+        table.append((t, num / witness_norm(p_exp, p.epsilon, t, p.dim)))
     fit = fit_rate(table)
-    expected = -(dim / 2.0) * (1.0 / p_exp - (0.0 if q_exp == math.inf else 1.0 / q_exp))
+    expected = -(p.dim / 2.0) * (1.0 / p_exp - (0.0 if q_exp == math.inf else 1.0 / q_exp))
     passed = abs(fit.slope - expected) <= 0.1 and fit.r_squared >= 0.98
     return OpnormResult(p_exp, q_exp, table, fit, expected, passed,
                         f"slope {fit.slope:.3f} vs {expected:+.3f} +/- 0.1",
-                        grid_approx)
+                        converged, q_exp != math.inf)
 
 
 # ---------------------------------------------------------------------------

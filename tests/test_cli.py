@@ -377,6 +377,32 @@ def test_limit_rate_honours_strict(tmp_path):
             == (tmp_path / "strict" / "limit_hdpsi_eps_to_0.csv").read_bytes())
 
 
+def test_opnorm_honours_strict(tmp_path):
+    cfg = {"p": 1, "q": "inf", "quad": {"max_subdivisions": 1}}
+    (tmp_path / "plain").mkdir()
+    (tmp_path / "strict").mkdir()
+    assert run_cli(tmp_path / "plain", "opnorm", cfg) == 0
+    assert run_cli(tmp_path / "strict", "opnorm", cfg, extra=["--strict"]) == 1
+    assert ((tmp_path / "plain" / "opnorm.csv").read_bytes()
+            == (tmp_path / "strict" / "opnorm.csv").read_bytes())
+
+
+def test_bounds_check_honours_strict(tmp_path, monkeypatch):
+    # bounds-check takes no quad block, so non-convergence is forced
+    from dynheat import verification
+
+    exchange = verification.exchange_log_grid
+    monkeypatch.setattr(verification, "exchange_log_grid",
+                        lambda *a: (*exchange(*a)[:3], False))
+    cfg = {"samples_per_region": 8}
+    (tmp_path / "plain").mkdir()
+    (tmp_path / "strict").mkdir()
+    assert run_cli(tmp_path / "plain", "bounds-check", cfg) == 0
+    assert run_cli(tmp_path / "strict", "bounds-check", cfg, extra=["--strict"]) == 1
+    assert ((tmp_path / "plain" / "bounds_check.csv").read_bytes()
+            == (tmp_path / "strict" / "bounds_check.csv").read_bytes())
+
+
 # ---------------------------------------------------------------------------
 # fuzz: one bad value or one unknown key never escapes as a traceback
 # ---------------------------------------------------------------------------

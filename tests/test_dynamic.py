@@ -7,7 +7,6 @@ import pytest
 from dynheat.dynamic import (
     Envelope,
     SingularConfigurationError,
-    classify_region,
     dirichlet_layer_kernel,
     envelope,
     exchange_kernel,
@@ -411,24 +410,18 @@ class TestRegions:
         p = Params(1.0, 1.0, 1.0, 2)
         mk = lambda s: (HalfSpacePoint(0.0, s), HalfSpacePoint(0.0, 0.0))
         x, y = mk(0.0)
-        assert classify_region(p, x, y, 1.0).tag == "D1"
-        assert classify_region(p, x, y, 13.0).tag == "D2"
+        assert envelope(p, x, y, 1.0).region == "D1"
+        assert envelope(p, x, y, 13.0).region == "D2"
         x, y = mk(10.0)
-        assert classify_region(p, x, y, 1.0).tag == "D4"
+        assert envelope(p, x, y, 1.0).region == "D4"
         p2 = Params(1.0, 100.0, 1.0, 2)
         x, y = mk(3.0)
-        assert classify_region(p2, x, y, 1.0).tag == "D3"
-
-    def test_lambda_fields(self):
-        reg = classify_region(Params(2.0, 0.5, 3.0, 2), HalfSpacePoint(0.0, 0.0),
-                              HalfSpacePoint(0.0, 0.0), 1.0)
-        assert reg.lambda_big == max(0.5, 3.0 * 2.0)
-        assert reg.lambda_small == min(0.5, 3.0 * 2.0)
+        assert envelope(p2, x, y, 1.0).region == "D3"
 
     def test_kappa_zero_unsupported(self):
         with pytest.raises(ValueError):
-            classify_region(Params(1, 1, 0.0, 2), HalfSpacePoint(0.0, 0.0),
-                            HalfSpacePoint(0.0, 0.0), 1.0)
+            envelope(Params(1, 1, 0.0, 2), HalfSpacePoint(0.0, 0.0),
+                     HalfSpacePoint(0.0, 0.0), 1.0)
 
 
 class TestEnvelope:

@@ -1,4 +1,6 @@
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -14,3 +16,12 @@ def test_import_loads_no_fft_or_special():
     proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
                           timeout=120, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_every_exported_name_exists():
+    # a name deleted from a module but left in its __all__ fails here
+    missing = []
+    for info in pkgutil.iter_modules(dynheat.__path__):
+        mod = importlib.import_module(f"dynheat.{info.name}")
+        missing += [f"{info.name}.{n}" for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
+    assert missing == []

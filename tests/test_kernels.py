@@ -9,7 +9,6 @@ from dynheat.kernels import (
     HalfSpacePoint,
     Params,
     dirichlet_kernel,
-    free_heat_kernel,
     free_heat_radial,
     gaussian_interval_mass,
     neumann_kernel,
@@ -21,20 +20,16 @@ from dynheat.quadrature import integrate, integrate_semi_infinite
 
 class TestFreeHeatKernel:
     def test_scalar_values(self):
-        assert free_heat_kernel(1, 0.0, 1.0) == pytest.approx(
+        assert free_heat_radial(1, 0.0, 1.0) == pytest.approx(
             0.2820947917738781, abs=1e-15)
-        assert free_heat_kernel(2, np.zeros(2), 0.25) == pytest.approx(
+        assert free_heat_radial(2, 0.0, 0.25) == pytest.approx(
             1.0 / math.pi, abs=1e-15)
-
-    def test_vector_equals_radius(self):
-        v = np.array([0.3, -0.4])
-        assert free_heat_kernel(2, v, 0.7) == free_heat_kernel(2, 0.5, 0.7)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            free_heat_kernel(1, 0.0, 0.0)
+            free_heat_radial(1, 0.0, 0.0)
         with pytest.raises(ValueError):
-            free_heat_kernel(1, 0.0, -1.0)
+            free_heat_radial(1, 0.0, -1.0)
 
     @pytest.mark.parametrize("d,t", [(1, 0.7), (1, 0.1), (1, 10.0), (2, 1.0),
                                      (2, 0.1), (2, 10.0)])
@@ -57,12 +52,12 @@ class TestFreeHeatKernel:
             assert res.value == pytest.approx(free_heat_radial(1, x, t + s), rel=1e-9)
 
     def test_underflow_flush(self):
-        assert free_heat_kernel(1, 200.0, 1.0) == 0.0
+        assert free_heat_radial(1, 200.0, 1.0) == 0.0
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.floats(0, 5), st.floats(0.05, 5))
     def test_positive_below_flush(self, r, t):
-        assert free_heat_kernel(1, r, t) > 0.0
+        assert free_heat_radial(1, r, t) > 0.0
 
 
 class TestHalfSpaceKernels:
@@ -91,7 +86,7 @@ class TestHalfSpaceKernels:
         a = HalfSpacePoint(0.5, 0.0)
         b = HalfSpacePoint(-0.5, 0.0)
         gn = neumann_kernel(a, b, 0.8, 2)
-        assert gn == pytest.approx(2.0 * free_heat_kernel(2, np.array([1.0, 0.0]), 0.8),
+        assert gn == pytest.approx(2.0 * free_heat_radial(2, 1.0, 0.8),
                                    rel=1e-14)
 
     def test_neumann_mass(self):
@@ -145,6 +140,8 @@ class TestPoints:
         assert np.allclose(p.tangential_vector(3), [1.5, 0.0])
         q = HalfSpacePoint((1.0, 2.0), 0.5)
         assert np.allclose(q.tangential_vector(3), [1.0, 2.0])
+        with pytest.raises(ValueError):  # R^1 has no tangential axis to pad into
+            HalfSpacePoint(0.5, 0).tangential_vector(1)
 
     def test_negative_normal_rejected(self):
         with pytest.raises(ValueError):

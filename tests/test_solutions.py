@@ -14,14 +14,9 @@ from dynheat.data import (
     boundary_value,
     interior_value,
 )
-from dynheat.kernels import HalfSpacePoint, Params, free_heat_radial
+from dynheat.kernels import Params, free_heat_radial
 from dynheat.quadrature import QuadSpec
-from dynheat.solutions import (
-    boundary_trace,
-    solve,
-    solve_grid,
-    witness_response,
-)
+from dynheat.solutions import solve_grid
 
 P111 = Params(1.0, 1.0, 1.0, 2)
 ONES = InitialData(Interior("constant", c=1.0), Boundary("constant", c=1.0))
@@ -137,7 +132,7 @@ class TestReductions:
 
     def test_ldpsi_trace_returns_data(self):
         data = InitialData(boundary=GAUSS_PSI)
-        u, _, _ = boundary_trace("LDpsi", P111, data, XP, 1.0)
+        u, _, _ = solve_grid("LDpsi", P111, data, XP, np.zeros_like(XP), 1.0)
         assert np.allclose(u, boundary_value(GAUSS_PSI, np.abs(XP), 2))
 
     def test_ldd_reduces_to_ld_at_zero_kappa(self):
@@ -281,24 +276,10 @@ class TestValidation:
             solve_grid("HDD", P111, ONES, [0.0], [-0.5], 1.0)
 
 
-class TestSolvePointAPI:
-    def test_solve_matches_grid(self):
-        data = InitialData(boundary=GAUSS_PSI)
-        res = solve("HDD", P111, data, HalfSpacePoint(0.5, 0.25), 0.8)
-        grid, _, _ = solve_grid("HDD", P111, data, [0.5], [0.25], 0.8)
-        assert res.value == grid[0]
-
-    def test_off_axis_rejected_in_3d(self):
-        p = Params(1, 1, 1, 3)
-        with pytest.raises(ValueError):
-            solve("HD0", p, InitialData(GAUSS_PHI),
-                  HalfSpacePoint((0.3, 0.4), 0.5), 1.0)
-
-
 class TestTraceBehaviour:
     def test_gaussian_boundary_trace_small_time(self):
         data = InitialData(boundary=GAUSS_PSI)
-        u, _, _ = boundary_trace("HDD", P111, data, XP, 1e-3)
+        u, _, _ = solve_grid("HDD", P111, data, XP, np.zeros_like(XP), 1e-3)
         target = boundary_value(GAUSS_PSI, np.abs(XP), 2)
         assert np.max(np.abs(u - target)) < 0.05
 
@@ -311,12 +292,13 @@ class TestTraceBehaviour:
 
 
 class TestWitness:
+    # the witness data of opnorm_decay at eps = t = 1
+    PHI = Interior("heat_gaussian", a=1.0, normal=NormalProfile("gaussian_slope", b=1.0))
+
     def test_values(self):
-        # the witness data of witness_response at eps = t = 1
-        phi = Interior("heat_gaussian", a=1.0, normal=NormalProfile("gaussian_slope", b=1.0))
-        assert interior_value(phi, 0.0, 1.0, 2) == pytest.approx(
+        assert interior_value(self.PHI, 0.0, 1.0, 2) == pytest.approx(
             0.030987498577413244, abs=1e-16)
-        assert interior_value(phi, 0.7, 0.0, 2) == 0.0
+        assert interior_value(self.PHI, 0.7, 0.0, 2) == 0.0
 
     def test_norm_scaling_is_exact(self):
         from dynheat.verification import witness_norm
@@ -332,7 +314,7 @@ class TestWitness:
         p = Params(1.0, 1e8, 1.0, 2)
         xp = np.array([0.0, 0.5])
         xn = np.array([0.7, 1.0])
-        u, _, _ = witness_response(p, xp, xn, 1.0)
+        u, _, _ = solve_grid("HDD", p, InitialData(self.PHI), xp, xn, 1.0)
         rho = np.hypot(xp, xn)
         ref = xn / 4.0 * free_heat_radial(2, rho, 2.0)
         assert np.max(np.abs(u - ref)) < 1e-9
