@@ -527,7 +527,12 @@ def total_mass(p: Params, xn: float, t: float,
                spec: QuadSpec = DEFAULT_SPEC) -> QuadResult:
     """Interior plus weighted boundary mass of the fundamental solution;
     equals 1 identically.  The absorbing-boundary mass is the closed form
-    erf(sqrt(eps) x_N / (2 sqrt(t))); the exchange marginals are quadratures."""
+    erf(sqrt(eps) x_N / (2 sqrt(t))); the exchange marginals are quadratures.
+
+    Both marginals close the tangential integral, so the result reads
+    neither kappa nor the dimension: rows of a mass grid that differ only
+    in those return bit-identical results.  ``total_mass_radial`` is the
+    route that exercises them."""
     g0 = math.erf(math.sqrt(p.epsilon) * xn / (2.0 * math.sqrt(t)))
     return QuadResult(*add_terms((g0, 0.0, 0, True),
                                  (exchange_marginal_interior(p, xn, t, spec), p.delta),

@@ -33,20 +33,42 @@ about 1.5 ms on a 2-core host, against 3.4e6 nonzeros and 3.4 ms for the
 minimum-degree LU of the 5-point operator in the physical basis.  The
 state is transformed once at the start and back only for the periodic
 instability check and the stored snapshots.
+
+``scipy.sparse`` and ``scipy.sparse.linalg`` cost about 0.25 s of import
+and 33 MB of resident memory, and nothing else in dynheat needs them, so
+they load the first time ``sp`` or ``spla`` is read from this module.
+They then stay plain module attributes, and ``spla`` may be rebound (a
+tracer may wrap it): ``fd_solve`` calls ``splu`` through whatever
+``spla`` is bound to when it runs.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .data import InitialData, boundary_value, interior_value
 from .kernels import Params
+from .quadrature import _count, _finite
 
 __all__ = ["FdGrid", "FdResult", "SchemeError", "fd_solve", "discrete_mass", "compare"]
+
+_this = sys.modules[__name__]
+
+
+def __getattr__(name):
+    """Import the sparse stack on the first read of ``sp`` or ``spla``;
+    a binding already made wins."""
+    if name not in ("sp", "spla"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import scipy.sparse
+    import scipy.sparse.linalg
+
+    globals().setdefault("sp", scipy.sparse)
+    globals().setdefault("spla", scipy.sparse.linalg)
+    return globals()[name]
 
 
 class SchemeError(RuntimeError):
@@ -66,9 +88,10 @@ class FdGrid:
     flux: str = "compact"  # the only wall flux
 
     def __post_init__(self):
-        if self.Lx <= 0 or self.Lz <= 0 or self.nx < 4 or self.nz < 4:
+        if (_finite(self.Lx, "Lx") <= 0 or _finite(self.Lz, "Lz") <= 0
+                or _count(self.nx, "nx") < 4 or _count(self.nz, "nz") < 4):
             raise ValueError("degenerate grid")
-        if self.dt <= 0:
+        if _finite(self.dt, "dt") <= 0:
             raise ValueError("dt must be positive")
         if self.scheme != "crank_nicolson":
             raise ValueError(f"unknown scheme {self.scheme!r}")
@@ -128,6 +151,7 @@ def _assemble(p: Params, grid: FdGrid):
     is the boundary line; the physical field vanishes at i = nz and on the
     columns j = 0 and j = nx).
     """
+    sp = _this.sp
     nz, hz = grid.nz, grid.hz
     hz2 = hz**2
     cap0, kap0 = _wall(p, grid)
@@ -152,7 +176,7 @@ def _operators(p: Params, grid: FdGrid):
     factorisation and does not add to its peak memory.
     """
     L, mdiag = _assemble(p, grid)
-    M = sp.diags(mdiag / grid.dt)
+    M = _this.sp.diags(mdiag / grid.dt)
     return (M - 0.5 * L).tocsc(), (M + 0.5 * L).tocsr()
 
 
@@ -204,7 +228,7 @@ def fd_solve(p: Params, data: InitialData, grid: FdGrid, t_end: float,
     limit = 10.0 * max(1.0, float(np.max(np.abs(u))))
     lhs, rhs_op = _operators(p, grid)
     # mode-major, lhs is tridiagonal: the natural order factors it without fill
-    lu = spla.splu(lhs, permc_spec="NATURAL")
+    lu = _this.spla.splu(lhs, permc_spec="NATURAL")
     nz, sine = grid.nz, _sine(grid.nx - 1)
     vec = (sine @ u[:nz, 1:-1].T).ravel()
     for step in range(nsteps + 1):

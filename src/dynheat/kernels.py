@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .quadrature import _count, _finite
+
 __all__ = [
     "LOG_FLUSH",
     "Params",
@@ -41,13 +43,13 @@ class Params:
     dim: int = 2
 
     def __post_init__(self):
-        if not self.epsilon > 0:
+        if _finite(self.epsilon, "epsilon") <= 0:
             raise ValueError("epsilon must be positive")
-        if not self.delta > 0:
+        if _finite(self.delta, "delta") <= 0:
             raise ValueError("delta must be positive")
-        if self.kappa < 0:
+        if _finite(self.kappa, "kappa") < 0:
             raise ValueError("kappa must be nonnegative")
-        if self.dim < 2:
+        if _count(self.dim, "dim") < 2:
             raise ValueError("dim must be at least 2")
 
 

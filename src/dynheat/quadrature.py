@@ -22,6 +22,8 @@ subdivisions add, and ``converged`` is the AND of the terms.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +80,22 @@ _EPS = np.finfo(float).eps
 _UFLOW = np.finfo(float).tiny
 
 
+def _finite(value, name):
+    """``value`` if it is a finite real number, ValueError for NaN and
+    infinities (NaN fails every comparison, so a range check alone lets
+    it through)."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite")
+    return value
+
+
+def _count(value, name):
+    """``value`` if it is an integer (numpy integers included, bool not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer")
+    return value
+
+
 @dataclass(frozen=True)
 class QuadSpec:
     """Tolerance contract for one integral."""
@@ -87,9 +105,9 @@ class QuadSpec:
     max_subdivisions: int = 2000
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
+        if _finite(self.rel_tol, "rel_tol") <= 0 or _finite(self.abs_tol, "abs_tol") <= 0:
             raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
+        if _count(self.max_subdivisions, "max_subdivisions") < 1:
             raise ValueError("max_subdivisions must be >= 1")
 
 

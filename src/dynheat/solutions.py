@@ -271,6 +271,8 @@ def _solve(tag, p: Params, data: InitialData, xp, xn, t, spec, theta):
         raise ValueError("xp and xn must have matching shapes")
     if np.any(xn < 0):
         raise ValueError("normal coordinates must be nonnegative")
+    if xp.size == 0:
+        return _zero(0)
     phi, psi = data.interior, data.boundary
     off_i = np.abs(xp - phi.center) if phi.kind != "zero" else xp
     off_b = np.abs(xp - psi.center) if psi.kind != "zero" else xp

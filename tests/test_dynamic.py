@@ -297,6 +297,21 @@ class TestMasses:
         assert res.converged
         assert abs(res.value - 1.0) < 1e-8
 
+    @pytest.mark.parametrize("eps,delta,xn,t", [
+        (0.5, 2.0, 0.5, 1.0), (2.0, 0.5, 3.0, 0.1), (1.0, 1.0, 0.0, 10.0),
+    ])
+    def test_total_mass_reads_neither_kappa_nor_dim(self, eps, delta, xn, t):
+        # both exchange marginals close the tangential integral, so the
+        # (kappa, N) copies of a mass-grid row are one computation; the
+        # kappa and N axes of criterion 1 reach the kernel only through
+        # total_mass_radial
+        results = {repr((tuple(total_mass(p, xn, t)),
+                         tuple(exchange_marginal_interior(p, xn, t)),
+                         tuple(exchange_marginal_boundary(p, xn, t))))
+                   for p in (Params(eps, delta, kappa, dim)
+                             for kappa in (0.0, 0.5, 1.0, 2.0) for dim in (2, 3))}
+        assert len(results) == 1
+
     def test_total_mass_radial(self):
         res = total_mass_radial(Params(1.0, 1.0, 1.0, 2), 0.5, 1.0)
         assert abs(res.value - 1.0) < 1e-6

@@ -46,6 +46,15 @@ class TestBasics:
         with pytest.raises(ValueError):
             fd_solve(Params(1, 1, 1, 3), InitialData(), FdGrid(nx=8, nz=8), 0.01)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"Lx": np.nan}, {"Lz": np.inf}, {"dt": np.nan}, {"dt": np.inf},
+        {"nx": 16.5}, {"nz": 16.0}, {"nx": True},
+    ])
+    def test_grid_rejects_nonfinite_and_fractional(self, kwargs):
+        with pytest.raises(ValueError):
+            FdGrid(**kwargs)
+        FdGrid(nx=np.int64(16), nz=np.int32(16))
+
     def test_snapshot_alignment(self):
         g = FdGrid(nx=8, nz=8, dt=1e-2)
         with pytest.raises(ValueError):

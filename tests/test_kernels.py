@@ -158,6 +158,15 @@ class TestPoints:
             Params(1.0, 1.0, 1.0, 1)
         Params(1.0, 1.0, 0.0, 2)  # kappa = 0 allowed
 
+    @pytest.mark.parametrize("args", [
+        (1, 1, math.nan), (1, 1, math.inf), (math.inf, 1, 1, 2),
+        (1, 1, 1, 2.5), (1, 1, 1, 2.0), (1, 1, 1, True),
+    ])
+    def test_params_reject_nonfinite_and_fractional(self, args):
+        with pytest.raises(ValueError):
+            Params(*args)
+        Params(np.float64(1.0), 1, np.float64(0.0), np.int64(3))
+
 
 class TestSurfaceHeat:
     """The tangential heat flow with capacity theta, whose solution at time t

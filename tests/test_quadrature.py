@@ -130,6 +130,18 @@ def test_preconditions():
         QuadSpec(max_subdivisions=0)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"rel_tol": math.nan}, {"abs_tol": math.inf},
+    {"max_subdivisions": 2.5}, {"max_subdivisions": 2000.0}, {"max_subdivisions": True},
+])
+def test_spec_rejects_nonfinite_and_fractional(kwargs):
+    # a NaN tolerance once ran every integral to max_subdivisions and
+    # returned converged=False without an error
+    with pytest.raises(ValueError):
+        QuadSpec(**kwargs)
+    QuadSpec(max_subdivisions=np.int64(5))
+
+
 def test_nan_raises_evaluation_error():
     def bad(x):
         return np.where(x > 0.5, np.nan, x)

@@ -16,7 +16,7 @@ from dynheat.data import (
 )
 from dynheat.kernels import Params, free_heat_radial
 from dynheat.quadrature import QuadSpec
-from dynheat.solutions import solve_grid
+from dynheat.solutions import PROBLEM_TAGS, solve_grid
 
 P111 = Params(1.0, 1.0, 1.0, 2)
 ONES = InitialData(Interior("constant", c=1.0), Boundary("constant", c=1.0))
@@ -204,6 +204,21 @@ GATE_BOUNDARIES = (Boundary("constant", c=1.0), GAUSS_PSI,
                    Boundary("complement_indicator", rho=0.5))
 POWER_CUTOFF = Interior("heat_gaussian", a=1.0,
                         normal=NormalProfile("power_cutoff", alpha=0.5))
+
+
+@pytest.mark.parametrize("tag", PROBLEM_TAGS)
+def test_empty_probe_set_gives_empty_result(tag):
+    # every data kind the tag admits, nonzero interior data included
+    cases = [InitialData()]
+    if tag not in ("LDD", "LD", "LDpsi", "LDPsi"):
+        cases += [InitialData(phi) for phi in GATE_INTERIORS]
+    if tag not in ("HDN", "HhN", "HD0"):
+        cases += [InitialData(boundary=psi) for psi in GATE_BOUNDARIES]
+    if tag in ("HDD", "HD"):
+        cases.append(InitialData(POWER_CUTOFF))
+    for data in cases:
+        u, err, conv = solve_grid(tag, P111, data, [], [], 1.0, theta=1.0)
+        assert u.shape == (0,) and err == 0.0 and conv is True
 
 
 class TestReportedErrorBound:
