@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from dynheat.data import Boundary, Interior, NormalProfile, tan_conv
 from dynheat.kernels import (
+    LOG_FLUSH,
     HalfSpacePoint,
     Params,
     dirichlet_kernel,
+    exp_flush,
     free_heat_radial,
     gaussian_interval_mass,
     neumann_kernel,
@@ -16,6 +19,53 @@ from dynheat.kernels import (
     sphere_area,
 )
 from dynheat.quadrature import integrate, integrate_semi_infinite
+
+
+class TestExpFlush:
+    # the subnormal band [-745, -708.4), normal values, and the flush
+    # threshold itself
+    ABOVE = np.concatenate([[LOG_FLUSH, np.nextafter(LOG_FLUSH, 0.0)],
+                            np.linspace(LOG_FLUSH, -708.4, 1001)[:-1],
+                            np.linspace(-708.4, 50.0, 997)])
+    BELOW = np.array([-np.inf, -1e308, -2000.0, -800.0, -745.1,
+                      np.nextafter(LOG_FLUSH, -np.inf)])
+
+    def test_below_flush_is_exact_zero(self):
+        out = exp_flush(self.BELOW)
+        assert out.dtype == float and np.all(out == 0.0)
+        assert not np.signbit(out).any()
+        # exp itself leaves the smallest subnormal just below the threshold
+        assert np.exp(self.BELOW[-1]) > 0.0
+
+    @pytest.mark.parametrize("deep", [False, True])
+    def test_at_or_above_flush_has_the_bits_of_exp(self, deep):
+        # with and without flushed entries in the same array
+        x = np.concatenate([self.ABOVE, self.BELOW]) if deep else self.ABOVE
+        out = exp_flush(x)[:self.ABOVE.size]
+        assert np.array_equal(out.view(np.int64), np.exp(self.ABOVE).view(np.int64))
+        assert (out[2:1001] < np.finfo(float).tiny).all() and (out[2:1001] > 0.0).all()
+
+    @pytest.mark.parametrize("x", [[np.nan, -1.0, 0.5], [np.nan, -1.0, -900.0]])
+    def test_nan_in_nan_out(self, x):
+        out = exp_flush(np.array(x))
+        assert np.isnan(out[0]) and out[1] == math.exp(-1.0)
+        assert not np.isnan(out[1:]).any()
+
+    def test_shapes_and_scalars(self):
+        for x in (-1.0, np.float64(-800.0), np.array(-2.0), np.nan):
+            assert type(exp_flush(x)) is float
+        assert exp_flush(-800.0) == 0.0 and exp_flush(0.0) == 1.0
+        for shape in [(0,), (3, 4), (15, 1), (2, 3, 5)]:
+            x = np.linspace(-900.0, 1.0, math.prod(shape)).reshape(shape)
+            assert exp_flush(x).shape == shape
+            assert exp_flush(x.T).shape == shape[::-1]
+
+    def test_no_runtime_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            exp_flush(np.concatenate([self.ABOVE, self.BELOW, [np.nan]]))
+            exp_flush(self.ABOVE)
+            exp_flush(np.full((65, 4225), -1e4))
 
 
 class TestFreeHeatKernel:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from dynheat.quadrature import (
     EvaluationError,
     QuadResult,
     QuadSpec,
+    _adaptive,
     add_terms,
     integrate,
     integrate_nested,
@@ -234,3 +236,137 @@ def test_error_estimate_honesty(idx):
     res = integrate(f, a, b)
     true_err = abs(res.value - exact)
     assert true_err <= 5.0 * max(res.error_estimate, 1e-15)
+
+
+# Golden pins of the adaptive core: float.hex of value and error (a
+# sha256 prefix of their bytes for wide batches), subdivisions and the
+# converged flag.  Any change to panel arithmetic, worst-panel order or
+# final accumulation moves at least one of them.
+_PEAK_C = np.linspace(0.02, 0.98, 225)
+_PEAK_W = np.geomspace(1e-4, 1e-1, 225)[np.argsort(np.sin(np.arange(225.0)))]
+
+
+def _pin(value, error):
+    v = np.asarray(value, dtype=float).ravel()
+    e = np.asarray(error, dtype=float).ravel()
+    if v.size <= 3:
+        return [float(x).hex() for x in v], [float(x).hex() for x in e]
+    return hashlib.sha256(v.tobytes() + e.tobytes()).hexdigest()[:32]
+
+
+def _golden_runs():
+    from dynheat.dynamic import _pointwise_tan, gauss_layer_batch
+
+    return {
+        "scalar_smooth": lambda: _adaptive(
+            lambda x: np.exp(-x) * np.cos(3.0 * x) + np.sqrt(x + 0.1), [(0.0, 2.0)],
+            QuadSpec(rel_tol=1e-13, abs_tol=1e-15)),
+        "peaked_batch_225": lambda: _adaptive(
+            lambda x: np.exp(-((x[:, None] - _PEAK_C) / _PEAK_W) ** 2) / _PEAK_W,
+            [(0.0, 1.0)], SPEC),
+        # 41 dyadic seed segments
+        "gauss_layer_41": lambda: gauss_layer_batch(
+            2, [0.05, 0.5, 2.0], 0.3, SPEC, _pointwise_tan(2, np.array([0.0, 1.0, 3.0]))),
+        "max_subdivisions": lambda: _adaptive(
+            lambda x: np.abs(x - 1.0 / 3.0) ** 0.5, [(0.0, 1.0)],
+            QuadSpec(rel_tol=1e-15, abs_tol=1e-300, max_subdivisions=60)),
+    }
+
+
+_GOLDEN = {
+    "scalar_smooth": ((["0x1.0aabeec406a38p+1"], ["0x1.a0aca5124a5f8p-46"]), 4, True),
+    "peaked_batch_225": ("8c5a46c6ddb601f4703f4d6be86fd3a8", 822, True),
+    "gauss_layer_41": ((["0x1.f54aeff5031f2p-2", "0x1.9e789c7b439fdp-3",
+                         "0x1.b1c67b874fb99p-5"],
+                        ["0x1.825145f8b884fp-32", "0x1.4b636014cb32dp-33",
+                         "0x1.f70fab4987125p-39"]), 1, True),
+    "max_subdivisions": ((["0x1.f6f9d66120526p-2"], ["0x1.c9702bdef67ffp-48"]), 60, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN))
+def test_adaptive_golden(name):
+    value, error, nsub, converged = _golden_runs()[name]()
+    assert (_pin(value, error), nsub, converged) == _GOLDEN[name]
+
+
+def _kernel_golden_points():
+    from dynheat.dynamic import (exchange_log_grid, heat_neumann_kernel,
+                                 laplace_dynamic_kernel)
+    from dynheat.kernels import HalfSpacePoint as P, Params
+
+    out = []
+    for p, r, s, t in [(Params(1.0, 1.0, 1.0, 2), 0.5, 0.3, 1.0),
+                       (Params(0.3, 2.0, 0.5, 3), 2.0, 0.05, 0.2),
+                       (Params(4.0, 0.5, 2.0, 2), 0.0, 1.5, 3.0)]:
+        logv, rel, nsub, conv = exchange_log_grid(p, [r], [s], t)
+        out.append((float(logv[0]).hex(), float(rel[0]).hex(), nsub, conv))
+    for eps, kappa, x, y, t, d in [(1.0, 1.0, P(0.0, 0.5), P(0.4, 0.2), 1.0, 2),
+                                   (0.2, 0.0, P(1.0, 0.0), P(0.0, 0.1), 0.5, 3),
+                                   (3.0, 2.0, P(2.0, 1.0), P(0.0, 0.0), 4.0, 2)]:
+        res = heat_neumann_kernel(eps, kappa, x, y, t, d)
+        out.append((res.value.hex(), res.error_estimate.hex(), res.subdivisions_used,
+                    res.converged))
+    for delta, kappa, x, y, t, d in [(1.0, 0.0, P(0.0, 1.0), P(0.0, 0.0), 1.0, 2),
+                                     (0.5, 1.0, P(1.0, 0.2), P(0.0, 0.0), 0.3, 3),
+                                     (2.0, 0.2, P(3.0, 0.0), P(0.0, 0.1), 2.0, 2)]:
+        res = laplace_dynamic_kernel(delta, kappa, x, y, t, d)
+        out.append((res.value.hex(), res.error_estimate.hex(), res.subdivisions_used,
+                    res.converged))
+    return out
+
+
+def test_kernel_golden():
+    # exchange_log_grid (log value, relative error), then heat_neumann_kernel
+    # and laplace_dynamic_kernel (value, error), three points each
+    assert _kernel_golden_points() == [
+        ("-0x1.2572de5a2c2ddp+1", "0x1.5727b16e9bad2p-34", 3, True),
+        ("-0x1.08d3c4821772ap+3", "0x1.9038bf5395c70p-33", 4, True),
+        ("-0x1.bf7b22c8d5f63p+1", "0x1.39aca32fc3abfp-36", 4, True),
+        ("0x1.a9ba9ae3b1af3p-4", "0x1.1e01fbea21f5fp-34", 4, True),
+        ("0x1.506d6b1591c4cp-7", "0x1.1c6721fef7ed7p-43", 5, True),
+        ("0x1.6b8db104064a2p-5", "0x1.db87757102c1cp-36", 4, True),
+        ("0x1.45f306dc9c883p-3", "0x1.34523f31f7fcdp-39", 2, True),
+        ("0x1.72f44f8f98c12p-5", "0x1.4c1f544baa224p-42", 2, True),
+        ("0x1.38cdb2f4a85f1p-5", "0x1.4d432fa521864p-36", 1, True),
+    ]
+
+
+def test_infinite_panel_is_bisected_until_the_cap():
+    # inf on (0.5, 1] gives the panels that touch it a NaN error (0 * inf in
+    # the Gauss matvec); np.argmax picks the first NaN panel, so the run
+    # bisects towards x = 0.5 and stops unconverged at max_subdivisions
+    mids = []
+
+    def f(x):
+        mids.append(x[7])
+        return np.where(x > 0.5, np.inf, x)
+
+    with np.errstate(invalid="ignore"):
+        value, error, nsub, converged = _adaptive(f, [(0.0, 1.0)],
+                                                  QuadSpec(max_subdivisions=30))
+    assert (nsub, converged) == (30, False)
+    assert value[0] == np.inf and np.isnan(error[0])
+    assert len(mids) == 1 + 2 * 30
+    # every bisection splits the panel that holds x = 0.5
+    assert mids[1] == 0.25 and mids[2] == 0.75 and mids[3] == 0.625
+
+
+def test_nan_message_names_the_panel():
+    with pytest.raises(EvaluationError, match=r"^integrand returned NaN on panel \[0\.5, 1\.0\]$"):
+        _adaptive(lambda x: np.where(x > 0.75, np.nan, x), [(0.0, 0.5), (0.5, 1.0)], SPEC)
+
+
+def test_equal_panel_errors_bisect_the_lower_index_first():
+    # an integrand that ignores x gives every panel of equal length the same
+    # error; the lower index is bisected first, then the longer panel
+    pattern = np.abs(np.sin(np.arange(15.0) ** 2))
+    mids = []
+
+    def f(x):
+        mids.append(x[7])
+        return pattern
+
+    _adaptive(f, [(0.0, 1.0), (1.0, 2.0)],
+              QuadSpec(rel_tol=1e-15, abs_tol=1e-300, max_subdivisions=2))
+    assert mids == [0.5, 1.5, 0.25, 0.75, 1.25, 1.75]
