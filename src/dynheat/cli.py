@@ -401,14 +401,16 @@ def cmd_solve(c, out, args):
     rows = []
     flagged = False
     for t in c.times:
-        u, _, conv = solve_grid(c.tag, p, c.data, xp, xn, t, c.quad, theta=c.theta)
+        # err bounds the quadrature error at every probe of this time
+        u, err, conv = solve_grid(c.tag, p, c.data, xp, xn, t, c.quad, theta=c.theta)
         flagged = flagged or not conv
         for xpi, xni, val in zip(xp, xn, u):
             rows.append(_param_cols(p, c.theta) +
                         [c.tag, repr(t), repr(float(xpi)), repr(float(xni)),
-                         repr(float(val))])
+                         repr(float(val)), repr(err), bool(conv)])
     write_csv(os.path.join(out, "solve.csv"),
-              _PARAM_HEADER + ["tag", "t", "x_tangential", "x_normal", "value"],
+              _PARAM_HEADER + ["tag", "t", "x_tangential", "x_normal", "value",
+                               "error", "converged"],
               rows)
     print(f"solve: wrote {len(rows)} values")
     return 0 if (not flagged or not args.strict) else 1

@@ -173,11 +173,11 @@ def _exchange_core(eps, delta, kappa, s, t, spec, tan_fn, frame, path):
     idx_all = np.arange(s.size)
     log_shift, centre, scale, eta_hi = frame
     v0 = np.arcsinh(-centre / scale)
-    v1 = np.arcsinh((eta_hi - centre) / scale)
-    log_len = np.log(scale * (v1 - v0)) - log_shift
+    dv = np.arcsinh((eta_hi - centre) / scale) - v0
+    log_len = np.log(scale * dv) - log_shift
 
     def f(u):
-        v = v0 + (v1 - v0) * u[:, None]
+        v = v0 + dv * u[:, None]
         eta = np.maximum(centre + scale * np.sinh(v), 0.0)
         t_tan, log_n = _xi_map(eps, delta, kappa, s, t, eta)
         return tan_fn(t_tan, idx_all, log_n + np.log(np.cosh(v)) + log_len)

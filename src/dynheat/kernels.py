@@ -88,14 +88,20 @@ def tangential_offset(x: HalfSpacePoint, y: HalfSpacePoint, dim: int) -> float:
 
 
 def exp_flush(logv):
-    """exp with hard flush to zero below the double-precision floor."""
+    """exp with hard flush to zero below the double-precision floor.
+
+    Arrays with no entry below ``LOG_FLUSH`` take numpy's contiguous exp
+    loop.  The others take a masked exp into zeros, which also skips exp's
+    slow underflow path on deep tails.  NaN is never below the floor, so
+    it reaches exp and comes out NaN on both paths.
+    """
     logv = np.asarray(logv, dtype=float)
-    out = np.zeros_like(logv)
-    mask = logv >= LOG_FLUSH
-    np.exp(logv, out=out, where=mask)
-    bad = np.isnan(logv)
-    if bad.any():
-        out = np.where(bad, np.nan, out)
+    low = logv < LOG_FLUSH
+    if np.logical_or.reduce(low, axis=None):
+        out = np.zeros_like(logv)
+        np.exp(logv, out=out, where=~low)
+    else:
+        out = np.exp(logv)
     if out.ndim == 0:
         return float(out)
     return out
@@ -107,7 +113,7 @@ def free_heat_radial(d: int, r, t):
     Vectorized over ``r`` and ``t`` (broadcast).  t must be positive.
     """
     t = np.asarray(t, dtype=float)
-    if np.any(t <= 0):
+    if (t <= 0).any():
         raise ValueError("time must be positive")
     r = np.asarray(r, dtype=float)
     logv = -(d / 2.0) * np.log(4.0 * np.pi * t) - r * r / (4.0 * t)

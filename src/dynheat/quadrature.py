@@ -8,6 +8,12 @@ called with a 1-D numpy array of nodes and may return either a matching
 integrands sharing one subdivision tree (the panel error is then the
 worst component).
 
+Each panel is one integrand call on its 15 nodes and one ``_eval_panel``,
+so an integral over ``k`` seed segments with ``n`` bisections makes
+``k + 2 n`` integrand calls; the benchmark tracer asserts that count, so
+evaluating several panels per call waits for a tracer that counts panels
+another way.
+
 Iterated integrals all go through ``integrate_nested`` and share one
 error rule: the error of the outer integral over [a, b] is its own
 estimate plus (b - a) times the largest absolute inner error at any
@@ -150,16 +156,26 @@ def _eval_panel(f, a, b):
         fx = fx[:, None]
     if fx.shape[0] != 15:
         raise ValueError("integrand must return one value per node")
-    if np.isnan(fx).any():
+    # The K15 weights are positive, so resabs is NaN exactly where a column
+    # of fx holds a NaN, and np.minimum propagates it into ``lo``.  Checked
+    # before the Gauss matvec, whose zero weights turn an inf into a NaN.
+    resabs = abs(half) * (_WK @ np.abs(fx))
+    lo = np.minimum.reduce(resabs, initial=np.inf)
+    if math.isnan(lo):
         raise EvaluationError(f"integrand returned NaN on panel [{a}, {b}]")
     sk = _WK @ fx
     sg = _WGFULL @ fx
     value = half * sk
-    resabs = abs(half) * (_WK @ np.abs(fx))
     mean = 0.5 * sk
-    resasc = abs(half) * (_WK @ np.abs(fx - mean[None, :]))
+    resasc = abs(half) * (_WK @ np.abs(fx - mean))
     err = np.abs(half * (sk - sg))
-    # QUADPACK-style sharpening of the raw K15-G7 difference.
+    # QUADPACK-style sharpening of the raw K15-G7 difference, then a floor
+    # of 50 eps resabs where resabs is above underflow.  With every resasc
+    # positive and every resabs above underflow both masks below are all
+    # true (a zero err sharpens to the same +0.0), so they are skipped.
+    if lo > _UFLOW / (50.0 * _EPS) and np.minimum.reduce(resasc, initial=np.inf) > 0.0:
+        err = resasc * np.minimum(1.0, (200.0 * err / resasc)**1.5)
+        return value, np.maximum(err, 50.0 * _EPS * resabs), resabs
     mask = (resasc != 0.0) & (err != 0.0)
     scaled = np.ones_like(err)
     np.divide(200.0 * err, resasc, out=scaled, where=mask)
@@ -175,25 +191,31 @@ def _adaptive(f, segments, spec: QuadSpec):
     Returns (value, error, nsub, converged) with per-component arrays.
     """
     lefts, rights, vals, errs = [], [], [], []
-    for a, b in segments:
+    # largest component error of each panel, in panel order; the buffer
+    # doubles when full
+    worst_err = np.empty(len(segments) + 16)
+    for i, (a, b) in enumerate(segments):
         v, e, _ = _eval_panel(f, a, b)
         lefts.append(a)
         rights.append(b)
         vals.append(v)
         errs.append(e)
+        worst_err[i] = np.maximum.reduce(e, initial=-np.inf)
     total_v = np.sum(vals, axis=0)
     total_e = np.sum(errs, axis=0)
     nsub = 0
     while True:
         thresh = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total_v))
-        if np.all(total_e <= thresh):
+        if (total_e <= thresh).all():
             converged = True
             break
         if nsub >= spec.max_subdivisions:
             converged = False
             break
-        # Worst panel first; np.argmax takes the lowest index on ties.
-        worst = int(np.argmax([e.max() for e in errs]))
+        # Worst panel first; np.argmax takes the lowest index on ties and
+        # the first NaN.
+        n = len(errs)
+        worst = int(worst_err[:n].argmax())
         a, b = lefts[worst], rights[worst]
         m = 0.5 * (a + b)
         if m <= a or m >= b:
@@ -208,6 +230,10 @@ def _adaptive(f, segments, spec: QuadSpec):
         rights.append(b)
         vals.append(v2)
         errs.append(e2)
+        if n == worst_err.size:
+            worst_err = np.concatenate([worst_err, worst_err])
+        worst_err[worst] = np.maximum.reduce(e1, initial=-np.inf)
+        worst_err[n] = np.maximum.reduce(e2, initial=-np.inf)
         nsub += 1
     # Canonical accumulation: sum panels sorted by left endpoint so the
     # result does not depend on the subdivision history.

@@ -8,6 +8,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dynheat.cli import main
+from dynheat.data import Boundary, InitialData
+from dynheat.kernels import Params
+from dynheat.solutions import solve_grid
 
 
 def run_cli(tmp_path, command, cfg=None, extra=()):
@@ -133,7 +136,26 @@ class TestSolveCommand:
         assert rc == 0
         lines = (tmp_path / "solve.csv").read_text().splitlines()
         assert lines[0].startswith("epsilon,delta,kappa,theta,dim,tag")
+        assert lines[0].endswith(",tag,t,x_tangential,x_normal,value,error,converged")
         assert len(lines) == 5
+        # each row carries its time's error bound and converged flag from
+        # solve_grid, the same for every probe of that time
+        p = Params(1.0, 1.0, 1.0, 2)
+        data = InitialData(boundary=Boundary("heat_gaussian", a=0.5))
+        for k, t in enumerate((0.5, 1.0)):
+            u, err, conv = solve_grid("LD", p, data, [0.0, 1.0], [0.5, 0.0], t)
+            for row, val in zip(lines[1 + 2 * k:3 + 2 * k], u):
+                assert row.split(",")[-3:] == [repr(float(val)), repr(err), str(conv)]
+            assert 0.0 < err < 1e-6 and conv is True
+
+    def test_unconverged_time_is_flagged(self, tmp_path):
+        rc = run_cli(tmp_path, "solve", {
+            "tag": "HDD", "data": {"boundary": {"kind": "heat_gaussian", "a": 0.5}},
+            "points": [{"tangential": 0.0, "normal": 0.5}], "times": [1.0],
+            "quad": {"max_subdivisions": 1}})
+        assert rc == 0
+        row = (tmp_path / "solve.csv").read_text().splitlines()[1]
+        assert row.endswith(",False")
 
     def test_incompatible_data_is_config_error(self, tmp_path):
         rc = run_cli(tmp_path, "solve", {

@@ -332,6 +332,14 @@ def test_kernel_golden():
     ]
 
 
+def test_empty_batch_converges_at_once():
+    # a batch with no components has nothing to bisect
+    value, error, nsub, converged = _adaptive(lambda x: np.zeros((x.size, 0)),
+                                              [(0.0, 1.0), (1.0, 2.0)], SPEC)
+    assert value.shape == error.shape == (0,)
+    assert (nsub, converged) == (0, True)
+
+
 def test_infinite_panel_is_bisected_until_the_cap():
     # inf on (0.5, 1] gives the panels that touch it a NaN error (0 * inf in
     # the Gauss matvec); np.argmax picks the first NaN panel, so the run
