@@ -90,16 +90,41 @@ def _log_heat(d, r, t):
 def _xi_map(eps, delta, kappa, s, t, eta):
     """Tangential time argument and log of the normal factor of the
     exchange integrand at xi = s + eta; ``eta`` broadcasts against
-    ``s[None, :]``."""
+    ``s[None, :]``.
+
+    With z = s + t/delta, q = 2 sqrt(t) z / (xi + sqrt(xi^2 + (4t/delta) z))
+    and w = q^2 (the elapsed bulk time t - tau):
+    t_tan = w/eps + (kappa/delta)(t - w) and
+    log_n = log_pref + log(xi) - log(xi + (2/delta) sqrt(t) q) - eps xi^2/(4t).
+    Each array operation below works in place on a buffer the function
+    owns; it applies the same operation to the same operands as that
+    formula read left to right (a product or sum with its operands
+    swapped is the same float), so the values are those of the formula.
+    """
     z = s[None, :] + t / delta
     xi = s[None, :] + eta
-    q = 2.0 * math.sqrt(t) * z / (xi + np.sqrt(xi * xi + (4.0 * t / delta) * z))
-    w = q * q  # elapsed bulk time t - tau
-    t_tan = w / eps + (kappa / delta) * (t - w)
+    q = xi * xi
+    q += (4.0 * t / delta) * z
+    np.sqrt(q, out=q)
+    q += xi
+    np.divide(2.0 * math.sqrt(t) * z, q, out=q)
+    w = q * q
+    t_tan = w / eps
+    np.subtract(t, w, out=w)
+    w *= kappa / delta
+    t_tan += w
     log_pref = math.log(2.0 * eps) + 0.5 * (math.log(eps) - math.log(4.0 * math.pi * t))
+    q *= (2.0 / delta) * math.sqrt(t)
+    q += xi
     with np.errstate(divide="ignore"):
-        log_ratio = np.log(xi) - np.log(xi + (2.0 / delta) * math.sqrt(t) * q)
-    return t_tan, log_pref + log_ratio - eps * xi * xi / (4.0 * t)
+        log_n = np.log(xi)
+        log_n -= np.log(q, out=q)
+    log_n += log_pref
+    np.multiply(xi, eps, out=q)
+    q *= xi
+    q /= 4.0 * t
+    log_n -= q
+    return t_tan, log_n
 
 
 # Peak-search nodes in units of the normal Gaussian's reach: the coarse
@@ -177,10 +202,18 @@ def _exchange_core(eps, delta, kappa, s, t, spec, tan_fn, frame, path):
     log_len = np.log(scale * dv) - log_shift
 
     def f(u):
-        v = v0 + dv * u[:, None]
-        eta = np.maximum(centre + scale * np.sinh(v), 0.0)
+        # v = v0 + dv u, eta = max(centre + scale sinh(v), 0) and the weight
+        # log_n + log(cosh(v)) + log_len, in place as in ``_xi_map``
+        v = dv * u[:, None]
+        v += v0
+        eta = np.sinh(v)
+        eta *= scale
+        eta += centre
+        np.maximum(eta, 0.0, out=eta)
         t_tan, log_n = _xi_map(eps, delta, kappa, s, t, eta)
-        return tan_fn(t_tan, idx_all, log_n + np.log(np.cosh(v)) + log_len)
+        log_n += np.log(np.cosh(v, out=v), out=v)
+        log_n += log_len
+        return tan_fn(t_tan, idx_all, log_n)
 
     return _adaptive(f, [(0.0, 1.0)], spec)
 

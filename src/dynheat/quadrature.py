@@ -159,7 +159,8 @@ def _eval_panel(f, a, b):
     # The K15 weights are positive, so resabs is NaN exactly where a column
     # of fx holds a NaN, and np.minimum propagates it into ``lo``.  Checked
     # before the Gauss matvec, whose zero weights turn an inf into a NaN.
-    resabs = abs(half) * (_WK @ np.abs(fx))
+    dev = np.abs(fx)
+    resabs = abs(half) * (_WK @ dev)
     lo = np.minimum.reduce(resabs, initial=np.inf)
     if math.isnan(lo):
         raise EvaluationError(f"integrand returned NaN on panel [{a}, {b}]")
@@ -167,7 +168,8 @@ def _eval_panel(f, a, b):
     sg = _WGFULL @ fx
     value = half * sk
     mean = 0.5 * sk
-    resasc = abs(half) * (_WK @ np.abs(fx - mean))
+    np.subtract(fx, mean, out=dev)
+    resasc = abs(half) * (_WK @ np.abs(dev, out=dev))
     err = np.abs(half * (sk - sg))
     # QUADPACK-style sharpening of the raw K15-G7 difference, then a floor
     # of 50 eps resabs where resabs is above underflow.  With every resasc
