@@ -148,7 +148,8 @@ def test_nan_raises_evaluation_error():
     def bad(x):
         return np.where(x > 0.5, np.nan, x)
 
-    with pytest.raises(EvaluationError):
+    with pytest.raises(EvaluationError,
+                       match=r"^integrand returned NaN on panel \[0\.0, 1\.0\]$"):
         integrate(bad, 0.0, 1.0)
 
 
@@ -358,11 +359,6 @@ def test_infinite_panel_is_bisected_until_the_cap():
     assert len(mids) == 1 + 2 * 30
     # every bisection splits the panel that holds x = 0.5
     assert mids[1] == 0.25 and mids[2] == 0.75 and mids[3] == 0.625
-
-
-def test_nan_message_names_the_panel():
-    with pytest.raises(EvaluationError, match=r"^integrand returned NaN on panel \[0\.5, 1\.0\]$"):
-        _adaptive(lambda x: np.where(x > 0.75, np.nan, x), [(0.0, 0.5), (0.5, 1.0)], SPEC)
 
 
 def test_equal_panel_errors_bisect_the_lower_index_first():
