@@ -30,7 +30,6 @@ from .dynamic import (
     fundamental_kernel,
     heat_neumann_kernel,
     laplace_dynamic_kernel,
-    total_mass,
 )
 from .fdsolver import FdGrid, SchemeError
 from .kernels import (
@@ -44,6 +43,7 @@ from .kernels import (
 )
 from .quadrature import DEFAULT_SPEC, EvaluationError, QuadSpec
 from .solutions import PROBLEM_TAGS, first_axis, solve_grid
+from .verification import _DIM_AXIS, _PARAM_AXIS, _T_AXIS, _XN_AXIS, _mass_grid
 from .verification import (
     EXPERIMENTS,
     IDENTITIES,
@@ -158,7 +158,6 @@ def _block(name):
 
 _REQUIRED = object()
 _KERNELS = ("gamma", "g0", "gn", "poisson", "h", "g", "h_tilde", "g_ldd", "g_hdn")
-_AXIS = [0.5, 1.0, 2.0]
 
 # block name -> (constructor, {key: (kind, default)}).  A missing key takes its
 # default, which is checked like a given value; a default of None also
@@ -198,8 +197,8 @@ _TABLE = {
         "tolerance": (_num, None), "r2": (_measured, None),
         "expected_slope": (_num, None), "mode": (_str, None),
         "p": (_exponent, None), "q": (_exponent, None),
-        "grid_approximate": (_bool, None), "upper_constant": (_measured, None),
-        "lower_constant": (_measured, None), "stability": (_measured, None)}),
+        "upper_constant": (_measured, None), "lower_constant": (_measured, None),
+        "stability": (_measured, None)}),
     "identity result": (dict, {
         "statement": (_str, ""), "tolerance": (_num, _REQUIRED),
         "max_deviation": (_measured, _REQUIRED), "pass": (_bool, _REQUIRED)}),
@@ -211,12 +210,12 @@ _COMMAND_KEYS = {
         "theta": (_finite, None), "t": (_nonneg, _REQUIRED),
         "x": (_block("point"), _REQUIRED), "y": (_block("point"), {"normal": 0.0}),
         "quad": (_block("quad"), {}), "d": (_int, 1)},
+    # criterion 1: the mass identity's axes and tolerance
     "mass-check": {
-        "epsilon": (_list(_num), _AXIS), "delta": (_list(_num), _AXIS),
-        "kappa": (_list(_num), _AXIS), "dim": (_list(_int), [2, 3]),
-        "x_n": (_list(_nonneg), [0.0, 0.5, 3.0]),
-        "t": (_list(_positive), [0.1, 1.0, 10.0]),
-        "tol": (_num, 1e-6), "quad": (_block("quad"), {})},
+        "epsilon": (_list(_num), list(_PARAM_AXIS)), "delta": (_list(_num), list(_PARAM_AXIS)),
+        "kappa": (_list(_num), list(_PARAM_AXIS)), "dim": (_list(_int), list(_DIM_AXIS)),
+        "x_n": (_list(_nonneg), list(_XN_AXIS)), "t": (_list(_positive), list(_T_AXIS)),
+        "tol": (_num, IDENTITIES["mass"][1]), "quad": (_block("quad"), {})},
     "identity-suite": {
         "identities": (_list(_choice(IDENTITIES)), sorted(IDENTITIES)),
         "seed": (_int, 2024), "quad": (_block("quad"), {})},
@@ -349,20 +348,15 @@ def cmd_eval_kernel(c, out, args):
 
 
 def cmd_mass_check(c, out, args):
-    grid = [Params(eps, delta, kappa, dim) for dim in c.dim for eps in c.epsilon
-            for delta in c.delta for kappa in c.kappa]
     rows = []
     max_dev = 0.0
     flagged = False
-    for p in grid:
-        for xn in c.x_n:
-            for t in c.t:
-                res = total_mass(p, xn, t, c.quad)
-                dev = abs(res.value - 1.0)
-                max_dev = max(max_dev, dev)
-                flagged = flagged or not res.converged
-                rows.append(_param_cols(p) + ["total-mass identity", repr(xn), repr(t),
-                                              repr(res.value), repr(dev)])
+    for p, xn, t, res in _mass_grid(c.quad, c.epsilon, c.delta, c.kappa, c.dim, c.x_n, c.t):
+        dev = abs(res.value - 1.0)
+        max_dev = max(max_dev, dev)
+        flagged = flagged or not res.converged
+        rows.append(_param_cols(p) + ["total-mass identity", repr(xn), repr(t),
+                                      repr(res.value), repr(dev)])
     write_csv(os.path.join(out, "mass_check.csv"),
               _PARAM_HEADER + ["theorem", "x_n", "t", "mass", "deviation"], rows)
     passed = max_dev <= c.tol and not (args.strict and flagged)
@@ -475,7 +469,6 @@ def cmd_opnorm(c, out, args):
                    "p": c.p, "q": c.q,
                    "slope": None if res.fit is None else res.fit.slope,
                    "expected_slope": res.expected_slope,
-                   "grid_approximate": res.grid_approximate,
                    "detail": res.detail, "pass": passed})
     print(f"opnorm ({c.p},{c.q}): {res.detail} -> "
           f"{'PASS' if passed else 'FAIL'}")

@@ -45,7 +45,7 @@ __all__ = [
 
 
 class EvaluationError(RuntimeError):
-    """Integrand returned NaN inside a panel."""
+    """Integrand returned NaN or an infinity inside a panel."""
 
 
 # 15-point Kronrod extension of 7-point Gauss (nodes on [-1, 1]).
@@ -156,14 +156,15 @@ def _eval_panel(f, a, b):
         fx = fx[:, None]
     if fx.shape[0] != 15:
         raise ValueError("integrand must return one value per node")
-    # The K15 weights are positive, so resabs is NaN exactly where a column
-    # of fx holds a NaN, and np.minimum propagates it into ``lo``.  Checked
-    # before the Gauss matvec, whose zero weights turn an inf into a NaN.
+    # The K15 weights are positive, so resabs is NaN or inf where a column
+    # of fx holds a NaN or an infinity (or sums past the float range), and
+    # so is its sum (0 for an empty batch).  Checked before the Gauss
+    # matvec, whose zero weights turn an inf into a NaN.
     dev = np.abs(fx)
     resabs = abs(half) * (_WK @ dev)
+    if not math.isfinite(np.add.reduce(resabs)):
+        raise EvaluationError(f"integrand returned NaN or inf on panel [{a}, {b}]")
     lo = np.minimum.reduce(resabs, initial=np.inf)
-    if math.isnan(lo):
-        raise EvaluationError(f"integrand returned NaN on panel [{a}, {b}]")
     sk = _WK @ fx
     sg = _WGFULL @ fx
     value = half * sk

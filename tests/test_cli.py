@@ -192,7 +192,7 @@ class TestChecks:
         assert summary["pass"] is True
 
     def test_limit_rate_plain_tolerance(self, tmp_path):
-        # a plain experiment is judged against plain_tol, not slope_tol
+        # the summary's tolerance is the one the plain verdict used
         assert run_cli(tmp_path, "limit-rate", {"which": "ldd_delta_to_inf"}) == 0
         summary = json.loads(
             (tmp_path / "limit_ldd_delta_to_inf.summary.json").read_text())
@@ -271,6 +271,7 @@ _REJECTED = {
     "opnorm-p-negative": ("opnorm", {"p": -1, "q": "inf"}),
     "opnorm-p-str": ("opnorm", {"p": "x", "q": "inf"}),
     "opnorm-q-below-p": ("opnorm", {"p": 2, "q": 1}),
+    "opnorm-q-finite-above-p": ("opnorm", {"p": 1, "q": 2}),
     "opnorm-t-nan": ("opnorm", {"p": "inf", "q": "inf", "t_ladder": [math.nan, 1.0]}),
     "opnorm-t-empty": ("opnorm", {"p": "inf", "q": "inf", "t_ladder": []}),
     "bounds-samples-zero": ("bounds-check", {"samples_per_region": 0}),
@@ -449,8 +450,7 @@ _SUMMARIES = [
      "results": {"k0_poisson": {"statement": "s", "tolerance": 1e-8,
                                 "max_deviation": 1e-16, "pass": True}}},
     {"experiment": "opnorm", "theorem": "operator-norm decay", "p": "inf", "q": 2,
-     "slope": -0.5, "expected_slope": 0.0, "grid_approximate": False,
-     "detail": "d", "pass": True},
+     "slope": -0.5, "expected_slope": 0.0, "detail": "d", "pass": True},
 ]
 _BAD_VALUES = [None, True, "x", [], {}, math.nan, math.inf, -math.inf, -1, 0, 0.5, 2.5]
 

@@ -149,7 +149,7 @@ def test_nan_raises_evaluation_error():
         return np.where(x > 0.5, np.nan, x)
 
     with pytest.raises(EvaluationError,
-                       match=r"^integrand returned NaN on panel \[0\.0, 1\.0\]$"):
+                       match=r"^integrand returned NaN or inf on panel \[0\.0, 1\.0\]$"):
         integrate(bad, 0.0, 1.0)
 
 
@@ -341,24 +341,20 @@ def test_empty_batch_converges_at_once():
     assert (nsub, converged) == (0, True)
 
 
-def test_infinite_panel_is_bisected_until_the_cap():
-    # inf on (0.5, 1] gives the panels that touch it a NaN error (0 * inf in
-    # the Gauss matvec); np.argmax picks the first NaN panel, so the run
-    # bisects towards x = 0.5 and stops unconverged at max_subdivisions
-    mids = []
+def test_infinite_panel_raises_after_one_call():
+    # an infinity of either sign is rejected like a NaN, on the first panel
+    # that holds it, instead of being bisected towards until max_subdivisions
+    for bad in (np.inf, -np.inf):
+        calls = []
 
-    def f(x):
-        mids.append(x[7])
-        return np.where(x > 0.5, np.inf, x)
+        def f(x):
+            calls.append(x[7])
+            return np.column_stack([x, np.where(x > 0.5, bad, x)])
 
-    with np.errstate(invalid="ignore"):
-        value, error, nsub, converged = _adaptive(f, [(0.0, 1.0)],
-                                                  QuadSpec(max_subdivisions=30))
-    assert (nsub, converged) == (30, False)
-    assert value[0] == np.inf and np.isnan(error[0])
-    assert len(mids) == 1 + 2 * 30
-    # every bisection splits the panel that holds x = 0.5
-    assert mids[1] == 0.25 and mids[2] == 0.75 and mids[3] == 0.625
+        with pytest.raises(EvaluationError,
+                           match=r"^integrand returned NaN or inf on panel \[0\.0, 1\.0\]$"):
+            _adaptive(f, [(0.0, 1.0)], QuadSpec(max_subdivisions=30))
+        assert calls == [0.5]
 
 
 def test_equal_panel_errors_bisect_the_lower_index_first():

@@ -1,13 +1,17 @@
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import dynheat.verification as verification
 from dynheat.kernels import Params
+from dynheat.solutions import solve_grid
 from dynheat.verification import (
     EXPERIMENTS,
     IDENTITIES,
+    _admitted,
     check_identity,
     default_experiment,
     fit_rate,
@@ -88,6 +92,55 @@ class TestRunLimit:
             assert exp.which == name
 
 
+def _side_b_moves(exp):
+    """Whether side B of ``exp`` at the rung parameters of the first or the
+    last ladder value differs from side B at Params(1, 1, 1, dim) and the
+    experiment's theta, the one solve that run_limit makes."""
+    tag = exp.tags[1]
+    xp, xn, ts = probe_points(exp.region)
+
+    def side_b(p, theta):
+        return [solve_grid(tag, p, _admitted(tag, exp.data), xp[ts == t], xn[ts == t], t,
+                           theta=theta)[0] for t in sorted(set(ts.tolist()))]
+
+    base = side_b(Params(1, 1, 1, exp.dim), exp.theta)
+    for h in (exp.ladder[0], exp.ladder[-1]):
+        p = replace(Params(1, 1, 1, exp.dim), **{f: h for f in exp.vary if f != "theta"})
+        rung = side_b(p, h if "theta" in exp.vary else exp.theta)
+        if not all(np.array_equal(a, b) for a, b in zip(base, rung)):
+            return True
+    return False
+
+
+_TAGGED_SIDE_B = [name for name, exp in EXPERIMENTS.items() if exp.tags[1] not in (None, "data")]
+
+
+class TestSideB:
+    def test_thirteen_experiments_solve_a_tag(self):
+        assert len(_TAGGED_SIDE_B) == 13
+
+    @pytest.mark.parametrize("name", _TAGGED_SIDE_B)
+    def test_side_b_reads_no_varied_name(self, name):
+        assert not _side_b_moves(EXPERIMENTS[name])
+
+    def test_negative_control_side_b_reads_kappa(self):
+        # HDN reads kappa, so varying it moves side B
+        assert _side_b_moves(replace(EXPERIMENTS["delta_to_0"], vary=("kappa",)))
+
+    def test_side_b_solved_once_per_probe_time(self, monkeypatch):
+        calls = Counter()
+
+        def counting(tag, *args, **kwargs):
+            calls[tag] += 1
+            return solve_grid(tag, *args, **kwargs)
+
+        monkeypatch.setattr(verification, "solve_grid", counting)
+        run_limit("delta_to_0")
+        # four rungs of side A and one side-B solve at each of the three
+        # probe times of region Q
+        assert calls == {"HDD": 12, "HDN": 3}
+
+
 class TestIdentities:
     def test_marginal_masses(self):
         rep = check_identity("marginal_masses")
@@ -159,6 +212,13 @@ class TestOpnorm:
     def test_rejects_bad_exponents(self):
         with pytest.raises(ValueError):
             opnorm_decay(2.0, 1.0)
+
+    @pytest.mark.parametrize("p_exp, q_exp", [(1.0, 2.0), (1.0, 4.0), (2.0, 4.0),
+                                              (1.0, 1.5), (1.5, 3.0), (2.0, 8.0)])
+    def test_rejects_finite_q_above_p(self, p_exp, q_exp):
+        # the probe grid has no L^q norm for finite q
+        with pytest.raises(ValueError, match="no L\\^q norm"):
+            opnorm_decay(p_exp, q_exp)
 
     @pytest.mark.parametrize("p_exp", [0.0, -1.0, 0.5, math.nan])
     def test_rejects_p_below_one(self, p_exp):
