@@ -43,7 +43,7 @@ from .kernels import (
 )
 from .quadrature import DEFAULT_SPEC, EvaluationError, QuadSpec
 from .solutions import PROBLEM_TAGS, first_axis, solve_grid
-from .verification import _DIM_AXIS, _PARAM_AXIS, _T_AXIS, _XN_AXIS, _mass_grid
+from .verification import _DIM_AXIS, _PARAM_AXIS, _T_AXIS, _XN_AXIS, _mass_grid, _worst
 from .verification import (
     EXPERIMENTS,
     IDENTITIES,
@@ -312,6 +312,20 @@ def _param_cols(p: Params, theta=None):
 _PARAM_HEADER = ["epsilon", "delta", "kappa", "theta", "dim"]
 
 
+def _verdict(passed, converged, args):
+    """The one exit rule: the check passed and, under --strict, every quadrature converged."""
+    return bool(passed) and (bool(converged) or not args.strict)
+
+
+def _finish(out, stem, summary, line, passed, converged, args):
+    """Write ``<stem>.summary.json`` with the verdict as ``pass``, print
+    ``<line> -> PASS|FAIL`` and return the exit code."""
+    passed = _verdict(passed, converged, args)
+    write_summary(os.path.join(out, f"{stem}.summary.json"), {**summary, "pass": passed})
+    print(f"{line} -> {'PASS' if passed else 'FAIL'}")
+    return 0 if passed else 1
+
+
 # ---------------------------------------------------------------------------
 # subcommands: each takes the validated config, the output directory and
 # the parsed flags
@@ -344,48 +358,41 @@ def cmd_eval_kernel(c, out, args):
               _PARAM_HEADER + ["kernel", "t", "value", "converged"],
               [_param_cols(p, c.theta) + [kern, repr(t), repr(value),
                                           bool(converged)]])
-    return 0 if (converged or not args.strict) else 1
+    return 0 if _verdict(True, converged, args) else 1
 
 
 def cmd_mass_check(c, out, args):
-    rows = []
-    max_dev = 0.0
-    flagged = False
-    for p, xn, t, res in _mass_grid(c.quad, c.epsilon, c.delta, c.kappa, c.dim, c.x_n, c.t):
-        dev = abs(res.value - 1.0)
-        max_dev = max(max_dev, dev)
-        flagged = flagged or not res.converged
-        rows.append(_param_cols(p) + ["total-mass identity", repr(xn), repr(t),
-                                      repr(res.value), repr(dev)])
+    grid = _mass_grid(c.quad, c.epsilon, c.delta, c.kappa, c.dim, c.x_n, c.t)
+    devs = [abs(res.value - 1.0) for *_, res in grid]
     write_csv(os.path.join(out, "mass_check.csv"),
-              _PARAM_HEADER + ["theorem", "x_n", "t", "mass", "deviation"], rows)
-    passed = max_dev <= c.tol and not (args.strict and flagged)
-    write_summary(os.path.join(out, "mass_check.summary.json"),
-                  {"experiment": "mass-check", "theorem": "total-mass identity",
-                   "max_deviation": max_dev, "tolerance": c.tol, "pass": passed})
-    print(f"mass-check: max deviation {max_dev:.3e} (tol {c.tol:g}) -> "
-          f"{'PASS' if passed else 'FAIL'}")
-    return 0 if passed else 1
+              _PARAM_HEADER + ["theorem", "x_n", "t", "mass", "deviation"],
+              [_param_cols(p) + ["total-mass identity", repr(xn), repr(t),
+                                 repr(res.value), repr(dev)]
+               for (p, xn, t, res), dev in zip(grid, devs)])
+    max_dev = _worst(devs)
+    return _finish(out, "mass_check",
+                   {"experiment": "mass-check", "theorem": "total-mass identity",
+                    "max_deviation": max_dev, "tolerance": c.tol},
+                   f"mass-check: max deviation {max_dev:.3e} (tol {c.tol:g})",
+                   max_dev <= c.tol, all(res.converged for *_, res in grid), args)
 
 
 def cmd_identity_suite(c, out, args):
-    rows = []
-    summary = {}
-    ok = True
+    reps = []
     for name in c.identities:
-        rep = check_identity(name, c.quad, c.seed)
-        rows.append([rep.name, rep.statement, repr(rep.tol), repr(rep.max_dev),
-                     rep.passed])
-        summary[rep.name] = {"statement": rep.statement, "tolerance": rep.tol,
-                             "max_deviation": rep.max_dev, "pass": rep.passed}
-        ok = ok and rep.passed
-        print(f"identity {rep.name}: max dev {rep.max_dev:.3e} "
-              f"(tol {rep.tol:g}) -> {'PASS' if rep.passed else 'FAIL'}")
+        reps.append(rep := check_identity(name, c.quad, c.seed))
+        print(f"identity {name}: max dev {rep.max_dev:.3e} (tol {rep.tol:g}) "
+              f"-> {'PASS' if rep.passed else 'FAIL'}")
     write_csv(os.path.join(out, "identity_suite.csv"),
-              ["identity", "statement", "tolerance", "max_deviation", "pass"], rows)
+              ["identity", "statement", "tolerance", "max_deviation", "pass"],
+              [[r.name, r.statement, repr(r.tol), repr(r.max_dev), r.passed] for r in reps])
+    passed = all(r.passed for r in reps)
     write_summary(os.path.join(out, "identity_suite.summary.json"),
-                  {"experiment": "identity-suite", "results": summary, "pass": ok})
-    return 0 if ok else 1
+                  {"experiment": "identity-suite", "pass": passed,
+                   "results": {r.name: {"statement": r.statement, "tolerance": r.tol,
+                                        "max_deviation": r.max_dev, "pass": r.passed}
+                               for r in reps}})
+    return 0 if passed else 1
 
 
 def cmd_solve(c, out, args):
@@ -393,11 +400,11 @@ def cmd_solve(c, out, args):
     xp = np.array([first_axis(q, p.dim) for q in c.points])
     xn = np.array([q.normal for q in c.points])
     rows = []
-    flagged = False
+    converged = True
     for t in c.times:
         # err bounds the quadrature error at every probe of this time
         u, err, conv = solve_grid(c.tag, p, c.data, xp, xn, t, c.quad, theta=c.theta)
-        flagged = flagged or not conv
+        converged = converged and conv
         for xpi, xni, val in zip(xp, xn, u):
             rows.append(_param_cols(p, c.theta) +
                         [c.tag, repr(t), repr(float(xpi)), repr(float(xni)),
@@ -407,32 +414,29 @@ def cmd_solve(c, out, args):
                                "error", "converged"],
               rows)
     print(f"solve: wrote {len(rows)} values")
-    return 0 if (not flagged or not args.strict) else 1
+    return 0 if _verdict(True, converged, args) else 1
 
 
 def cmd_bounds_check(c, out, args):
     p = c.params
     res = sandwich_check(p, n_per_region=c.samples_per_region, seed=c.seed,
                          stability_factor=c.stability_factor)
-    passed = res.passed and not (args.strict and not res.converged)
     rows = [_param_cols(p) + ["two-sided envelopes", tag,
                                  repr(v["upper_max"]), repr(v["lower_max"])]
             for tag, v in sorted(res.per_region.items())]
     write_csv(os.path.join(out, "bounds_check.csv"),
               _PARAM_HEADER + ["theorem", "region", "kernel_over_upper_max",
                                "lower_over_kernel_max"], rows)
-    write_summary(os.path.join(out, "bounds_check.summary.json"),
-                  {"experiment": "bounds-check",
-                   "theorem": "two-sided envelope stability",
-                   "upper_constant": res.upper_max, "lower_constant": res.lower_max,
-                   "stability": res.stability,
-                   "detail": f"empirical constants ({res.upper_max:.4g}, "
-                             f"{res.lower_max:.4g}), doubling stability "
-                             f"{res.stability:.4g}",
-                   "pass": passed})
-    print(f"bounds-check: constants ({res.upper_max:.3f}, {res.lower_max:.3f}), "
-          f"stability {res.stability:.3f} -> {'PASS' if passed else 'FAIL'}")
-    return 0 if passed else 1
+    return _finish(out, "bounds_check",
+                   {"experiment": "bounds-check",
+                    "theorem": "two-sided envelope stability",
+                    "upper_constant": res.upper_max, "lower_constant": res.lower_max,
+                    "stability": res.stability,
+                    "detail": f"empirical constants ({res.upper_max:.4g}, "
+                              f"{res.lower_max:.4g}), doubling stability "
+                              f"{res.stability:.4g}"},
+                   f"bounds-check: constants ({res.upper_max:.3f}, {res.lower_max:.3f}), "
+                   f"stability {res.stability:.3f}", res.passed, res.converged, args)
 
 
 def cmd_limit_rate(c, out, args):
@@ -444,54 +448,45 @@ def cmd_limit_rate(c, out, args):
             for h, e in res.table]
     write_csv(os.path.join(out, f"limit_{c.which}.csv"),
               ["experiment", "theorem", "ladder_value", "sup_error"], rows)
-    passed = res.passed and not (args.strict and not res.converged)
-    write_summary(os.path.join(out, f"limit_{c.which}.summary.json"),
-                  {"experiment": c.which, "theorem": res.theorem,
-                   "slope": None if res.fit is None else res.fit.slope,
-                   "r2": None if res.fit is None else res.fit.r_squared,
-                   "expected_slope": res.expected_slope,
-                   "tolerance": res.tolerance, "mode": res.mode,
-                   "detail": res.detail, "pass": passed})
-    print(f"limit-rate {c.which}: {res.detail} -> {'PASS' if passed else 'FAIL'}")
-    return 0 if passed else 1
+    return _finish(out, f"limit_{c.which}",
+                   {"experiment": c.which, "theorem": res.theorem,
+                    "slope": None if res.fit is None else res.fit.slope,
+                    "r2": None if res.fit is None else res.fit.r_squared,
+                    "expected_slope": res.expected_slope,
+                    "tolerance": res.tolerance, "mode": res.mode, "detail": res.detail},
+                   f"limit-rate {c.which}: {res.detail}", res.passed, res.converged, args)
 
 
 def cmd_opnorm(c, out, args):
     p_exp, q_exp = (math.inf if v == "inf" else v for v in (c.p, c.q))
     res = opnorm_decay(p_exp, q_exp, c.params, tuple(c.t_ladder), c.quad)
-    passed = res.passed and not (args.strict and not res.converged)
     write_csv(os.path.join(out, "opnorm.csv"),
               ["p", "q", "theorem", "t", "ratio"],
               [[str(c.p), str(c.q), "operator-norm decay",
                 repr(float(t)), repr(float(v))] for t, v in res.table])
-    write_summary(os.path.join(out, "opnorm.summary.json"),
-                  {"experiment": "opnorm", "theorem": "operator-norm decay",
-                   "p": c.p, "q": c.q,
-                   "slope": None if res.fit is None else res.fit.slope,
-                   "expected_slope": res.expected_slope,
-                   "detail": res.detail, "pass": passed})
-    print(f"opnorm ({c.p},{c.q}): {res.detail} -> "
-          f"{'PASS' if passed else 'FAIL'}")
-    return 0 if passed else 1
+    return _finish(out, "opnorm",
+                   {"experiment": "opnorm", "theorem": "operator-norm decay",
+                    "p": c.p, "q": c.q,
+                    "slope": None if res.fit is None else res.fit.slope,
+                    "expected_slope": res.expected_slope, "detail": res.detail},
+                   f"opnorm ({c.p},{c.q}): {res.detail}", res.passed, res.converged, args)
 
 
 def cmd_oracle_compare(c, out, args):
     p = c.params
     table, converged, _ = oracle_compare(p, c.data, c.grid, c.times,
                                          (c.window.x, c.window.z), c.quad)
-    worst = max(sup for _, sup, _ in table)
+    worst = _worst(sup for _, sup, _ in table)
     rows = [_param_cols(p) + ["kernel/finite-difference agreement",
                               repr(t), repr(sup), repr(l2)] for t, sup, l2 in table]
     write_csv(os.path.join(out, "oracle_compare.csv"),
               _PARAM_HEADER + ["theorem", "t", "sup_rel", "l2_rel"], rows)
-    passed = worst <= c.tol and not (args.strict and not converged)
-    write_summary(os.path.join(out, "oracle_compare.summary.json"),
-                  {"experiment": "oracle-compare",
-                   "theorem": "kernel/finite-difference agreement",
-                   "sup_rel": worst, "tolerance": c.tol, "pass": passed})
-    print(f"oracle-compare: sup rel {worst:.3e} (tol {c.tol:g}) -> "
-          f"{'PASS' if passed else 'FAIL'}")
-    return 0 if passed else 1
+    return _finish(out, "oracle_compare",
+                   {"experiment": "oracle-compare",
+                    "theorem": "kernel/finite-difference agreement",
+                    "sup_rel": worst, "tolerance": c.tol},
+                   f"oracle-compare: sup rel {worst:.3e} (tol {c.tol:g})",
+                   worst <= c.tol, converged, args)
 
 
 def cmd_report(c, out, args):

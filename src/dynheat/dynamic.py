@@ -236,7 +236,7 @@ def exchange_log_grid(p: Params, r, s, t: float, spec: QuadSpec = DEFAULT_SPEC):
     factor overflows.  Returns (log_values, rel_errors, subdivisions,
     converged); values of exactly zero map to -inf.
     """
-    if t <= 0:
+    if not t > 0:
         raise ValueError("time must be positive")
     r, s = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(s, dtype=float))
     shape, r, s = r.shape, r.ravel(), s.ravel()
@@ -353,9 +353,9 @@ def heat_neumann_kernel(epsilon: float, kappa: float, x: HalfSpacePoint,
                         spec: QuadSpec = DEFAULT_SPEC) -> QuadResult:
     """Fundamental solution of the heat equation with the diffusive
     Neumann boundary condition."""
-    if t <= 0:
+    if not t > 0:
         raise ValueError("time must be positive")
-    if epsilon <= 0 or kappa < 0:
+    if not epsilon > 0 or not kappa >= 0:
         raise ValueError("need epsilon > 0 and kappa >= 0")
     r = tangential_offset(x, y, dim)
     return _finalize(*heat_neumann_grid(epsilon, kappa, [r], [x.normal], [y.normal], t,
@@ -395,9 +395,9 @@ def laplace_dynamic_kernel(delta: float, kappa: float, x: HalfSpacePoint,
                            spec: QuadSpec = DEFAULT_SPEC) -> QuadResult:
     """Fundamental solution of the Laplace equation with the diffusive
     dynamical boundary condition (boundary-to-bulk kernel)."""
-    if delta <= 0 or kappa < 0:
+    if not delta > 0 or not kappa >= 0:
         raise ValueError("need delta > 0 and kappa >= 0")
-    if t < 0:
+    if not t >= 0:
         raise ValueError("time must be nonnegative")
     z = x.normal + y.normal + t / delta
     if z <= 0:
@@ -441,9 +441,9 @@ def dirichlet_layer_kernel(p: Params, theta: float, x: HalfSpacePoint,
     """Kernel carrying diffusing boundary data into the bulk through the
     absorbing-boundary heat flow (the second point is read as a boundary
     point; its normal part is ignored)."""
-    if t <= 0:
+    if not t > 0:
         raise ValueError("time must be positive")
-    if theta <= 0:
+    if not theta > 0:
         raise ValueError("theta must be positive")
     if x.normal == 0.0:
         return QuadResult(0.0, 0.0, 0, True)
@@ -505,7 +505,7 @@ def envelope_log(p: Params, r, s, t):
 def envelope(p: Params, x: HalfSpacePoint, y: HalfSpacePoint, t: float) -> Envelope:
     """Upper and lower envelopes of the exchange kernel at (x, y, t), and
     the region D1-D4 that (x_N + y_N, t) lies in."""
-    if t <= 0:
+    if not t > 0:
         raise ValueError("time must be positive")
     r = tangential_offset(x, y, p.dim)
     lu, ll, tags = envelope_log(p, r, x.normal + y.normal, t)

@@ -67,7 +67,10 @@ class HalfSpacePoint:
     normal: float
 
     def __post_init__(self):
-        if self.normal < 0:
+        tang = self.tangential  # a scalar stays scalar: no array per point
+        for v in (tang,) if isinstance(tang, (int, float)) else np.ravel(tang):
+            _finite(v, "tangential coordinate")
+        if _finite(self.normal, "normal coordinate") < 0:
             raise ValueError("normal coordinate must be nonnegative")
 
     def tangential_vector(self, dim: int) -> np.ndarray:
@@ -113,7 +116,7 @@ def free_heat_radial(d: int, r, t):
     Vectorized over ``r`` and ``t`` (broadcast).  t must be positive.
     """
     t = np.asarray(t, dtype=float)
-    if (t <= 0).any():
+    if not (t > 0).all():
         raise ValueError("time must be positive")
     r = np.asarray(r, dtype=float)
     logv = -(d / 2.0) * np.log(4.0 * np.pi * t) - r * r / (4.0 * t)
@@ -156,7 +159,7 @@ def poisson_kernel(offset, height, dim: int):
     ``height`` the normal coordinate, which must be positive.
     """
     height = np.asarray(height, dtype=float)
-    if np.any(height <= 0):
+    if not np.all(height > 0):
         raise ValueError("height must be positive")
     r = np.asarray(offset, dtype=float)
     c = math.pi ** (-dim / 2.0) * math.gamma(dim / 2.0)
@@ -171,7 +174,7 @@ def gaussian_interval_mass(x, lo, hi, t):
     from scipy.special import erf
 
     t = np.asarray(t, dtype=float)
-    if np.any(t <= 0):
+    if not np.all(t > 0):
         raise ValueError("time must be positive")
     s = 2.0 * np.sqrt(t)
     out = 0.5 * (erf((np.asarray(x) - lo) / s) - erf((np.asarray(x) - hi) / s))

@@ -243,7 +243,7 @@ def _power_cutoff_term(p, phi: Interior, xp, xn, t, spec):
 def _validate(tag, p: Params, data: InitialData, theta):
     if tag not in PROBLEM_TAGS:
         raise ValueError(f"unknown problem tag {tag!r}")
-    if tag in _NEEDS_THETA and (theta is None or theta <= 0):
+    if tag in _NEEDS_THETA and (theta is None or not theta > 0):
         raise ValueError(f"{tag} requires theta > 0")
     if tag in _BOUNDARY_ONLY and data.interior.kind != "zero":
         raise UnsupportedDataError(f"{tag} admits boundary data only")
@@ -263,13 +263,13 @@ def _solve(tag, p: Params, data: InitialData, xp, xn, t, spec, theta):
     _validate(tag, p, data, theta)
     if tag in ("HD", "LD"):  # the kappa = 0 aliases
         return _solve(tag + "D", replace(p, kappa=0.0), data, xp, xn, t, spec, theta)
-    if t <= 0:
+    if not t > 0:
         raise ValueError("time must be positive")
     xp = np.atleast_1d(np.asarray(xp, dtype=float))
     xn = np.atleast_1d(np.asarray(xn, dtype=float))
     if xp.shape != xn.shape:
         raise ValueError("xp and xn must have matching shapes")
-    if np.any(xn < 0):
+    if not np.all(xn >= 0):
         raise ValueError("normal coordinates must be nonnegative")
     if xp.size == 0:
         return _zero(0)

@@ -85,8 +85,7 @@ def fit_rate(points) -> RateFit:
     pts = [(float(h), float(e)) for h, e in points]
     if len(pts) < 4:
         raise ValueError("fit_rate needs at least 4 points")
-    h = np.array([q[0] for q in pts])
-    e = np.array([q[1] for q in pts])
+    h, e = np.array(pts).T
     if np.any(h <= 0) or np.any(e <= 0):
         raise ValueError("fit_rate needs positive values")
     lh, le = np.log(h), np.log(e)
@@ -96,6 +95,12 @@ def fit_rate(points) -> RateFit:
     denom = float(np.sum((le - le.mean()) ** 2))
     r2 = 1.0 if denom == 0.0 else 1.0 - float(np.sum((le - pred) ** 2)) / denom
     return RateFit(float(sol[0]), float(sol[1]), r2, pts)
+
+
+def _worst(deviations) -> float:
+    """The largest deviation (0.0 for none), NaN if any is NaN: Python's
+    ``max`` would drop it, and ``_worst(d) <= tol`` is False on a NaN."""
+    return float(np.max(np.fromiter(deviations, float), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +325,7 @@ def run_limit(exp: LimitExperiment | str, spec: QuadSpec = DEFAULT_SPEC) -> Limi
     for h in exp.ladder:
         p = replace(Params(1, 1, 1, exp.dim), **{f: h for f in exp.vary if f != "theta"})
         side_a = solve(tag_a, p, exp.data, h if "theta" in exp.vary else exp.theta)
-        table.append((h, max(0.0, *(float(np.max(np.abs(ua - ub)))
-                                    for ua, ub in zip(side_a, side_b)))))
+        table.append((h, _worst(np.max(np.abs(ua - ub)) for ua, ub in zip(side_a, side_b))))
     errs = np.array([e for _, e in table])
     monotone = bool(np.all(errs[1:] <= errs[:-1] * 1.01)) if errs.size > 1 else True
     fit = None
@@ -542,7 +546,7 @@ def _check_pde_residual(spec, seed):
         lap = _d2c(fr, h) + _d2c(fz, h)
         scale = max(abs(p.epsilon * gt), 1e-12)
         rows.append((f"interior {i}", abs(p.epsilon * gt - lap) / scale))
-    worst_neg = float("inf")
+    separation = []
     for i in range(25):
         p = Params(*rng.uniform(0.5, 2.0, 3), 2)
         r = rng.uniform(0.3, 1.5)
@@ -561,10 +565,10 @@ def _check_pde_residual(spec, seed):
         g0z = [float(dirichlet_radial(r, k * h, yn, t / p.epsilon, 2))
                for k in (0, 1, 2, 3)]
         neg = abs((-11 * g0z[0] + 18 * g0z[1] - 9 * g0z[2] + 2 * g0z[3]) / (6 * h)) / scale
-        worst_neg = min(worst_neg, neg / max(res, 1e-300))
+        separation.append(neg / max(res, 1e-300))
         rows.append((f"boundary {i} (x10 weight)", res / 10.0))
     rows.append(("negative-control separation (passes iff >= 100x)",
-                 1e-4 * 100.0 / worst_neg))
+                 _worst(1e-4 * 100.0 / sep for sep in separation)))
     return rows, "pointwise PDE residuals of the kernel (scaled; boundary rows /10)"
 
 
@@ -612,9 +616,8 @@ def check_identity(which: str, spec: QuadSpec = DEFAULT_SPEC,
     except KeyError:
         raise ValueError(f"unknown identity {which!r}") from None
     rows, statement = fn(spec, seed)
-    max_dev = max(d for _, d in rows)
-    return IdentityReport(which, statement, tol, float(max_dev),
-                          bool(max_dev <= tol), rows)
+    max_dev = _worst(d for _, d in rows)
+    return IdentityReport(which, statement, tol, max_dev, max_dev <= tol, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -689,16 +692,15 @@ def sandwich_check(p: Params | None = None, n_per_region: int = 500,
     ups, lows = [], []
     converged = True
     for tag, pts in samples.items():
-        lu_r, ll_r, lh_r = [], [], []
+        logs = []   # (kernel, upper, lower) per sample
         for (r, s, t) in pts:
             lh, _, _, conv = exchange_log_grid(p, [r], [s], t, spec)
             converged = converged and bool(conv)
             lu, ll, _ = envelope_log(p, np.array([r]), np.array([s]), t)
-            lh_r.append(lh[0])
-            lu_r.append(lu[0])
-            ll_r.append(ll[0])
-        up = np.exp(np.array(lh_r) - np.array(lu_r))
-        low = np.exp(np.array(ll_r) - np.array(lh_r))
+            logs.append((lh[0], lu[0], ll[0]))
+        lh, lu, ll = np.array(logs).T
+        up = np.exp(lh - lu)
+        low = np.exp(ll - lh)
         per_region[tag] = {"upper_max": float(up.max()), "lower_max": float(low.max())}
         ups.append(up)
         lows.append(low)
@@ -784,7 +786,7 @@ def opnorm_decay(p_exp: float, q_exp: float, p: Params | None = None,
         converged = converged and bool(conv)
         table.append((t, float(np.max(np.abs(u))) / norm))
     if p_exp == q_exp:
-        dev = max(abs(r - 1.0) for _, r in table)
+        dev = _worst(abs(r - 1.0) for _, r in table)
         return OpnormResult(p_exp, q_exp, table, None, 0.0, dev <= 1e-6,
                             f"max |ratio - 1| = {dev:.2e}", converged)
     fit = fit_rate(table)

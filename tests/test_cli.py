@@ -2,11 +2,13 @@ import json
 import math
 import os
 import tempfile
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import dynheat.verification as verification
 from dynheat.cli import main
 from dynheat.data import Boundary, InitialData
 from dynheat.kernels import Params
@@ -380,50 +382,68 @@ def test_solve_probe_on_first_axis_is_accepted(tmp_path):
     assert len(set(rows.values())) == 1
 
 
-def test_oracle_compare_honours_strict(tmp_path):
-    cfg = {**_ORACLE, "tol": 1.0, "quad": {"max_subdivisions": 1}}
+# max_subdivisions 1 leaves a quadrature of each case unconverged while its
+# check still passes: |m - 1| = 1.9e-11 for the mass case
+_CAPPED = {"max_subdivisions": 1}
+_STRICT = {
+    "eval-kernel": ({"kernel": "g", "t": 1.0, "x": {"normal": 0.5}, "quad": _CAPPED},
+                    "eval_kernel.csv"),
+    "mass-check": ({"epsilon": [1.0], "delta": [1.0], "kappa": [1.0], "dim": [2],
+                    "x_n": [0.5], "t": [1.0], "quad": _CAPPED}, "mass_check.csv"),
+    "solve": ({**_SOLVE, "data": _GAUSS, "quad": _CAPPED}, "solve.csv"),
+    "bounds-check": ({"samples_per_region": 8}, "bounds_check.csv"),
+    "limit-rate": ({"which": "hdpsi_eps_to_0", "quad": _CAPPED},
+                   "limit_hdpsi_eps_to_0.csv"),
+    "opnorm": ({"p": 1, "q": "inf", "quad": _CAPPED}, "opnorm.csv"),
+    "oracle-compare": ({**_ORACLE, "tol": 1.0, "quad": _CAPPED}, "oracle_compare.csv"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_STRICT))
+def test_honours_strict(tmp_path, monkeypatch, command):
+    cfg, csv_name = _STRICT[command]
+    if command == "bounds-check":  # it takes no quad block: force non-convergence
+        exchange = verification.exchange_log_grid
+        monkeypatch.setattr(verification, "exchange_log_grid",
+                            lambda *a: (*exchange(*a)[:3], False))
     (tmp_path / "plain").mkdir()
     (tmp_path / "strict").mkdir()
-    assert run_cli(tmp_path / "plain", "oracle-compare", cfg) == 0
-    assert run_cli(tmp_path / "strict", "oracle-compare", cfg, extra=["--strict"]) == 1
-    assert ((tmp_path / "plain" / "oracle_compare.csv").read_bytes()
-            == (tmp_path / "strict" / "oracle_compare.csv").read_bytes())
+    assert run_cli(tmp_path / "plain", command, cfg) == 0
+    assert run_cli(tmp_path / "strict", command, cfg, extra=["--strict"]) == 1
+    assert ((tmp_path / "plain" / csv_name).read_bytes()
+            == (tmp_path / "strict" / csv_name).read_bytes())
 
 
-def test_limit_rate_honours_strict(tmp_path):
-    cfg = {"which": "hdpsi_eps_to_0", "quad": {"max_subdivisions": 1}}
-    (tmp_path / "plain").mkdir()
-    (tmp_path / "strict").mkdir()
-    assert run_cli(tmp_path / "plain", "limit-rate", cfg) == 0
-    assert run_cli(tmp_path / "strict", "limit-rate", cfg, extra=["--strict"]) == 1
-    assert ((tmp_path / "plain" / "limit_hdpsi_eps_to_0.csv").read_bytes()
-            == (tmp_path / "strict" / "limit_hdpsi_eps_to_0.csv").read_bytes())
+def _assert_failed(tmp_path, stem, key):
+    summary = json.loads((tmp_path / f"{stem}.summary.json").read_text())
+    assert summary["pass"] is False and math.isnan(summary[key])
 
 
-def test_opnorm_honours_strict(tmp_path):
-    cfg = {"p": 1, "q": "inf", "quad": {"max_subdivisions": 1}}
-    (tmp_path / "plain").mkdir()
-    (tmp_path / "strict").mkdir()
-    assert run_cli(tmp_path / "plain", "opnorm", cfg) == 0
-    assert run_cli(tmp_path / "strict", "opnorm", cfg, extra=["--strict"]) == 1
-    assert ((tmp_path / "plain" / "opnorm.csv").read_bytes()
-            == (tmp_path / "strict" / "opnorm.csv").read_bytes())
+def test_mass_check_nan_deviation_fails(tmp_path, monkeypatch):
+    total_mass = verification.total_mass
+
+    def nan_at_half(p, xn, t, spec):
+        res = total_mass(p, xn, t, spec)
+        return replace(res, value=math.nan) if xn == 0.5 else res
+
+    monkeypatch.setattr(verification, "total_mass", nan_at_half)
+    cfg = {"epsilon": [1.0], "delta": [1.0], "kappa": [1.0], "dim": [2],
+           "x_n": [0.0, 0.5], "t": [1.0]}
+    assert run_cli(tmp_path, "mass-check", cfg, extra=["--strict"]) == 1
+    _assert_failed(tmp_path, "mass_check", "max_deviation")
 
 
-def test_bounds_check_honours_strict(tmp_path, monkeypatch):
-    # bounds-check takes no quad block, so non-convergence is forced
-    from dynheat import verification
+def test_oracle_compare_nan_at_second_time_fails(tmp_path, monkeypatch):
+    compare, calls = verification.compare, []
 
-    exchange = verification.exchange_log_grid
-    monkeypatch.setattr(verification, "exchange_log_grid",
-                        lambda *a: (*exchange(*a)[:3], False))
-    cfg = {"samples_per_region": 8}
-    (tmp_path / "plain").mkdir()
-    (tmp_path / "strict").mkdir()
-    assert run_cli(tmp_path / "plain", "bounds-check", cfg) == 0
-    assert run_cli(tmp_path / "strict", "bounds-check", cfg, extra=["--strict"]) == 1
-    assert ((tmp_path / "plain" / "bounds_check.csv").read_bytes()
-            == (tmp_path / "strict" / "bounds_check.csv").read_bytes())
+    def nan_second(*args):
+        calls.append(args)
+        return (math.nan, math.nan) if len(calls) == 2 else compare(*args)
+
+    monkeypatch.setattr(verification, "compare", nan_second)
+    cfg = {**_ORACLE, "times": [0.25, 0.5], "tol": 1.0}
+    assert run_cli(tmp_path, "oracle-compare", cfg) == 1
+    _assert_failed(tmp_path, "oracle_compare", "sup_rel")
 
 
 # ---------------------------------------------------------------------------

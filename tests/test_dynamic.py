@@ -4,6 +4,7 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
+from dynheat.data import Boundary, InitialData
 from dynheat.dynamic import (
     Envelope,
     SingularConfigurationError,
@@ -28,12 +29,14 @@ from dynheat.dynamic import (
 from dynheat.kernels import (
     HalfSpacePoint,
     Params,
+    dirichlet_kernel,
     exp_flush,
     free_heat_radial,
     neumann_kernel,
     poisson_kernel,
 )
 from dynheat.quadrature import QuadSpec, integrate
+from dynheat.solutions import solve_grid
 
 P111 = Params(1.0, 1.0, 1.0, 2)
 
@@ -474,3 +477,37 @@ class TestEnvelope:
         env = envelope(P111, HalfSpacePoint(2.0, 4.0), HalfSpacePoint(0.0, 4.0), 0.3)
         assert isinstance(env, Envelope)
         assert env.upper > 0.0 and env.lower > 0.0
+
+
+_X, _Y, _NAN = HalfSpacePoint(0.0, 0.5), HalfSpacePoint(0.0, 0.0), math.nan
+_GAUSS_PSI = InitialData(boundary=Boundary("heat_gaussian", a=0.5))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: HalfSpacePoint(0.0, _NAN),
+    lambda: HalfSpacePoint(_NAN, 0.5),
+    lambda: HalfSpacePoint((0.0, _NAN), 0.5),
+    lambda: dirichlet_kernel(_X, _Y, _NAN, 2),
+    lambda: poisson_kernel(0, _NAN, 2),
+    lambda: envelope(P111, _X, _Y, _NAN),
+    lambda: exchange_log_grid(P111, [0.0], [0.5], _NAN),
+    lambda: heat_neumann_kernel(1.0, 1.0, _X, _Y, _NAN),
+    lambda: heat_neumann_kernel(_NAN, 1.0, _X, _Y, 1.0),
+    lambda: heat_neumann_kernel(1.0, _NAN, _X, _Y, 1.0),
+    lambda: laplace_dynamic_kernel(_NAN, 1.0, _X, _Y, 1.0),
+    lambda: laplace_dynamic_kernel(1.0, _NAN, _X, _Y, 1.0),
+    lambda: laplace_dynamic_kernel(1.0, 1.0, _X, _Y, _NAN),
+    lambda: dirichlet_layer_kernel(P111, 1.0, _X, _Y, _NAN),
+    lambda: dirichlet_layer_kernel(P111, _NAN, _X, _Y, 1.0),
+    lambda: solve_grid("HDD", P111, _GAUSS_PSI, [0.0], [0.5], _NAN),
+    lambda: solve_grid("HDD", P111, _GAUSS_PSI, [0.0], [_NAN], 1.0),
+    lambda: solve_grid("HDPsi", P111, _GAUSS_PSI, [0.0], [0.5], 1.0, theta=_NAN),
+], ids=["point-normal", "point-tangential", "point-vector", "dirichlet-t", "poisson-height",
+        "envelope-t", "exchange-t", "hdn-t", "hdn-epsilon", "hdn-kappa", "ldd-delta",
+        "ldd-kappa", "ldd-t", "layer-t", "layer-theta", "solve-t", "solve-normal",
+        "solve-theta"])
+def test_nan_input_is_rejected(call):
+    # a NaN fails every comparison, so each range check is written to fail
+    # on it; the message is the one a finite out-of-range value gets
+    with pytest.raises(ValueError, match="must be|need|requires"):
+        call()

@@ -161,6 +161,41 @@ class TestIdentities:
             "positivity", "semigroup", "pde_residual", "k0_poisson", "k0_neumann"}
 
 
+class TestNanFails:
+    """A NaN deviation fails the verdict wherever it falls in the rows."""
+
+    @staticmethod
+    def nan_at(t_nan):
+        def solve(tag, p, data, xp, xn, t, *args, **kwargs):
+            u, err, conv = solve_grid(tag, p, data, xp, xn, t, *args, **kwargs)
+            if t == t_nan:  # the first probe of that time reads NaN
+                u = np.where(np.arange(u.size) == 0, math.nan, u)
+            return u, err, conv
+        return solve
+
+    def test_identity_nan_after_a_finite_row(self, monkeypatch):
+        monkeypatch.setitem(IDENTITIES, "nan_rows", (
+            lambda spec, seed: ([("finite", 0.0), ("nan", math.nan)], "s"), 1.0))
+        rep = check_identity("nan_rows")
+        assert math.isnan(rep.max_dev) and rep.passed is False
+
+    def test_run_limit_nan_probe(self, monkeypatch):
+        monkeypatch.setattr(verification, "solve_grid", self.nan_at(1.0))
+        res = run_limit("eps_to_inf")
+        assert math.isnan(res.table[0][1]) and not res.passed
+
+    def test_opnorm_nan_ratio(self, monkeypatch):
+        monkeypatch.setattr(verification, "solve_grid", self.nan_at(1.0))
+        res = opnorm_decay(math.inf, math.inf, t_ladder=(0.5, 1.0))
+        assert math.isnan(res.table[1][1]) and not res.passed
+
+    def test_pde_residual_nan_wall_values(self, monkeypatch):
+        monkeypatch.setattr(verification, "dirichlet_radial", lambda *args: math.nan)
+        rep = check_identity("pde_residual")
+        assert rep.rows[-1][0].startswith("negative-control")
+        assert math.isnan(rep.rows[-1][1]) and rep.passed is False
+
+
 class TestSandwich:
     def test_small_run_stable(self):
         res = sandwich_check(n_per_region=60, seed=11)
