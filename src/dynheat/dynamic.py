@@ -183,10 +183,11 @@ def _exchange_core(eps, delta, kappa, s, t, spec, tan_fn, frame, path):
     in the stabilising variable xi = s + eta.
 
     ``frame = (log_shift, centre, scale, eta_hi)`` per component (see
-    ``_frame``): each component is integrated over eta in [0, eta_hi]
-    through eta = centre + scale * sinh(v), v linear in the shared
-    variable u in [0, 1], and ``log_shift`` is subtracted from its
-    exponent (output is the shifted value).  ``tan_fn(T, idx, log_w)``
+    ``_frame``), or one element that every component shares: each
+    component is integrated over eta in [0, eta_hi] through
+    eta = centre + scale * sinh(v), v linear in the shared variable u in
+    [0, 1], and ``log_shift`` is subtracted from its exponent (output is
+    the shifted value).  ``tan_fn(T, idx, log_w)``
     returns the tangential factor of components ``idx`` at Gaussian time
     arguments ``T`` times the weight exp(log_w).  Returns (values, errors,
     subdivisions, converged).
@@ -265,9 +266,12 @@ def exchange_weighted(p: Params, s, t: float, spec: QuadSpec, tan_fn):
     """
     s = np.asarray(s, dtype=float).ravel()
     # the data factor's peak is unknown: no shift, and eta in [0, reach]
-    # (the normal Gaussian's reach) through a sinh map of the same scale
-    zero = np.zeros(s.size)
-    reach = np.full(s.size, math.sqrt(4.0 * t * TAIL_EXPONENT / p.epsilon))
+    # (the normal Gaussian's reach) through a sinh map of the same scale.
+    # Every component shares that frame, so it is passed as one element:
+    # the map's sinh, cosh and log run on a (15, 1) column that broadcasts
+    # against the components, with the same values in every column.
+    zero = np.zeros(1)
+    reach = np.full(1, math.sqrt(4.0 * t * TAIL_EXPONENT / p.epsilon))
     return _exchange_core(p.epsilon, p.delta, p.kappa, s, t, spec,
                           lambda T, idx, log_w: tan_fn(T, idx) * exp_flush(log_w),
                           (zero, zero, reach, reach), "xi")
@@ -516,10 +520,20 @@ def envelope(p: Params, x: HalfSpacePoint, y: HalfSpacePoint, t: float) -> Envel
 # marginal masses and total-mass checks
 # ---------------------------------------------------------------------------
 
+def _check_xn_t(xn, t, t_zero=False):
+    """ValueError unless 0 <= x_N < inf and 0 < t < inf (0 <= t when
+    ``t_zero``); each test is written so that a NaN fails it."""
+    if not 0.0 <= xn < math.inf:
+        raise ValueError("x_N must be finite and nonnegative")
+    if not (0.0 <= t if t_zero else 0.0 < t) or not t < math.inf:
+        raise ValueError("time must be finite and " + ("nonnegative" if t_zero else "positive"))
+
+
 def exchange_marginal_boundary(p: Params, xn: float, t: float,
                                spec: QuadSpec = DEFAULT_SPEC) -> QuadResult:
     """Boundary marginal of the exchange kernel (tangential integral done
     in closed form; the remaining time integral by quadrature)."""
+    _check_xn_t(xn, t)
     return _finalize(*exchange_weighted(p, [xn], t, spec, lambda T, idx: 1.0))
 
 
@@ -527,6 +541,7 @@ def exchange_marginal_interior(p: Params, xn: float, t: float,
                                spec: QuadSpec = DEFAULT_SPEC) -> QuadResult:
     """Interior marginal of the exchange kernel: a genuinely 2-D
     (normal x time) quadrature with the tangential direction closed."""
+    _check_xn_t(xn, t)
     ycut = math.sqrt(4.0 * t * TAIL_EXPONENT / p.epsilon) + 1.0
     return integrate_nested(
         lambda ys: exchange_weighted(p, xn + ys, t, spec, lambda T, idx: 1.0), 0.0, ycut, spec)
@@ -566,6 +581,7 @@ def total_mass(p: Params, xn: float, t: float,
     neither kappa nor the dimension: rows of a mass grid that differ only
     in those return bit-identical results.  ``total_mass_radial`` is the
     route that exercises them."""
+    _check_xn_t(xn, t)
     g0 = math.erf(math.sqrt(p.epsilon) * xn / (2.0 * math.sqrt(t)))
     return QuadResult(*add_terms((g0, 0.0, 0, True),
                                  (exchange_marginal_interior(p, xn, t, spec), p.delta),
@@ -599,6 +615,7 @@ def total_mass_radial(p: Params, xn: float, t: float,
                       spec: QuadSpec = DEFAULT_SPEC) -> QuadResult:
     """Total mass with the tangential integral done numerically (radial
     reduction), exercising the dimension-dependent factors."""
+    _check_xn_t(xn, t)
     lc = TAIL_EXPONENT
     spread = max(t / p.epsilon,
                  max(p.delta, p.kappa * p.epsilon) * t / (p.epsilon * p.delta))
@@ -614,6 +631,7 @@ def laplace_dynamic_mass(delta: float, kappa: float, xn: float, t: float,
                          dim: int = 2, spec: QuadSpec = DEFAULT_SPEC) -> QuadResult:
     """Boundary mass of the Laplace dynamic kernel via radial quadrature
     (power-law tails: integrated through the compactifying map)."""
+    _check_xn_t(xn, t, t_zero=True)
     z = xn + t / delta
     if z <= 0:
         raise SingularConfigurationError("x_N + t/delta must be positive")
@@ -626,6 +644,7 @@ def heat_neumann_mass(epsilon: float, kappa: float, xn: float, t: float,
                       dim: int = 2, spec: QuadSpec = DEFAULT_SPEC) -> QuadResult:
     """Interior mass of the diffusive-Neumann heat kernel via radial and
     normal quadrature; equals 1 identically."""
+    _check_xn_t(xn, t)
     lc = TAIL_EXPONENT
     T = t / epsilon
     tau_cut = 2.0 * math.sqrt(T * lc)

@@ -21,16 +21,19 @@ tangential stencil as the bulk rows, the orthonormal sine transform
 (DST-I) along x diagonalises Lx, and Lz and M are constant along x, so
 the solver works in that basis: Lx is diagonal there, with eigenvalues
 -4/hx^2 sin^2(pi k / (2 nx)), k = 1..nx-1, scaled by the surface
-diffusivity on the wall row.  Time stepping is Crank-Nicolson: each step
-solves (M/dt - L/2) v+ = (M/dt + L/2) v with one sparse LU of the left
-side, factored once per run.
+diffusivity on the wall row.  Time stepping is Crank-Nicolson,
+(M/dt - L/2) v+ = (M/dt + L/2) v, with one sparse LU of the left side,
+factored once per run.  The right side is 2M/dt - (M/dt - L/2), so each
+step is one solve and one subtraction, v+ = lu.solve(2M/dt v) - v; no
+right-hand operator is stored or applied.
 
 That left side couples no two sine modes, so it is nx-1 independent
 tridiagonal systems in z and its LU has no fill.  The unknowns are
 stored mode by mode, so each system is one contiguous block.  At the
-default 256 x 256 grid the LU holds 2.6e5 nonzeros and a step costs
-about 1.5 ms on a 2-core host, against 3.4e6 nonzeros and 3.4 ms for the
-minimum-degree LU of the 5-point operator in the physical basis.  The
+default 256 x 256 grid the LU holds 2.6e5 nonzeros, against 3.4e6 for
+the minimum-degree LU of the 5-point operator in the physical basis, and
+a traced step costs about 2.1 ms on a 2-core host (2.6 ms on the same
+host when each step also applied the sparse right side M/dt + L/2).  The
 state is transformed once at the start and back only for the periodic
 instability check and the stored snapshots.
 
@@ -169,15 +172,18 @@ def _assemble(p: Params, grid: FdGrid):
 
 
 def _operators(p: Params, grid: FdGrid):
-    """(lhs, rhs) of the Crank-Nicolson step lhs v+ = rhs v, lhs in CSC
-    for splu.
+    """(lhs, mdt2) of the Crank-Nicolson step: lhs = M/dt - L/2 in CSC
+    for splu, and mdt2 the diagonal 2M/dt as a vector.
 
-    Built in a frame of its own, so that L is freed before the
-    factorisation and does not add to its peak memory.
+    The right side M/dt + L/2 equals 2M/dt - lhs, so the step
+    lhs v+ = (M/dt + L/2) v is v+ = lhs^-1 (mdt2 v) - v: one LU solve
+    and no stored right-hand operator (exact algebra; the factor 2 scales
+    without rounding).  Built in a frame of its own, so that L is freed
+    before the factorisation and does not add to its peak memory.
     """
     L, mdiag = _assemble(p, grid)
-    M = _this.sp.diags(mdiag / grid.dt)
-    return (M - 0.5 * L).tocsc(), (M + 0.5 * L).tocsr()
+    mdt = mdiag / grid.dt
+    return (_this.sp.diags(mdt) - 0.5 * L).tocsc(), 2.0 * mdt
 
 
 def _initial_state(p: Params, data: InitialData, grid: FdGrid) -> np.ndarray:
@@ -226,14 +232,16 @@ def fd_solve(p: Params, data: InitialData, grid: FdGrid, t_end: float,
     u = _initial_state(p, data, grid)
     res = FdResult(grid, p, [], [])
     limit = 10.0 * max(1.0, float(np.max(np.abs(u))))
-    lhs, rhs_op = _operators(p, grid)
+    lhs, mdt2 = _operators(p, grid)
     # mode-major, lhs is tridiagonal: the natural order factors it without fill
     lu = _this.spla.splu(lhs, permc_spec="NATURAL")
     nz, sine = grid.nz, _sine(grid.nx - 1)
     vec = (sine @ u[:nz, 1:-1].T).ravel()
     for step in range(nsteps + 1):
         if step > 0:
-            vec = lu.solve(rhs_op @ vec)
+            w = lu.solve(mdt2 * vec)
+            w -= vec
+            vec = w
             check = step % 50 == 0 or step == nsteps
             if not (check or step in want):
                 continue

@@ -269,8 +269,10 @@ def _solve(tag, p: Params, data: InitialData, xp, xn, t, spec, theta):
     xn = np.atleast_1d(np.asarray(xn, dtype=float))
     if xp.shape != xn.shape:
         raise ValueError("xp and xn must have matching shapes")
-    if not np.all(xn >= 0):
-        raise ValueError("normal coordinates must be nonnegative")
+    if not np.all(np.isfinite(xp)):
+        raise ValueError("tangential coordinates must be finite")
+    if not np.all((xn >= 0) & (xn < np.inf)):
+        raise ValueError("normal coordinates must be finite and nonnegative")
     if xp.size == 0:
         return _zero(0)
     phi, psi = data.interior, data.boundary

@@ -511,3 +511,53 @@ def test_nan_input_is_rejected(call):
     # on it; the message is the one a finite out-of-range value gets
     with pytest.raises(ValueError, match="must be|need|requires"):
         call()
+
+
+_BAD_XN_T = [(-0.5, 1.0), (_NAN, 1.0), (math.inf, 1.0), (0.5, -1.0), (0.5, _NAN),
+             (0.5, math.inf)]
+_BAD_IDS = ["xn-negative", "xn-nan", "xn-inf", "t-negative", "t-nan", "t-inf"]
+
+
+@pytest.mark.parametrize("mass", [
+    lambda xn, t: total_mass(P111, xn, t),
+    lambda xn, t: total_mass_radial(P111, xn, t),
+    lambda xn, t: exchange_marginal_boundary(P111, xn, t),
+    lambda xn, t: exchange_marginal_interior(P111, xn, t),
+    lambda xn, t: heat_neumann_mass(1.0, 1.0, xn, t),
+    lambda xn, t: laplace_dynamic_mass(1.0, 1.0, xn, t),
+], ids=["total", "radial", "marginal-boundary", "marginal-interior", "hdn", "ldd"])
+@pytest.mark.parametrize("xn,t", _BAD_XN_T, ids=_BAD_IDS)
+def test_mass_rejects_bad_normal_and_time(mass, xn, t):
+    # checked up front, before any quadrature can fail on them
+    with pytest.raises(ValueError, match="x_N must be|time must be"):
+        mass(xn, t)
+
+
+@pytest.mark.parametrize("mass", [
+    lambda t: total_mass(P111, 0.5, t),
+    lambda t: total_mass_radial(P111, 0.5, t),
+    lambda t: exchange_marginal_boundary(P111, 0.5, t),
+    lambda t: exchange_marginal_interior(P111, 0.5, t),
+    lambda t: heat_neumann_mass(1.0, 1.0, 0.5, t),
+], ids=["total", "radial", "marginal-boundary", "marginal-interior", "hdn"])
+def test_mass_rejects_zero_time(mass):
+    with pytest.raises(ValueError, match="time must be finite and positive"):
+        mass(0.0)
+
+
+def test_laplace_dynamic_mass_accepts_zero_time():
+    # the Laplace kernel is defined at t = 0 (z = x_N), as laplace_dynamic_kernel
+    assert abs(laplace_dynamic_mass(1.0, 1.0, 0.5, 0.0).value - 1.0) < 1e-8
+    with pytest.raises(SingularConfigurationError):
+        laplace_dynamic_mass(1.0, 1.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("xp,xn,match", [
+    ([_NAN], [0.5], "tangential coordinates must be finite"),
+    ([math.inf], [0.5], "tangential coordinates must be finite"),
+    ([0.0, -math.inf], [0.5, 0.5], "tangential coordinates must be finite"),
+    ([0.0], [math.inf], "normal coordinates must be finite and nonnegative"),
+], ids=["xp-nan", "xp-inf", "xp-minus-inf", "xn-inf"])
+def test_solve_grid_rejects_nonfinite_probes(xp, xn, match):
+    with pytest.raises(ValueError, match=match):
+        solve_grid("HDD", P111, _GAUSS_PSI, xp, xn, 1.0)

@@ -115,9 +115,10 @@ class TestOperator:
         assert np.max(np.abs(L @ v - want)) <= 1e-12 * np.max(np.abs(want))
         # the capacity is constant along x, so it is the same in either basis
         assert np.array_equal(mdiag, m_want.T.ravel())
-        lhs, rhs = _operators(self.P, g)
-        # the step's two halves add up to L
-        got = rhs @ v - lhs @ v
+        lhs, mdt2 = _operators(self.P, g)
+        # lhs = M/dt - L/2 and mdt2 = 2M/dt, so the step's right side
+        # M/dt + L/2 is mdt2 - lhs and the two give back L
+        got = mdt2 * v - 2 * (lhs @ v)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         # lhs couples no two modes (Lx is diagonal in the sine basis)
         rows, cols = lhs.nonzero()
@@ -146,14 +147,15 @@ class TestSineBasis:
         assert fills[0] <= 4 * g.nz * (g.nx - 1)
 
     def test_march_matches_physical_reference(self):
-        # the physical operator, column by column, from the stencil alone
+        # the physical operator, column by column, from the stencil alone;
+        # two-sided Crank-Nicolson steps, past the instability check at step 50
         op = TestOperator()
         g = FdGrid(Lx=3.0, Lz=2.0, nx=24, nz=17, dt=1e-2)
         n = g.nz * (g.nx - 1)
         cols = [op.stencil(g, e.reshape(g.nz, g.nx - 1)) for e in np.eye(n)]
         L = sp.csr_matrix(np.column_stack([(c[0] + c[1]).ravel() for c in cols]))
         M = sp.diags(cols[0][2].ravel() / g.dt)
-        steps = 5
+        steps = 60
         u0 = _initial_state(op.P, GAUSS_PSI, g)
         lu = spla.splu((M - 0.5 * L).tocsc())
         rhs = M + 0.5 * L
@@ -164,6 +166,30 @@ class TestSineBasis:
         want[:g.nz, 1:-1] = vec.reshape(g.nz, g.nx - 1)
         got = fd_solve(op.P, GAUSS_PSI, g, steps * g.dt).fields[-1]
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_one_lu_solve_per_step(self, monkeypatch):
+        # one factorisation and exactly one solve per step, which the
+        # benchmark tracer's per-step counts assume
+        factors, solves = [], []
+
+        class CountedLU:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, rhs):
+                solves.append(rhs.shape)
+                return self.lu.solve(rhs)
+
+        def splu(A, *args, **kwargs):
+            factors.append(A.shape)
+            return CountedLU(spla.splu(A, *args, **kwargs))
+
+        monkeypatch.setattr(fdsolver, "spla", SimpleNamespace(splu=splu))
+        g = FdGrid(nx=16, nz=16, dt=1e-2)
+        n = g.nz * (g.nx - 1)
+        fd_solve(P111, GAUSS_PSI, g, 0.6, snapshots=[0.2, 0.4])
+        assert factors == [(n, n)]
+        assert solves == [(n,)] * 60
 
 
 class TestConservation:
@@ -184,10 +210,11 @@ class TestConservation:
 
 class TestInstabilityGuard:
     def test_amplifying_step_raises(self, monkeypatch):
-        # a step that doubles every mode: the check at step 50 must stop it
+        # a step that doubles every mode: with lhs = I the step is
+        # v+ = mdt2 v - v, so mdt2 = 3; the check at step 50 must stop it
         def operators(p, grid):
             n = grid.nz * (grid.nx - 1)
-            return sp.identity(n, format="csc"), 2.0 * sp.identity(n, format="csr")
+            return sp.identity(n, format="csc"), np.full(n, 3.0)
 
         monkeypatch.setattr(fdsolver, "_operators", operators)
         g = FdGrid(nx=8, nz=8, dt=1e-2)
