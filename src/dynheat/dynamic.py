@@ -47,6 +47,7 @@ from .quadrature import (
     DEFAULT_SPEC,
     _adaptive,
     _finalize,
+    _halves,
     add_terms,
     integrate_nested,
     TAIL_EXPONENT,
@@ -216,7 +217,7 @@ def _exchange_core(eps, delta, kappa, s, t, spec, tan_fn, frame, path):
         log_n += log_len
         return tan_fn(t_tan, idx_all, log_n)
 
-    return _adaptive(f, [(0.0, 1.0)], spec)
+    return _adaptive(f, _halves(0.0, 1.0), spec)
 
 
 def _pointwise_tan(dim, r):
@@ -336,7 +337,7 @@ def hdn_batch(eps, kappa, dim, s, t, spec, tan_fn):
             logm = np.log(4.0 * v) + log_norm - v * v
         return tan_fn(t_tan, idx_all) * exp_flush(logm)
 
-    return _adaptive(f, [(0.0, eta_max)], spec)
+    return _adaptive(f, _halves(0.0, eta_max), spec)
 
 
 def heat_neumann_grid(epsilon: float, kappa: float, r, xn, yn, t: float,
@@ -436,7 +437,7 @@ def dirichlet_layer_batch(eps, dim, xn, t, theta, spec, tan_fn):
             t_tan = t_tan + (t - w) / theta
         return tan_fn(t_tan, idx_all) * exp_flush(log_pref - v * v)
 
-    return _adaptive(f, [(0.0, eta_max)], spec)
+    return _adaptive(f, _halves(0.0, eta_max), spec)
 
 
 def dirichlet_layer_kernel(p: Params, theta: float, x: HalfSpacePoint,
@@ -471,27 +472,34 @@ class Envelope:
     region: str
 
 
+def _region_flags(eps, delta, s, t):
+    """The three predicates of the region rule: near, early, shallow."""
+    return (eps * s * s < 6.0 * t, t < 12.0 * delta * delta / eps,
+            s + t / delta < delta / eps)
+
+
 def region_tag(eps, delta, s, t):
-    """Vectorised region classifier on (s, t) with s = x_N + y_N."""
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    near = eps * s * s < 6.0 * t
-    early = t < 12.0 * delta * delta / eps
-    shallow = s + t / delta < delta / eps
-    tags = np.where(near, np.where(early, "D1", "D2"),
-                    np.where(shallow, "D3", "D4"))
-    return tags
+    """Region classifier on (s, t) with s = x_N + y_N: a str for scalar
+    ``s`` and ``t``, an array of tags otherwise."""
+    if np.isscalar(s) and np.isscalar(t):
+        near, early, shallow = _region_flags(eps, delta, float(s), float(t))
+        if near:
+            return "D1" if early else "D2"
+        return "D3" if shallow else "D4"
+    near, early, shallow = _region_flags(eps, delta, np.asarray(s, dtype=float),
+                                         np.asarray(t, dtype=float))
+    return np.where(near, np.where(early, "D1", "D2"), np.where(shallow, "D3", "D4"))
 
 
 def envelope_log(p: Params, r, s, t):
     """log of the upper/lower envelopes on arrays (r, s) at fixed t."""
     if p.kappa <= 0:
         raise ValueError("envelopes require kappa > 0")
+    tags = region_tag(p.epsilon, p.delta, s, t)
     r = np.asarray(r, dtype=float)
     s = np.asarray(s, dtype=float)
     lam_big = max(p.delta, p.kappa * p.epsilon)
     lam_small = min(p.delta, p.kappa * p.epsilon)
-    tags = region_tag(p.epsilon, p.delta, s, t)
     log_h1 = _log_heat(1, s, t / p.epsilon)
     log_h2 = _log_heat(1, s, t / (2.0 * p.epsilon))
     log_lin = np.log(s + t / p.delta)

@@ -14,6 +14,13 @@ so an integral over ``k`` seed segments with ``n`` bisections makes
 evaluating several panels per call waits for a tracer that counts panels
 another way.
 
+A single-range integral starts from the two halves of its range
+(``_halves``), since almost every root panel would be bisected and its
+15 nodes thrown away.  Where the root would be bisected the result keeps
+its bits; ``subdivisions_used`` and ``max_subdivisions`` count the
+bisections after those two seed panels, and an integral that would have
+converged on one panel now costs two.
+
 Iterated integrals all go through ``integrate_nested`` and share one
 error rule: the error of the outer integral over [a, b] is its own
 estimate plus (b - a) times the largest absolute inner error at any
@@ -246,6 +253,15 @@ def _adaptive(f, segments, spec: QuadSpec):
     return value, error, nsub, converged
 
 
+def _halves(a, b):
+    """Seed list of a single-range integral: the two halves of [a, b], or
+    [a, b] itself when its midpoint is not strictly inside in float."""
+    m = 0.5 * (a + b)
+    if a < m < b:
+        return [(a, m), (m, b)]
+    return [(a, b)]
+
+
 def _finalize(value, error, nsub, converged) -> QuadResult:
     if value.shape[-1] == 1 and value.ndim == 1:
         return QuadResult(float(value[0]), float(error[0]), nsub, converged)
@@ -258,7 +274,7 @@ def integrate(f, a: float, b: float, spec: QuadSpec = DEFAULT_SPEC) -> QuadResul
         raise ValueError("integrate needs finite endpoints")
     if not a < b:
         raise ValueError("integrate needs a < b")
-    value, error, nsub, converged = _adaptive(f, [(a, b)], spec)
+    value, error, nsub, converged = _adaptive(f, _halves(a, b), spec)
     return _finalize(value, error, nsub, converged)
 
 
@@ -277,7 +293,7 @@ def integrate_semi_infinite(f, a: float, spec: QuadSpec = DEFAULT_SPEC) -> QuadR
         w = 1.0 / (u * u)
         return fx * w[:, None] if fx.ndim == 2 else fx * w
 
-    value, error, nsub, converged = _adaptive(mapped, [(0.0, 1.0)], spec)
+    value, error, nsub, converged = _adaptive(mapped, _halves(0.0, 1.0), spec)
     return _finalize(value, error, nsub, converged)
 
 

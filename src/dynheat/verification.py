@@ -661,7 +661,7 @@ def _sample_regions(p: Params, n_per: int, rng):
             else:
                 s = rng.uniform(s0, s0 + 6.0)
             r = rng.uniform(0.0, 4.0)
-            if str(region_tag(p.epsilon, p.delta, s, t)) == tag:
+            if region_tag(p.epsilon, p.delta, s, t) == tag:
                 out[tag].append((r, s, t))
                 rejected = 0
             else:

@@ -23,6 +23,7 @@ from dynheat.dynamic import (
     laplace_dynamic_mass,
     marginal_boundary_reference,
     marginal_interior_reference,
+    region_tag,
     total_mass,
     total_mass_radial,
 )
@@ -278,10 +279,11 @@ class TestMarginals:
             true_err = abs(res.value - weight * exact)
             assert res.converged
             assert true_err <= res.tolerance(spec) + weight * rounding
-            if weight * exact >= spec.abs_tol:  # relative accuracy is promised
-                assert true_err <= res.error_estimate + weight * rounding
-                checked += 1
-        assert checked >= 400
+            # the reported error is a bound at every sample, far below
+            # abs_tol too (interior sample 174 once missed it)
+            assert true_err <= res.error_estimate + weight * rounding
+            checked += 1
+        assert checked >= 601
 
     def test_marginals_are_kappa_free(self):
         a = exchange_marginal_boundary(Params(1, 1, 0.0, 2), 0.4, 0.8).value
@@ -435,6 +437,16 @@ class TestRegions:
         p2 = Params(1.0, 100.0, 1.0, 2)
         x, y = mk(3.0)
         assert envelope(p2, x, y, 1.0).region == "D3"
+
+    def test_scalar_rule_matches_the_array_rule(self):
+        # scalar (s, t) give a str, arrays give the same tags elementwise
+        s = np.array([0.0, 0.5, 2.0, 3.0, 10.0, math.nan])
+        for eps, delta, t in [(1.0, 1.0, 1.0), (1.0, 1.0, 13.0), (1.0, 100.0, 1.0),
+                              (0.3, 2.0, 0.01)]:
+            tags = region_tag(eps, delta, s, t)
+            scalar = [region_tag(eps, delta, float(si), t) for si in s]
+            assert all(type(tag) is str for tag in scalar)
+            assert scalar == tags.tolist()
 
     def test_kappa_zero_unsupported(self):
         with pytest.raises(ValueError):

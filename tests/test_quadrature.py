@@ -148,8 +148,9 @@ def test_nan_raises_evaluation_error():
     def bad(x):
         return np.where(x > 0.5, np.nan, x)
 
+    # the seed half that holds the NaN is named
     with pytest.raises(EvaluationError,
-                       match=r"^integrand returned NaN or inf on panel \[0\.0, 1\.0\]$"):
+                       match=r"^integrand returned NaN or inf on panel \[0\.5, 1\.0\]$"):
         integrate(bad, 0.0, 1.0)
 
 
@@ -319,14 +320,15 @@ def _kernel_golden_points():
 
 def test_kernel_golden():
     # exchange_log_grid (log value, relative error), then heat_neumann_kernel
-    # and laplace_dynamic_kernel (value, error), three points each
+    # and laplace_dynamic_kernel (value, error), three points each; the
+    # first six count bisections after their two seed halves
     assert _kernel_golden_points() == [
-        ("-0x1.2572de5a2c2ddp+1", "0x1.5727b16e9bad2p-34", 3, True),
-        ("-0x1.08d3c4821772ap+3", "0x1.9038bf5395c70p-33", 4, True),
-        ("-0x1.bf7b22c8d5f63p+1", "0x1.39aca32fc3abfp-36", 4, True),
-        ("0x1.a9ba9ae3b1af3p-4", "0x1.1e01fbea21f5fp-34", 4, True),
-        ("0x1.506d6b1591c4cp-7", "0x1.1c6721fef7ed7p-43", 5, True),
-        ("0x1.6b8db104064a2p-5", "0x1.db87757102c1cp-36", 4, True),
+        ("-0x1.2572de5a2c2ddp+1", "0x1.5727b16e9bad2p-34", 2, True),
+        ("-0x1.08d3c4821772ap+3", "0x1.9038bf5395c70p-33", 3, True),
+        ("-0x1.bf7b22c8d5f63p+1", "0x1.39aca32fc3abfp-36", 3, True),
+        ("0x1.a9ba9ae3b1af3p-4", "0x1.1e01fbea21f5fp-34", 3, True),
+        ("0x1.506d6b1591c4cp-7", "0x1.1c6721fef7ed7p-43", 4, True),
+        ("0x1.6b8db104064a2p-5", "0x1.db87757102c1cp-36", 3, True),
         ("0x1.45f306dc9c883p-3", "0x1.34523f31f7fcdp-39", 2, True),
         ("0x1.72f44f8f98c12p-5", "0x1.4c1f544baa224p-42", 2, True),
         ("0x1.38cdb2f4a85f1p-5", "0x1.4d432fa521864p-36", 1, True),
@@ -370,3 +372,51 @@ def test_equal_panel_errors_bisect_the_lower_index_first():
     _adaptive(f, [(0.0, 1.0), (1.0, 2.0)],
               QuadSpec(rel_tol=1e-15, abs_tol=1e-300, max_subdivisions=2))
     assert mids == [0.5, 1.5, 0.25, 0.75, 1.25, 1.75]
+
+
+# Single-range integrals start from the two halves of their range.  Where
+# one root panel would be bisected, the first bisection makes exactly those
+# halves, so the bits stay and one subdivision fewer is counted.
+_ROOT_BISECTED = [i for i, (f, a, b, _) in enumerate(_corpus())
+                  if _adaptive(f, [(a, b)], SPEC)[2] > 0]
+
+
+def test_corpus_bisects_the_root_often_enough():
+    assert len(_ROOT_BISECTED) >= 10
+
+
+@pytest.mark.parametrize("idx", _ROOT_BISECTED)
+def test_seed_halves_keep_the_bits_of_a_bisected_root(idx):
+    f, a, b, _ = _corpus()[idx]
+    value, error, nsub, converged = _adaptive(f, [(a, b)], SPEC)
+    res = integrate(f, a, b)
+    assert res.value.hex() == float(value[0]).hex()
+    assert res.error_estimate.hex() == float(error[0]).hex()
+    assert (res.subdivisions_used, res.converged) == (nsub - 1, converged)
+
+
+def test_constant_integrand_makes_two_calls():
+    mids = []
+
+    def f(x):
+        mids.append(x[7])
+        return np.ones_like(x)
+
+    res = integrate(f, 0.0, 1.0)
+    assert mids == [0.25, 0.75]
+    assert (res.value, res.subdivisions_used, res.converged) == (1.0, 0, True)
+
+
+def test_range_without_interior_midpoint_has_one_seed():
+    a = 1.0
+    b = math.nextafter(a, math.inf)
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return np.ones_like(x)
+
+    res = integrate(f, a, b)
+    assert calls == [15]
+    assert res.value == b - a
+    assert res.converged

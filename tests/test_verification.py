@@ -221,6 +221,26 @@ class TestSandwich:
         with pytest.raises(ValueError, match=f"region {region} cannot be sampled"):
             sandwich_check(params, n_per_region=8)
 
+    def test_scalar_region_rule_draws_the_same_samples(self, monkeypatch):
+        # the sampler's str tags against a copy of the rule that built a
+        # string array for every draw
+        def array_rule(eps, delta, s, t):
+            s = np.asarray(s, dtype=float)
+            t = np.asarray(t, dtype=float)
+            near = eps * s * s < 6.0 * t
+            early = t < 12.0 * delta * delta / eps
+            shallow = s + t / delta < delta / eps
+            return np.where(near, np.where(early, "D1", "D2"),
+                            np.where(shallow, "D3", "D4"))
+
+        p = Params(1.0, 1.0, 1.0, 2)
+        for seed in range(1, 6):
+            new = verification._sample_regions(p, 1000, np.random.default_rng(seed))
+            with monkeypatch.context() as m:
+                m.setattr(verification, "region_tag", array_rule)
+                old = verification._sample_regions(p, 1000, np.random.default_rng(seed))
+            assert new == old
+
     @pytest.mark.parametrize("n", [-1, 0, 1])
     def test_needs_two_samples_per_region(self, n):
         with pytest.raises(ValueError, match="n_per_region >= 2"):
