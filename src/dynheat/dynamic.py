@@ -267,15 +267,17 @@ def exchange_weighted(p: Params, s, t: float, spec: QuadSpec, tan_fn):
     """
     s = np.asarray(s, dtype=float).ravel()
     # the data factor's peak is unknown: no shift, and eta in [0, reach]
-    # (the normal Gaussian's reach) through a sinh map of the same scale.
+    # (the normal Gaussian's reach) through a sinh map scaled to that
+    # Gaussian's width sqrt(4t/eps), so the nodes crowd where it lives.
     # Every component shares that frame, so it is passed as one element:
     # the map's sinh, cosh and log run on a (15, 1) column that broadcasts
     # against the components, with the same values in every column.
     zero = np.zeros(1)
+    width = np.full(1, math.sqrt(4.0 * t / p.epsilon))
     reach = np.full(1, math.sqrt(4.0 * t * TAIL_EXPONENT / p.epsilon))
     return _exchange_core(p.epsilon, p.delta, p.kappa, s, t, spec,
                           lambda T, idx, log_w: tan_fn(T, idx) * exp_flush(log_w),
-                          (zero, zero, reach, reach), "xi")
+                          (zero, zero, width, reach), "xi")
 
 
 def exchange_kernel(p: Params, x: HalfSpacePoint, y: HalfSpacePoint, t: float,
@@ -552,7 +554,8 @@ def exchange_marginal_interior(p: Params, xn: float, t: float,
     _check_xn_t(xn, t)
     ycut = math.sqrt(4.0 * t * TAIL_EXPONENT / p.epsilon) + 1.0
     return integrate_nested(
-        lambda ys: exchange_weighted(p, xn + ys, t, spec, lambda T, idx: 1.0), 0.0, ycut, spec)
+        lambda ys: exchange_weighted(p, xn + ys, t, spec, lambda T, idx: 1.0), 0.0, ycut, spec,
+        width=math.sqrt(4.0 * t / p.epsilon))
 
 
 def _marginal_terms(p: Params, xn: float, t: float):
@@ -610,13 +613,15 @@ def _area_weighted(dim, kernel):
     return weighted
 
 
-def _bulk_mass(weighted, rcut, ycut, spec):
+def _bulk_mass(weighted, rcut, rwidth, ycut, ywidth, spec):
     """Integral of an area-weighted radial integrand over r in [0, rcut]
-    (inner) and y_N in [0, ycut] (outer)."""
+    (inner) and y_N in [0, ycut] (outer).  Each range is cut at a
+    Gaussian's reach and runs through ``integrate_nested``'s sinh map
+    scaled to that Gaussian's width (``rwidth``, ``ywidth``)."""
     return integrate_nested(
         lambda ys: integrate_nested(
-            lambda rs: weighted(rs[:, None], ys[None, :]), 0.0, rcut, spec),
-        0.0, ycut, spec)
+            lambda rs: weighted(rs[:, None], ys[None, :]), 0.0, rcut, spec, width=rwidth),
+        0.0, ycut, spec, width=ywidth)
 
 
 def total_mass_radial(p: Params, xn: float, t: float,
@@ -629,9 +634,10 @@ def total_mass_radial(p: Params, xn: float, t: float,
                  max(p.delta, p.kappa * p.epsilon) * t / (p.epsilon * p.delta))
     rcut = math.sqrt(4.0 * spread * lc) + 2.0
     ycut = xn + math.sqrt(4.0 * t * lc / p.epsilon) + 1.0
+    rwidth = math.sqrt(4.0 * spread)
     kernel_slice = _area_weighted(p.dim, lambda rs, yn: fundamental_grid(p, rs, xn, yn, t, spec))
-    interior = _bulk_mass(kernel_slice, rcut, ycut, spec)
-    bdry = integrate_nested(lambda rs: kernel_slice(rs, 0.0), 0.0, rcut, spec)
+    interior = _bulk_mass(kernel_slice, rcut, rwidth, ycut, math.sqrt(4.0 * t / p.epsilon), spec)
+    bdry = integrate_nested(lambda rs: kernel_slice(rs, 0.0), 0.0, rcut, spec, width=rwidth)
     return QuadResult(*add_terms(interior, (bdry, p.epsilon / p.delta)))
 
 
@@ -658,5 +664,6 @@ def heat_neumann_mass(epsilon: float, kappa: float, xn: float, t: float,
     tau_cut = 2.0 * math.sqrt(T * lc)
     rcut = math.sqrt(4.0 * (T + kappa * tau_cut) * lc) + 2.0
     ycut = xn + math.sqrt(4.0 * T * lc) + 1.0
+    rwidth = math.sqrt(4.0 * (T + kappa * tau_cut))
     return _bulk_mass(_area_weighted(dim, lambda rs, yn: heat_neumann_grid(
-        epsilon, kappa, rs, xn, yn, t, dim, spec)), rcut, ycut, spec)
+        epsilon, kappa, rs, xn, yn, t, dim, spec)), rcut, rwidth, ycut, math.sqrt(4.0 * T), spec)

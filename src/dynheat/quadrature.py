@@ -22,11 +22,16 @@ bisections after those two seed panels, and an integral that would have
 converged on one panel now costs two.
 
 Iterated integrals all go through ``integrate_nested`` and share one
-error rule: the error of the outer integral over [a, b] is its own
-estimate plus (b - a) times the largest absolute inner error at any
-outer node (on [a, inf) the inner errors are mapped with the values onto
-(0, 1], length 1).  The K15 weights are positive and sum to b - a, so
-this bounds the error the inner estimates carry into the outer sum.
+error rule: the error of the outer integral is its own estimate plus the
+length of the range the outer rule runs on times the largest absolute
+inner error at any outer node, the errors taking the same map and
+Jacobian as the values.  On [a, b] that range is [a, b] itself; on
+[a, inf) it is u in (0, 1] with Jacobian 1/u^2; with a ``width`` w it is
+v in [0, asinh((b - a)/w)] with x = a + w sinh(v) and Jacobian
+w cosh(v), which puts the nodes of a Gaussian tail of width w near a
+instead of spreading them over its reach.  The K15 weights are positive
+and sum to the range's length, so this bounds the error the inner
+estimates carry into the outer sum.
 
 Weighted sums of terms all go through ``add_terms`` and share one rule:
 each term's value and error are divided by the same divisor, the
@@ -298,7 +303,8 @@ def integrate_semi_infinite(f, a: float, spec: QuadSpec = DEFAULT_SPEC) -> QuadR
 
 
 def integrate_nested(inner, a: float, b: float,
-                     spec: QuadSpec = DEFAULT_SPEC) -> QuadResult:
+                     spec: QuadSpec = DEFAULT_SPEC, *,
+                     width: float | None = None) -> QuadResult:
     """Outer integral over [a, b] (``b`` may be ``np.inf``) of an inner
     quadrature run at each batch of outer nodes.
 
@@ -307,18 +313,31 @@ def integrate_nested(inner, a: float, b: float,
     carry the caller's weights.  The outer rule sees the values only.
     Errors compose by the module's rule; ``converged`` needs the outer and
     every inner integral, and ``subdivisions_used`` counts all of them.
+
+    ``width`` (finite ``b`` only) is the scale of an integrand that lives
+    near ``a``: the outer rule then runs in v on [0, asinh((b - a)/width)]
+    with x = a + width sinh(v), so its nodes crowd where the integrand is.
     """
     semi = np.isinf(b)
+    if width is not None and (semi or not (math.isfinite(width) and width > 0)):
+        raise ValueError("width must be finite and positive, on a finite range")
     inner_sup = 0.0
     inner_ok = True
     inner_sub = 0
 
     def values(x):
         nonlocal inner_sup, inner_ok, inner_sub
+        if width is not None:  # x holds v; the Jacobian is width cosh(v)
+            jac = width * np.cosh(x)
+            x = a + width * np.sinh(x)
         v, e, nsub, converged = inner(x)
         e = np.abs(np.asarray(e, dtype=float))
+        column = (-1,) + (1,) * (e.ndim - 1)
         if semi:  # 1/u^2 at u = 1/(1 + (x - a))
-            e = e * ((1.0 + (x - a)) ** 2).reshape((-1,) + (1,) * (e.ndim - 1))
+            e = e * ((1.0 + (x - a)) ** 2).reshape(column)
+        elif width is not None:
+            jac = jac.reshape(column)
+            v, e = np.asarray(v, dtype=float) * jac, e * jac
         inner_sup = np.maximum(inner_sup, e.max(axis=0))
         inner_ok = inner_ok and converged
         inner_sub += nsub
@@ -327,9 +346,12 @@ def integrate_nested(inner, a: float, b: float,
     if semi:
         outer = integrate_semi_infinite(values, a, spec)
         length = 1.0
-    else:
+    elif width is None:
         outer = integrate(values, a, b, spec)
         length = b - a
+    else:
+        length = math.asinh((b - a) / width)
+        outer = integrate(values, 0.0, length, spec)
     error = np.reshape(outer.error_estimate + length * inner_sup, np.shape(outer.value))
     return QuadResult(outer.value, error if error.ndim else float(error),
                       outer.subdivisions_used + inner_sub,

@@ -134,7 +134,9 @@ def _exchange_boundary_term(p, psi: Boundary, off, xn, t, spec):
 def _interior_term(dim, phi: Interior, off, xn, reach, spec, batch):
     """Interior data against an exchange-type kernel: 2-D (normal x time)
     quadrature with the tangential factor closed inside the time integral
-    ``batch(s, tan_fn)``; ``reach`` is the normal extent of the kernel."""
+    ``batch(s, tan_fn)``; ``reach`` is the normal extent of the kernel,
+    TAIL_EXPONENT^(1/2) Gaussian widths, and the normal integral runs
+    through ``integrate_nested``'s sinh map scaled to that width."""
     m = off.size
     if phi.kind == "zero":
         return _zero(m)
@@ -151,7 +153,8 @@ def _interior_term(dim, phi: Interior, off, xn, reach, spec, batch):
             h, e = h * w, e * np.abs(w)
         return h, e, nsub, conv
 
-    return _per_probe(integrate_nested(inner, 0.0, ycut, spec))
+    return _per_probe(integrate_nested(inner, 0.0, ycut, spec,
+                                       width=reach / math.sqrt(TAIL_EXPONENT)))
 
 
 def _exchange_interior_term(p, phi: Interior, off, xn, t, spec):

@@ -502,7 +502,8 @@ def _check_semigroup(spec, seed):
                 return ga * gc
             return integrate(inner, -R, R, tight)
 
-        bulk = integrate_nested(tangential, 0.0, Zc, tight)
+        bulk = integrate_nested(tangential, 0.0, Zc, tight,
+                                width=math.sqrt(4 * t / p.epsilon))
 
         def line(z1s):
             ga = fundamental_grid(p, np.abs(x1 - z1s), xnn, 0.0, t, tight)[0]

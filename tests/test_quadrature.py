@@ -77,25 +77,44 @@ def test_2d_product_of_halves():
 
     res = integrate_nested(inner, 0.0, 40.0)
     assert res.value == pytest.approx(0.25, rel=1e-9)
+    # the same range through a sinh map scaled to the Gaussians' width
+    # puts the outer nodes near 0 and needs fewer outer bisections
+    mapped = integrate_nested(inner, 0.0, 40.0, width=2.0)
+    assert mapped.value == pytest.approx(0.25, rel=1e-9)
+    assert mapped.subdivisions_used < res.subdivisions_used
 
 
 def test_nested_error_covers_inner_errors():
     # negative control: inner errors of 1e-3 at every node of [0, 2] add up
-    # to 2e-3 (the sup alone would report 1e-3); one unconverged batch
-    # taints the result
-    batches = []
+    # to 2e-3 (the sup alone would report 1e-3), also when the outer rule
+    # runs in the sinh variable and the errors carry its Jacobian; one
+    # unconverged batch taints the result
+    for width in (None, 0.5):
+        batches = []
 
-    def inner(x):
-        batches.append(x.size)
-        return np.sqrt(x), np.full_like(x, 1e-3), 1, len(batches) != 2
+        def inner(x):
+            batches.append(x.size)
+            return np.sqrt(x), np.full_like(x, 1e-3), 1, len(batches) != 2
 
-    res = integrate_nested(inner, 0.0, 2.0)
-    assert len(batches) > 2
-    assert res.value == pytest.approx(2.0 / 3.0 * 2.0**1.5, rel=1e-8)
-    assert res.error_estimate >= 2e-3
-    assert not res.converged
-    assert res.subdivisions_used == \
-        integrate(np.sqrt, 0.0, 2.0).subdivisions_used + len(batches)
+        res = integrate_nested(inner, 0.0, 2.0, width=width)
+        if width is None:
+            outer = integrate(np.sqrt, 0.0, 2.0)
+        else:
+            outer = integrate(lambda v: np.sqrt(width * np.sinh(v)) * width * np.cosh(v),
+                              0.0, math.asinh(2.0 / width))
+        assert len(batches) > 2
+        assert res.value == pytest.approx(2.0 / 3.0 * 2.0**1.5, rel=1e-8)
+        assert res.error_estimate >= 2e-3
+        assert not res.converged
+        assert res.subdivisions_used == outer.subdivisions_used + len(batches)
+
+
+@pytest.mark.parametrize("width, b", [
+    (math.nan, 1.0), (math.inf, 1.0), (0.0, 1.0), (-1.0, 1.0), (1.0, math.inf),
+])
+def test_nested_width_preconditions(width, b):
+    with pytest.raises(ValueError):
+        integrate_nested(lambda x: (x, 0.0 * x, 0, True), 0.0, b, width=width)
 
 
 def test_nested_semi_infinite_maps_inner_errors():
