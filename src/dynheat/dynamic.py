@@ -46,6 +46,7 @@ from .quadrature import (
     QuadResult,
     DEFAULT_SPEC,
     _adaptive,
+    _count,
     _finalize,
     _halves,
     add_terms,
@@ -188,16 +189,15 @@ def _exchange_core(eps, delta, kappa, s, t, spec, tan_fn, frame, path):
     component is integrated over eta in [0, eta_hi] through
     eta = centre + scale * sinh(v), v linear in the shared variable u in
     [0, 1], and ``log_shift`` is subtracted from its exponent (output is
-    the shifted value).  ``tan_fn(T, idx, log_w)``
-    returns the tangential factor of components ``idx`` at Gaussian time
-    arguments ``T`` times the weight exp(log_w).  Returns (values, errors,
+    the shifted value).  ``tan_fn(T, log_w)`` returns the tangential
+    factor of every component at Gaussian time arguments ``T`` (one column
+    per component) times the weight exp(log_w).  Returns (values, errors,
     subdivisions, converged).
     """
     # ``path`` is kept because the benchmark tracer wraps this signature.
     if path != "xi":
         raise ValueError(f"unknown path {path!r}")
     s = np.asarray(s, dtype=float)
-    idx_all = np.arange(s.size)
     log_shift, centre, scale, eta_hi = frame
     v0 = np.arcsinh(-centre / scale)
     dv = np.arcsinh((eta_hi - centre) / scale) - v0
@@ -215,16 +215,16 @@ def _exchange_core(eps, delta, kappa, s, t, spec, tan_fn, frame, path):
         t_tan, log_n = _xi_map(eps, delta, kappa, s, t, eta)
         log_n += np.log(np.cosh(v, out=v), out=v)
         log_n += log_len
-        return tan_fn(t_tan, idx_all, log_n)
+        return tan_fn(t_tan, log_n)
 
     return _adaptive(f, _halves(0.0, 1.0), spec)
 
 
 def _pointwise_tan(dim, r):
-    r = np.asarray(r, dtype=float)
+    r = np.asarray(r, dtype=float)[None, :]
 
-    def fn(T, idx):
-        return exp_flush(_log_heat(dim - 1, r[idx][None, :], T))
+    def fn(T):
+        return exp_flush(_log_heat(dim - 1, r, T))
 
     return fn
 
@@ -247,9 +247,10 @@ def exchange_log_grid(p: Params, r, s, t: float, spec: QuadSpec = DEFAULT_SPEC):
         return _log_heat(p.dim - 1, r[idx][None, :], T)
 
     frame = _frame(p.epsilon, p.delta, p.kappa, s, t, log_tan)
+    rows = r[None, :]
     vals, errs, nsub, conv = _exchange_core(
         p.epsilon, p.delta, p.kappa, s, t, spec,
-        lambda T, idx, log_w: exp_flush(log_tan(T, idx) + log_w), frame, "xi")
+        lambda T, log_w: exp_flush(_log_heat(p.dim - 1, rows, T) + log_w), frame, "xi")
     with np.errstate(divide="ignore", invalid="ignore"):
         logv = np.log(vals) + frame[0]
         # the error of the value plus one rounding of the returned log
@@ -259,7 +260,8 @@ def exchange_log_grid(p: Params, r, s, t: float, spec: QuadSpec = DEFAULT_SPEC):
 
 def exchange_weighted(p: Params, s, t: float, spec: QuadSpec, tan_fn):
     """Exchange integral with a caller-supplied tangential factor
-    ``tan_fn(T, idx)``.
+    ``tan_fn(T)`` of the Gaussian time arguments ``T``, one column per
+    component of ``s``.
 
     Used by the solution operators, where ``tan_fn`` is the closed
     tangential convolution of the data.  No rescaling: values carry the
@@ -276,7 +278,7 @@ def exchange_weighted(p: Params, s, t: float, spec: QuadSpec, tan_fn):
     width = np.full(1, math.sqrt(4.0 * t / p.epsilon))
     reach = np.full(1, math.sqrt(4.0 * t * TAIL_EXPONENT / p.epsilon))
     return _exchange_core(p.epsilon, p.delta, p.kappa, s, t, spec,
-                          lambda T, idx, log_w: tan_fn(T, idx) * exp_flush(log_w),
+                          lambda T, log_w: tan_fn(T) * exp_flush(log_w),
                           (zero, zero, width, reach), "xi")
 
 
@@ -326,7 +328,6 @@ def hdn_batch(eps, kappa, dim, s, t, spec, tan_fn):
     is T + 2 kappa sqrt(T) eta, independent of the normal offset.
     """
     s = np.asarray(s, dtype=float).ravel()
-    idx_all = np.arange(s.size)
     T = t / eps
     v0 = s / (2.0 * math.sqrt(T))
     eta_max = math.sqrt(TAIL_EXPONENT)
@@ -337,7 +338,7 @@ def hdn_batch(eps, kappa, dim, s, t, spec, tan_fn):
         t_tan = T + 2.0 * kappa * math.sqrt(T) * eta[:, None]
         with np.errstate(divide="ignore"):
             logm = np.log(4.0 * v) + log_norm - v * v
-        return tan_fn(t_tan, idx_all) * exp_flush(logm)
+        return tan_fn(t_tan) * exp_flush(logm)
 
     return _adaptive(f, _halves(0.0, eta_max), spec)
 
@@ -380,14 +381,12 @@ def gauss_layer_batch(dim, z, A, spec, tan_fn):
     z = np.asarray(z, dtype=float).ravel()
     if np.any(z <= 0):
         raise SingularConfigurationError("normal offset must be positive")
-    A = np.broadcast_to(np.asarray(A, dtype=float), z.shape)
-    idx_all = np.arange(z.size)
     w_max = math.sqrt(TAIL_EXPONENT)
     pref = 2.0 / math.sqrt(math.pi)
 
     def f(w):
-        t_tan = A[None, :] + (z[None, :] / (2.0 * w[:, None])) ** 2
-        return tan_fn(t_tan, idx_all) * (pref * np.exp(-w * w))[:, None]
+        t_tan = A + (z[None, :] / (2.0 * w[:, None])) ** 2
+        return tan_fn(t_tan) * (pref * np.exp(-w * w))[:, None]
 
     # Tangential factors with a distant centre spike in a narrow w-window
     # near zero; dyadic seed panels let the adaptive rule find it at any
@@ -426,7 +425,6 @@ def dirichlet_layer_batch(eps, dim, xn, t, theta, spec, tan_fn):
     xn = np.asarray(xn, dtype=float).ravel()
     if np.any(xn <= 0):
         raise ValueError("dirichlet_layer_batch needs x_N > 0")
-    idx_all = np.arange(xn.size)
     v0 = 0.5 * xn * math.sqrt(eps / t)
     eta_max = math.sqrt(TAIL_EXPONENT)
     log_pref = math.log(2.0 * eps) - 0.5 * math.log(math.pi)
@@ -437,7 +435,7 @@ def dirichlet_layer_batch(eps, dim, xn, t, theta, spec, tan_fn):
         t_tan = w / eps
         if theta is not None:
             t_tan = t_tan + (t - w) / theta
-        return tan_fn(t_tan, idx_all) * exp_flush(log_pref - v * v)
+        return tan_fn(t_tan) * exp_flush(log_pref - v * v)
 
     return _adaptive(f, _halves(0.0, eta_max), spec)
 
@@ -474,46 +472,33 @@ class Envelope:
     region: str
 
 
-def _region_flags(eps, delta, s, t):
-    """The three predicates of the region rule: near, early, shallow."""
-    return (eps * s * s < 6.0 * t, t < 12.0 * delta * delta / eps,
-            s + t / delta < delta / eps)
-
-
 def region_tag(eps, delta, s, t):
-    """Region classifier on (s, t) with s = x_N + y_N: a str for scalar
-    ``s`` and ``t``, an array of tags otherwise."""
-    if np.isscalar(s) and np.isscalar(t):
-        near, early, shallow = _region_flags(eps, delta, float(s), float(t))
-        if near:
-            return "D1" if early else "D2"
-        return "D3" if shallow else "D4"
-    near, early, shallow = _region_flags(eps, delta, np.asarray(s, dtype=float),
-                                         np.asarray(t, dtype=float))
-    return np.where(near, np.where(early, "D1", "D2"), np.where(shallow, "D3", "D4"))
+    """Region D1-D4 of the scalar pair (s, t) with s = x_N + y_N; a NaN
+    fails every predicate and lands in D4."""
+    if eps * s * s < 6.0 * t:  # near
+        return "D1" if t < 12.0 * delta * delta / eps else "D2"  # early
+    return "D3" if s + t / delta < delta / eps else "D4"  # shallow
 
 
 def envelope_log(p: Params, r, s, t):
-    """log of the upper/lower envelopes on arrays (r, s) at fixed t."""
+    """log of the upper and lower envelopes at the scalar tangential
+    offset ``r`` and s = x_N + y_N at time t, and the region of (s, t)."""
     if p.kappa <= 0:
         raise ValueError("envelopes require kappa > 0")
-    tags = region_tag(p.epsilon, p.delta, s, t)
-    r = np.asarray(r, dtype=float)
-    s = np.asarray(s, dtype=float)
+    tag = region_tag(p.epsilon, p.delta, s, t)
+    log_up = log_low = 0.0
+    if tag != "D1":
+        log_up = _log_heat(1, s, t / p.epsilon)
+        log_low = _log_heat(1, s, t / (2.0 * p.epsilon))
+        if tag == "D3":
+            log_lin = np.log(s + t / p.delta)
+            log_up, log_low = log_lin + log_up, log_lin + log_low
     lam_big = max(p.delta, p.kappa * p.epsilon)
     lam_small = min(p.delta, p.kappa * p.epsilon)
-    log_h1 = _log_heat(1, s, t / p.epsilon)
-    log_h2 = _log_heat(1, s, t / (2.0 * p.epsilon))
-    log_lin = np.log(s + t / p.delta)
-    zero = np.zeros_like(log_h1)
-    log_up = np.where(tags == "D1", zero,
-                      np.where(tags == "D3", log_lin + log_h1, log_h1))
-    log_low = np.where(tags == "D1", zero,
-                       np.where(tags == "D3", log_lin + log_h2, log_h2))
     scale = t / (p.epsilon * p.delta)
     log_up = log_up + _log_heat(p.dim - 1, r, lam_big * scale)
     log_low = log_low + _log_heat(p.dim - 1, r, lam_small * scale)
-    return log_up, log_low, tags
+    return log_up, log_low, tag
 
 
 def envelope(p: Params, x: HalfSpacePoint, y: HalfSpacePoint, t: float) -> Envelope:
@@ -522,8 +507,8 @@ def envelope(p: Params, x: HalfSpacePoint, y: HalfSpacePoint, t: float) -> Envel
     if not t > 0:
         raise ValueError("time must be positive")
     r = tangential_offset(x, y, p.dim)
-    lu, ll, tags = envelope_log(p, r, x.normal + y.normal, t)
-    return Envelope(float(exp_flush(lu)), float(exp_flush(ll)), str(tags))
+    lu, ll, tag = envelope_log(p, r, x.normal + y.normal, t)
+    return Envelope(exp_flush(lu), exp_flush(ll), tag)
 
 
 # ---------------------------------------------------------------------------
@@ -539,12 +524,22 @@ def _check_xn_t(xn, t, t_zero=False):
         raise ValueError("time must be finite and " + ("nonnegative" if t_zero else "positive"))
 
 
+def _check_limit(name, value, kappa, dim):
+    """ValueError unless ``value`` > 0 and kappa >= 0 (NaN fails both),
+    with the limit kernels' message, and unless ``dim`` is an integer
+    >= 2, with that of ``Params``."""
+    if not value > 0 or not kappa >= 0:
+        raise ValueError(f"need {name} > 0 and kappa >= 0")
+    if _count(dim, "dim") < 2:
+        raise ValueError("dim must be at least 2")
+
+
 def exchange_marginal_boundary(p: Params, xn: float, t: float,
                                spec: QuadSpec = DEFAULT_SPEC) -> QuadResult:
     """Boundary marginal of the exchange kernel (tangential integral done
     in closed form; the remaining time integral by quadrature)."""
     _check_xn_t(xn, t)
-    return _finalize(*exchange_weighted(p, [xn], t, spec, lambda T, idx: 1.0))
+    return _finalize(*exchange_weighted(p, [xn], t, spec, lambda T: 1.0))
 
 
 def exchange_marginal_interior(p: Params, xn: float, t: float,
@@ -554,7 +549,7 @@ def exchange_marginal_interior(p: Params, xn: float, t: float,
     _check_xn_t(xn, t)
     ycut = math.sqrt(4.0 * t * TAIL_EXPONENT / p.epsilon) + 1.0
     return integrate_nested(
-        lambda ys: exchange_weighted(p, xn + ys, t, spec, lambda T, idx: 1.0), 0.0, ycut, spec,
+        lambda ys: exchange_weighted(p, xn + ys, t, spec, lambda T: 1.0), 0.0, ycut, spec,
         width=math.sqrt(4.0 * t / p.epsilon))
 
 
@@ -645,6 +640,7 @@ def laplace_dynamic_mass(delta: float, kappa: float, xn: float, t: float,
                          dim: int = 2, spec: QuadSpec = DEFAULT_SPEC) -> QuadResult:
     """Boundary mass of the Laplace dynamic kernel via radial quadrature
     (power-law tails: integrated through the compactifying map)."""
+    _check_limit("delta", delta, kappa, dim)
     _check_xn_t(xn, t, t_zero=True)
     z = xn + t / delta
     if z <= 0:
@@ -658,6 +654,7 @@ def heat_neumann_mass(epsilon: float, kappa: float, xn: float, t: float,
                       dim: int = 2, spec: QuadSpec = DEFAULT_SPEC) -> QuadResult:
     """Interior mass of the diffusive-Neumann heat kernel via radial and
     normal quadrature; equals 1 identically."""
+    _check_limit("epsilon", epsilon, kappa, dim)
     _check_xn_t(xn, t)
     lc = TAIL_EXPONENT
     T = t / epsilon

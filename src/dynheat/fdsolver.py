@@ -32,10 +32,9 @@ tridiagonal systems in z and its LU has no fill.  The unknowns are
 stored mode by mode, so each system is one contiguous block.  At the
 default 256 x 256 grid the LU holds 2.6e5 nonzeros, against 3.4e6 for
 the minimum-degree LU of the 5-point operator in the physical basis, and
-a traced step costs about 2.1 ms on a 2-core host (2.6 ms on the same
-host when each step also applied the sparse right side M/dt + L/2).  The
-state is transformed once at the start and back only for the periodic
-instability check and the stored snapshots.
+a traced step costs about 2.1 ms on a 2-core host.  The state is
+transformed once at the start and back only for the periodic instability
+check and the stored snapshots.
 
 ``scipy.sparse`` and ``scipy.sparse.linalg`` cost about 0.25 s of import
 and 33 MB of resident memory, and nothing else in dynheat needs them, so
@@ -47,6 +46,7 @@ tracer may wrap it): ``fd_solve`` calls ``splu`` through whatever
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -219,6 +219,11 @@ def fd_solve(p: Params, data: InitialData, grid: FdGrid, t_end: float,
     """
     if p.dim != 2:
         raise ValueError("the finite-difference oracle is two-dimensional")
+    if not 0.0 <= t_end < math.inf:  # written so that NaN fails
+        raise ValueError(f"t_end must be finite and nonnegative, got {t_end!r}")
+    for t in snapshots or []:
+        if not math.isfinite(t):
+            raise ValueError(f"snapshots must be finite, got {t!r}")
     nsteps = int(round(t_end / grid.dt))
     if abs(nsteps * grid.dt - t_end) > 1e-9 * max(1.0, t_end):
         raise ValueError("t_end must be a multiple of dt")

@@ -18,8 +18,8 @@ A single-range integral starts from the two halves of its range
 (``_halves``), since almost every root panel would be bisected and its
 15 nodes thrown away.  Where the root would be bisected the result keeps
 its bits; ``subdivisions_used`` and ``max_subdivisions`` count the
-bisections after those two seed panels, and an integral that would have
-converged on one panel now costs two.
+bisections after those two seed panels, and an integral that would
+converge on one panel costs two.
 
 Iterated integrals all go through ``integrate_nested`` and share one
 error rule: the error of the outer integral is its own estimate plus the

@@ -83,12 +83,12 @@ def _per_probe(res):
 
 
 def _tan_factory(data, offsets, dim):
-    """tan_fn(T, idx) evaluating the closed tangential convolution of
-    ``data`` at per-component offsets."""
-    offsets = np.asarray(offsets, dtype=float)
+    """tan_fn(T) evaluating the closed tangential convolution of ``data``
+    at Gaussian time arguments ``T``, one column per entry of ``offsets``."""
+    offsets = np.asarray(offsets, dtype=float)[None, :]
 
-    def fn(T, idx):
-        return tan_conv(data, offsets[idx][None, :], T, dim)
+    def fn(T):
+        return tan_conv(data, offsets, T, dim)
 
     return fn
 
@@ -96,7 +96,9 @@ def _tan_factory(data, offsets, dim):
 def _normal_window(phi: Interior, xn, reach):
     """Normal profile of ``phi`` (None when the data is constant in the
     normal direction) and the upper end of the normal integral: ``reach``
-    past the deepest probe, or the end of the profile if that comes first."""
+    past the deepest probe, or the end of the profile if that comes first.
+    An end at or below 0 means the profile is below exp(-TAIL_EXPONENT) on
+    the whole half-space, and its term is zero."""
     prof = phi.normal if phi.kind == "heat_gaussian" else None
     cut_kernel = float(np.max(xn)) + reach + 1.0
     return prof, (cut_kernel if prof is None
@@ -111,6 +113,8 @@ def _reflected_term(eps, dim, phi: Interior, off, xn, t, spec, sign):
         return _zero(off.size)
     T = t / eps
     prof, ycut = _normal_window(phi, xn, math.sqrt(4.0 * T * TAIL_EXPONENT))
+    if ycut <= 0.0:
+        return _zero(off.size)
     tanfac = np.asarray(tan_conv(phi, off, T, dim), dtype=float)
 
     def f(ys):
@@ -141,6 +145,8 @@ def _interior_term(dim, phi: Interior, off, xn, reach, spec, batch):
     if phi.kind == "zero":
         return _zero(m)
     prof, ycut = _normal_window(phi, xn, reach)
+    if ycut <= 0.0:
+        return _zero(m)
 
     def inner(ys):
         n = ys.size

@@ -697,8 +697,8 @@ def sandwich_check(p: Params | None = None, n_per_region: int = 500,
         for (r, s, t) in pts:
             lh, _, _, conv = exchange_log_grid(p, [r], [s], t, spec)
             converged = converged and bool(conv)
-            lu, ll, _ = envelope_log(p, np.array([r]), np.array([s]), t)
-            logs.append((lh[0], lu[0], ll[0]))
+            lu, ll, _ = envelope_log(p, r, s, t)
+            logs.append((lh[0], lu, ll))
         lh, lu, ll = np.array(logs).T
         up = np.exp(lh - lu)
         low = np.exp(ll - lh)

@@ -8,14 +8,19 @@ from dynheat.data import Boundary, InitialData
 from dynheat.dynamic import (
     Envelope,
     SingularConfigurationError,
+    _pointwise_tan,
+    dirichlet_layer_batch,
     dirichlet_layer_kernel,
     envelope,
     exchange_kernel,
     exchange_log_grid,
     exchange_marginal_boundary,
     exchange_marginal_interior,
+    exchange_weighted,
     fundamental_grid,
     fundamental_kernel,
+    gauss_layer_batch,
+    hdn_batch,
     heat_neumann_grid,
     heat_neumann_kernel,
     heat_neumann_mass,
@@ -36,7 +41,7 @@ from dynheat.kernels import (
     neumann_kernel,
     poisson_kernel,
 )
-from dynheat.quadrature import QuadSpec, integrate
+from dynheat.quadrature import DEFAULT_SPEC, QuadSpec, integrate
 from dynheat.solutions import solve_grid
 
 P111 = Params(1.0, 1.0, 1.0, 2)
@@ -437,6 +442,33 @@ class TestDirichletLayer:
         assert dirichlet_layer_kernel(p, 4.0, x, y, 2.0).value == pytest.approx(ref, rel=1e-6)
 
 
+_BATCH_RUNS = {
+    "hdn": lambda tan: hdn_batch(1.0, 0.5, 2, [0.1, 0.5, 2.0], 1.0, DEFAULT_SPEC, tan),
+    "gauss_layer": lambda tan: gauss_layer_batch(2, [0.05, 0.5, 2.0], 0.3, DEFAULT_SPEC, tan),
+    "dirichlet_layer": lambda tan: dirichlet_layer_batch(
+        1.0, 2, [0.1, 0.5, 2.0], 1.0, 2.0, DEFAULT_SPEC, tan),
+    "exchange_weighted": lambda tan: exchange_weighted(
+        P111, [0.1, 0.5, 2.0], 1.0, DEFAULT_SPEC, tan),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BATCH_RUNS))
+def test_batch_tangential_factor_takes_T_alone(name):
+    # every component shares the call, so the factor needs no component index
+    tan = _pointwise_tan(2, np.array([0.0, 1.0, 3.0]))
+    calls = []
+
+    def recording(T):
+        calls.append(np.shape(T))
+        return tan(T)
+
+    vals, errs, nsub, conv = _BATCH_RUNS[name](recording)
+    ref_vals, ref_errs, ref_nsub, ref_conv = _BATCH_RUNS[name](tan)
+    assert calls and all(len(shape) == 2 for shape in calls)
+    assert vals.tobytes() == ref_vals.tobytes() and errs.tobytes() == ref_errs.tobytes()
+    assert (nsub, conv) == (ref_nsub, ref_conv)
+
+
 class TestRegions:
     def test_examples(self):
         p = Params(1.0, 1.0, 1.0, 2)
@@ -450,15 +482,21 @@ class TestRegions:
         x, y = mk(3.0)
         assert envelope(p2, x, y, 1.0).region == "D3"
 
-    def test_scalar_rule_matches_the_array_rule(self):
-        # scalar (s, t) give a str, arrays give the same tags elementwise
-        s = np.array([0.0, 0.5, 2.0, 3.0, 10.0, math.nan])
+    def test_rule_matches_its_three_predicates(self):
+        # near: eps s^2 < 6t; early: t < 12 delta^2/eps; shallow:
+        # s + t/delta < delta/eps.  A NaN s fails near and shallow: D4.
         for eps, delta, t in [(1.0, 1.0, 1.0), (1.0, 1.0, 13.0), (1.0, 100.0, 1.0),
                               (0.3, 2.0, 0.01)]:
-            tags = region_tag(eps, delta, s, t)
-            scalar = [region_tag(eps, delta, float(si), t) for si in s]
-            assert all(type(tag) is str for tag in scalar)
-            assert scalar == tags.tolist()
+            for s in [0.0, 0.5, 2.0, 3.0, 10.0, math.nan]:
+                near = eps * s * s < 6.0 * t
+                early = t < 12.0 * delta * delta / eps
+                shallow = s + t / delta < delta / eps
+                want = ("D1" if early else "D2") if near else ("D3" if shallow else "D4")
+                tag = region_tag(eps, delta, s, t)
+                assert type(tag) is str
+                assert tag == want
+                if math.isnan(s):
+                    assert tag == "D4"
 
     def test_kappa_zero_unsupported(self):
         with pytest.raises(ValueError):
@@ -567,6 +605,28 @@ def test_mass_rejects_bad_normal_and_time(mass, xn, t):
 def test_mass_rejects_zero_time(mass):
     with pytest.raises(ValueError, match="time must be finite and positive"):
         mass(0.0)
+
+
+@pytest.mark.parametrize("mass, args, match", [
+    (heat_neumann_mass, (-1.0, 1.0, 0.5, 1.0), "need epsilon > 0 and kappa >= 0"),
+    (heat_neumann_mass, (1.0, -1.0, 0.5, 1.0), "need epsilon > 0 and kappa >= 0"),
+    (heat_neumann_mass, (_NAN, 1.0, 0.5, 1.0), "need epsilon > 0 and kappa >= 0"),
+    (heat_neumann_mass, (1.0, _NAN, 0.5, 1.0), "need epsilon > 0 and kappa >= 0"),
+    (heat_neumann_mass, (1.0, 1.0, 0.5, 1.0, 1), "dim must be at least 2"),
+    (heat_neumann_mass, (1.0, 1.0, 0.5, 1.0, 2.5), "dim must be an integer"),
+    (laplace_dynamic_mass, (-1.0, 1.0, 0.5, 1.0), "need delta > 0 and kappa >= 0"),
+    (laplace_dynamic_mass, (1.0, -1.0, 0.5, 1.0), "need delta > 0 and kappa >= 0"),
+    (laplace_dynamic_mass, (_NAN, 1.0, 0.5, 1.0), "need delta > 0 and kappa >= 0"),
+    (laplace_dynamic_mass, (1.0, _NAN, 0.5, 1.0), "need delta > 0 and kappa >= 0"),
+    (laplace_dynamic_mass, (1.0, 1.0, 0.5, 1.0, 1), "dim must be at least 2"),
+    (laplace_dynamic_mass, (1.0, 1.0, 0.5, 1.0, 2.5), "dim must be an integer"),
+], ids=["hdn-eps-negative", "hdn-kappa-negative", "hdn-eps-nan", "hdn-kappa-nan",
+        "hdn-dim-1", "hdn-dim-fractional", "ldd-delta-negative", "ldd-kappa-negative",
+        "ldd-delta-nan", "ldd-kappa-nan", "ldd-dim-1", "ldd-dim-fractional"])
+def test_limit_mass_rejects_bad_parameters(mass, args, match):
+    # checked up front with the limit kernels' and Params' messages
+    with pytest.raises(ValueError, match=match):
+        mass(*args)
 
 
 def test_laplace_dynamic_mass_accepts_zero_time():

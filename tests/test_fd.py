@@ -1,3 +1,4 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -61,6 +62,18 @@ class TestBasics:
             fd_solve(P111, InitialData(), g, 0.055)
         with pytest.raises(ValueError, match="multiples of dt"):
             fd_solve(P111, InitialData(), g, 0.05, snapshots=[0.025])
+
+    @pytest.mark.parametrize("t_end, snapshots, match", [
+        (math.nan, None, "t_end must be finite and nonnegative"),
+        (math.inf, None, "t_end must be finite and nonnegative"),
+        (-0.5, None, "t_end must be finite and nonnegative"),
+        (0.05, [math.nan], "snapshots must be finite"),
+        (0.05, [0.02, math.inf], "snapshots must be finite"),
+    ], ids=["t_end-nan", "t_end-inf", "t_end-negative", "snapshot-nan", "snapshot-inf"])
+    def test_rejects_nonfinite_or_negative_times(self, t_end, snapshots, match):
+        g = FdGrid(nx=8, nz=8, dt=1e-2)
+        with pytest.raises(ValueError, match=match):
+            fd_solve(P111, InitialData(), g, t_end, snapshots=snapshots)
 
     def test_initial_snapshot_stored(self):
         g = FdGrid(nx=8, nz=8, dt=1e-2)

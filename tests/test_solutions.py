@@ -291,6 +291,23 @@ class TestValidation:
             solve_grid("HDD", P111, ONES, [0.0], [-0.5], 1.0)
 
 
+class TestNormalProfileBelowTheWall:
+    # a normal Gaussian centred at y = m < 0 is below exp(-TAIL_EXPONENT)
+    # on the whole half-space once its support cut is <= 0: the term is zero
+    @pytest.mark.parametrize("tag, inside", [
+        ("HDD", 8.32004744e-19), ("HD0", 5.14648569e-20), ("HDN", 1.00017171e-18)])
+    def test_far_below_the_wall_is_zero(self, tag, inside):
+        def solve(m):
+            data = InitialData(Interior("heat_gaussian", a=0.5,
+                                        normal=NormalProfile("gaussian", m=m, b=1.0)))
+            return solve_grid(tag, P111, data, [0.0], [0.5], 1.0)
+
+        u, err, conv = solve(-20.0)
+        assert u.tolist() == [0.0] and err == 0.0 and conv
+        u, _, conv = solve(-12.0)   # cut just above 0: the quadrature as before
+        assert conv and u[0] == pytest.approx(inside, rel=1e-8)
+
+
 class TestTraceBehaviour:
     def test_gaussian_boundary_trace_small_time(self):
         data = InitialData(boundary=GAUSS_PSI)
