@@ -9,12 +9,14 @@ exp(-eps xi^2 / 4t) and the remaining factors stay smooth and bounded.
 The inverse map is closed form: with z = x_N + y_N + t/delta,
 sqrt(t - tau) = 2 sqrt(t) z / (xi + sqrt(xi^2 + 4 t z / delta)).
 
-``exchange_log_grid`` shifts each component by one number, the
-log-maximum over eta of its whole integrand (normal times tangential
-factor), and integrates through a sinh map centred on that maximum and
-scaled to its width, so peaks of any width and position are resolved and
-relative accuracy holds deep in the Gaussian tails.  The shifted
-integrand is formed in one exponent, so no factor overflows.
+The exchange kernel and the diffusive-Neumann and Dirichlet-layer limit
+batches share one integral, ``_framed``, and state only their closed forms
+and a per-component sinh frame.  ``exchange_log_grid`` centres it on the
+peak of the whole integrand and shifts by the peak's log-mass (``_frame``),
+so relative accuracy holds deep in the Gaussian tails and no factor
+overflows; ``exchange_weighted``, ``hdn_batch`` and ``dirichlet_layer_batch``
+scale it to the normal Gaussian's width, the shifted Gaussian's unit width
+and the near-wall window.  ``gauss_layer_batch`` keeps 41 dyadic seeds.
 
 The full kernels are composed in one place each: ``fundamental_grid``
 builds G = G0 + H/delta and ``heat_neumann_grid`` the diffusive-Neumann
@@ -36,6 +38,7 @@ import numpy as np
 from .kernels import (
     Params,
     HalfSpacePoint,
+    _log_heat,
     exp_flush,
     dirichlet_radial,
     sphere_area,
@@ -76,13 +79,6 @@ __all__ = [
 
 class SingularConfigurationError(ValueError):
     """Kernel evaluated where it degenerates to a boundary point mass."""
-
-
-def _log_heat(d, r, t):
-    """log of the whole-space heat kernel at radius r (no flush)."""
-    with np.errstate(divide="ignore"):
-        return -(d / 2.0) * np.log(4.0 * np.pi * np.asarray(t, dtype=float)) \
-            - np.asarray(r, dtype=float) ** 2 / (4.0 * np.asarray(t, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -180,24 +176,19 @@ def _frame(eps, delta, kappa, s, t, log_tan):
     return peak + np.log(scale), centre, scale, np.maximum(eta_hi, centre + scale)
 
 
-def _exchange_core(eps, delta, kappa, s, t, spec, tan_fn, frame, path):
-    """Shared-grid evaluation of the exchange integral for components ``s``
-    in the stabilising variable xi = s + eta.
-
-    ``frame = (log_shift, centre, scale, eta_hi)`` per component (see
-    ``_frame``), or one element that every component shares: each
-    component is integrated over eta in [0, eta_hi] through
+def _framed(normal, frame, spec, tan_fn):
+    """Shared-tree integral over eta >= 0 of exp(log_n) times a tangential
+    factor.  ``normal(eta)`` returns (T, log_n), the tangential time
+    arguments and the log normal factor, each broadcasting to one column
+    per component.  ``frame = (log_shift, centre, scale, eta_hi)`` per
+    component, or one element that every component shares: each component
+    is integrated over eta in [0, eta_hi] through
     eta = centre + scale * sinh(v), v linear in the shared variable u in
     [0, 1], and ``log_shift`` is subtracted from its exponent (output is
     the shifted value).  ``tan_fn(T, log_w)`` returns the tangential
-    factor of every component at Gaussian time arguments ``T`` (one column
-    per component) times the weight exp(log_w).  Returns (values, errors,
+    factor at ``T`` times the weight exp(log_w).  Returns (values, errors,
     subdivisions, converged).
     """
-    # ``path`` is kept because the benchmark tracer wraps this signature.
-    if path != "xi":
-        raise ValueError(f"unknown path {path!r}")
-    s = np.asarray(s, dtype=float)
     log_shift, centre, scale, eta_hi = frame
     v0 = np.arcsinh(-centre / scale)
     dv = np.arcsinh((eta_hi - centre) / scale) - v0
@@ -212,12 +203,24 @@ def _exchange_core(eps, delta, kappa, s, t, spec, tan_fn, frame, path):
         eta *= scale
         eta += centre
         np.maximum(eta, 0.0, out=eta)
-        t_tan, log_n = _xi_map(eps, delta, kappa, s, t, eta)
+        t_tan, log_n = normal(eta)
         log_n += np.log(np.cosh(v, out=v), out=v)
         log_n += log_len
         return tan_fn(t_tan, log_n)
 
     return _adaptive(f, _halves(0.0, 1.0), spec)
+
+
+def _weighted(tan_fn):
+    """``_framed``'s ``tan_fn(T, log_w)`` for a factor ``tan_fn(T)``."""
+    return lambda T, log_w: tan_fn(T) * exp_flush(log_w)
+
+
+def _exchange_core(eps, delta, kappa, s, t, spec, tan_fn, frame, path):
+    """``_framed`` on the exchange integrand in xi = s + eta (``_xi_map``)."""
+    if path != "xi":  # kept because the benchmark tracer wraps this signature
+        raise ValueError(f"unknown path {path!r}")
+    return _framed(lambda eta: _xi_map(eps, delta, kappa, s, t, eta), frame, spec, tan_fn)
 
 
 def _pointwise_tan(dim, r):
@@ -230,13 +233,10 @@ def _pointwise_tan(dim, r):
 
 
 def exchange_log_grid(p: Params, r, s, t: float, spec: QuadSpec = DEFAULT_SPEC):
-    """log of the exchange kernel on arrays of (r, s) pairs at fixed t.
-
-    Every component is shifted by the log of its integrand's maximum times
-    its width (see ``_frame``) and the shifted integrand is formed in one
-    exponent, so relative accuracy holds deep in the Gaussian tails and no
-    factor overflows.  Returns (log_values, rel_errors, subdivisions,
-    converged); values of exactly zero map to -inf.
+    """log of the exchange kernel on arrays of (r, s) pairs at fixed t,
+    each component framed and shifted by ``_frame``.  Returns (log_values,
+    rel_errors, subdivisions, converged); values of exactly zero map to
+    -inf.
     """
     if not t > 0:
         raise ValueError("time must be positive")
@@ -268,18 +268,12 @@ def exchange_weighted(p: Params, s, t: float, spec: QuadSpec, tan_fn):
     natural magnitude of the data.
     """
     s = np.asarray(s, dtype=float).ravel()
-    # the data factor's peak is unknown: no shift, and eta in [0, reach]
-    # (the normal Gaussian's reach) through a sinh map scaled to that
-    # Gaussian's width sqrt(4t/eps), so the nodes crowd where it lives.
-    # Every component shares that frame, so it is passed as one element:
-    # the map's sinh, cosh and log run on a (15, 1) column that broadcasts
-    # against the components, with the same values in every column.
-    zero = np.zeros(1)
-    width = np.full(1, math.sqrt(4.0 * t / p.epsilon))
-    reach = np.full(1, math.sqrt(4.0 * t * TAIL_EXPONENT / p.epsilon))
-    return _exchange_core(p.epsilon, p.delta, p.kappa, s, t, spec,
-                          lambda T, log_w: tan_fn(T) * exp_flush(log_w),
-                          (zero, zero, width, reach), "xi")
+    # the data factor's peak is unknown: no shift, and one frame for every
+    # component, the normal Gaussian's width sqrt(4t/eps) and its reach
+    frame = (0.0, 0.0, math.sqrt(4.0 * t / p.epsilon),
+             math.sqrt(4.0 * t * TAIL_EXPONENT / p.epsilon))
+    return _exchange_core(p.epsilon, p.delta, p.kappa, s, t, spec, _weighted(tan_fn),
+                          frame, "xi")
 
 
 def exchange_kernel(p: Params, x: HalfSpacePoint, y: HalfSpacePoint, t: float,
@@ -320,6 +314,16 @@ def fundamental_kernel(p: Params, x: HalfSpacePoint, y: HalfSpacePoint, t: float
 # limit kernels
 # ---------------------------------------------------------------------------
 
+def _check_limit(name, value, kappa, dim):
+    """ValueError unless 0 < ``value`` < inf and 0 <= kappa < inf (NaN
+    fails both), with the limit kernels' message, and unless ``dim`` is an
+    integer >= 2, with that of ``Params``."""
+    if not 0.0 < value < math.inf or not 0.0 <= kappa < math.inf:
+        raise ValueError(f"need {name} > 0 and kappa >= 0, both finite")
+    if _count(dim, "dim") < 2:
+        raise ValueError("dim must be at least 2")
+
+
 def hdn_batch(eps, kappa, dim, s, t, spec, tan_fn):
     """Exchange part of the diffusive-Neumann heat kernel.
 
@@ -330,17 +334,16 @@ def hdn_batch(eps, kappa, dim, s, t, spec, tan_fn):
     s = np.asarray(s, dtype=float).ravel()
     T = t / eps
     v0 = s / (2.0 * math.sqrt(T))
-    eta_max = math.sqrt(TAIL_EXPONENT)
     log_norm = -0.5 * math.log(4.0 * math.pi * T)
 
-    def f(eta):
-        v = v0[None, :] + eta[:, None]
-        t_tan = T + 2.0 * kappa * math.sqrt(T) * eta[:, None]
+    def normal(eta):
+        v = v0 + eta
         with np.errstate(divide="ignore"):
-            logm = np.log(4.0 * v) + log_norm - v * v
-        return tan_fn(t_tan) * exp_flush(logm)
+            log_n = np.log(4.0 * v) + log_norm - v * v
+        return T + 2.0 * kappa * math.sqrt(T) * eta, log_n
 
-    return _adaptive(f, _halves(0.0, eta_max), spec)
+    frame = (0.0, 0.0, 1.0, math.sqrt(TAIL_EXPONENT))  # the Gaussian's unit width
+    return _framed(normal, frame, spec, _weighted(tan_fn))
 
 
 def heat_neumann_grid(epsilon: float, kappa: float, r, xn, yn, t: float,
@@ -361,10 +364,9 @@ def heat_neumann_kernel(epsilon: float, kappa: float, x: HalfSpacePoint,
                         spec: QuadSpec = DEFAULT_SPEC) -> QuadResult:
     """Fundamental solution of the heat equation with the diffusive
     Neumann boundary condition."""
+    _check_limit("epsilon", epsilon, kappa, dim)
     if not t > 0:
         raise ValueError("time must be positive")
-    if not epsilon > 0 or not kappa >= 0:
-        raise ValueError("need epsilon > 0 and kappa >= 0")
     r = tangential_offset(x, y, dim)
     return _finalize(*heat_neumann_grid(epsilon, kappa, [r], [x.normal], [y.normal], t,
                                         dim, spec))
@@ -401,8 +403,7 @@ def laplace_dynamic_kernel(delta: float, kappa: float, x: HalfSpacePoint,
                            spec: QuadSpec = DEFAULT_SPEC) -> QuadResult:
     """Fundamental solution of the Laplace equation with the diffusive
     dynamical boundary condition (boundary-to-bulk kernel)."""
-    if not delta > 0 or not kappa >= 0:
-        raise ValueError("need delta > 0 and kappa >= 0")
+    _check_limit("delta", delta, kappa, dim)
     if not t >= 0:
         raise ValueError("time must be nonnegative")
     z = x.normal + y.normal + t / delta
@@ -426,18 +427,19 @@ def dirichlet_layer_batch(eps, dim, xn, t, theta, spec, tan_fn):
     if np.any(xn <= 0):
         raise ValueError("dirichlet_layer_batch needs x_N > 0")
     v0 = 0.5 * xn * math.sqrt(eps / t)
-    eta_max = math.sqrt(TAIL_EXPONENT)
     log_pref = math.log(2.0 * eps) - 0.5 * math.log(math.pi)
 
-    def f(eta):
-        v = v0[None, :] + eta[:, None]
-        w = eps * xn[None, :] ** 2 / (4.0 * v * v)
+    def normal(eta):
+        v = v0 + eta
+        w = eps * xn ** 2 / (4.0 * v * v)
         t_tan = w / eps
         if theta is not None:
             t_tan = t_tan + (t - w) / theta
-        return tan_fn(t_tan) * exp_flush(log_pref - v * v)
+        return t_tan, log_pref - v * v
 
-    return _adaptive(f, _halves(0.0, eta_max), spec)
+    # scaled to the near-wall window v0; the floor keeps asinh(eta_hi/scale) finite
+    frame = (0.0, 0.0, np.clip(v0, 1e-8, 1.0), math.sqrt(TAIL_EXPONENT))
+    return _framed(normal, frame, spec, _weighted(tan_fn))
 
 
 def dirichlet_layer_kernel(p: Params, theta: float, x: HalfSpacePoint,
@@ -522,16 +524,6 @@ def _check_xn_t(xn, t, t_zero=False):
         raise ValueError("x_N must be finite and nonnegative")
     if not (0.0 <= t if t_zero else 0.0 < t) or not t < math.inf:
         raise ValueError("time must be finite and " + ("nonnegative" if t_zero else "positive"))
-
-
-def _check_limit(name, value, kappa, dim):
-    """ValueError unless ``value`` > 0 and kappa >= 0 (NaN fails both),
-    with the limit kernels' message, and unless ``dim`` is an integer
-    >= 2, with that of ``Params``."""
-    if not value > 0 or not kappa >= 0:
-        raise ValueError(f"need {name} > 0 and kappa >= 0")
-    if _count(dim, "dim") < 2:
-        raise ValueError("dim must be at least 2")
 
 
 def exchange_marginal_boundary(p: Params, xn: float, t: float,

@@ -110,17 +110,24 @@ def exp_flush(logv):
     return out
 
 
+def _log_heat(d, r, t):
+    """log of the whole-space heat kernel of R^d at radius ``r`` and time
+    ``t`` (broadcast), with no check on ``t`` and no flush; numpy's
+    division-by-zero warning is silenced."""
+    t = np.asarray(t, dtype=float)
+    r = np.asarray(r, dtype=float)
+    with np.errstate(divide="ignore"):
+        return -(d / 2.0) * np.log(4.0 * np.pi * t) - r * r / (4.0 * t)
+
+
 def free_heat_radial(d: int, r, t):
     """Whole-space heat kernel of R^d at radius ``r`` and time ``t``.
 
     Vectorized over ``r`` and ``t`` (broadcast).  t must be positive.
     """
-    t = np.asarray(t, dtype=float)
-    if not (t > 0).all():
+    if not (np.asarray(t, dtype=float) > 0).all():
         raise ValueError("time must be positive")
-    r = np.asarray(r, dtype=float)
-    logv = -(d / 2.0) * np.log(4.0 * np.pi * t) - r * r / (4.0 * t)
-    return exp_flush(logv)
+    return exp_flush(_log_heat(d, r, t))
 
 
 def dirichlet_kernel(x: HalfSpacePoint, y: HalfSpacePoint, t: float, dim: int):

@@ -429,17 +429,56 @@ class TestDirichletLayer:
                                    HalfSpacePoint(0.0, 0.0), 1.0)
         assert v.value == 0.0
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "the [0, eta_max] seeds miss the near-wall window: the mass sits in "
-        "eta below x_N sqrt(eps/t)/2 ~ 1.8e-4, under the first K15 node"))
     def test_near_wall_window_is_resolved(self):
-        # at the default spec the result is 1.27e-15 with 0 subdivisions and
-        # converged; a tight spec finds the value 1.8932e-7
+        # the mass sits in eta below x_N sqrt(eps/t)/2 ~ 1.8e-4: a range not
+        # mapped to that width puts it under its first K15 node and reports
+        # 1.27e-15, converged
         p, x, y = Params(0.25, 1, 1, 2), HalfSpacePoint(8.0, 0.001), HalfSpacePoint(0.0, 0.0)
         tight = QuadSpec(rel_tol=1e-12, abs_tol=1e-300, max_subdivisions=5000)
         ref = dirichlet_layer_kernel(p, 4.0, x, y, 2.0, tight).value
         assert ref == pytest.approx(1.8932e-7, rel=1e-4)
         assert dirichlet_layer_kernel(p, 4.0, x, y, 2.0).value == pytest.approx(ref, rel=1e-6)
+
+
+def limit_kernel_sweep(n=200):
+    """Seeded argument rows of ``dirichlet_layer_kernel`` and
+    ``heat_neumann_kernel``: (epsilon, kappa, theta) log-uniform on
+    [0.1, 10], t log-uniform on [0.01, 10], x_N log-uniform on [1e-300, 3]
+    on every third sample and on [1e-8, 3] otherwise, r uniform on [0, 8],
+    y_N = 0 on every fourth sample, N alternating 2, 3.  The Dirichlet rows
+    start with the near-wall reproducer."""
+    rng = np.random.default_rng(5)
+    rows = {"dirichlet_layer": [(Params(0.25, 1.0, 1.0, 2), 4.0, HalfSpacePoint(8.0, 0.001),
+                                 HalfSpacePoint(0.0, 0.0), 2.0)],
+            "heat_neumann": []}
+    for i in range(n):
+        eps, kappa, theta = np.exp(rng.uniform(math.log(0.1), math.log(10.0), 3))
+        t = math.exp(rng.uniform(math.log(0.01), math.log(10.0)))
+        xn = 10.0 ** rng.uniform(-300.0 if i % 3 == 0 else -8.0, 0.5)
+        x = HalfSpacePoint(rng.uniform(0.0, 8.0), xn)
+        y = HalfSpacePoint(0.0, 0.0 if i % 4 == 0 else rng.uniform(0.0, 2.0))
+        dim = 2 + i % 2
+        rows["dirichlet_layer"].append((Params(eps, 1.0, kappa, dim), theta, x, y, t))
+        rows["heat_neumann"].append((eps, kappa, x, y, t, dim))
+    return rows
+
+
+LIMIT_SWEEP = limit_kernel_sweep()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name,kernel", [("dirichlet_layer", dirichlet_layer_kernel),
+                                         ("heat_neumann", heat_neumann_kernel)],
+                         ids=["dirichlet_layer", "heat_neumann"])
+def test_limit_kernel_converged_means_within_its_error(name, kernel):
+    # a converged default-spec value lies within its reported error plus the
+    # tolerance of a tight-spec reference
+    tight = QuadSpec(rel_tol=1e-12, abs_tol=1e-300, max_subdivisions=5000)
+    for args in LIMIT_SWEEP[name]:
+        got, ref = kernel(*args), kernel(*args, tight)
+        assert ref.converged
+        if got.converged:
+            assert abs(got.value - ref.value) <= got.error_estimate + ref.tolerance(DEFAULT_SPEC)
 
 
 _BATCH_RUNS = {
@@ -620,11 +659,33 @@ def test_mass_rejects_zero_time(mass):
     (laplace_dynamic_mass, (1.0, _NAN, 0.5, 1.0), "need delta > 0 and kappa >= 0"),
     (laplace_dynamic_mass, (1.0, 1.0, 0.5, 1.0, 1), "dim must be at least 2"),
     (laplace_dynamic_mass, (1.0, 1.0, 0.5, 1.0, 2.5), "dim must be an integer"),
+    (heat_neumann_mass, (math.inf, 1.0, 0.5, 1.0), "need epsilon > 0 and kappa >= 0"),
+    (heat_neumann_mass, (1.0, math.inf, 0.5, 1.0), "need epsilon > 0 and kappa >= 0"),
+    (laplace_dynamic_mass, (math.inf, 1.0, 0.5, 1.0), "need delta > 0 and kappa >= 0"),
+    (laplace_dynamic_mass, (1.0, math.inf, 0.5, 1.0), "need delta > 0 and kappa >= 0"),
+    (heat_neumann_kernel, (-1.0, 1.0, _X, _Y, 1.0), "need epsilon > 0 and kappa >= 0"),
+    (heat_neumann_kernel, (math.inf, 1.0, _X, _Y, 1.0), "need epsilon > 0 and kappa >= 0"),
+    (heat_neumann_kernel, (1.0, math.inf, _X, _Y, 1.0), "need epsilon > 0 and kappa >= 0"),
+    (heat_neumann_kernel, (1.0, 1.0, _X, _Y, 1.0, 0), "dim must be at least 2"),
+    (heat_neumann_kernel, (1.0, 1.0, _X, _Y, 1.0, 1), "dim must be at least 2"),
+    (heat_neumann_kernel, (1.0, 1.0, _X, _Y, 1.0, 2.0), "dim must be an integer"),
+    (laplace_dynamic_kernel, (-1.0, 1.0, _X, _Y, 1.0), "need delta > 0 and kappa >= 0"),
+    (laplace_dynamic_kernel, (math.inf, 1.0, _X, _Y, 1.0), "need delta > 0 and kappa >= 0"),
+    (laplace_dynamic_kernel, (1.0, math.inf, _X, _Y, 1.0), "need delta > 0 and kappa >= 0"),
+    (laplace_dynamic_kernel, (1.0, 1.0, _X, _Y, 1.0, 0), "dim must be at least 2"),
+    (laplace_dynamic_kernel, (1.0, 1.0, _X, _Y, 1.0, 1), "dim must be at least 2"),
+    (laplace_dynamic_kernel, (1.0, 1.0, _X, _Y, 1.0, 2.0), "dim must be an integer"),
 ], ids=["hdn-eps-negative", "hdn-kappa-negative", "hdn-eps-nan", "hdn-kappa-nan",
         "hdn-dim-1", "hdn-dim-fractional", "ldd-delta-negative", "ldd-kappa-negative",
-        "ldd-delta-nan", "ldd-kappa-nan", "ldd-dim-1", "ldd-dim-fractional"])
+        "ldd-delta-nan", "ldd-kappa-nan", "ldd-dim-1", "ldd-dim-fractional",
+        "hdn-eps-inf", "hdn-kappa-inf", "ldd-delta-inf", "ldd-kappa-inf",
+        "hdn-kernel-eps-negative", "hdn-kernel-eps-inf", "hdn-kernel-kappa-inf",
+        "hdn-kernel-dim-0", "hdn-kernel-dim-1", "hdn-kernel-dim-float",
+        "ldd-kernel-delta-negative", "ldd-kernel-delta-inf", "ldd-kernel-kappa-inf",
+        "ldd-kernel-dim-0", "ldd-kernel-dim-1", "ldd-kernel-dim-float"])
 def test_limit_mass_rejects_bad_parameters(mass, args, match):
-    # checked up front with the limit kernels' and Params' messages
+    # checked up front with the limit kernels' and Params' messages, by the
+    # masses and the kernels alike
     with pytest.raises(ValueError, match=match):
         mass(*args)
 
