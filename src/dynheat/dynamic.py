@@ -9,14 +9,15 @@ exp(-eps xi^2 / 4t) and the remaining factors stay smooth and bounded.
 The inverse map is closed form: with z = x_N + y_N + t/delta,
 sqrt(t - tau) = 2 sqrt(t) z / (xi + sqrt(xi^2 + 4 t z / delta)).
 
-The exchange kernel and the diffusive-Neumann and Dirichlet-layer limit
-batches share one integral, ``_framed``, and state only their closed forms
-and a per-component sinh frame.  ``exchange_log_grid`` centres it on the
-peak of the whole integrand and shifts by the peak's log-mass (``_frame``),
-so relative accuracy holds deep in the Gaussian tails and no factor
-overflows; ``exchange_weighted``, ``hdn_batch`` and ``dirichlet_layer_batch``
-scale it to the normal Gaussian's width, the shifted Gaussian's unit width
-and the near-wall window.  ``gauss_layer_batch`` keeps 41 dyadic seeds.
+The exchange kernel and the three limit batches share one integral,
+``_framed``, and state only their closed forms and a per-component sinh
+frame.  ``exchange_log_grid`` centres it on the peak of the whole
+integrand and shifts by the peak's log-mass (``_frame``), so relative
+accuracy holds deep in the Gaussian tails and no factor overflows;
+``exchange_weighted``, ``hdn_batch``, ``dirichlet_layer_batch`` and
+``gauss_layer_batch`` scale it to the normal Gaussian's width, the
+shifted Gaussian's unit width, the near-wall window and the peak of w
+times the Gauss layer's integrand.
 
 The full kernels are composed in one place each: ``fundamental_grid``
 builds G = G0 + H/delta and ``heat_neumann_grid`` the diffusive-Neumann
@@ -224,12 +225,34 @@ def _exchange_core(eps, delta, kappa, s, t, spec, tan_fn, frame, path):
 
 
 def _pointwise_tan(dim, r):
+    """``tan_fn(T)`` of the heat kernel of R^(dim-1) at the offsets ``r``,
+    one column each.  Where T is so small that r^2/4T overflows, the
+    factor is 0 and numpy's overflow warning is silenced.  A T that
+    underflowed to 0 stands for a time below the float range: the factor
+    is 0 there for r >= 1e-150, where exp(-r^2/4T) times any power of T is
+    0 in float, and unknown closer to the origin, so it is NaN and the
+    quadrature rejects it."""
     r = np.asarray(r, dtype=float)[None, :]
+    at_zero = np.where(r >= 1e-150, -np.inf, np.nan)
+    # above this T no r^2/4T overflows (NaN fails the test, and takes the
+    # checked path)
+    t_safe = np.max(r * r, initial=0.0) * 2.5e-309
 
     def fn(T):
-        return exp_flush(_log_heat(dim - 1, r, T))
+        if np.minimum.reduce(T, axis=None) > t_safe:
+            return exp_flush(_log_heat(dim - 1, r, T))
+        with np.errstate(over="ignore", invalid="ignore"):
+            log_h = _log_heat(dim - 1, r, T)
+        return exp_flush(np.where(T == 0, at_zero, log_h))
 
     return fn
+
+
+def _check_time(t, t_zero=False):
+    """ValueError unless 0 < t < inf (0 <= t when ``t_zero``); each test is
+    written so that a NaN fails it."""
+    if not (0.0 <= t if t_zero else 0.0 < t) or not t < math.inf:
+        raise ValueError("time must be finite and " + ("nonnegative" if t_zero else "positive"))
 
 
 def exchange_log_grid(p: Params, r, s, t: float, spec: QuadSpec = DEFAULT_SPEC):
@@ -238,8 +261,7 @@ def exchange_log_grid(p: Params, r, s, t: float, spec: QuadSpec = DEFAULT_SPEC):
     rel_errors, subdivisions, converged); values of exactly zero map to
     -inf.
     """
-    if not t > 0:
-        raise ValueError("time must be positive")
+    _check_time(t)
     r, s = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(s, dtype=float))
     shape, r, s = r.shape, r.ravel(), s.ravel()
 
@@ -365,11 +387,14 @@ def heat_neumann_kernel(epsilon: float, kappa: float, x: HalfSpacePoint,
     """Fundamental solution of the heat equation with the diffusive
     Neumann boundary condition."""
     _check_limit("epsilon", epsilon, kappa, dim)
-    if not t > 0:
-        raise ValueError("time must be positive")
+    _check_time(t)
     r = tangential_offset(x, y, dim)
     return _finalize(*heat_neumann_grid(epsilon, kappa, [r], [x.normal], [y.normal], t,
                                         dim, spec))
+
+
+# The scale-search nodes of ``gauss_layer_batch`` in units of w_max.
+_GAUSS_NODES = 2.0 ** -np.arange(41.0)[:, None]
 
 
 def gauss_layer_batch(dim, z, A, spec, tan_fn):
@@ -379,23 +404,28 @@ def gauss_layer_batch(dim, z, A, spec, tan_fn):
     substitution tau = (z / 2w)^2, which turns the measure into the unit
     Gaussian weight (2/sqrt(pi)) exp(-w^2) dw on (0, inf).  ``A = 0`` and a
     point tangential factor reproduce the harmonic-extension kernel.
+
+    The range is w in [0, w_max] with w_max = sqrt(TAIL_EXPONENT).  Each
+    component's sinh frame is scaled to the node of largest w times its
+    integrand among w_max 2^-k, k = 0..40 (one call of ``tan_fn``),
+    capped at 1: a tangential factor with a distant centre puts its mass
+    in a narrow window near w = 0, at any scale down to 2^-40 of the
+    range.
     """
     z = np.asarray(z, dtype=float).ravel()
     if np.any(z <= 0):
         raise SingularConfigurationError("normal offset must be positive")
     w_max = math.sqrt(TAIL_EXPONENT)
-    pref = 2.0 / math.sqrt(math.pi)
+    log_pref = math.log(2.0 / math.sqrt(math.pi))
 
-    def f(w):
-        t_tan = A + (z[None, :] / (2.0 * w[:, None])) ** 2
-        return tan_fn(t_tan) * (pref * np.exp(-w * w))[:, None]
+    def t_tan(w):
+        return A + (z / (2.0 * w)) ** 2
 
-    # Tangential factors with a distant centre spike in a narrow w-window
-    # near zero; dyadic seed panels let the adaptive rule find it at any
-    # scale down to 2^-40 of the range.
-    edges = [0.0] + [w_max * 2.0**-k for k in range(40, 0, -1)] + [w_max]
-    segments = list(zip(edges[:-1], edges[1:]))
-    return _adaptive(f, segments, spec)
+    nodes = _GAUSS_NODES * w_max
+    weighted = nodes * np.exp(-nodes * nodes) * np.abs(tan_fn(t_tan(nodes)))
+    scale = np.minimum(nodes[np.argmax(weighted, axis=0), 0], 1.0)
+    return _framed(lambda eta: (t_tan(eta), log_pref - eta * eta),
+                   (0.0, 0.0, scale, w_max), spec, _weighted(tan_fn))
 
 
 def laplace_dynamic_kernel(delta: float, kappa: float, x: HalfSpacePoint,
@@ -404,8 +434,7 @@ def laplace_dynamic_kernel(delta: float, kappa: float, x: HalfSpacePoint,
     """Fundamental solution of the Laplace equation with the diffusive
     dynamical boundary condition (boundary-to-bulk kernel)."""
     _check_limit("delta", delta, kappa, dim)
-    if not t >= 0:
-        raise ValueError("time must be nonnegative")
+    _check_time(t, t_zero=True)
     z = x.normal + y.normal + t / delta
     if z <= 0:
         raise SingularConfigurationError(
@@ -448,8 +477,7 @@ def dirichlet_layer_kernel(p: Params, theta: float, x: HalfSpacePoint,
     """Kernel carrying diffusing boundary data into the bulk through the
     absorbing-boundary heat flow (the second point is read as a boundary
     point; its normal part is ignored)."""
-    if not t > 0:
-        raise ValueError("time must be positive")
+    _check_time(t)
     if not theta > 0:
         raise ValueError("theta must be positive")
     if x.normal == 0.0:
@@ -506,8 +534,7 @@ def envelope_log(p: Params, r, s, t):
 def envelope(p: Params, x: HalfSpacePoint, y: HalfSpacePoint, t: float) -> Envelope:
     """Upper and lower envelopes of the exchange kernel at (x, y, t), and
     the region D1-D4 that (x_N + y_N, t) lies in."""
-    if not t > 0:
-        raise ValueError("time must be positive")
+    _check_time(t)
     r = tangential_offset(x, y, p.dim)
     lu, ll, tag = envelope_log(p, r, x.normal + y.normal, t)
     return Envelope(exp_flush(lu), exp_flush(ll), tag)
@@ -518,12 +545,11 @@ def envelope(p: Params, x: HalfSpacePoint, y: HalfSpacePoint, t: float) -> Envel
 # ---------------------------------------------------------------------------
 
 def _check_xn_t(xn, t, t_zero=False):
-    """ValueError unless 0 <= x_N < inf and 0 < t < inf (0 <= t when
-    ``t_zero``); each test is written so that a NaN fails it."""
+    """ValueError unless 0 <= x_N < inf (a NaN fails it) and ``t`` passes
+    ``_check_time``."""
     if not 0.0 <= xn < math.inf:
         raise ValueError("x_N must be finite and nonnegative")
-    if not (0.0 <= t if t_zero else 0.0 < t) or not t < math.inf:
-        raise ValueError("time must be finite and " + ("nonnegative" if t_zero else "positive"))
+    _check_time(t, t_zero)
 
 
 def exchange_marginal_boundary(p: Params, xn: float, t: float,

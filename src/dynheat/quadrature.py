@@ -23,15 +23,18 @@ converge on one panel costs two.
 
 Iterated integrals all go through ``integrate_nested`` and share one
 error rule: the error of the outer integral is its own estimate plus the
-length of the range the outer rule runs on times the largest absolute
-inner error at any outer node, the errors taking the same map and
-Jacobian as the values.  On [a, b] that range is [a, b] itself; on
-[a, inf) it is u in (0, 1] with Jacobian 1/u^2; with a ``width`` w it is
-v in [0, asinh((b - a)/w)] with x = a + w sinh(v) and Jacobian
-w cosh(v), which puts the nodes of a Gaussian tail of width w near a
-instead of spreading them over its reach.  The K15 weights are positive
-and sum to the range's length, so this bounds the error the inner
-estimates carry into the outer sum.
+outer K15 rule's integral of the absolute inner errors over its final
+panels, the errors taking the same map and Jacobian as the values (the
+global sum over final panels of QUADPACK, Piessens et al. 1983).  The
+outer rule runs on [a, b] itself; on [a, inf) on u in (0, 1] with
+x = a + (1 - u)/u and Jacobian 1/u^2; with a ``width`` w on v in
+[0, asinh((b - a)/w)] with x = a + w sinh(v) and Jacobian w cosh(v),
+which puts the nodes of a Gaussian tail of width w near a instead of
+spreading them over its reach.  The K15 weights are positive, so this is
+the outer rule's own estimate of the error the inner estimates carry
+into its sum.  A panel that a later bisection replaced adds nothing, so
+the carried error depends on the final panels only, not on the
+bisection history.
 
 Weighted sums of terms all go through ``add_terms`` and share one rule:
 each term's value and error are divided by the same divisor, the
@@ -40,6 +43,7 @@ subdivisions add, and ``converged`` is the AND of the terms.
 
 from __future__ import annotations
 
+import bisect
 import math
 import numbers
 from dataclasses import dataclass
@@ -273,14 +277,18 @@ def _finalize(value, error, nsub, converged) -> QuadResult:
     return QuadResult(value, error, nsub, converged)
 
 
-def integrate(f, a: float, b: float, spec: QuadSpec = DEFAULT_SPEC) -> QuadResult:
-    """Integrate ``f`` over the finite interval [a, b]."""
+def _seeds(a, b):
+    """``_halves(a, b)`` of a finite range with a < b, ValueError otherwise."""
     if not (np.isfinite(a) and np.isfinite(b)):
         raise ValueError("integrate needs finite endpoints")
     if not a < b:
         raise ValueError("integrate needs a < b")
-    value, error, nsub, converged = _adaptive(f, _halves(a, b), spec)
-    return _finalize(value, error, nsub, converged)
+    return _halves(a, b)
+
+
+def integrate(f, a: float, b: float, spec: QuadSpec = DEFAULT_SPEC) -> QuadResult:
+    """Integrate ``f`` over the finite interval [a, b]."""
+    return _finalize(*_adaptive(f, _seeds(a, b), spec))
 
 
 def integrate_semi_infinite(f, a: float, spec: QuadSpec = DEFAULT_SPEC) -> QuadResult:
@@ -298,8 +306,23 @@ def integrate_semi_infinite(f, a: float, spec: QuadSpec = DEFAULT_SPEC) -> QuadR
         w = 1.0 / (u * u)
         return fx * w[:, None] if fx.ndim == 2 else fx * w
 
-    value, error, nsub, converged = _adaptive(mapped, _halves(0.0, 1.0), spec)
-    return _finalize(value, error, nsub, converged)
+    return _finalize(*_adaptive(mapped, _halves(0.0, 1.0), spec))
+
+
+def _final_panel_sum(records):
+    """Sum of the per-panel terms of ``records``, (midpoint, half-width,
+    term) in call order, over the panels that no later call bisected.  A
+    bisected panel's two halves have their midpoints half its half-width
+    from its own, and every other later panel lies outside it, so the test
+    is a later midpoint within three quarters of the half-width."""
+    total = 0.0
+    later = []  # sorted midpoints of the calls after the current one
+    for mid, half, term in reversed(records):
+        k = bisect.bisect_right(later, mid - 0.75 * half)
+        if k == len(later) or later[k] >= mid + 0.75 * half:
+            total = total + term
+        bisect.insort(later, mid)
+    return total
 
 
 def integrate_nested(inner, a: float, b: float,
@@ -321,41 +344,44 @@ def integrate_nested(inner, a: float, b: float,
     semi = np.isinf(b)
     if width is not None and (semi or not (math.isfinite(width) and width > 0)):
         raise ValueError("width must be finite and positive, on a finite range")
-    inner_sup = 0.0
+    if semi:
+        if not np.isfinite(a):
+            raise ValueError("lower endpoint must be finite")
+        seeds = _halves(0.0, 1.0)
+    elif width is None:
+        seeds = _seeds(a, b)
+    else:
+        seeds = _seeds(0.0, math.asinh((b - a) / width))
+    records = []  # (midpoint, half-width, K15 sum of the mapped inner errors)
     inner_ok = True
     inner_sub = 0
 
-    def values(x):
-        nonlocal inner_sup, inner_ok, inner_sub
-        if width is not None:  # x holds v; the Jacobian is width cosh(v)
-            jac = width * np.cosh(x)
-            x = a + width * np.sinh(x)
+    def outer(u):
+        nonlocal inner_ok, inner_sub
+        if semi:  # x = a + (1 - u)/u, Jacobian 1/u^2
+            x, jac = a + (1.0 - u) / u, 1.0 / (u * u)
+        elif width is not None:  # u holds v; the Jacobian is width cosh(v)
+            x, jac = a + width * np.sinh(u), width * np.cosh(u)
+        else:
+            x, jac = u, None
         v, e, nsub, converged = inner(x)
+        v = np.asarray(v, dtype=float)
         e = np.abs(np.asarray(e, dtype=float))
-        column = (-1,) + (1,) * (e.ndim - 1)
-        if semi:  # 1/u^2 at u = 1/(1 + (x - a))
-            e = e * ((1.0 + (x - a)) ** 2).reshape(column)
-        elif width is not None:
-            jac = jac.reshape(column)
-            v, e = np.asarray(v, dtype=float) * jac, e * jac
-        inner_sup = np.maximum(inner_sup, e.max(axis=0))
+        if jac is not None:
+            jac = jac.reshape((-1,) + (1,) * (v.ndim - 1))
+            v, e = v * jac, e * jac
+        half = (u[-1] - u[0]) / (2.0 * _XGK[0])
+        records.append((u[7], half, half * (_WK @ e)))
         inner_ok = inner_ok and converged
         inner_sub += nsub
         return v
 
-    if semi:
-        outer = integrate_semi_infinite(values, a, spec)
-        length = 1.0
-    elif width is None:
-        outer = integrate(values, a, b, spec)
-        length = b - a
-    else:
-        length = math.asinh((b - a) / width)
-        outer = integrate(values, 0.0, length, spec)
-    error = np.reshape(outer.error_estimate + length * inner_sup, np.shape(outer.value))
-    return QuadResult(outer.value, error if error.ndim else float(error),
-                      outer.subdivisions_used + inner_sub,
-                      outer.converged and inner_ok)
+    outer_res = _finalize(*_adaptive(outer, seeds, spec))
+    error = np.reshape(outer_res.error_estimate + _final_panel_sum(records),
+                       np.shape(outer_res.value))
+    return QuadResult(outer_res.value, error if error.ndim else float(error),
+                      outer_res.subdivisions_used + inner_sub,
+                      outer_res.converged and inner_ok)
 
 
 def add_terms(first, *weighted):

@@ -41,8 +41,9 @@ from dynheat.kernels import (
     neumann_kernel,
     poisson_kernel,
 )
-from dynheat.quadrature import DEFAULT_SPEC, QuadSpec, integrate
+from dynheat.quadrature import DEFAULT_SPEC, EvaluationError, QuadSpec, integrate
 from dynheat.solutions import solve_grid
+from dynheat.verification import _DIM_AXIS, _PARAM_AXIS, _T_AXIS, _XN_AXIS
 
 P111 = Params(1.0, 1.0, 1.0, 2)
 
@@ -446,7 +447,12 @@ def limit_kernel_sweep(n=200):
     [0.1, 10], t log-uniform on [0.01, 10], x_N log-uniform on [1e-300, 3]
     on every third sample and on [1e-8, 3] otherwise, r uniform on [0, 8],
     y_N = 0 on every fourth sample, N alternating 2, 3.  The Dirichlet rows
-    start with the near-wall reproducer."""
+    start with the near-wall reproducer.
+
+    The ``laplace_dynamic_kernel`` rows draw from their own generator:
+    (delta, kappa) and t as above, with kappa = 0 on every fifth sample and
+    t = 0 on every seventh, x_N and y_N as above, r uniform on [0, 3] and
+    [0, 100] on alternate pairs, N alternating 2, 3."""
     rng = np.random.default_rng(5)
     rows = {"dirichlet_layer": [(Params(0.25, 1.0, 1.0, 2), 4.0, HalfSpacePoint(8.0, 0.001),
                                  HalfSpacePoint(0.0, 0.0), 2.0)],
@@ -460,6 +466,16 @@ def limit_kernel_sweep(n=200):
         dim = 2 + i % 2
         rows["dirichlet_layer"].append((Params(eps, 1.0, kappa, dim), theta, x, y, t))
         rows["heat_neumann"].append((eps, kappa, x, y, t, dim))
+    rng = np.random.default_rng(6)
+    rows["laplace_dynamic"] = []
+    for i in range(n):
+        delta, kappa = np.exp(rng.uniform(math.log(0.1), math.log(10.0), 2))
+        t = math.exp(rng.uniform(math.log(0.01), math.log(10.0)))
+        xn = 10.0 ** rng.uniform(-300.0 if i % 3 == 0 else -8.0, 0.5)
+        x = HalfSpacePoint(rng.uniform(0.0, 100.0 if i // 2 % 2 else 3.0), xn)
+        y = HalfSpacePoint(0.0, 0.0 if i % 4 == 0 else rng.uniform(0.0, 2.0))
+        rows["laplace_dynamic"].append((delta, 0.0 if i % 5 == 0 else kappa, x, y,
+                                        0.0 if i % 7 == 0 else t, 2 + i % 2))
     return rows
 
 
@@ -468,8 +484,9 @@ LIMIT_SWEEP = limit_kernel_sweep()
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name,kernel", [("dirichlet_layer", dirichlet_layer_kernel),
-                                         ("heat_neumann", heat_neumann_kernel)],
-                         ids=["dirichlet_layer", "heat_neumann"])
+                                         ("heat_neumann", heat_neumann_kernel),
+                                         ("laplace_dynamic", laplace_dynamic_kernel)],
+                         ids=["dirichlet_layer", "heat_neumann", "laplace_dynamic"])
 def test_limit_kernel_converged_means_within_its_error(name, kernel):
     # a converged default-spec value lies within its reported error plus the
     # tolerance of a tight-spec reference
@@ -479,6 +496,34 @@ def test_limit_kernel_converged_means_within_its_error(name, kernel):
         assert ref.converged
         if got.converged:
             assert abs(got.value - ref.value) <= got.error_estimate + ref.tolerance(DEFAULT_SPEC)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("z", [1e-200, 1e-300, 5e-324])
+def test_laplace_dynamic_kernel_at_an_underflowed_time(z):
+    # (z/2w)^2 underflows to T = 0 at every node; off the tangential origin
+    # the point factor is 0 there, so the value is the kappa = 0 closed form
+    # z/(pi (r^2 + z^2)) to within abs_tol
+    y = HalfSpacePoint(0.0, 0.0)
+    res = laplace_dynamic_kernel(1.0, 0.0, HalfSpacePoint(1.0, z), y, 0.0, 2)
+    assert res.converged
+    assert abs(res.value - poisson_kernel(1.0, z, 2)) <= DEFAULT_SPEC.abs_tol
+    # at the origin the factor at T = 0 is unknown: rejected, not guessed
+    with pytest.raises(EvaluationError):
+        laplace_dynamic_kernel(1.0, 0.0, HalfSpacePoint(0.0, z), y, 0.0, 2)
+
+
+def test_laplace_dynamic_mass_reports_errors_that_bound_and_are_tight():
+    # criterion 2a's rows: each reported error covers |m - 1| and stays
+    # below 1e-6 (summed over the final outer panels, not the largest inner
+    # error at any node ever evaluated times the range)
+    for dim in _DIM_AXIS:
+        for delta in _PARAM_AXIS:
+            for kappa in _PARAM_AXIS:
+                for xn in _XN_AXIS:
+                    for t in _T_AXIS:
+                        res = laplace_dynamic_mass(delta, kappa, xn, t, dim)
+                        assert abs(res.value - 1.0) <= res.error_estimate <= 1e-6
 
 
 _BATCH_RUNS = {
@@ -612,6 +657,23 @@ def test_nan_input_is_rejected(call):
     # on it; the message is the one a finite out-of-range value gets
     with pytest.raises(ValueError, match="must be|need|requires"):
         call()
+
+
+@pytest.mark.parametrize("t", [math.inf, _NAN], ids=["inf", "nan"])
+@pytest.mark.parametrize("kernel", [
+    lambda t: exchange_kernel(P111, _X, _Y, t),
+    lambda t: fundamental_kernel(P111, _X, _Y, t),
+    lambda t: exchange_log_grid(P111, [0.0], [0.5], t),
+    lambda t: heat_neumann_kernel(1.0, 1.0, _X, _Y, t),
+    lambda t: laplace_dynamic_kernel(1.0, 1.0, _X, _Y, t),
+    lambda t: dirichlet_layer_kernel(P111, 1.0, _X, _Y, t),
+    lambda t: envelope(P111, _X, _Y, t),
+], ids=["exchange", "fundamental", "exchange-grid", "hdn", "ldd", "layer", "envelope"])
+def test_pointwise_kernel_rejects_nonfinite_time(kernel, t):
+    # as the mass entry points do: t = inf used to warn and raise
+    # EvaluationError, return 0.0 converged or give 0/0 envelopes
+    with pytest.raises(ValueError, match="^time must be finite and (positive|nonnegative)$"):
+        kernel(t)
 
 
 _BAD_XN_T = [(-0.5, 1.0), (_NAN, 1.0), (math.inf, 1.0), (0.5, -1.0), (0.5, _NAN),

@@ -109,6 +109,18 @@ def test_nested_error_covers_inner_errors():
         assert res.subdivisions_used == outer.subdivisions_used + len(batches)
 
 
+@pytest.mark.parametrize("f", [lambda x: x, np.sqrt], ids=["linear", "sqrt"])
+def test_nested_error_sums_inner_errors_over_the_final_panels(f):
+    # inner errors c x on [0, 1] carry their integral c/2, where the largest
+    # inner error at any node times the length would be about c; sqrt
+    # bisects the outer range, and its discarded panels add nothing
+    c = 1e-3
+    res = integrate_nested(lambda x: (f(x), c * x, 0, True), 0.0, 1.0)
+    outer = integrate(f, 0.0, 1.0)
+    assert (res.value, res.subdivisions_used) == (outer.value, outer.subdivisions_used)
+    assert res.error_estimate - outer.error_estimate == pytest.approx(c / 2, rel=1e-12)
+
+
 @pytest.mark.parametrize("width, b", [
     (math.nan, 1.0), (math.inf, 1.0), (0.0, 1.0), (-1.0, 1.0), (1.0, math.inf),
 ])
@@ -285,8 +297,8 @@ def _golden_runs():
         "peaked_batch_225": lambda: _adaptive(
             lambda x: np.exp(-((x[:, None] - _PEAK_C) / _PEAK_W) ** 2) / _PEAK_W,
             [(0.0, 1.0)], SPEC),
-        # 41 dyadic seed segments
-        "gauss_layer_41": lambda: gauss_layer_batch(
+        # one sinh frame per component, scaled to its integrand's peak
+        "gauss_layer_framed": lambda: gauss_layer_batch(
             2, [0.05, 0.5, 2.0], 0.3, SPEC, _pointwise_tan(2, np.array([0.0, 1.0, 3.0]))),
         "max_subdivisions": lambda: _adaptive(
             lambda x: np.abs(x - 1.0 / 3.0) ** 0.5, [(0.0, 1.0)],
@@ -297,10 +309,10 @@ def _golden_runs():
 _GOLDEN = {
     "scalar_smooth": ((["0x1.0aabeec406a38p+1"], ["0x1.a0aca5124a5f8p-46"]), 4, True),
     "peaked_batch_225": ("8c5a46c6ddb601f4703f4d6be86fd3a8", 822, True),
-    "gauss_layer_41": ((["0x1.f54aeff5031f2p-2", "0x1.9e789c7b439fdp-3",
-                         "0x1.b1c67b874fb99p-5"],
-                        ["0x1.825145f8b884fp-32", "0x1.4b636014cb32dp-33",
-                         "0x1.f70fab4987125p-39"]), 1, True),
+    "gauss_layer_framed": ((["0x1.f54aeff5031f2p-2", "0x1.9e789c7b439ffp-3",
+                             "0x1.b1c67b874fb9ap-5"],
+                            ["0x1.5a933bfc6437fp-35", "0x1.531cbb8a4db03p-37",
+                             "0x1.9cfff6492d743p-39"]), 6, True),
     "max_subdivisions": ((["0x1.f6f9d66120526p-2"], ["0x1.c9702bdef67ffp-48"]), 60, False),
 }
 
@@ -339,10 +351,11 @@ def _kernel_golden_points():
 
 def test_kernel_golden():
     # exchange_log_grid (log value, relative error), then heat_neumann_kernel
-    # and laplace_dynamic_kernel (value, error), three points each; the
-    # first six count bisections after their two seed halves.  The
-    # heat_neumann_kernel rows run through hdn_batch's unit sinh frame; each
-    # value is within 2 ulp of a 40-digit quadrature of the same integral
+    # and laplace_dynamic_kernel (value, error), three points each; all
+    # count bisections after their two seed halves.  The limit-kernel rows
+    # run through their batches' sinh frames; each value is within 2 ulp of
+    # a 40-digit quadrature of the same integral, and the first
+    # laplace_dynamic_kernel row, 1/(2 pi), within 1
     assert _kernel_golden_points() == [
         ("-0x1.2572de5a2c2ddp+1", "0x1.5727b16e9bad2p-34", 2, True),
         ("-0x1.08d3c4821772ap+3", "0x1.9038bf5395c70p-33", 3, True),
@@ -350,9 +363,9 @@ def test_kernel_golden():
         ("0x1.a9ba9ae3b1af4p-4", "0x1.179ae882e3ccbp-35", 2, True),
         ("0x1.506d6b1591c4dp-7", "0x1.77bb41412188ep-39", 2, True),
         ("0x1.6b8db104064a1p-5", "0x1.8a47642e77f04p-37", 3, True),
-        ("0x1.45f306dc9c883p-3", "0x1.34523f31f7fcdp-39", 2, True),
-        ("0x1.72f44f8f98c12p-5", "0x1.4c1f544baa224p-42", 2, True),
-        ("0x1.38cdb2f4a85f1p-5", "0x1.4d432fa521864p-36", 1, True),
+        ("0x1.45f306dc9c882p-3", "0x1.0e3404bd8d7f4p-34", 2, True),
+        ("0x1.72f44f8f98c10p-5", "0x1.337e55a774c04p-36", 3, True),
+        ("0x1.38cdb2f4a85f3p-5", "0x1.386d0aa9f6615p-36", 2, True),
     ]
 
 
