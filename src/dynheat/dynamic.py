@@ -32,7 +32,7 @@ evaluation of the same component set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -657,14 +657,20 @@ def total_mass_radial(p: Params, xn: float, t: float,
 def laplace_dynamic_mass(delta: float, kappa: float, xn: float, t: float,
                          dim: int = 2, spec: QuadSpec = DEFAULT_SPEC) -> QuadResult:
     """Boundary mass of the Laplace dynamic kernel via radial quadrature
-    (power-law tails: integrated through the compactifying map)."""
+    (power-law tails: integrated through the compactifying map).
+
+    The inner Gauss layers run on ``rel_tol`` alone: their integrand is
+    positive, and the outer rule multiplies each inner error by the
+    unbounded (1 + r)^2 |S^(N-2)| r^(N-2), so an absolute inner tolerance
+    would not bound the error carried into the outer sum."""
     _check_limit("delta", delta, kappa, dim)
     _check_xn_t(xn, t, t_zero=True)
     z = xn + t / delta
     if z <= 0:
         raise SingularConfigurationError("x_N + t/delta must be positive")
+    inner_spec = replace(spec, abs_tol=1e-300)
     f = _area_weighted(dim, lambda rs, _: gauss_layer_batch(
-        dim, np.full(rs.size, z), kappa * t / delta, spec, _pointwise_tan(dim, rs)))
+        dim, np.full(rs.size, z), kappa * t / delta, inner_spec, _pointwise_tan(dim, rs)))
     return integrate_nested(lambda rs: f(rs, None), 0.0, np.inf, spec)
 
 

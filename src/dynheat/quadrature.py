@@ -8,29 +8,31 @@ called with a 1-D numpy array of nodes and may return either a matching
 integrands sharing one subdivision tree (the panel error is then the
 worst component).
 
-Each panel is one integrand call on its 15 nodes and one ``_eval_panel``,
-so an integral over ``k`` seed segments with ``n`` bisections makes
-``k + 2 n`` integrand calls; the benchmark tracer asserts that count, so
-evaluating several panels per call waits for a tracer that counts panels
-another way.
+Every panel runs QUADPACK's qk21 rule: 10-point Gauss and its 21-point
+Kronrod extension, exact for polynomials of degree 19 and 31.  Each panel
+is one integrand call on its 21 nodes and one ``_eval_panel``, so an
+integral over ``k`` seed segments with ``n`` bisections makes ``k + 2 n``
+integrand calls; the benchmark tracer asserts that count, so evaluating
+several panels per call waits for a tracer that counts panels another
+way.
 
 A single-range integral starts from the two halves of its range
 (``_halves``), since almost every root panel would be bisected and its
-15 nodes thrown away.  Where the root would be bisected the result keeps
+21 nodes thrown away.  Where the root would be bisected the result keeps
 its bits; ``subdivisions_used`` and ``max_subdivisions`` count the
 bisections after those two seed panels, and an integral that would
 converge on one panel costs two.
 
 Iterated integrals all go through ``integrate_nested`` and share one
 error rule: the error of the outer integral is its own estimate plus the
-outer K15 rule's integral of the absolute inner errors over its final
+outer K21 rule's integral of the absolute inner errors over its final
 panels, the errors taking the same map and Jacobian as the values (the
 global sum over final panels of QUADPACK, Piessens et al. 1983).  The
 outer rule runs on [a, b] itself; on [a, inf) on u in (0, 1] with
 x = a + (1 - u)/u and Jacobian 1/u^2; with a ``width`` w on v in
 [0, asinh((b - a)/w)] with x = a + w sinh(v) and Jacobian w cosh(v),
 which puts the nodes of a Gaussian tail of width w near a instead of
-spreading them over its reach.  The K15 weights are positive, so this is
+spreading them over its reach.  The K21 weights are positive, so this is
 the outer rule's own estimate of the error the inner estimates carry
 into its sum.  A panel that a later bisection replaced adds nothing, so
 the carried error depends on the final panels only, not on the
@@ -64,39 +66,49 @@ class EvaluationError(RuntimeError):
     """Integrand returned NaN or an infinity inside a panel."""
 
 
-# 15-point Kronrod extension of 7-point Gauss (nodes on [-1, 1]).
+# 21-point Kronrod extension of 10-point Gauss (nodes on [-1, 1]), the
+# constants of QUADPACK's qk21 (Piessens et al. 1983).
 _XGK = np.array([
-    0.991455371120812639206854697526329,
-    0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926,
-    0.741531185599394439863864773280788,
-    0.586087235467691130294144838258730,
-    0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245,
+    0.995657163025808080735527280689003,
+    0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508,
+    0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042,
+    0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694,
+    0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866,
+    0.148874338981631210884826001129720,
     0.0,
 ])
 _WGK = np.array([
-    0.022935322010529224963732008058970,
-    0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518,
-    0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550,
-    0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649,
-    0.209482141084727828012999174891714,
+    0.011694638867371874278064396062192,
+    0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580,
+    0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366,
+    0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074,
+    0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717,
+    0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
 ])
+# Gauss weights of the nodes _XGK[1], _XGK[3], ..., _XGK[9]
 _WG = np.array([
-    0.129484966168869693270611432679082,
-    0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975,
-    0.417959183673469387755102040816327,
+    0.066671344308688137593568809893332,
+    0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163,
+    0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
 ])
 
-# Ascending node layout: -x0..-x6, 0, x6..x0.
-_NODES = np.concatenate([-_XGK[:7], [0.0], _XGK[6::-1]])
-_WK = np.concatenate([_WGK[:7], [_WGK[7]], _WGK[6::-1]])
-_WGFULL = np.zeros(15)
-_WGFULL[1:14:2] = np.concatenate([_WG[:3], [_WG[3]], _WG[2::-1]])
+# Ascending node layout: -x0..-x9, 0, x9..x0; the Gauss nodes sit at the
+# odd indices, and the middle node 0 is a Kronrod node only.
+_NODES = np.concatenate([-_XGK[:10], [0.0], _XGK[9::-1]])
+_WK = np.concatenate([_WGK[:10], [_WGK[10]], _WGK[9::-1]])
+_WGFULL = np.zeros(21)
+_WGFULL[1:20:2] = np.concatenate([_WG, _WG[::-1]])
 
 _EPS = np.finfo(float).eps
 _UFLOW = np.finfo(float).tiny
@@ -162,17 +174,17 @@ class QuadResult:
 
 
 def _eval_panel(f, a, b):
-    """One G7/K15 panel; returns (value, err, resabs) per component."""
+    """One G10/K21 panel; returns (value, err, resabs) per component."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     fx = np.asarray(f(mid + half * _NODES), dtype=float)
     if fx.ndim == 0:
-        fx = np.full(15, float(fx))
+        fx = np.full(_NODES.size, float(fx))
     if fx.ndim == 1:
         fx = fx[:, None]
-    if fx.shape[0] != 15:
+    if fx.shape[0] != _NODES.size:
         raise ValueError("integrand must return one value per node")
-    # The K15 weights are positive, so resabs is NaN or inf where a column
+    # The K21 weights are positive, so resabs is NaN or inf where a column
     # of fx holds a NaN or an infinity (or sums past the float range), and
     # so is its sum (0 for an empty batch).  Checked before the Gauss
     # matvec, whose zero weights turn an inf into a NaN.
@@ -188,7 +200,7 @@ def _eval_panel(f, a, b):
     np.subtract(fx, mean, out=dev)
     resasc = abs(half) * (_WK @ np.abs(dev, out=dev))
     err = np.abs(half * (sk - sg))
-    # QUADPACK-style sharpening of the raw K15-G7 difference, then a floor
+    # QUADPACK-style sharpening of the raw K21-G10 difference, then a floor
     # of 50 eps resabs where resabs is above underflow.  With every resasc
     # positive and every resabs above underflow both masks below are all
     # true (a zero err sharpens to the same +0.0), so they are skipped.
@@ -352,7 +364,7 @@ def integrate_nested(inner, a: float, b: float,
         seeds = _seeds(a, b)
     else:
         seeds = _seeds(0.0, math.asinh((b - a) / width))
-    records = []  # (midpoint, half-width, K15 sum of the mapped inner errors)
+    records = []  # (midpoint, half-width, K21 sum of the mapped inner errors)
     inner_ok = True
     inner_sub = 0
 
@@ -371,7 +383,7 @@ def integrate_nested(inner, a: float, b: float,
             jac = jac.reshape((-1,) + (1,) * (v.ndim - 1))
             v, e = v * jac, e * jac
         half = (u[-1] - u[0]) / (2.0 * _XGK[0])
-        records.append((u[7], half, half * (_WK @ e)))
+        records.append((u[u.size // 2], half, half * (_WK @ e)))
         inner_ok = inner_ok and converged
         inner_sub += nsub
         return v

@@ -38,6 +38,7 @@ from .data import (
     tan_conv,
 )
 from .dynamic import (
+    _check_time,
     dirichlet_layer_batch,
     exchange_weighted,
     fundamental_grid,
@@ -272,8 +273,7 @@ def _solve(tag, p: Params, data: InitialData, xp, xn, t, spec, theta):
     _validate(tag, p, data, theta)
     if tag in ("HD", "LD"):  # the kappa = 0 aliases
         return _solve(tag + "D", replace(p, kappa=0.0), data, xp, xn, t, spec, theta)
-    if not t > 0:
-        raise ValueError("time must be positive")
+    _check_time(t)
     xp = np.atleast_1d(np.asarray(xp, dtype=float))
     xn = np.atleast_1d(np.asarray(xn, dtype=float))
     if xp.shape != xn.shape:

@@ -36,7 +36,7 @@ class TestEvalKernel:
         assert rc == 0
         out = capsys.readouterr().out
         # 1/(2 pi) to within 1 ulp (the nearest double prints ...535)
-        assert "0.15915494309189532" in out
+        assert "0.15915494309189537" in out
         assert (tmp_path / "eval_kernel.csv").exists()
 
     @pytest.mark.parametrize("kernel, extra, listed, number", [
@@ -155,7 +155,7 @@ class TestSolveCommand:
         rc = run_cli(tmp_path, "solve", {
             "tag": "HDD", "data": {"boundary": {"kind": "heat_gaussian", "a": 0.5}},
             "points": [{"tangential": 0.0, "normal": 0.5}], "times": [1.0],
-            "quad": {"max_subdivisions": 1}})
+            "quad": {"rel_tol": 1e-15, "abs_tol": 1e-300, "max_subdivisions": 1}})
         assert rc == 0
         row = (tmp_path / "solve.csv").read_text().splitlines()[1]
         assert row.endswith(",False")
@@ -383,9 +383,10 @@ def test_solve_probe_on_first_axis_is_accepted(tmp_path):
     assert len(set(rows.values())) == 1
 
 
-# max_subdivisions 1 leaves a quadrature of each case unconverged while its
-# check still passes: |m - 1| = 1.9e-11 for the mass case
-_CAPPED = {"max_subdivisions": 1}
+# a tolerance at rounding level with max_subdivisions 1 leaves a quadrature
+# of each case unconverged while its check still passes: |m - 1| = 0 for
+# the mass case
+_CAPPED = {"rel_tol": 1e-15, "abs_tol": 1e-300, "max_subdivisions": 1}
 _STRICT = {
     "eval-kernel": ({"kernel": "g", "t": 1.0, "x": {"normal": 0.5}, "quad": _CAPPED},
                     "eval_kernel.csv"),

@@ -432,8 +432,8 @@ class TestDirichletLayer:
 
     def test_near_wall_window_is_resolved(self):
         # the mass sits in eta below x_N sqrt(eps/t)/2 ~ 1.8e-4: a range not
-        # mapped to that width puts it under its first K15 node and reports
-        # 1.27e-15, converged
+        # mapped to that width puts it under the rule's first node and
+        # reports 1.27e-15, converged
         p, x, y = Params(0.25, 1, 1, 2), HalfSpacePoint(8.0, 0.001), HalfSpacePoint(0.0, 0.0)
         tight = QuadSpec(rel_tol=1e-12, abs_tol=1e-300, max_subdivisions=5000)
         ref = dirichlet_layer_kernel(p, 4.0, x, y, 2.0, tight).value
@@ -524,6 +524,16 @@ def test_laplace_dynamic_mass_reports_errors_that_bound_and_are_tight():
                     for t in _T_AXIS:
                         res = laplace_dynamic_mass(delta, kappa, xn, t, dim)
                         assert abs(res.value - 1.0) <= res.error_estimate <= 1e-6
+
+
+@pytest.mark.xfail(strict=True, reason="the radial map u = 1/(1 + r) never reaches "
+                   "the Poisson core of width x_N near r = 0 (ROADMAP item 19)")
+@pytest.mark.parametrize("xn", [1e-30, 1e-100])
+def test_laplace_dynamic_mass_resolves_a_narrow_core(xn):
+    # at t = 0 the kernel is the Poisson kernel of height x_N, whose mass
+    # is 1; today this returns 0.0 with error 0.0, converged
+    res = laplace_dynamic_mass(1.0, 0.0, xn, 0.0)
+    assert not res.converged or abs(res.value - 1.0) <= 1e-6
 
 
 _BATCH_RUNS = {

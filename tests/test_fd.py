@@ -249,7 +249,8 @@ class TestAgreementAndOrder:
     def test_oracle_compare_flags_nonconvergence(self):
         g = FdGrid(nx=16, nz=16, dt=0.05)
         _, converged, _ = oracle_compare(P111, GAUSS_PSI, g, (0.25,),
-                                         spec=QuadSpec(max_subdivisions=1))
+                                         spec=QuadSpec(rel_tol=1e-15, abs_tol=1e-300,
+                                                       max_subdivisions=1))
         assert not converged
 
     @pytest.mark.parametrize("times", [(), (0.0, 0.25), (0.25, -0.5)])

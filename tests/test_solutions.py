@@ -290,6 +290,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             solve_grid("HDD", P111, ONES, [0.0], [-0.5], 1.0)
 
+    @pytest.mark.parametrize("t", [math.inf, math.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("tag", PROBLEM_TAGS)
+    def test_nonfinite_time_rejected(self, tag, t):
+        # checked up front, as the kernels check it, so that no tag returns
+        # a value, converged or not, at a time outside (0, inf)
+        data = InitialData(GAUSS_PHI) if tag in ("HDN", "HhN", "HD0") \
+            else InitialData(boundary=GAUSS_PSI)
+        with pytest.raises(ValueError, match="^time must be finite and positive$"):
+            solve_grid(tag, P111, data, [0.0], [0.5], t, theta=1.0)
+
 
 class TestNormalProfileBelowTheWall:
     # a normal Gaussian centred at y = m < 0 is below exp(-TAIL_EXPONENT)
