@@ -45,9 +45,9 @@ for xn, tt in ((0.0, 0.1), (0.5, 1.0), (3.0, 10.0)):
     m = total_mass(p, xn, tt)
     print(f"x_n={xn:>3}, t={tt:>4}: mass = {m.value:.12f}")
 print(f"harmonic-kernel boundary mass : "
-      f"{laplace_dynamic_mass(1.0, 1.0, 0.5, 0.8).value:.12f}")
+      f"{laplace_dynamic_mass(p, 0.5, 0.8).value:.12f}")
 print(f"Neumann-kernel interior mass  : "
-      f"{heat_neumann_mass(1.0, 1.0, 0.5, 1.0).value:.12f}")
+      f"{heat_neumann_mass(p, 0.5, 1.0).value:.12f}")
 
 print("\n== zero surface diffusivity collapses ==")
 v = laplace_dynamic_kernel(1.0, 0.0, HalfSpacePoint(0.0, 1.0),

@@ -5,7 +5,6 @@ from .quadrature import (
     QuadResult,
     EvaluationError,
     integrate,
-    integrate_semi_infinite,
     integrate_nested,
 )
 from .kernels import (

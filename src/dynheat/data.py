@@ -39,8 +39,8 @@ class NormalProfile:
     ``b``), ``indicator`` (of [lo, hi]), ``gaussian_slope`` (the
     normal-derivative profile y/(2b) Gamma_1(y, b) used by the
     operator-norm witness), ``power_cutoff`` (|y|^(-alpha) restricted to
-    the unit half-ball; N = 2 only, handled by a dedicated quadrature
-    path).
+    the unit half-ball, finite alpha < 2; N = 2 only, handled by a
+    dedicated quadrature path).
     """
 
     kind: str
@@ -58,6 +58,9 @@ class NormalProfile:
             raise ValueError("gaussian profile needs b > 0")
         if self.kind == "indicator" and not (0 <= self.lo < self.hi):
             raise ValueError("indicator profile needs 0 <= lo < hi")
+        # |y|^(-alpha) is integrable on the unit half-disc for alpha < 2 only
+        if self.kind == "power_cutoff" and not -np.inf < self.alpha < 2.0:
+            raise ValueError("power_cutoff profile needs a finite alpha < 2")
 
     def value(self, y):
         y = np.asarray(y, dtype=float)

@@ -50,7 +50,6 @@ from .quadrature import (
     QuadResult,
     DEFAULT_SPEC,
     _adaptive,
-    _count,
     _finalize,
     _halves,
     add_terms,
@@ -336,16 +335,6 @@ def fundamental_kernel(p: Params, x: HalfSpacePoint, y: HalfSpacePoint, t: float
 # limit kernels
 # ---------------------------------------------------------------------------
 
-def _check_limit(name, value, kappa, dim):
-    """ValueError unless 0 < ``value`` < inf and 0 <= kappa < inf (NaN
-    fails both), with the limit kernels' message, and unless ``dim`` is an
-    integer >= 2, with that of ``Params``."""
-    if not 0.0 < value < math.inf or not 0.0 <= kappa < math.inf:
-        raise ValueError(f"need {name} > 0 and kappa >= 0, both finite")
-    if _count(dim, "dim") < 2:
-        raise ValueError("dim must be at least 2")
-
-
 def hdn_batch(eps, kappa, dim, s, t, spec, tan_fn):
     """Exchange part of the diffusive-Neumann heat kernel.
 
@@ -368,16 +357,16 @@ def hdn_batch(eps, kappa, dim, s, t, spec, tan_fn):
     return _framed(normal, frame, spec, _weighted(tan_fn))
 
 
-def heat_neumann_grid(epsilon: float, kappa: float, r, xn, yn, t: float,
-                      dim: int = 2, spec: QuadSpec = DEFAULT_SPEC):
+def heat_neumann_grid(p: Params, r, xn, yn, t: float, spec: QuadSpec = DEFAULT_SPEC):
     """Diffusive-Neumann kernel G0 + H_N on broadcast arrays of tangential
     offsets ``r`` and normal coordinates ``xn``, ``yn``, in one
-    ``hdn_batch``.  Returns (values, errors, subdivisions, converged) in
-    the broadcast shape."""
+    ``hdn_batch``; reads epsilon, kappa and the dimension of ``p``.
+    Returns (values, errors, subdivisions, converged) in the broadcast
+    shape."""
     r, xn, yn = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (r, xn, yn)))
-    vals, errs, nsub, conv = hdn_batch(epsilon, kappa, dim, (xn + yn).ravel(), t, spec,
-                                       _pointwise_tan(dim, r.ravel()))
-    g0 = dirichlet_radial(r, xn, yn, t / epsilon, dim)
+    vals, errs, nsub, conv = hdn_batch(p.epsilon, p.kappa, p.dim, (xn + yn).ravel(), t, spec,
+                                       _pointwise_tan(p.dim, r.ravel()))
+    g0 = dirichlet_radial(r, xn, yn, t / p.epsilon, p.dim)
     return g0 + vals.reshape(r.shape), errs.reshape(r.shape), nsub, conv
 
 
@@ -385,12 +374,12 @@ def heat_neumann_kernel(epsilon: float, kappa: float, x: HalfSpacePoint,
                         y: HalfSpacePoint, t: float, dim: int = 2,
                         spec: QuadSpec = DEFAULT_SPEC) -> QuadResult:
     """Fundamental solution of the heat equation with the diffusive
-    Neumann boundary condition."""
-    _check_limit("epsilon", epsilon, kappa, dim)
+    Neumann boundary condition.  The parameters are checked as a
+    ``Params`` with delta = 1, which the kernel does not read."""
+    p = Params(epsilon, 1.0, kappa, dim)
     _check_time(t)
-    r = tangential_offset(x, y, dim)
-    return _finalize(*heat_neumann_grid(epsilon, kappa, [r], [x.normal], [y.normal], t,
-                                        dim, spec))
+    r = tangential_offset(x, y, p.dim)
+    return _finalize(*heat_neumann_grid(p, [r], [x.normal], [y.normal], t, spec))
 
 
 # The scale-search nodes of ``gauss_layer_batch`` in units of w_max.
@@ -432,16 +421,18 @@ def laplace_dynamic_kernel(delta: float, kappa: float, x: HalfSpacePoint,
                            y: HalfSpacePoint, t: float, dim: int = 2,
                            spec: QuadSpec = DEFAULT_SPEC) -> QuadResult:
     """Fundamental solution of the Laplace equation with the diffusive
-    dynamical boundary condition (boundary-to-bulk kernel)."""
-    _check_limit("delta", delta, kappa, dim)
+    dynamical boundary condition (boundary-to-bulk kernel).  The
+    parameters are checked as a ``Params`` with epsilon = 1, which the
+    kernel does not read."""
+    p = Params(1.0, delta, kappa, dim)
     _check_time(t, t_zero=True)
-    z = x.normal + y.normal + t / delta
+    z = x.normal + y.normal + t / p.delta
     if z <= 0:
         raise SingularConfigurationError(
             "kernel degenerates to a point mass at x_N + y_N + t/delta = 0")
-    r = tangential_offset(x, y, dim)
-    tan = _pointwise_tan(dim, np.array([r]))
-    return _finalize(*gauss_layer_batch(dim, [z], kappa * t / delta, spec, tan))
+    r = tangential_offset(x, y, p.dim)
+    tan = _pointwise_tan(p.dim, np.array([r]))
+    return _finalize(*gauss_layer_batch(p.dim, [z], p.kappa * t / p.delta, spec, tan))
 
 
 def dirichlet_layer_batch(eps, dim, xn, t, theta, spec, tan_fn):
@@ -654,37 +645,38 @@ def total_mass_radial(p: Params, xn: float, t: float,
     return QuadResult(*add_terms(interior, (bdry, p.epsilon / p.delta)))
 
 
-def laplace_dynamic_mass(delta: float, kappa: float, xn: float, t: float,
-                         dim: int = 2, spec: QuadSpec = DEFAULT_SPEC) -> QuadResult:
+def laplace_dynamic_mass(p: Params, xn: float, t: float,
+                         spec: QuadSpec = DEFAULT_SPEC) -> QuadResult:
     """Boundary mass of the Laplace dynamic kernel via radial quadrature
     (power-law tails: integrated through the compactifying map).
 
     The inner Gauss layers run on ``rel_tol`` alone: their integrand is
     positive, and the outer rule multiplies each inner error by the
     unbounded (1 + r)^2 |S^(N-2)| r^(N-2), so an absolute inner tolerance
-    would not bound the error carried into the outer sum."""
-    _check_limit("delta", delta, kappa, dim)
+    would not bound the error carried into the outer sum.  Reads delta,
+    kappa and the dimension of ``p``."""
     _check_xn_t(xn, t, t_zero=True)
-    z = xn + t / delta
+    z = xn + t / p.delta
     if z <= 0:
         raise SingularConfigurationError("x_N + t/delta must be positive")
     inner_spec = replace(spec, abs_tol=1e-300)
-    f = _area_weighted(dim, lambda rs, _: gauss_layer_batch(
-        dim, np.full(rs.size, z), kappa * t / delta, inner_spec, _pointwise_tan(dim, rs)))
+    f = _area_weighted(p.dim, lambda rs, _: gauss_layer_batch(
+        p.dim, np.full(rs.size, z), p.kappa * t / p.delta, inner_spec,
+        _pointwise_tan(p.dim, rs)))
     return integrate_nested(lambda rs: f(rs, None), 0.0, np.inf, spec)
 
 
-def heat_neumann_mass(epsilon: float, kappa: float, xn: float, t: float,
-                      dim: int = 2, spec: QuadSpec = DEFAULT_SPEC) -> QuadResult:
+def heat_neumann_mass(p: Params, xn: float, t: float,
+                      spec: QuadSpec = DEFAULT_SPEC) -> QuadResult:
     """Interior mass of the diffusive-Neumann heat kernel via radial and
-    normal quadrature; equals 1 identically."""
-    _check_limit("epsilon", epsilon, kappa, dim)
+    normal quadrature; equals 1 identically.  Reads epsilon, kappa and
+    the dimension of ``p``."""
     _check_xn_t(xn, t)
     lc = TAIL_EXPONENT
-    T = t / epsilon
+    T = t / p.epsilon
     tau_cut = 2.0 * math.sqrt(T * lc)
-    rcut = math.sqrt(4.0 * (T + kappa * tau_cut) * lc) + 2.0
+    rcut = math.sqrt(4.0 * (T + p.kappa * tau_cut) * lc) + 2.0
     ycut = xn + math.sqrt(4.0 * T * lc) + 1.0
-    rwidth = math.sqrt(4.0 * (T + kappa * tau_cut))
-    return _bulk_mass(_area_weighted(dim, lambda rs, yn: heat_neumann_grid(
-        epsilon, kappa, rs, xn, yn, t, dim, spec)), rcut, rwidth, ycut, math.sqrt(4.0 * T), spec)
+    rwidth = math.sqrt(4.0 * (T + p.kappa * tau_cut))
+    return _bulk_mass(_area_weighted(p.dim, lambda rs, yn: heat_neumann_grid(
+        p, rs, xn, yn, t, spec)), rcut, rwidth, ycut, math.sqrt(4.0 * T), spec)

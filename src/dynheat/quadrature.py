@@ -23,20 +23,25 @@ its bits; ``subdivisions_used`` and ``max_subdivisions`` count the
 bisections after those two seed panels, and an integral that would
 converge on one panel costs two.
 
+Every range goes through ``_range`` and keeps one rule: ``a`` finite,
+``b`` finite and above ``a`` or +inf, and a ``width`` on a finite ``b``
+only; anything else, NaN and b = -inf included, is a ValueError.  The
+rule runs on [a, b] itself; on [a, inf) on u in (0, 1] with
+x = a + (1 - u)/u and Jacobian 1/u^2 (integrands must then decay faster
+than any power); with a ``width`` w (``integrate_nested`` only) on v in
+[0, asinh((b - a)/w)] with x = a + w sinh(v) and Jacobian w cosh(v),
+which puts the nodes of a Gaussian tail of width w near a instead of
+spreading them over its reach.
+
 Iterated integrals all go through ``integrate_nested`` and share one
 error rule: the error of the outer integral is its own estimate plus the
 outer K21 rule's integral of the absolute inner errors over its final
 panels, the errors taking the same map and Jacobian as the values (the
 global sum over final panels of QUADPACK, Piessens et al. 1983).  The
-outer rule runs on [a, b] itself; on [a, inf) on u in (0, 1] with
-x = a + (1 - u)/u and Jacobian 1/u^2; with a ``width`` w on v in
-[0, asinh((b - a)/w)] with x = a + w sinh(v) and Jacobian w cosh(v),
-which puts the nodes of a Gaussian tail of width w near a instead of
-spreading them over its reach.  The K21 weights are positive, so this is
-the outer rule's own estimate of the error the inner estimates carry
-into its sum.  A panel that a later bisection replaced adds nothing, so
-the carried error depends on the final panels only, not on the
-bisection history.
+K21 weights are positive, so this is the outer rule's own estimate of
+the error the inner estimates carry into its sum.  A panel that a later
+bisection replaced adds nothing, so the carried error depends on the
+final panels only, not on the bisection history.
 
 Weighted sums of terms all go through ``add_terms`` and share one rule:
 each term's value and error are divided by the same divisor, the
@@ -57,7 +62,6 @@ __all__ = [
     "QuadResult",
     "EvaluationError",
     "integrate",
-    "integrate_semi_infinite",
     "integrate_nested",
 ]
 
@@ -289,36 +293,44 @@ def _finalize(value, error, nsub, converged) -> QuadResult:
     return QuadResult(value, error, nsub, converged)
 
 
-def _seeds(a, b):
-    """``_halves(a, b)`` of a finite range with a < b, ValueError otherwise."""
-    if not (np.isfinite(a) and np.isfinite(b)):
-        raise ValueError("integrate needs finite endpoints")
-    if not a < b:
-        raise ValueError("integrate needs a < b")
-    return _halves(a, b)
+def _range(a, b, width=None):
+    """(seeds, to_x) of [a, b] under the module's range rule, ValueError
+    outside it; ``to_x(u)`` gives the (x, Jacobian) of the rule's nodes
+    u, and is None on the identity map."""
+    if not math.isfinite(a):
+        raise ValueError("lower endpoint must be finite")
+    if width is not None:
+        if b == math.inf or not (math.isfinite(width) and width > 0):
+            raise ValueError("width must be finite and positive, on a finite range")
+        lo, hi = 0.0, math.asinh((b - a) / width)
+
+        def to_x(u):  # u holds v; x = a + width sinh(v)
+            return a + width * np.sinh(u), width * np.cosh(u)
+    elif b == math.inf:
+        lo, hi = 0.0, 1.0
+
+        def to_x(u):  # x = a + (1 - u)/u
+            return a + (1.0 - u) / u, 1.0 / (u * u)
+    else:
+        lo, hi, to_x = a, b, None
+    if not lo < hi < math.inf:
+        raise ValueError("need a finite a and a b above it, finite or +inf")
+    return _halves(lo, hi), to_x
 
 
 def integrate(f, a: float, b: float, spec: QuadSpec = DEFAULT_SPEC) -> QuadResult:
-    """Integrate ``f`` over the finite interval [a, b]."""
-    return _finalize(*_adaptive(f, _seeds(a, b), spec))
-
-
-def integrate_semi_infinite(f, a: float, spec: QuadSpec = DEFAULT_SPEC) -> QuadResult:
-    """Integrate ``f`` over [a, infinity).
-
-    The interval is mapped onto (0, 1] via u = 1/(1 + (x - a)); integrands
-    must decay faster than any power.
-    """
-    if not np.isfinite(a):
-        raise ValueError("lower endpoint must be finite")
+    """Integrate ``f`` over [a, b], ``b`` finite or ``np.inf`` (the
+    module's range rule)."""
+    seeds, to_x = _range(a, b)
+    if to_x is None:
+        return _finalize(*_adaptive(f, seeds, spec))
 
     def mapped(u):
-        x = a + (1.0 - u) / u
+        x, w = to_x(u)
         fx = np.asarray(f(x), dtype=float)
-        w = 1.0 / (u * u)
         return fx * w[:, None] if fx.ndim == 2 else fx * w
 
-    return _finalize(*_adaptive(mapped, _halves(0.0, 1.0), spec))
+    return _finalize(*_adaptive(mapped, seeds, spec))
 
 
 def _final_panel_sum(records):
@@ -353,29 +365,14 @@ def integrate_nested(inner, a: float, b: float,
     near ``a``: the outer rule then runs in v on [0, asinh((b - a)/width)]
     with x = a + width sinh(v), so its nodes crowd where the integrand is.
     """
-    semi = np.isinf(b)
-    if width is not None and (semi or not (math.isfinite(width) and width > 0)):
-        raise ValueError("width must be finite and positive, on a finite range")
-    if semi:
-        if not np.isfinite(a):
-            raise ValueError("lower endpoint must be finite")
-        seeds = _halves(0.0, 1.0)
-    elif width is None:
-        seeds = _seeds(a, b)
-    else:
-        seeds = _seeds(0.0, math.asinh((b - a) / width))
+    seeds, to_x = _range(a, b, width)
     records = []  # (midpoint, half-width, K21 sum of the mapped inner errors)
     inner_ok = True
     inner_sub = 0
 
     def outer(u):
         nonlocal inner_ok, inner_sub
-        if semi:  # x = a + (1 - u)/u, Jacobian 1/u^2
-            x, jac = a + (1.0 - u) / u, 1.0 / (u * u)
-        elif width is not None:  # u holds v; the Jacobian is width cosh(v)
-            x, jac = a + width * np.sinh(u), width * np.cosh(u)
-        else:
-            x, jac = u, None
+        x, jac = (u, None) if to_x is None else to_x(u)
         v, e, nsub, converged = inner(x)
         v = np.asarray(v, dtype=float)
         e = np.abs(np.asarray(e, dtype=float))

@@ -225,23 +225,26 @@ def _harmonic_layer_term(dim, psi: Boundary, off, z, smoothing, spec):
 def _power_cutoff_term(p, phi: Interior, xp, xn, t, spec):
     """Interior data with radial power-law cutoff profile
     |y|^(-alpha) chi_{|y|<1} times the tangential Gaussian factor
-    (N = 2): direct polar quadrature of the full kernel."""
+    (N = 2): direct polar quadrature of the full kernel.  The radius runs
+    as rho = s^k with k = 1/(2 - alpha), whose Jacobian k s^(k - 1) cancels
+    the polar factor rho^(1 - alpha): the s integrand is k times the
+    kernel and the tangential factor, bounded at s = 0."""
     m = xp.size
-    alpha = phi.normal.alpha
+    k = 1.0 / (2.0 - phi.normal.alpha)
 
     def radial(thetas):
         n = thetas.size
         ct = np.cos(thetas)
         st = np.sin(thetas)
 
-        def inner(rhos):
-            kk = rhos.size
+        def inner(ss):
+            kk = ss.size
+            rhos = ss ** k
             y1 = rhos[:, None, None] * ct[None, :, None]
             yn = rhos[:, None, None] * st[None, :, None]
             g, err, nsub, conv = fundamental_grid(
                 p, np.abs(xp[None, None, :] - y1), xn[None, None, :], yn, t, spec)
-            tang = free_heat_radial(1, y1 - phi.center, phi.a)
-            w = tang * rhos[:, None, None] ** (1.0 - alpha)
+            w = k * free_heat_radial(1, y1 - phi.center, phi.a)
             return (g * w).reshape(kk, n * m), (err * w).reshape(kk, n * m), nsub, conv
 
         vals, errs, nsub, conv = integrate_nested(inner, 0.0, 1.0, spec)

@@ -400,13 +400,14 @@ def _check_mass(spec, seed):
 def _check_limit_mass(axis, spec, seed):
     """Criterion 2 over (N, axis, kappa, x_N, t): ``axis`` "delta" checks the
     harmonic dynamic kernel, "eps" the diffusive-Neumann kernel."""
-    mass, statement = {
-        "delta": (laplace_dynamic_mass,
+    mass, params, statement = {
+        "delta": (laplace_dynamic_mass, lambda v, kappa, dim: Params(1.0, v, kappa, dim),
                   "boundary mass of the harmonic dynamic kernel equals 1"),
-        "eps": (heat_neumann_mass, "interior mass of the diffusive-Neumann kernel equals 1"),
+        "eps": (heat_neumann_mass, lambda v, kappa, dim: Params(v, 1.0, kappa, dim),
+                "interior mass of the diffusive-Neumann kernel equals 1"),
     }[axis]
     rows = [(f"{axis}={v},kappa={kappa},N={dim},x_n={xn},t={t}",
-             abs(mass(v, kappa, xn, t, dim, spec).value - 1.0))
+             abs(mass(params(v, kappa, dim), xn, t, spec).value - 1.0))
             for dim in _DIM_AXIS for v in _PARAM_AXIS for kappa in _PARAM_AXIS
             for xn in _XN_AXIS for t in _T_AXIS]
     return rows, statement

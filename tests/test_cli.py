@@ -304,6 +304,8 @@ _REJECTED = {
                                                      "params": {"dim": 3},
                                                      "x": {"tangential": [1, 2, 3],
                                                            "normal": 1.0}}),
+    "solve-power-cutoff-alpha-two": ("solve", {**_SOLVE, "data": {"interior": {
+        "kind": "heat_gaussian", "a": 2.0, "normal": {"kind": "power_cutoff", "alpha": 2.0}}}}),
     "quad-tail-cut": ("eval-kernel", {"kernel": "g", "t": 1.0, "x": {"normal": 0.5},
                                       "quad": {"tail_cut": 1e-14}}),
     "identity-seed-str": ("identity-suite", {"identities": ["k0_poisson"], "seed": "x"}),

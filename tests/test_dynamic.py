@@ -184,7 +184,7 @@ class TestExchangeKernel:
     @pytest.mark.parametrize("grid, pointwise", [
         (lambda r, xn, yn, t: fundamental_grid(P111, r, xn, yn, t),
          lambda x, y, t: fundamental_kernel(P111, x, y, t)),
-        (lambda r, xn, yn, t: heat_neumann_grid(1.0, 1.0, r, xn, yn, t),
+        (lambda r, xn, yn, t: heat_neumann_grid(P111, r, xn, yn, t),
          lambda x, y, t: heat_neumann_kernel(1.0, 1.0, x, y, t)),
     ], ids=["fundamental", "heat_neumann"])
     def test_grid_matches_pointwise(self, grid, pointwise):
@@ -333,14 +333,14 @@ class TestMasses:
         (1.0, 1.0, 0.5, 0.8, 2), (0.5, 2.0, 0.0, 1.0, 3), (1.0, 2.0, 3.0, 10.0, 3),
     ])
     def test_laplace_dynamic_mass(self, delta, kappa, xn, t, dim):
-        res = laplace_dynamic_mass(delta, kappa, xn, t, dim)
+        res = laplace_dynamic_mass(Params(1.0, delta, kappa, dim), xn, t)
         assert abs(res.value - 1.0) < 1e-8
 
     @pytest.mark.parametrize("eps,kappa,xn,t,dim", [
         (1.0, 1.0, 0.5, 1.0, 2), (0.5, 2.0, 0.0, 1.0, 3),
     ])
     def test_heat_neumann_mass(self, eps, kappa, xn, t, dim):
-        res = heat_neumann_mass(eps, kappa, xn, t, dim)
+        res = heat_neumann_mass(Params(eps, 1.0, kappa, dim), xn, t)
         assert abs(res.value - 1.0) < 1e-8
 
 
@@ -522,17 +522,17 @@ def test_laplace_dynamic_mass_reports_errors_that_bound_and_are_tight():
             for kappa in _PARAM_AXIS:
                 for xn in _XN_AXIS:
                     for t in _T_AXIS:
-                        res = laplace_dynamic_mass(delta, kappa, xn, t, dim)
+                        res = laplace_dynamic_mass(Params(1.0, delta, kappa, dim), xn, t)
                         assert abs(res.value - 1.0) <= res.error_estimate <= 1e-6
 
 
-@pytest.mark.xfail(strict=True, reason="the radial map u = 1/(1 + r) never reaches "
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="the radial map u = 1/(1 + r) never reaches "
                    "the Poisson core of width x_N near r = 0 (ROADMAP item 19)")
 @pytest.mark.parametrize("xn", [1e-30, 1e-100])
 def test_laplace_dynamic_mass_resolves_a_narrow_core(xn):
     # at t = 0 the kernel is the Poisson kernel of height x_N, whose mass
     # is 1; today this returns 0.0 with error 0.0, converged
-    res = laplace_dynamic_mass(1.0, 0.0, xn, 0.0)
+    res = laplace_dynamic_mass(Params(1.0, 1.0, 0.0, 2), xn, 0.0)
     assert not res.converged or abs(res.value - 1.0) <= 1e-6
 
 
@@ -696,8 +696,8 @@ _BAD_IDS = ["xn-negative", "xn-nan", "xn-inf", "t-negative", "t-nan", "t-inf"]
     lambda xn, t: total_mass_radial(P111, xn, t),
     lambda xn, t: exchange_marginal_boundary(P111, xn, t),
     lambda xn, t: exchange_marginal_interior(P111, xn, t),
-    lambda xn, t: heat_neumann_mass(1.0, 1.0, xn, t),
-    lambda xn, t: laplace_dynamic_mass(1.0, 1.0, xn, t),
+    lambda xn, t: heat_neumann_mass(P111, xn, t),
+    lambda xn, t: laplace_dynamic_mass(P111, xn, t),
 ], ids=["total", "radial", "marginal-boundary", "marginal-interior", "hdn", "ldd"])
 @pytest.mark.parametrize("xn,t", _BAD_XN_T, ids=_BAD_IDS)
 def test_mass_rejects_bad_normal_and_time(mass, xn, t):
@@ -711,39 +711,47 @@ def test_mass_rejects_bad_normal_and_time(mass, xn, t):
     lambda t: total_mass_radial(P111, 0.5, t),
     lambda t: exchange_marginal_boundary(P111, 0.5, t),
     lambda t: exchange_marginal_interior(P111, 0.5, t),
-    lambda t: heat_neumann_mass(1.0, 1.0, 0.5, t),
+    lambda t: heat_neumann_mass(P111, 0.5, t),
 ], ids=["total", "radial", "marginal-boundary", "marginal-interior", "hdn"])
 def test_mass_rejects_zero_time(mass):
     with pytest.raises(ValueError, match="time must be finite and positive"):
         mass(0.0)
 
 
+def _hdn_mass(eps, kappa, xn, t, dim=2):
+    return heat_neumann_mass(Params(eps, 1.0, kappa, dim), xn, t)
+
+
+def _ldd_mass(delta, kappa, xn, t, dim=2):
+    return laplace_dynamic_mass(Params(1.0, delta, kappa, dim), xn, t)
+
+
 @pytest.mark.parametrize("mass, args, match", [
-    (heat_neumann_mass, (-1.0, 1.0, 0.5, 1.0), "need epsilon > 0 and kappa >= 0"),
-    (heat_neumann_mass, (1.0, -1.0, 0.5, 1.0), "need epsilon > 0 and kappa >= 0"),
-    (heat_neumann_mass, (_NAN, 1.0, 0.5, 1.0), "need epsilon > 0 and kappa >= 0"),
-    (heat_neumann_mass, (1.0, _NAN, 0.5, 1.0), "need epsilon > 0 and kappa >= 0"),
-    (heat_neumann_mass, (1.0, 1.0, 0.5, 1.0, 1), "dim must be at least 2"),
-    (heat_neumann_mass, (1.0, 1.0, 0.5, 1.0, 2.5), "dim must be an integer"),
-    (laplace_dynamic_mass, (-1.0, 1.0, 0.5, 1.0), "need delta > 0 and kappa >= 0"),
-    (laplace_dynamic_mass, (1.0, -1.0, 0.5, 1.0), "need delta > 0 and kappa >= 0"),
-    (laplace_dynamic_mass, (_NAN, 1.0, 0.5, 1.0), "need delta > 0 and kappa >= 0"),
-    (laplace_dynamic_mass, (1.0, _NAN, 0.5, 1.0), "need delta > 0 and kappa >= 0"),
-    (laplace_dynamic_mass, (1.0, 1.0, 0.5, 1.0, 1), "dim must be at least 2"),
-    (laplace_dynamic_mass, (1.0, 1.0, 0.5, 1.0, 2.5), "dim must be an integer"),
-    (heat_neumann_mass, (math.inf, 1.0, 0.5, 1.0), "need epsilon > 0 and kappa >= 0"),
-    (heat_neumann_mass, (1.0, math.inf, 0.5, 1.0), "need epsilon > 0 and kappa >= 0"),
-    (laplace_dynamic_mass, (math.inf, 1.0, 0.5, 1.0), "need delta > 0 and kappa >= 0"),
-    (laplace_dynamic_mass, (1.0, math.inf, 0.5, 1.0), "need delta > 0 and kappa >= 0"),
-    (heat_neumann_kernel, (-1.0, 1.0, _X, _Y, 1.0), "need epsilon > 0 and kappa >= 0"),
-    (heat_neumann_kernel, (math.inf, 1.0, _X, _Y, 1.0), "need epsilon > 0 and kappa >= 0"),
-    (heat_neumann_kernel, (1.0, math.inf, _X, _Y, 1.0), "need epsilon > 0 and kappa >= 0"),
+    (_hdn_mass, (-1.0, 1.0, 0.5, 1.0), "epsilon must be positive"),
+    (_hdn_mass, (1.0, -1.0, 0.5, 1.0), "kappa must be nonnegative"),
+    (_hdn_mass, (_NAN, 1.0, 0.5, 1.0), "epsilon must be finite"),
+    (_hdn_mass, (1.0, _NAN, 0.5, 1.0), "kappa must be finite"),
+    (_hdn_mass, (1.0, 1.0, 0.5, 1.0, 1), "dim must be at least 2"),
+    (_hdn_mass, (1.0, 1.0, 0.5, 1.0, 2.5), "dim must be an integer"),
+    (_ldd_mass, (-1.0, 1.0, 0.5, 1.0), "delta must be positive"),
+    (_ldd_mass, (1.0, -1.0, 0.5, 1.0), "kappa must be nonnegative"),
+    (_ldd_mass, (_NAN, 1.0, 0.5, 1.0), "delta must be finite"),
+    (_ldd_mass, (1.0, _NAN, 0.5, 1.0), "kappa must be finite"),
+    (_ldd_mass, (1.0, 1.0, 0.5, 1.0, 1), "dim must be at least 2"),
+    (_ldd_mass, (1.0, 1.0, 0.5, 1.0, 2.5), "dim must be an integer"),
+    (_hdn_mass, (math.inf, 1.0, 0.5, 1.0), "epsilon must be finite"),
+    (_hdn_mass, (1.0, math.inf, 0.5, 1.0), "kappa must be finite"),
+    (_ldd_mass, (math.inf, 1.0, 0.5, 1.0), "delta must be finite"),
+    (_ldd_mass, (1.0, math.inf, 0.5, 1.0), "kappa must be finite"),
+    (heat_neumann_kernel, (-1.0, 1.0, _X, _Y, 1.0), "epsilon must be positive"),
+    (heat_neumann_kernel, (math.inf, 1.0, _X, _Y, 1.0), "epsilon must be finite"),
+    (heat_neumann_kernel, (1.0, math.inf, _X, _Y, 1.0), "kappa must be finite"),
     (heat_neumann_kernel, (1.0, 1.0, _X, _Y, 1.0, 0), "dim must be at least 2"),
     (heat_neumann_kernel, (1.0, 1.0, _X, _Y, 1.0, 1), "dim must be at least 2"),
     (heat_neumann_kernel, (1.0, 1.0, _X, _Y, 1.0, 2.0), "dim must be an integer"),
-    (laplace_dynamic_kernel, (-1.0, 1.0, _X, _Y, 1.0), "need delta > 0 and kappa >= 0"),
-    (laplace_dynamic_kernel, (math.inf, 1.0, _X, _Y, 1.0), "need delta > 0 and kappa >= 0"),
-    (laplace_dynamic_kernel, (1.0, math.inf, _X, _Y, 1.0), "need delta > 0 and kappa >= 0"),
+    (laplace_dynamic_kernel, (-1.0, 1.0, _X, _Y, 1.0), "delta must be positive"),
+    (laplace_dynamic_kernel, (math.inf, 1.0, _X, _Y, 1.0), "delta must be finite"),
+    (laplace_dynamic_kernel, (1.0, math.inf, _X, _Y, 1.0), "kappa must be finite"),
     (laplace_dynamic_kernel, (1.0, 1.0, _X, _Y, 1.0, 0), "dim must be at least 2"),
     (laplace_dynamic_kernel, (1.0, 1.0, _X, _Y, 1.0, 1), "dim must be at least 2"),
     (laplace_dynamic_kernel, (1.0, 1.0, _X, _Y, 1.0, 2.0), "dim must be an integer"),
@@ -756,17 +764,17 @@ def test_mass_rejects_zero_time(mass):
         "ldd-kernel-delta-negative", "ldd-kernel-delta-inf", "ldd-kernel-kappa-inf",
         "ldd-kernel-dim-0", "ldd-kernel-dim-1", "ldd-kernel-dim-float"])
 def test_limit_mass_rejects_bad_parameters(mass, args, match):
-    # checked up front with the limit kernels' and Params' messages, by the
-    # masses and the kernels alike
+    # checked up front by ``Params``, which the masses take and the two
+    # limit kernels build from their float arguments
     with pytest.raises(ValueError, match=match):
         mass(*args)
 
 
 def test_laplace_dynamic_mass_accepts_zero_time():
     # the Laplace kernel is defined at t = 0 (z = x_N), as laplace_dynamic_kernel
-    assert abs(laplace_dynamic_mass(1.0, 1.0, 0.5, 0.0).value - 1.0) < 1e-8
+    assert abs(laplace_dynamic_mass(P111, 0.5, 0.0).value - 1.0) < 1e-8
     with pytest.raises(SingularConfigurationError):
-        laplace_dynamic_mass(1.0, 1.0, 0.0, 0.0)
+        laplace_dynamic_mass(P111, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("xp,xn,match", [

@@ -18,7 +18,7 @@ from dynheat.kernels import (
     poisson_kernel,
     sphere_area,
 )
-from dynheat.quadrature import integrate, integrate_semi_infinite
+from dynheat.quadrature import integrate
 
 
 class TestExpFlush:
@@ -141,13 +141,13 @@ class TestHalfSpaceKernels:
 
     def test_neumann_mass(self):
         # reflection makes the half-space mass exactly one
-        from dynheat.quadrature import integrate_nested, integrate_semi_infinite
+        from dynheat.quadrature import integrate_nested
 
         def inner(y1):
-            return integrate_semi_infinite(
+            return integrate(
                 lambda yn: free_heat_radial(1, np.abs(y1)[None, :], 1.0)
                 * (free_heat_radial(1, 1.0 - yn[:, None], 1.0)
-                   + free_heat_radial(1, 1.0 + yn[:, None], 1.0)), 0.0)
+                   + free_heat_radial(1, 1.0 + yn[:, None], 1.0)), 0.0, np.inf)
 
         res = integrate_nested(inner, -30.0, 30.0)
         assert res.value == pytest.approx(1.0, abs=1e-8)
@@ -170,13 +170,12 @@ class TestPoisson:
             0.15915494309189535, abs=1e-16)
 
     def test_normalisation(self):
-        res = integrate_semi_infinite(
-            lambda r: 2.0 * poisson_kernel(r, 0.5, 2), 0.0)
+        res = integrate(lambda r: 2.0 * poisson_kernel(r, 0.5, 2), 0.0, np.inf)
         assert res.value == pytest.approx(1.0, rel=1e-9)
 
     def test_normalisation_3d(self):
-        res = integrate_semi_infinite(
-            lambda r: sphere_area(1) * r * poisson_kernel(r, 1.3, 3), 0.0)
+        res = integrate(
+            lambda r: sphere_area(1) * r * poisson_kernel(r, 1.3, 3), 0.0, np.inf)
         assert res.value == pytest.approx(1.0, rel=1e-8)
 
     def test_domain_error(self):

@@ -16,7 +16,6 @@ from dynheat.quadrature import (
     add_terms,
     integrate,
     integrate_nested,
-    integrate_semi_infinite,
 )
 
 SPEC = QuadSpec()
@@ -74,7 +73,7 @@ def test_sine():
     (lambda x: x * np.exp(-x * x), 0.5),
 ])
 def test_semi_infinite(f, expected):
-    res = integrate_semi_infinite(f, 0.0)
+    res = integrate(f, 0.0, np.inf)
     assert res.value == pytest.approx(expected, rel=1e-9)
     assert res.converged
 
@@ -82,7 +81,7 @@ def test_semi_infinite(f, expected):
 def test_semi_infinite_gaussian_half():
     from dynheat.kernels import free_heat_radial
 
-    res = integrate_semi_infinite(lambda x: free_heat_radial(1, x, 1.0), 0.0)
+    res = integrate(lambda x: free_heat_radial(1, x, 1.0), 0.0, np.inf)
     assert res.value == pytest.approx(0.5, rel=1e-10)
 
 
@@ -94,8 +93,8 @@ def test_2d_unit_square():
 
 def test_2d_semi_infinite_inner():
     res = integrate_nested(
-        lambda xs: integrate_semi_infinite(
-            lambda ys: np.exp(-ys)[:, None] * np.ones(xs.size), 0.0), 0.0, 1.0)
+        lambda xs: integrate(
+            lambda ys: np.exp(-ys)[:, None] * np.ones(xs.size), 0.0, np.inf), 0.0, 1.0)
     assert res.value == pytest.approx(1.0, rel=1e-9)
 
 
@@ -103,9 +102,9 @@ def test_2d_product_of_halves():
     from dynheat.kernels import free_heat_radial
 
     def inner(xs):
-        return integrate_semi_infinite(
+        return integrate(
             lambda ys: free_heat_radial(1, xs[None, :], 1.0)
-            * free_heat_radial(1, ys[:, None], 1.0), 0.0)
+            * free_heat_radial(1, ys[:, None], 1.0), 0.0, np.inf)
 
     res = integrate_nested(inner, 0.0, 40.0)
     assert res.value == pytest.approx(0.25, rel=1e-9)
@@ -172,6 +171,55 @@ def test_nested_semi_infinite_maps_inner_errors():
     assert res.converged
 
 
+_BAD_RANGES = [(0.0, -math.inf), (0.0, math.nan), (math.nan, 1.0), (math.nan, math.inf),
+               (-math.inf, 1.0), (math.inf, math.inf), (1.0, 1.0), (1.0, 0.0)]
+
+
+@pytest.mark.parametrize("a, b", _BAD_RANGES)
+def test_range_rule_rejects(a, b):
+    # a finite, b finite and above a or +inf; b = -inf used to run the
+    # nested rule over [a, inf) and return 1 for exp(-x), converged
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return np.exp(-np.abs(x))
+
+    with pytest.raises(ValueError):
+        integrate(f, a, b)
+    with pytest.raises(ValueError):
+        integrate_nested(lambda x: (f(x), 0.0 * x, 0, True), a, b)
+    assert calls == []
+
+
+# (value, error, subdivisions, converged) of [a, inf) integrals, pinned to
+# the bits of the u = 1/(1 + x - a) rule they have always run through
+_SEMI_INFINITE_GOLDEN = {
+    "exp": ((["0x1.ffffffffffffcp-1"], ["0x1.9c60ff66b9220p-32"]), 2, True),
+    "shifted_gauss": ((["0x1.b60e4bace8730p-1"], ["0x1.a2d0cb31ebd81p-43"]), 3, True),
+    "poisson_tail": ((["0x1.0000000000000p+0"], ["0x1.3efd1c3924fa0p-42"]), 0, True),
+    "batch": ((["0x1.78b56362cef36p-1", "0x1.152aaa3bf81ccp-3", "0x1.5fc21041027acp-14"],
+               ["0x1.701051927ff8ep-33", "0x1.14c0eb7106286p-47", "0x1.12cf9cb2cb38fp-60"]),
+              3, True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SEMI_INFINITE_GOLDEN))
+def test_semi_infinite_golden(name):
+    from dynheat.kernels import free_heat_radial, poisson_kernel
+
+    f, a, spec = {
+        "exp": (lambda x: np.exp(-x), 0.0, SPEC),
+        "shifted_gauss": (lambda x: free_heat_radial(1, x, 1.0), -1.5, SPEC),
+        "poisson_tail": (lambda r: 2.0 * poisson_kernel(r, 0.5, 2), 0.0,
+                         QuadSpec(rel_tol=1e-12)),
+        "batch": (lambda x: np.exp(-np.outer(x, [0.5, 1.0, 4.0])), 2.0, SPEC),
+    }[name]
+    res = integrate(f, a, np.inf, spec)
+    assert (_pin(res.value, res.error_estimate), res.subdivisions_used,
+            res.converged) == _SEMI_INFINITE_GOLDEN[name]
+
+
 def test_add_terms_sum_rule():
     # divisors 1, 2 and 4; the second term did not converge
     first = (1.0, 1e-3, 3, True)
@@ -188,7 +236,7 @@ def test_preconditions():
     with pytest.raises(ValueError):
         integrate(np.sin, 1.0, 0.0)
     with pytest.raises(ValueError):
-        integrate(np.sin, 0.0, np.inf)
+        integrate(np.sin, 0.0, -np.inf)
     with pytest.raises(ValueError):
         QuadSpec(rel_tol=-1.0)
     with pytest.raises(ValueError):

@@ -286,6 +286,14 @@ class TestValidation:
         with pytest.raises(UnsupportedDataError):
             solve_grid("HDD", Params(1, 1, 1, 3), pc, XP, XN, 1.0)
 
+    @pytest.mark.parametrize("alpha", [2.0, 2.5, math.inf, -math.inf, math.nan])
+    def test_power_cutoff_alpha_rejected(self, alpha):
+        # |y|^(-alpha) is not integrable on the unit half-disc for alpha >= 2;
+        # alpha = 2 used to return 18.86 and 2.5 return 1.9e31, unconverged,
+        # and NaN to fail only after the quadrature
+        with pytest.raises(ValueError, match="^power_cutoff profile needs a finite alpha < 2$"):
+            NormalProfile("power_cutoff", alpha=alpha)
+
     def test_negative_normal_rejected(self):
         with pytest.raises(ValueError):
             solve_grid("HDD", P111, ONES, [0.0], [-0.5], 1.0)
