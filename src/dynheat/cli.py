@@ -409,11 +409,14 @@ def cmd_solve(c, out, args):
             rows.append(_param_cols(p, c.theta) +
                         [c.tag, repr(t), repr(float(xpi)), repr(float(xni)),
                          repr(float(val)), repr(err), bool(conv)])
-    write_csv(os.path.join(out, "solve.csv"),
+    # named after the config file up to its first dot, so that several solve
+    # configs run into one output directory each keep their rows
+    stem = os.path.basename(args.config).split(".")[0] or "solve"
+    write_csv(os.path.join(out, f"{stem}.csv"),
               _PARAM_HEADER + ["tag", "t", "x_tangential", "x_normal", "value",
                                "error", "converged"],
               rows)
-    print(f"solve: wrote {len(rows)} values")
+    print(f"solve: wrote {len(rows)} values to {stem}.csv")
     return 0 if _verdict(True, converged, args) else 1
 
 

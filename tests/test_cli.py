@@ -168,6 +168,19 @@ class TestSolveCommand:
             "times": [1.0]})
         assert rc == 2
 
+    def test_configs_run_into_one_out_keep_their_rows(self, tmp_path, capsys):
+        # each CSV is named after its config file, up to the first dot
+        out = tmp_path / "out"
+        for name, t in (("solve_a.json", 0.5), ("solve_b.v2.json", 1.0)):
+            (tmp_path / name).write_text(json.dumps(
+                {**_SOLVE, "tag": "LD", "data": _GAUSS, "times": [t]}))
+            assert main(["solve", "--config", str(tmp_path / name), "--out", str(out)]) == 0
+        assert sorted(f.name for f in out.iterdir()) == ["solve_a.csv", "solve_b.csv"]
+        for name, t in (("solve_a.csv", 0.5), ("solve_b.csv", 1.0)):
+            row = (out / name).read_text().splitlines()[1].split(",")
+            assert row[6] == repr(t)
+        assert "wrote 1 values to solve_b.csv" in capsys.readouterr().out
+
 
 class TestChecks:
     def test_mass_check_small_grid(self, tmp_path):

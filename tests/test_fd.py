@@ -88,7 +88,7 @@ class TestBasics:
 class TestOperator:
     """L against the stencil it encodes, applied to a random field that is
     zero on the clamped sides j = 0, j = nx and i = nz.  The solver holds L
-    in the orthonormal sine basis along x, mode-major; the stencil works on
+    in the orthonormal sine basis along x, row-major; the stencil works on
     physical (nz, nx-1) fields, rows i = 0..nz-1 and columns j = 1..nx-1."""
 
     # integer parameters, as a JSON config gives them, must not truncate
@@ -114,8 +114,8 @@ class TestOperator:
 
     @staticmethod
     def modes(u):
-        """Physical (nz, nx-1) field -> mode-major sine coefficients."""
-        return dst(u, type=1, norm="ortho", axis=1).T.ravel()
+        """Physical (nz, nx-1) field -> row-major sine coefficients."""
+        return dst(u, type=1, norm="ortho", axis=1).ravel()
 
     def test_operator_matches_stencil(self):
         rng = np.random.default_rng(5)
@@ -127,7 +127,7 @@ class TestOperator:
         v = self.modes(u)
         assert np.max(np.abs(L @ v - want)) <= 1e-12 * np.max(np.abs(want))
         # the capacity is constant along x, so it is the same in either basis
-        assert np.array_equal(mdiag, m_want.T.ravel())
+        assert np.array_equal(mdiag, m_want.ravel())
         lhs, mdt2 = _operators(self.P, g)
         # lhs = M/dt - L/2 and mdt2 = 2M/dt, so the step's right side
         # M/dt + L/2 is mdt2 - lhs and the two give back L
@@ -135,7 +135,18 @@ class TestOperator:
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         # lhs couples no two modes (Lx is diagonal in the sine basis)
         rows, cols = lhs.nonzero()
-        assert np.array_equal(rows // g.nz, cols // g.nz)
+        assert np.array_equal(rows % (g.nx - 1), cols % (g.nx - 1))
+
+    def test_lhs_couples_rows_only(self):
+        # row-major, each off-diagonal entry couples one mode of two
+        # neighbouring rows, nx-1 apart and never adjacent, so the LU's
+        # substitutions run nx-1 independent chains side by side
+        g = FdGrid(Lx=3.0, Lz=2.0, nx=12, nz=7, dt=0.5)
+        lhs, _ = _operators(self.P, g)
+        rows, cols = lhs.nonzero()
+        off = rows != cols
+        assert np.count_nonzero(off) == 2 * (g.nz - 1) * (g.nx - 1)
+        assert np.all(np.abs(rows[off] - cols[off]) == g.nx - 1)
 
 
 class TestSineBasis:
