@@ -41,7 +41,7 @@ from .kernels import (
     poisson_kernel,
     tangential_offset,
 )
-from .quadrature import DEFAULT_SPEC, EvaluationError, QuadSpec
+from .quadrature import DEFAULT_SPEC, EvaluationError, QuadSpec, _time
 from .solutions import PROBLEM_TAGS, first_axis, solve_grid
 from .verification import _DIM_AXIS, _PARAM_AXIS, _T_AXIS, _XN_AXIS, _mass_grid, _worst
 from .verification import (
@@ -67,8 +67,8 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 #
 # A kind is a function (value, where) -> typed value that raises ConfigError.
-# Value ranges are left to the library constructors and validators; a sign
-# rule appears only where the library has no clean check of its own.
+# Value ranges are left to the library constructors, validators and time
+# rule (a ValueError); the CLI has no sign rule of its own.
 
 def _finite(v, where):
     """A finite JSON number, returned as written (theta and the opnorm
@@ -108,16 +108,9 @@ def _bool(v, where):
     return v
 
 
-def _nonneg(v, where):
-    if _num(v, where) < 0:
-        raise ConfigError(f"{where} must be nonnegative")
-    return float(v)
-
-
-def _positive(v, where):
-    if _num(v, where) <= 0:
-        raise ConfigError(f"{where} must be positive")
-    return float(v)
+def _kernel_time(v, where):
+    """eval-kernel's t under the time rule, 0 admitted (the Poisson kernel does not read it)."""
+    return float(_time(_num(v, where), where, zero=True))
 
 
 def _exponent(v, where):
@@ -207,14 +200,14 @@ _TABLE = {
 _COMMAND_KEYS = {
     "eval-kernel": {
         "kernel": (_choice(_KERNELS), _REQUIRED), "params": (_block("params"), {}),
-        "theta": (_finite, None), "t": (_nonneg, _REQUIRED),
+        "theta": (_finite, None), "t": (_kernel_time, _REQUIRED),
         "x": (_block("point"), _REQUIRED), "y": (_block("point"), {"normal": 0.0}),
         "quad": (_block("quad"), {}), "d": (_int, 1)},
     # criterion 1: the mass identity's axes and tolerance
     "mass-check": {
         "epsilon": (_list(_num), list(_PARAM_AXIS)), "delta": (_list(_num), list(_PARAM_AXIS)),
         "kappa": (_list(_num), list(_PARAM_AXIS)), "dim": (_list(_int), list(_DIM_AXIS)),
-        "x_n": (_list(_nonneg), list(_XN_AXIS)), "t": (_list(_positive), list(_T_AXIS)),
+        "x_n": (_list(_num), list(_XN_AXIS)), "t": (_list(_num), list(_T_AXIS)),
         "tol": (_num, IDENTITIES["mass"][1]), "quad": (_block("quad"), {})},
     "identity-suite": {
         "identities": (_list(_choice(IDENTITIES)), sorted(IDENTITIES)),

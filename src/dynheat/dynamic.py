@@ -52,6 +52,7 @@ from .quadrature import (
     _adaptive,
     _finalize,
     _halves,
+    _time,
     add_terms,
     integrate_nested,
     TAIL_EXPONENT,
@@ -247,20 +248,13 @@ def _pointwise_tan(dim, r):
     return fn
 
 
-def _check_time(t, t_zero=False):
-    """ValueError unless 0 < t < inf (0 <= t when ``t_zero``); each test is
-    written so that a NaN fails it."""
-    if not (0.0 <= t if t_zero else 0.0 < t) or not t < math.inf:
-        raise ValueError("time must be finite and " + ("nonnegative" if t_zero else "positive"))
-
-
 def exchange_log_grid(p: Params, r, s, t: float, spec: QuadSpec = DEFAULT_SPEC):
     """log of the exchange kernel on arrays of (r, s) pairs at fixed t,
     each component framed and shifted by ``_frame``.  Returns (log_values,
     rel_errors, subdivisions, converged); values of exactly zero map to
     -inf.
     """
-    _check_time(t)
+    _time(t)
     r, s = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(s, dtype=float))
     shape, r, s = r.shape, r.ravel(), s.ravel()
 
@@ -363,6 +357,7 @@ def heat_neumann_grid(p: Params, r, xn, yn, t: float, spec: QuadSpec = DEFAULT_S
     ``hdn_batch``; reads epsilon, kappa and the dimension of ``p``.
     Returns (values, errors, subdivisions, converged) in the broadcast
     shape."""
+    _time(t)
     r, xn, yn = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (r, xn, yn)))
     vals, errs, nsub, conv = hdn_batch(p.epsilon, p.kappa, p.dim, (xn + yn).ravel(), t, spec,
                                        _pointwise_tan(p.dim, r.ravel()))
@@ -377,7 +372,6 @@ def heat_neumann_kernel(epsilon: float, kappa: float, x: HalfSpacePoint,
     Neumann boundary condition.  The parameters are checked as a
     ``Params`` with delta = 1, which the kernel does not read."""
     p = Params(epsilon, 1.0, kappa, dim)
-    _check_time(t)
     r = tangential_offset(x, y, p.dim)
     return _finalize(*heat_neumann_grid(p, [r], [x.normal], [y.normal], t, spec))
 
@@ -402,8 +396,9 @@ def gauss_layer_batch(dim, z, A, spec, tan_fn):
     range.
     """
     z = np.asarray(z, dtype=float).ravel()
-    if np.any(z <= 0):
-        raise SingularConfigurationError("normal offset must be positive")
+    if not np.all(z > 0):  # written so that NaN fails
+        raise SingularConfigurationError("kernel degenerates to a point mass at "
+                                         "normal offset z = x_N + y_N + t/delta <= 0")
     w_max = math.sqrt(TAIL_EXPONENT)
     log_pref = math.log(2.0 / math.sqrt(math.pi))
 
@@ -425,14 +420,11 @@ def laplace_dynamic_kernel(delta: float, kappa: float, x: HalfSpacePoint,
     parameters are checked as a ``Params`` with epsilon = 1, which the
     kernel does not read."""
     p = Params(1.0, delta, kappa, dim)
-    _check_time(t, t_zero=True)
-    z = x.normal + y.normal + t / p.delta
-    if z <= 0:
-        raise SingularConfigurationError(
-            "kernel degenerates to a point mass at x_N + y_N + t/delta = 0")
+    _time(t, zero=True)
     r = tangential_offset(x, y, p.dim)
     tan = _pointwise_tan(p.dim, np.array([r]))
-    return _finalize(*gauss_layer_batch(p.dim, [z], p.kappa * t / p.delta, spec, tan))
+    return _finalize(*gauss_layer_batch(p.dim, [x.normal + y.normal + t / p.delta],
+                                        p.kappa * t / p.delta, spec, tan))
 
 
 def dirichlet_layer_batch(eps, dim, xn, t, theta, spec, tan_fn):
@@ -468,7 +460,7 @@ def dirichlet_layer_kernel(p: Params, theta: float, x: HalfSpacePoint,
     """Kernel carrying diffusing boundary data into the bulk through the
     absorbing-boundary heat flow (the second point is read as a boundary
     point; its normal part is ignored)."""
-    _check_time(t)
+    _time(t)
     if not theta > 0:
         raise ValueError("theta must be positive")
     if x.normal == 0.0:
@@ -525,7 +517,7 @@ def envelope_log(p: Params, r, s, t):
 def envelope(p: Params, x: HalfSpacePoint, y: HalfSpacePoint, t: float) -> Envelope:
     """Upper and lower envelopes of the exchange kernel at (x, y, t), and
     the region D1-D4 that (x_N + y_N, t) lies in."""
-    _check_time(t)
+    _time(t)
     r = tangential_offset(x, y, p.dim)
     lu, ll, tag = envelope_log(p, r, x.normal + y.normal, t)
     return Envelope(exp_flush(lu), exp_flush(ll), tag)
@@ -535,12 +527,12 @@ def envelope(p: Params, x: HalfSpacePoint, y: HalfSpacePoint, t: float) -> Envel
 # marginal masses and total-mass checks
 # ---------------------------------------------------------------------------
 
-def _check_xn_t(xn, t, t_zero=False):
+def _check_xn_t(xn, t, zero=False):
     """ValueError unless 0 <= x_N < inf (a NaN fails it) and ``t`` passes
-    ``_check_time``."""
+    the time rule ``_time``."""
     if not 0.0 <= xn < math.inf:
         raise ValueError("x_N must be finite and nonnegative")
-    _check_time(t, t_zero)
+    _time(t, zero=zero)
 
 
 def exchange_marginal_boundary(p: Params, xn: float, t: float,
@@ -655,13 +647,10 @@ def laplace_dynamic_mass(p: Params, xn: float, t: float,
     unbounded (1 + r)^2 |S^(N-2)| r^(N-2), so an absolute inner tolerance
     would not bound the error carried into the outer sum.  Reads delta,
     kappa and the dimension of ``p``."""
-    _check_xn_t(xn, t, t_zero=True)
-    z = xn + t / p.delta
-    if z <= 0:
-        raise SingularConfigurationError("x_N + t/delta must be positive")
+    _check_xn_t(xn, t, zero=True)
     inner_spec = replace(spec, abs_tol=1e-300)
     f = _area_weighted(p.dim, lambda rs, _: gauss_layer_batch(
-        p.dim, np.full(rs.size, z), p.kappa * t / p.delta, inner_spec,
+        p.dim, np.full(rs.size, xn + t / p.delta), p.kappa * t / p.delta, inner_spec,
         _pointwise_tan(p.dim, rs)))
     return integrate_nested(lambda rs: f(rs, None), 0.0, np.inf, spec)
 

@@ -11,7 +11,9 @@ discretisation obtained by eliminating the O(h) error of the two-point
 flux with the interior equation itself.  It shifts the wall capacity by
 eps*h/2 (the trapezoidal half-cell) and the surface diffusivity by h/2,
 couples only the first interior row, and conserves the discrete total
-mass to round-off.
+mass to round-off.  The wall node starts with the mass that capacity
+stands for (``_initial_state``), so the scheme stays second order for data
+that touch the wall.
 
 The semi-discrete system is M du/dt = L u with L = Lx + Lz: Lx is the
 Dirichlet 3-point Laplacian along each row (scaled by the surface
@@ -52,7 +54,6 @@ tracer may wrap it): ``fd_solve`` calls ``splu`` through whatever
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass, field
 
@@ -60,7 +61,7 @@ import numpy as np
 
 from .data import InitialData, boundary_value, interior_value
 from .kernels import Params
-from .quadrature import _count, _finite
+from .quadrature import _count, _finite, _time
 
 __all__ = ["FdGrid", "FdResult", "SchemeError", "fd_solve", "discrete_mass", "compare"]
 
@@ -121,6 +122,15 @@ class FdGrid:
     def z_nodes(self) -> np.ndarray:
         return self.hz * np.arange(self.nz + 1)
 
+    def step(self, t: float, name: str = "t") -> int:
+        """The step n of the time ``t`` on the clock n dt: the time rule
+        (t = 0 admitted), then ``t`` within 1e-9 max(1, t) of n dt, the one
+        tolerance of the clock; ValueError naming ``name`` otherwise."""
+        n = round(_time(t, name, zero=True) / self.dt)
+        if abs(n * self.dt - t) > 1e-9 * max(1.0, t):
+            raise ValueError(f"{name} must fall on multiples of dt, got {t!r}")
+        return n
+
 
 @dataclass
 class FdResult:
@@ -131,8 +141,10 @@ class FdResult:
     masses: list = field(default_factory=list)
 
     def field_at(self, t: float) -> np.ndarray:
+        """The field stored at the step of ``t`` (``FdGrid.step``)."""
+        n = self.grid.step(t)
         for tt, f in zip(self.times, self.fields):
-            if abs(tt - t) < 1e-12:
+            if self.grid.step(tt) == n:
                 return f
         raise KeyError(f"no snapshot stored at t={t}")
 
@@ -193,14 +205,22 @@ def _operators(p: Params, grid: FdGrid):
 
 
 def _initial_state(p: Params, data: InitialData, grid: FdGrid) -> np.ndarray:
+    """The nodal start: phi on the bulk rows and, on the wall row,
+    (delta psi + (eps hz/2) phi(x, 0)) / (delta + eps hz/2), the boundary
+    mass plus the bulk's trapezoidal half-cell over the wall capacity of
+    ``_wall``; a phi singular at the wall (a power cutoff) adds no
+    half-cell at that node."""
     xs = grid.x_nodes()
     zs = grid.z_nodes()
     u = np.zeros((grid.nz + 1, grid.nx + 1))
     off = np.abs(xs[None, 1:-1] - data.interior.center)
     if data.interior.kind != "zero":
-        u[1:-1, 1:-1] = interior_value(data.interior, off, zs[1:-1, None], p.dim)
+        u[:-1, 1:-1] = interior_value(data.interior, off, zs[:-1, None], p.dim)
     offb = np.abs(xs[1:-1] - data.boundary.center)
-    u[0, 1:-1] = boundary_value(data.boundary, offb, p.dim)
+    half = p.epsilon * grid.hz / 2.0
+    phi0 = np.where(np.isfinite(u[0, 1:-1]), u[0, 1:-1], 0.0)
+    u[0, 1:-1] = (p.delta * boundary_value(data.boundary, offb, p.dim) + half * phi0) \
+        / _wall(p, grid)[0]
     return u
 
 
@@ -220,26 +240,15 @@ def fd_solve(p: Params, data: InitialData, grid: FdGrid, t_end: float,
     """March the coupled bulk/boundary system to ``t_end``.
 
     ``snapshots`` is a list of times at which fields are stored (always
-    includes ``t_end``); each must be a multiple of dt, and 0 stores the
-    initial state.
+    includes ``t_end``); each goes through ``FdGrid.step``, as
+    ``FdResult.field_at`` does, and 0 stores the initial state.
     """
     if p.dim != 2:
         raise ValueError("the finite-difference oracle is two-dimensional")
-    if not 0.0 <= t_end < math.inf:  # written so that NaN fails
-        raise ValueError(f"t_end must be finite and nonnegative, got {t_end!r}")
-    for t in snapshots or []:
-        if not math.isfinite(t):
-            raise ValueError(f"snapshots must be finite, got {t!r}")
-    nsteps = int(round(t_end / grid.dt))
-    if abs(nsteps * grid.dt - t_end) > 1e-9 * max(1.0, t_end):
-        raise ValueError("t_end must be a multiple of dt")
-    want = sorted(set([round(t / grid.dt) for t in (snapshots or [])] + [nsteps]))
-    for w in want:
-        if w < 0 or w > nsteps:
-            raise ValueError("snapshot outside [0, t_end]")
-    for t in snapshots or []:
-        if abs(round(t / grid.dt) * grid.dt - t) >= 1e-12:
-            raise ValueError("snapshots must be multiples of dt")
+    nsteps = grid.step(t_end, "t_end")
+    want = {grid.step(t, "snapshots") for t in snapshots or []} | {nsteps}
+    if max(want) > nsteps:
+        raise ValueError("snapshot outside [0, t_end]")
     u = _initial_state(p, data, grid)
     res = FdResult(grid, p, [], [])
     limit = 10.0 * max(1.0, float(np.max(np.abs(u))))

@@ -134,6 +134,14 @@ def _count(value, name):
     return value
 
 
+def _time(value, name="time", zero=False):
+    """``value`` if it is a finite time, > 0 (>= 0 when ``zero``): the one
+    time rule of every layer.  Each test is written so that NaN fails it."""
+    if not (0.0 <= value if zero else 0.0 < value) or not value < math.inf:
+        raise ValueError(f"{name} must be finite and " + ("nonnegative" if zero else "positive"))
+    return value
+
+
 @dataclass(frozen=True)
 class QuadSpec:
     """Tolerance contract for one integral."""

@@ -38,7 +38,6 @@ from .data import (
     tan_conv,
 )
 from .dynamic import (
-    _check_time,
     dirichlet_layer_batch,
     exchange_weighted,
     fundamental_grid,
@@ -57,6 +56,7 @@ from .quadrature import (
     integrate,
     integrate_nested,
     TAIL_EXPONENT,
+    _time,
 )
 
 __all__ = [
@@ -276,7 +276,7 @@ def _solve(tag, p: Params, data: InitialData, xp, xn, t, spec, theta):
     _validate(tag, p, data, theta)
     if tag in ("HD", "LD"):  # the kappa = 0 aliases
         return _solve(tag + "D", replace(p, kappa=0.0), data, xp, xn, t, spec, theta)
-    _check_time(t)
+    _time(t)
     xp = np.atleast_1d(np.asarray(xp, dtype=float))
     xn = np.atleast_1d(np.asarray(xn, dtype=float))
     if xp.shape != xn.shape:

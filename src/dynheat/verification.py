@@ -11,6 +11,7 @@ and are documented per experiment in ``EXPERIMENTS``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -19,6 +20,7 @@ import numpy as np
 
 from .data import Boundary, InitialData, Interior, NormalProfile, interior_value
 from .dynamic import (
+    _check_xn_t,
     dirichlet_layer_kernel,
     envelope_log,
     exchange_log_grid,
@@ -43,7 +45,7 @@ from .kernels import (
     neumann_kernel,
     poisson_kernel,
 )
-from .quadrature import DEFAULT_SPEC, TAIL_EXPONENT, QuadSpec, integrate, integrate_nested
+from .quadrature import DEFAULT_SPEC, TAIL_EXPONENT, QuadSpec, _time, integrate, integrate_nested
 from .solutions import _BOUNDARY_ONLY, _INTERIOR_ONLY, solve_grid
 
 __all__ = [
@@ -378,8 +380,11 @@ _T_AXIS = (0.1, 1.0, 10.0)
 def _mass_grid(spec, epsilon=_PARAM_AXIS, delta=_PARAM_AXIS, kappa=_PARAM_AXIS,
                dim=_DIM_AXIS, x_n=_XN_AXIS, t=_T_AXIS):
     """Criterion 1's grid: (p, x_N, t, ``total_mass`` result) for every
-    combination of the axes, N outermost and t innermost."""
+    combination of the axes, N outermost and t innermost; every (x_N, t)
+    is checked before the first ``total_mass`` call."""
     grid = [Params(e, d, k, n) for n in dim for e in epsilon for d in delta for k in kappa]
+    for xn, s in itertools.product(x_n, t):
+        _check_xn_t(xn, s)
     return [(p, xn, s, total_mass(p, xn, s, spec)) for p in grid for xn in x_n for s in t]
 
 
@@ -725,7 +730,7 @@ def sandwich_check(p: Params | None = None, n_per_region: int = 500,
 
 def witness_norm(p_exp: float, eps: float, t, dim: int = 2) -> float:
     """Closed Lebesgue norm of the witness profile at time t."""
-    t = float(t)
+    t = float(_time(t))
     T = t / eps
     if p_exp == math.inf:
         return (eps / (2.0 * t)) * math.sqrt(2.0 * T) \
@@ -773,6 +778,8 @@ def opnorm_decay(p_exp: float, q_exp: float, p: Params | None = None,
     if p_exp < q_exp < math.inf:
         raise ValueError("opnorm_decay supports p == q or q = inf: the probe grid "
                          "gives no L^q norm for finite q")
+    for t in t_ladder:
+        _time(t, "t_ladder")
     p = p or Params(1.0, 1.0, 1.0, 2)
     xp, xn, _ = probe_points("omega_L_I")
     ones = InitialData(Interior("constant", c=1.0), Boundary("constant", c=1.0))
@@ -812,8 +819,10 @@ def oracle_compare(p: Params, data: InitialData, grid: FdGrid, times,
     ``FdResult``.
     """
     # checked here, not by solve_grid, so that bad times fail before the march
-    if len(times) == 0 or not all(t > 0 for t in times):
-        raise ValueError("oracle times must be non-empty and positive")
+    if len(times) == 0:
+        raise ValueError("oracle times must be non-empty")
+    for t in times:
+        _time(t, "oracle times")
     res = fd_solve(p, data, grid, max(times), snapshots=times)
     xs, zs = grid.x_nodes(), grid.z_nodes()
     jj = np.nonzero(np.abs(xs) <= window[0])[0]

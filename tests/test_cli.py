@@ -379,6 +379,25 @@ def test_bad_config_exits_2(tmp_path, capsys, command, cfg):
     assert not written
 
 
+@pytest.mark.parametrize("command,cfg,message", [
+    ("opnorm", {"p": 1, "q": "inf", "t_ladder": [0, 1, 2, 4]},
+     "error: t_ladder must be finite and positive"),
+    ("mass-check", {"epsilon": [1.0], "delta": [1.0], "kappa": [1.0], "dim": [2],
+                    "x_n": [0.5], "t": [1.0, 0.0]}, "error: time must be finite and positive"),
+    ("eval-kernel", {"kernel": "poisson", "t": -1, "x": {"normal": 1.0}},
+     "error: config.t must be finite and nonnegative"),
+], ids=["opnorm-ladder-zero", "mass-t-zero-last", "eval-poisson-t-negative"])
+def test_bad_time_named_by_the_time_rule(tmp_path, capsys, monkeypatch, command, cfg, message):
+    # one time rule for every entry point, before any mass is computed
+    def total_mass(*args, **kwargs):
+        raise AssertionError("total_mass ran")
+
+    monkeypatch.setattr(verification, "total_mass", total_mass)
+    rc, written = _run_in(str(tmp_path), command, cfg)
+    assert rc == 2 and not written
+    assert capsys.readouterr().err.splitlines() == [message]
+
+
 def test_report_lists_failed_run_with_nan(tmp_path):
     (tmp_path / "bounds_check.summary.json").write_text(
         '{"experiment": "bounds-check", "stability": NaN, "upper_constant": Infinity,'

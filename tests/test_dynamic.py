@@ -674,11 +674,13 @@ def test_nan_input_is_rejected(call):
     lambda t: exchange_kernel(P111, _X, _Y, t),
     lambda t: fundamental_kernel(P111, _X, _Y, t),
     lambda t: exchange_log_grid(P111, [0.0], [0.5], t),
+    lambda t: heat_neumann_grid(P111, [0.0], [0.5], [0.0], t),
     lambda t: heat_neumann_kernel(1.0, 1.0, _X, _Y, t),
     lambda t: laplace_dynamic_kernel(1.0, 1.0, _X, _Y, t),
     lambda t: dirichlet_layer_kernel(P111, 1.0, _X, _Y, t),
     lambda t: envelope(P111, _X, _Y, t),
-], ids=["exchange", "fundamental", "exchange-grid", "hdn", "ldd", "layer", "envelope"])
+], ids=["exchange", "fundamental", "exchange-grid", "hdn-grid", "hdn", "ldd", "layer",
+        "envelope"])
 def test_pointwise_kernel_rejects_nonfinite_time(kernel, t):
     # as the mass entry points do: t = inf used to warn and raise
     # EvaluationError, return 0.0 converged or give 0/0 envelopes

@@ -8,7 +8,8 @@ import scipy.sparse.linalg as spla
 from scipy.fft import dst
 
 from dynheat import fdsolver, verification
-from dynheat.data import Boundary, InitialData, Interior
+from dynheat.data import (Boundary, InitialData, Interior, NormalProfile, boundary_value,
+                          interior_value)
 from dynheat.fdsolver import FdGrid, SchemeError, compare, discrete_mass, fd_solve
 from dynheat.fdsolver import _assemble, _initial_state, _operators
 from dynheat.kernels import Params
@@ -83,6 +84,63 @@ class TestBasics:
         assert np.array_equal(res.field_at(0.0), u0)
         assert res.masses[0] == discrete_mass(P111, g, u0)
         assert fd_solve(P111, GAUSS_PSI, g, 0.0).times == [0.0]
+
+    def test_accepted_times_are_found(self):
+        # t_end, the snapshots and field_at share FdGrid.step: a time within
+        # the clock's tolerance of a step is stored at that step, and found
+        g = FdGrid(Lx=4.0, Lz=4.0, nx=16, nz=16, dt=0.01)
+        t = 0.1 + 5e-10
+        res = fd_solve(P111, GAUSS_PSI, g, t)
+        assert res.times == [10 * g.dt]
+        assert res.field_at(t) is res.field_at(0.1)
+        res = fd_solve(P111, GAUSS_PSI, g, t, snapshots=[0.05, t])
+        assert res.times == [5 * g.dt, 10 * g.dt]
+        assert res.field_at(t) is res.fields[-1]
+        with pytest.raises(KeyError, match="no snapshot stored"):
+            res.field_at(0.07)
+
+    @pytest.mark.parametrize("t, match", [
+        (math.nan, "^t must be finite and nonnegative$"),
+        (math.inf, "^t must be finite and nonnegative$"),
+        (-0.01, "^t must be finite and nonnegative$"),
+        (0.105, "^t must fall on multiples of dt"),
+        (0.1 + 2e-9, "^t must fall on multiples of dt"),
+    ], ids=["nan", "inf", "negative", "half-step", "beyond-tolerance"])
+    def test_step_rule(self, t, match):
+        g = FdGrid(nx=8, nz=8, dt=0.01)
+        assert g.step(0.0) == 0 and g.step(0.1) == 10
+        with pytest.raises(ValueError, match=match):
+            g.step(t)
+        res = fd_solve(P111, GAUSS_PSI, g, 0.1)
+        with pytest.raises(ValueError, match=match):
+            res.field_at(t)
+
+    def test_initial_mass_is_boundary_plus_trapezoidal_bulk(self):
+        # the wall node holds delta psi plus the bulk's half-cell
+        # (eps hz/2) phi(x, 0), which the wall capacity delta + eps hz/2 stands for
+        p = Params(0.5, 2.0, 1.0, 2)
+        data = InitialData(Interior("heat_gaussian", a=0.5,
+                                    normal=NormalProfile("gaussian", m=0.0, b=0.2)),
+                           Boundary("heat_gaussian", a=0.5))
+        g = FdGrid(nx=32, nz=32)
+        xs, zs = np.abs(g.x_nodes()[1:-1]), g.z_nodes()[:-1]
+        phi = interior_value(data.interior, xs[None, :], zs[:, None], 2)
+        psi = boundary_value(data.boundary, xs, 2)
+        bulk = p.epsilon * g.hx * g.hz * (phi[1:].sum() + phi[0].sum() / 2.0)
+        line = p.delta * g.hx * psi.sum()
+        u0 = _initial_state(p, data, g)
+        assert discrete_mass(p, g, u0) == pytest.approx(bulk + line, rel=1e-13)
+        assert np.array_equal(u0[1:-1, 1:-1], phi[1:])
+
+    def test_power_cutoff_singular_at_the_wall_starts_finite(self):
+        # |y|^(-alpha) is infinite at the node x = 0 of the wall row: that
+        # node gets no half-cell, and the march stays finite
+        data = InitialData(Interior("heat_gaussian", a=0.5,
+                                    normal=NormalProfile("power_cutoff", alpha=0.5)))
+        g = FdGrid(nx=16, nz=16, dt=1e-2)
+        assert 0.0 in g.x_nodes()
+        res = fd_solve(P111, data, g, 0.5)
+        assert all(np.all(np.isfinite(f)) for f in res.fields)
 
 
 class TestOperator:
@@ -270,7 +328,8 @@ class TestAgreementAndOrder:
             raise AssertionError("fd_solve ran")
 
         monkeypatch.setattr(verification, "fd_solve", fd_solve)
-        with pytest.raises(ValueError, match="non-empty and positive"):
+        with pytest.raises(ValueError,
+                           match="^oracle times must be (non-empty|finite and positive)$"):
             oracle_compare(P111, GAUSS_PSI, FdGrid(nx=8, nz=8), times)
 
     def test_compare_requires_matching_windows(self):

@@ -7,6 +7,7 @@ import pytest
 
 import dynheat.verification as verification
 from dynheat.kernels import Params
+from dynheat.quadrature import QuadSpec
 from dynheat.solutions import solve_grid
 from dynheat.verification import (
     EXPERIMENTS,
@@ -279,3 +280,35 @@ class TestOpnorm:
     def test_rejects_p_below_one(self, p_exp):
         with pytest.raises(ValueError, match="1 <= p <= q"):
             opnorm_decay(p_exp, math.inf)
+
+    @pytest.mark.parametrize("ladder", [(0.0, 1.0, 2.0, 4.0), (1.0, 2.0, 4.0, math.nan)],
+                             ids=["zero-first", "nan-last"])
+    def test_rejects_bad_times_before_any_solve(self, monkeypatch, ladder):
+        def solve_grid(*args, **kwargs):
+            raise AssertionError("solve_grid ran")
+
+        monkeypatch.setattr(verification, "solve_grid", solve_grid)
+        with pytest.raises(ValueError, match="^t_ladder must be finite and positive$"):
+            opnorm_decay(1.0, math.inf, t_ladder=ladder)
+
+    @pytest.mark.parametrize("p_exp", [1.0, 2.0, math.inf])
+    @pytest.mark.parametrize("t", [-1.0, 0.0, math.nan, math.inf])
+    def test_witness_norm_rejects_bad_time(self, p_exp, t):
+        # once a complex number at t < 0, a ZeroDivisionError at t = 0
+        with pytest.raises(ValueError, match="^time must be finite and positive$"):
+            witness_norm(p_exp, 1.0, t)
+
+
+class TestMassGrid:
+    @pytest.mark.parametrize("axes, match", [
+        ({"t": (1.0, 0.0)}, "^time must be finite and positive$"),
+        ({"t": (1.0, math.nan)}, "^time must be finite and positive$"),
+        ({"x_n": (0.5, -1.0)}, "^x_N must be finite and nonnegative$"),
+    ], ids=["t-zero-last", "t-nan-last", "x_n-negative-last"])
+    def test_axes_checked_before_the_first_mass(self, monkeypatch, axes, match):
+        def total_mass(*args, **kwargs):
+            raise AssertionError("total_mass ran")
+
+        monkeypatch.setattr(verification, "total_mass", total_mass)
+        with pytest.raises(ValueError, match=match):
+            verification._mass_grid(QuadSpec(), **axes)
