@@ -528,10 +528,9 @@ def envelope(p: Params, x: HalfSpacePoint, y: HalfSpacePoint, t: float) -> Envel
 # ---------------------------------------------------------------------------
 
 def _check_xn_t(xn, t, zero=False):
-    """ValueError unless 0 <= x_N < inf (a NaN fails it) and ``t`` passes
-    the time rule ``_time``."""
-    if not 0.0 <= xn < math.inf:
-        raise ValueError("x_N must be finite and nonnegative")
+    """The time rule ``_time`` on ``t``, and its finite, nonnegative form
+    on the normal coordinate ``xn``."""
+    _time(xn, "x_N", zero=True)
     _time(t, zero=zero)
 
 

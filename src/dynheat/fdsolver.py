@@ -141,10 +141,10 @@ class FdResult:
     masses: list = field(default_factory=list)
 
     def field_at(self, t: float) -> np.ndarray:
-        """The field stored at the step of ``t`` (``FdGrid.step``)."""
-        n = self.grid.step(t)
+        """The field stored at ``FdGrid.step(t) * dt``, exactly as stored."""
+        tn = self.grid.step(t) * self.grid.dt
         for tt, f in zip(self.times, self.fields):
-            if self.grid.step(tt) == n:
+            if tt == tn:
                 return f
         raise KeyError(f"no snapshot stored at t={t}")
 

@@ -11,7 +11,6 @@ and are documented per experiment in ``EXPERIMENTS``.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -20,7 +19,6 @@ import numpy as np
 
 from .data import Boundary, InitialData, Interior, NormalProfile, interior_value
 from .dynamic import (
-    _check_xn_t,
     dirichlet_layer_kernel,
     envelope_log,
     exchange_log_grid,
@@ -380,11 +378,13 @@ _T_AXIS = (0.1, 1.0, 10.0)
 def _mass_grid(spec, epsilon=_PARAM_AXIS, delta=_PARAM_AXIS, kappa=_PARAM_AXIS,
                dim=_DIM_AXIS, x_n=_XN_AXIS, t=_T_AXIS):
     """Criterion 1's grid: (p, x_N, t, ``total_mass`` result) for every
-    combination of the axes, N outermost and t innermost; every (x_N, t)
-    is checked before the first ``total_mass`` call."""
+    combination of the axes, N outermost and t innermost; every x_N and t
+    is checked, named by axis and index, before the first ``total_mass``."""
     grid = [Params(e, d, k, n) for n in dim for e in epsilon for d in delta for k in kappa]
-    for xn, s in itertools.product(x_n, t):
-        _check_xn_t(xn, s)
+    for i, xn in enumerate(x_n):
+        _time(xn, f"x_n[{i}]", zero=True)
+    for i, s in enumerate(t):
+        _time(s, f"t[{i}]")
     return [(p, xn, s, total_mass(p, xn, s, spec)) for p in grid for xn in x_n for s in t]
 
 

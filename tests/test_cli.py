@@ -383,7 +383,7 @@ def test_bad_config_exits_2(tmp_path, capsys, command, cfg):
     ("opnorm", {"p": 1, "q": "inf", "t_ladder": [0, 1, 2, 4]},
      "error: t_ladder must be finite and positive"),
     ("mass-check", {"epsilon": [1.0], "delta": [1.0], "kappa": [1.0], "dim": [2],
-                    "x_n": [0.5], "t": [1.0, 0.0]}, "error: time must be finite and positive"),
+                    "x_n": [0.5], "t": [1.0, 0.0]}, "error: t[1] must be finite and positive"),
     ("eval-kernel", {"kernel": "poisson", "t": -1, "x": {"normal": 1.0}},
      "error: config.t must be finite and nonnegative"),
 ], ids=["opnorm-ladder-zero", "mass-t-zero-last", "eval-poisson-t-negative"])

@@ -301,9 +301,9 @@ class TestOpnorm:
 
 class TestMassGrid:
     @pytest.mark.parametrize("axes, match", [
-        ({"t": (1.0, 0.0)}, "^time must be finite and positive$"),
-        ({"t": (1.0, math.nan)}, "^time must be finite and positive$"),
-        ({"x_n": (0.5, -1.0)}, "^x_N must be finite and nonnegative$"),
+        ({"t": (1.0, 0.0)}, r"^t\[1\] must be finite and positive$"),
+        ({"t": (1.0, math.nan)}, r"^t\[1\] must be finite and positive$"),
+        ({"x_n": (0.5, -1.0)}, r"^x_n\[1\] must be finite and nonnegative$"),
     ], ids=["t-zero-last", "t-nan-last", "x_n-negative-last"])
     def test_axes_checked_before_the_first_mass(self, monkeypatch, axes, match):
         def total_mass(*args, **kwargs):
