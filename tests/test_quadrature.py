@@ -426,6 +426,13 @@ def _kernel_golden_points():
         res = laplace_dynamic_kernel(delta, kappa, x, y, t, d)
         out.append((res.value.hex(), res.error_estimate.hex(), res.subdivisions_used,
                     res.converged))
+    # a 78-wide batch in which 5 components run one pass of the frame's zoom
+    # loop; its s = 0 column meets log(0)
+    logv, rel, nsub, conv = exchange_log_grid(
+        Params(0.5, 2, 0.5, 2), np.linspace(0, 6, 13)[:, None], [[0, 0.01, 0.1, 0.5, 1, 3]],
+        0.1)
+    hexes = " ".join(float(x).hex() for x in np.concatenate([logv.ravel(), rel.ravel()]))
+    out.append((hashlib.sha256(hexes.encode()).hexdigest()[:32], nsub, conv))
     return out
 
 
@@ -437,6 +444,7 @@ def test_kernel_golden():
     # the nearest double to a 40-digit quadrature of the same integral (the
     # 6 is the third heat_neumann_kernel row, converged on its seed halves),
     # and the first laplace_dynamic_kernel row, 1/(2 pi), within 1
+    # the last row pins a zoomed exchange batch by a sha256 prefix of float.hex
     assert _kernel_golden_points() == [
         ("-0x1.2572de5a2c2ddp+1", "0x1.42570d8563d0cp-41", 1, True),
         ("-0x1.08d3c4821772ap+3", "0x1.a05065d5ed87ep-39", 1, True),
@@ -447,6 +455,7 @@ def test_kernel_golden():
         ("0x1.45f306dc9c884p-3", "0x1.fc190d6e22853p-41", 1, True),
         ("0x1.72f44f8f98c10p-5", "0x1.d90815c72aedap-45", 2, True),
         ("0x1.38cdb2f4a85f1p-5", "0x1.6eea9e7d0d25ep-36", 1, True),
+        ("f5149c3ef7b93c1cb7ed34759cd38921", 5, True),
     ]
 
 
