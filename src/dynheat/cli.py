@@ -3,8 +3,9 @@ sweeps, limit experiments and oracle comparisons from a JSON config.
 
 Subcommands: eval-kernel, mass-check, identity-suite, solve, bounds-check,
 limit-rate, opnorm, oracle-compare, report.  Results are written as CSV
-tables (RFC-4180 quoting) and JSON summaries; identical configs produce
-byte-identical outputs.  Exit codes: 0 all checks passed, 1 a check
+tables (RFC-4180 quoting) and JSON summaries, named after the config file
+up to its first dot; identical configs produce byte-identical outputs.
+Exit codes: 0 all checks passed, 1 a check
 failed (reports are still written), 2 configuration or I/O error, or a
 value the library rejects.
 """
@@ -310,6 +311,15 @@ def _verdict(passed, converged, args):
     return bool(passed) and (bool(converged) or not args.strict)
 
 
+def _stem(args):
+    """The name of every output of a run: its config file's name up to the
+    first dot, so that several configs of one subcommand run into one
+    output directory each keep their outputs; without one, the
+    subcommand's name with underscores."""
+    stem = "" if args.config is None else os.path.basename(args.config).split(".")[0]
+    return stem or args.command.replace("-", "_")
+
+
 def _finish(out, stem, summary, line, passed, converged, args):
     """Write ``<stem>.summary.json`` with the verdict as ``pass``, print
     ``<line> -> PASS|FAIL`` and return the exit code."""
@@ -347,7 +357,7 @@ def cmd_eval_kernel(c, out, args):
         res = fn()
         value, converged = res.value, res.converged
     print(f"{kern} = {value!r}")
-    write_csv(os.path.join(out, "eval_kernel.csv"),
+    write_csv(os.path.join(out, f"{_stem(args)}.csv"),
               _PARAM_HEADER + ["kernel", "t", "value", "converged"],
               [_param_cols(p, c.theta) + [kern, repr(t), repr(value),
                                           bool(converged)]])
@@ -357,13 +367,14 @@ def cmd_eval_kernel(c, out, args):
 def cmd_mass_check(c, out, args):
     grid = _mass_grid(c.quad, c.epsilon, c.delta, c.kappa, c.dim, c.x_n, c.t)
     devs = [abs(res.value - 1.0) for *_, res in grid]
-    write_csv(os.path.join(out, "mass_check.csv"),
+    stem = _stem(args)
+    write_csv(os.path.join(out, f"{stem}.csv"),
               _PARAM_HEADER + ["theorem", "x_n", "t", "mass", "deviation"],
               [_param_cols(p) + ["total-mass identity", repr(xn), repr(t),
                                  repr(res.value), repr(dev)]
                for (p, xn, t, res), dev in zip(grid, devs)])
     max_dev = _worst(devs)
-    return _finish(out, "mass_check",
+    return _finish(out, stem,
                    {"experiment": "mass-check", "theorem": "total-mass identity",
                     "max_deviation": max_dev, "tolerance": c.tol},
                    f"mass-check: max deviation {max_dev:.3e} (tol {c.tol:g})",
@@ -376,11 +387,12 @@ def cmd_identity_suite(c, out, args):
         reps.append(rep := check_identity(name, c.quad, c.seed))
         print(f"identity {name}: max dev {rep.max_dev:.3e} (tol {rep.tol:g}) "
               f"-> {'PASS' if rep.passed else 'FAIL'}")
-    write_csv(os.path.join(out, "identity_suite.csv"),
+    stem = _stem(args)
+    write_csv(os.path.join(out, f"{stem}.csv"),
               ["identity", "statement", "tolerance", "max_deviation", "pass"],
               [[r.name, r.statement, repr(r.tol), repr(r.max_dev), r.passed] for r in reps])
     passed = all(r.passed for r in reps)
-    write_summary(os.path.join(out, "identity_suite.summary.json"),
+    write_summary(os.path.join(out, f"{stem}.summary.json"),
                   {"experiment": "identity-suite", "pass": passed,
                    "results": {r.name: {"statement": r.statement, "tolerance": r.tol,
                                         "max_deviation": r.max_dev, "pass": r.passed}
@@ -402,9 +414,7 @@ def cmd_solve(c, out, args):
             rows.append(_param_cols(p, c.theta) +
                         [c.tag, repr(t), repr(float(xpi)), repr(float(xni)),
                          repr(float(val)), repr(err), bool(conv)])
-    # named after the config file up to its first dot, so that several solve
-    # configs run into one output directory each keep their rows
-    stem = os.path.basename(args.config).split(".")[0] or "solve"
+    stem = _stem(args)
     write_csv(os.path.join(out, f"{stem}.csv"),
               _PARAM_HEADER + ["tag", "t", "x_tangential", "x_normal", "value",
                                "error", "converged"],
@@ -420,10 +430,11 @@ def cmd_bounds_check(c, out, args):
     rows = [_param_cols(p) + ["two-sided envelopes", tag,
                                  repr(v["upper_max"]), repr(v["lower_max"])]
             for tag, v in sorted(res.per_region.items())]
-    write_csv(os.path.join(out, "bounds_check.csv"),
+    stem = _stem(args)
+    write_csv(os.path.join(out, f"{stem}.csv"),
               _PARAM_HEADER + ["theorem", "region", "kernel_over_upper_max",
                                "lower_over_kernel_max"], rows)
-    return _finish(out, "bounds_check",
+    return _finish(out, stem,
                    {"experiment": "bounds-check",
                     "theorem": "two-sided envelope stability",
                     "upper_constant": res.upper_max, "lower_constant": res.lower_max,
@@ -442,9 +453,10 @@ def cmd_limit_rate(c, out, args):
     res = run_limit(exp, c.quad)
     rows = [[res.which, res.theorem, repr(float(h)), repr(float(e))]
             for h, e in res.table]
-    write_csv(os.path.join(out, f"limit_{c.which}.csv"),
+    stem = _stem(args)
+    write_csv(os.path.join(out, f"{stem}.csv"),
               ["experiment", "theorem", "ladder_value", "sup_error"], rows)
-    return _finish(out, f"limit_{c.which}",
+    return _finish(out, stem,
                    {"experiment": c.which, "theorem": res.theorem,
                     "slope": None if res.fit is None else res.fit.slope,
                     "r2": None if res.fit is None else res.fit.r_squared,
@@ -456,11 +468,12 @@ def cmd_limit_rate(c, out, args):
 def cmd_opnorm(c, out, args):
     p_exp, q_exp = (math.inf if v == "inf" else v for v in (c.p, c.q))
     res = opnorm_decay(p_exp, q_exp, c.params, tuple(c.t_ladder), c.quad)
-    write_csv(os.path.join(out, "opnorm.csv"),
+    stem = _stem(args)
+    write_csv(os.path.join(out, f"{stem}.csv"),
               ["p", "q", "theorem", "t", "ratio"],
               [[str(c.p), str(c.q), "operator-norm decay",
                 repr(float(t)), repr(float(v))] for t, v in res.table])
-    return _finish(out, "opnorm",
+    return _finish(out, stem,
                    {"experiment": "opnorm", "theorem": "operator-norm decay",
                     "p": c.p, "q": c.q,
                     "slope": None if res.fit is None else res.fit.slope,
@@ -475,9 +488,10 @@ def cmd_oracle_compare(c, out, args):
     worst = _worst(sup for _, sup, _ in table)
     rows = [_param_cols(p) + ["kernel/finite-difference agreement",
                               repr(t), repr(sup), repr(l2)] for t, sup, l2 in table]
-    write_csv(os.path.join(out, "oracle_compare.csv"),
+    stem = _stem(args)
+    write_csv(os.path.join(out, f"{stem}.csv"),
               _PARAM_HEADER + ["theorem", "t", "sup_rel", "l2_rel"], rows)
-    return _finish(out, "oracle_compare",
+    return _finish(out, stem,
                    {"experiment": "oracle-compare",
                     "theorem": "kernel/finite-difference agreement",
                     "sup_rel": worst, "tolerance": c.tol},

@@ -86,54 +86,67 @@ class SingularConfigurationError(ValueError):
 # exchange kernel core
 # ---------------------------------------------------------------------------
 
-def _xi_map(eps, delta, kappa, s, t, eta):
-    """Tangential time argument and log of the normal factor of the
-    exchange integrand at xi = s + eta; ``eta`` broadcasts against
-    ``s[None, :]``.
+def _xi_map(eps, delta, kappa, s, t):
+    """``normal(eta)``: the tangential time argument and the log of the
+    normal factor of the exchange integrand at xi = s + eta, for the
+    components ``s``; ``eta`` broadcasts against ``s[None, :]``.  At
+    xi = 0 the log is -inf and numpy warns of a division by zero unless
+    the caller has silenced it (the exchange entry points do, once per
+    call).
 
     With z = s + t/delta, q = 2 sqrt(t) z / (xi + sqrt(xi^2 + (4t/delta) z))
     and w = q^2 (the elapsed bulk time t - tau):
     t_tan = w/eps + (kappa/delta)(t - w) and
     log_n = log_pref + log(xi) - log(xi + (2/delta) sqrt(t) q) - eps xi^2/(4t).
-    Each array operation below works in place on a buffer the function
+    The terms in s and t alone are formed once, when the map is made.
+    Each array operation of ``normal`` works in place on a buffer it
     owns; it applies the same operation to the same operands as that
     formula read left to right (a product or sum with its operands
     swapped is the same float), so the values are those of the formula.
     """
-    z = s[None, :] + t / delta
-    xi = s[None, :] + eta
-    q = xi * xi
-    q += (4.0 * t / delta) * z
-    np.sqrt(q, out=q)
-    q += xi
-    np.divide(2.0 * math.sqrt(t) * z, q, out=q)
-    w = q * q
-    t_tan = w / eps
-    np.subtract(t, w, out=w)
-    w *= kappa / delta
-    t_tan += w
+    s = s[None, :]
+    z = s + t / delta
+    z_root = (4.0 * t / delta) * z
+    z_num = 2.0 * math.sqrt(t) * z
     log_pref = math.log(2.0 * eps) + 0.5 * (math.log(eps) - math.log(4.0 * math.pi * t))
-    q *= (2.0 / delta) * math.sqrt(t)
-    q += xi
-    with np.errstate(divide="ignore"):
+    w_scale, q_scale, four_t = kappa / delta, (2.0 / delta) * math.sqrt(t), 4.0 * t
+
+    def normal(eta):
+        xi = s + eta
+        q = xi * xi
+        q += z_root
+        np.sqrt(q, out=q)
+        q += xi
+        np.divide(z_num, q, out=q)
+        w = q * q
+        t_tan = w / eps
+        np.subtract(t, w, out=w)
+        w *= w_scale
+        t_tan += w
+        q *= q_scale
+        q += xi
         log_n = np.log(xi)
         log_n -= np.log(q, out=q)
-    log_n += log_pref
-    np.multiply(xi, eps, out=q)
-    q *= xi
-    q /= 4.0 * t
-    log_n -= q
-    return t_tan, log_n
+        log_n += log_pref
+        np.multiply(xi, eps, out=q)
+        q *= xi
+        q /= four_t
+        log_n -= q
+        return t_tan, log_n
+
+    return normal
 
 
 # Peak-search nodes in units of the normal Gaussian's reach: the coarse
 # grid is geometric towards 0 (boundary-layer peaks), uniform on [0, 1]
 # and geometric up to 64 (tangential factors that grow with eta); the
-# width ladder holds the offsets 8^-17 .. 64 on both sides of the peak.
+# width ladder holds the offsets 8^-17 .. 64 on both sides of the peak
+# (a column, and its absolute values).
 _COARSE = np.unique(np.concatenate([4.0 ** -np.arange(26.0, 2.0, -1.0),
                                     np.linspace(0.0, 1.0, 33), 2.0 ** np.arange(1.0, 7.0)]))
 _ZOOM = np.linspace(0.0, 1.0, 17)[:, None]
-_LADDER = np.concatenate([-8.0 ** np.arange(-17.0, 3.0), 8.0 ** np.arange(-17.0, 3.0)])
+_LADDER = np.concatenate([-8.0 ** np.arange(-17.0, 3.0), 8.0 ** np.arange(-17.0, 3.0)])[:, None]
+_ABS_LADDER = np.abs(_LADDER)
 
 
 def _frame(eps, delta, kappa, s, t, log_tan):
@@ -149,31 +162,33 @@ def _frame(eps, delta, kappa, s, t, log_tan):
     lc = TAIL_EXPONENT
     reach = math.sqrt(4.0 * t * lc / eps)
 
-    def log_f(eta, idx):
-        t_tan, log_n = _xi_map(eps, delta, kappa, s[idx], t, eta)
+    def log_f(normal, eta, idx):
+        t_tan, log_n = normal(eta)
         return log_n + log_tan(t_tan, idx)
 
-    grid = np.broadcast_to(reach * _COARSE[:, None], (len(_COARSE), s.size))
-    lg = log_f(grid, cols)
-    peak = lg.max(axis=0)
-    last = len(grid) - 1 - np.argmax((lg >= peak - lc)[::-1], axis=0)
+    normal = _xi_map(eps, delta, kappa, s, t)
+    grid = reach * _COARSE[:, None]  # one column that every component shares
+    lg = log_f(normal, grid, cols)
+    peak = np.maximum.reduce(lg, axis=0)
+    last = len(grid) - 1 - (lg >= peak - lc)[::-1].argmax(axis=0)
     eta_hi = reach * _COARSE[np.minimum(last + 1, len(grid) - 1)]
     centre, lo, hi = np.empty((3, s.size))
     active = cols
     while True:  # the bracket shrinks 8x per pass until nodes coincide
         a = np.arange(active.size)
-        j = np.argmax(lg, axis=0)
-        side = np.clip([j - 1, j + 1], 0, len(grid) - 1)
-        centre[active], (lo[active], hi[active]) = grid[j, a], grid[side, a]
-        peak[active] = np.maximum(peak[active], lg[j, a])
-        active = active[lg[j, a] - lg[side, a].min(axis=0) > 2.0]
+        g = np.arange(grid.shape[1])  # [0] broadcasts the shared column
+        j = lg.argmax(axis=0)
+        below, above = np.maximum(j - 1, 0), np.minimum(j + 1, len(grid) - 1)
+        centre[active], lo[active], hi[active] = grid[j, g], grid[below, g], grid[above, g]
+        active = active[lg[j, a] - np.minimum(lg[below, a], lg[above, a]) > 2.0]
         if not active.size:
             break
         grid = lo[active] + (hi[active] - lo[active]) * _ZOOM
-        lg = log_f(grid, active)
-    offsets = centre + reach * _LADDER[:, None]
-    fell = (log_f(np.abs(offsets), cols) < peak - 1.0) & (offsets >= 0.0)
-    scale = np.min(np.where(fell, reach * np.abs(_LADDER[:, None]), reach), axis=0)
+        lg = log_f(_xi_map(eps, delta, kappa, s[active], t), grid, active)
+        peak[active] = np.maximum(peak[active], np.maximum.reduce(lg, axis=0))
+    offsets = centre + reach * _LADDER
+    fell = (log_f(normal, np.abs(offsets), cols) < peak - 1.0) & (offsets >= 0.0)
+    scale = np.minimum.reduce(np.where(fell, reach * _ABS_LADDER, reach), axis=0)
     return peak + np.log(scale), centre, scale, np.maximum(eta_hi, centre + scale)
 
 
@@ -221,7 +236,7 @@ def _exchange_core(eps, delta, kappa, s, t, spec, tan_fn, frame, path):
     """``_framed`` on the exchange integrand in xi = s + eta (``_xi_map``)."""
     if path != "xi":  # kept because the benchmark tracer wraps this signature
         raise ValueError(f"unknown path {path!r}")
-    return _framed(lambda eta: _xi_map(eps, delta, kappa, s, t, eta), frame, spec, tan_fn)
+    return _framed(_xi_map(eps, delta, kappa, s, t), frame, spec, tan_fn)
 
 
 def _pointwise_tan(dim, r):
@@ -231,7 +246,8 @@ def _pointwise_tan(dim, r):
     underflowed to 0 stands for a time below the float range: the factor
     is 0 there for r >= 1e-150, where exp(-r^2/4T) times any power of T is
     0 in float, and unknown closer to the origin, so it is NaN and the
-    quadrature rejects it."""
+    quadrature rejects it; the division and invalid-value warnings of
+    log(0) and r^2/0 are silenced with the overflow."""
     r = np.asarray(r, dtype=float)[None, :]
     at_zero = np.where(r >= 1e-150, -np.inf, np.nan)
     # above this T no r^2/4T overflows (NaN fails the test, and takes the
@@ -241,7 +257,7 @@ def _pointwise_tan(dim, r):
     def fn(T):
         if np.minimum.reduce(T, axis=None) > t_safe:
             return exp_flush(_log_heat(dim - 1, r, T))
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             log_h = _log_heat(dim - 1, r, T)
         return exp_flush(np.where(T == 0, at_zero, log_h))
 
@@ -252,7 +268,9 @@ def exchange_log_grid(p: Params, r, s, t: float, spec: QuadSpec = DEFAULT_SPEC):
     """log of the exchange kernel on arrays of (r, s) pairs at fixed t,
     each component framed and shifted by ``_frame``.  Returns (log_values,
     rel_errors, subdivisions, converged); values of exactly zero map to
-    -inf.
+    -inf.  numpy's divide and invalid warnings are silenced for the whole
+    call: log(0) at xi = 0 in the frame and the integrand, and log(0) and
+    0/0 on a zero value.
     """
     _time(t)
     r, s = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(s, dtype=float))
@@ -261,12 +279,12 @@ def exchange_log_grid(p: Params, r, s, t: float, spec: QuadSpec = DEFAULT_SPEC):
     def log_tan(T, idx):
         return _log_heat(p.dim - 1, r[idx][None, :], T)
 
-    frame = _frame(p.epsilon, p.delta, p.kappa, s, t, log_tan)
     rows = r[None, :]
-    vals, errs, nsub, conv = _exchange_core(
-        p.epsilon, p.delta, p.kappa, s, t, spec,
-        lambda T, log_w: exp_flush(_log_heat(p.dim - 1, rows, T) + log_w), frame, "xi")
     with np.errstate(divide="ignore", invalid="ignore"):
+        frame = _frame(p.epsilon, p.delta, p.kappa, s, t, log_tan)
+        vals, errs, nsub, conv = _exchange_core(
+            p.epsilon, p.delta, p.kappa, s, t, spec,
+            lambda T, log_w: exp_flush(_log_heat(p.dim - 1, rows, T) + log_w), frame, "xi")
         logv = np.log(vals) + frame[0]
         # the error of the value plus one rounding of the returned log
         rel = np.where(vals > 0.0, errs / vals + np.spacing(np.abs(logv)), errs)
@@ -280,15 +298,17 @@ def exchange_weighted(p: Params, s, t: float, spec: QuadSpec, tan_fn):
 
     Used by the solution operators, where ``tan_fn`` is the closed
     tangential convolution of the data.  No rescaling: values carry the
-    natural magnitude of the data.
+    natural magnitude of the data.  numpy's divide warning is silenced
+    for the whole call (log(0) at xi = 0).
     """
     s = np.asarray(s, dtype=float).ravel()
     # the data factor's peak is unknown: no shift, and one frame for every
     # component, the normal Gaussian's width sqrt(4t/eps) and its reach
     frame = (0.0, 0.0, math.sqrt(4.0 * t / p.epsilon),
              math.sqrt(4.0 * t * TAIL_EXPONENT / p.epsilon))
-    return _exchange_core(p.epsilon, p.delta, p.kappa, s, t, spec, _weighted(tan_fn),
-                          frame, "xi")
+    with np.errstate(divide="ignore"):
+        return _exchange_core(p.epsilon, p.delta, p.kappa, s, t, spec, _weighted(tan_fn),
+                              frame, "xi")
 
 
 def exchange_kernel(p: Params, x: HalfSpacePoint, y: HalfSpacePoint, t: float,
@@ -495,22 +515,25 @@ def region_tag(eps, delta, s, t):
 
 def envelope_log(p: Params, r, s, t):
     """log of the upper and lower envelopes at the scalar tangential
-    offset ``r`` and s = x_N + y_N at time t, and the region of (s, t)."""
+    offset ``r`` and s = x_N + y_N at time t, and the region of (s, t).
+    numpy's divide warning is silenced for the whole call (a time that
+    underflows to 0)."""
     if p.kappa <= 0:
         raise ValueError("envelopes require kappa > 0")
     tag = region_tag(p.epsilon, p.delta, s, t)
     log_up = log_low = 0.0
-    if tag != "D1":
-        log_up = _log_heat(1, s, t / p.epsilon)
-        log_low = _log_heat(1, s, t / (2.0 * p.epsilon))
-        if tag == "D3":
-            log_lin = np.log(s + t / p.delta)
-            log_up, log_low = log_lin + log_up, log_lin + log_low
-    lam_big = max(p.delta, p.kappa * p.epsilon)
-    lam_small = min(p.delta, p.kappa * p.epsilon)
-    scale = t / (p.epsilon * p.delta)
-    log_up = log_up + _log_heat(p.dim - 1, r, lam_big * scale)
-    log_low = log_low + _log_heat(p.dim - 1, r, lam_small * scale)
+    with np.errstate(divide="ignore"):
+        if tag != "D1":
+            log_up = _log_heat(1, s, t / p.epsilon)
+            log_low = _log_heat(1, s, t / (2.0 * p.epsilon))
+            if tag == "D3":
+                log_lin = np.log(s + t / p.delta)
+                log_up, log_low = log_lin + log_up, log_lin + log_low
+        lam_big = max(p.delta, p.kappa * p.epsilon)
+        lam_small = min(p.delta, p.kappa * p.epsilon)
+        scale = t / (p.epsilon * p.delta)
+        log_up = log_up + _log_heat(p.dim - 1, r, lam_big * scale)
+        log_low = log_low + _log_heat(p.dim - 1, r, lam_small * scale)
     return log_up, log_low, tag
 
 

@@ -93,18 +93,19 @@ def tangential_offset(x: HalfSpacePoint, y: HalfSpacePoint, dim: int) -> float:
 def exp_flush(logv):
     """exp with hard flush to zero below the double-precision floor.
 
-    Arrays with no entry below ``LOG_FLUSH`` take numpy's contiguous exp
-    loop.  The others take a masked exp into zeros, which also skips exp's
-    slow underflow path on deep tails.  NaN is never below the floor, so
-    it reaches exp and comes out NaN on both paths.
+    Arrays whose least entry is at or above ``LOG_FLUSH`` take numpy's
+    contiguous exp loop.  The others take a masked exp into zeros, which
+    also skips exp's slow underflow path on deep tails.  A NaN makes the
+    least entry NaN, so its array takes the masked path; NaN is never
+    below the floor, so it reaches exp there and comes out NaN.
     """
     logv = np.asarray(logv, dtype=float)
-    low = logv < LOG_FLUSH
-    if np.logical_or.reduce(low, axis=None):
+    if np.minimum.reduce(logv, axis=None, initial=np.inf) >= LOG_FLUSH:
+        out = np.exp(logv)
+    else:
+        low = logv < LOG_FLUSH
         out = np.zeros_like(logv)
         np.exp(logv, out=out, where=~low)
-    else:
-        out = np.exp(logv)
     if out.ndim == 0:
         return float(out)
     return out
@@ -112,22 +113,34 @@ def exp_flush(logv):
 
 def _log_heat(d, r, t):
     """log of the whole-space heat kernel of R^d at radius ``r`` and time
-    ``t`` (broadcast), with no check on ``t`` and no flush; numpy's
-    division-by-zero warning is silenced."""
+    ``t`` (broadcast), with no check on ``t`` and no flush.  At t = 0
+    numpy warns of a division by zero unless the caller has silenced it;
+    the entry points that can reach t = 0 do, once per call."""
     t = np.asarray(t, dtype=float)
     r = np.asarray(r, dtype=float)
-    with np.errstate(divide="ignore"):
-        return -(d / 2.0) * np.log(4.0 * np.pi * t) - r * r / (4.0 * t)
+    log_t = np.log(4.0 * np.pi * t)
+    log_t *= -(d / 2.0)
+    return log_t - r * r / (4.0 * t)
+
+
+def _times(t):
+    """``t`` as a float array, each entry checked by the time rule of
+    ``quadrature._time`` (finite and positive), with its message."""
+    t = np.asarray(t, dtype=float)
+    # written so that NaN fails (a NaN least entry fails the first test)
+    if not (np.minimum.reduce(t, axis=None, initial=np.inf) > 0.0
+            and np.maximum.reduce(t, axis=None, initial=0.0) < np.inf):
+        raise ValueError("time must be finite and positive")
+    return t
 
 
 def free_heat_radial(d: int, r, t):
     """Whole-space heat kernel of R^d at radius ``r`` and time ``t``.
 
-    Vectorized over ``r`` and ``t`` (broadcast).  t must be positive.
+    Vectorized over ``r`` and ``t`` (broadcast); every t passes the time
+    rule (``_times``).
     """
-    if not (np.asarray(t, dtype=float) > 0).all():
-        raise ValueError("time must be positive")
-    return exp_flush(_log_heat(d, r, t))
+    return exp_flush(_log_heat(d, r, _times(t)))
 
 
 def dirichlet_kernel(x: HalfSpacePoint, y: HalfSpacePoint, t: float, dim: int):
@@ -177,13 +190,11 @@ def poisson_kernel(offset, height, dim: int):
 
 
 def gaussian_interval_mass(x, lo, hi, t):
-    """Integral of the 1-D heat kernel centred at ``x`` over [lo, hi]."""
+    """Integral of the 1-D heat kernel centred at ``x`` over [lo, hi];
+    every t passes the time rule (``_times``)."""
     from scipy.special import erf
 
-    t = np.asarray(t, dtype=float)
-    if not np.all(t > 0):
-        raise ValueError("time must be positive")
-    s = 2.0 * np.sqrt(t)
+    s = 2.0 * np.sqrt(_times(t))
     out = 0.5 * (erf((np.asarray(x) - lo) / s) - erf((np.asarray(x) - hi) / s))
     if np.ndim(out) == 0:
         return float(out)

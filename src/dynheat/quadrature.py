@@ -116,6 +116,10 @@ _WGFULL[1:20:2] = np.concatenate([_WG, _WG[::-1]])
 
 _EPS = np.finfo(float).eps
 _UFLOW = np.finfo(float).tiny
+# QUADPACK's error floor 50 eps resabs, applied where resabs is above
+# _UFLOW / (50 eps)
+_FLOOR = 50.0 * _EPS
+_FLOOR_FROM = _UFLOW / _FLOOR
 
 
 def _finite(value, name):
@@ -201,7 +205,8 @@ def _eval_panel(f, a, b):
     # so is its sum (0 for an empty batch).  Checked before the Gauss
     # matvec, whose zero weights turn an inf into a NaN.
     dev = np.abs(fx)
-    resabs = abs(half) * (_WK @ dev)
+    abs_half = abs(half)
+    resabs = abs_half * (_WK @ dev)
     if not math.isfinite(np.add.reduce(resabs)):
         raise EvaluationError(f"integrand returned NaN or inf on panel [{a}, {b}]")
     lo = np.minimum.reduce(resabs, initial=np.inf)
@@ -210,21 +215,21 @@ def _eval_panel(f, a, b):
     value = half * sk
     mean = 0.5 * sk
     np.subtract(fx, mean, out=dev)
-    resasc = abs(half) * (_WK @ np.abs(dev, out=dev))
+    resasc = abs_half * (_WK @ np.abs(dev, out=dev))
     err = np.abs(half * (sk - sg))
     # QUADPACK-style sharpening of the raw K21-G10 difference, then a floor
     # of 50 eps resabs where resabs is above underflow.  With every resasc
     # positive and every resabs above underflow both masks below are all
     # true (a zero err sharpens to the same +0.0), so they are skipped.
-    if lo > _UFLOW / (50.0 * _EPS) and np.minimum.reduce(resasc, initial=np.inf) > 0.0:
+    if lo > _FLOOR_FROM and np.minimum.reduce(resasc, initial=np.inf) > 0.0:
         err = resasc * np.minimum(1.0, (200.0 * err / resasc)**1.5)
-        return value, np.maximum(err, 50.0 * _EPS * resabs), resabs
+        return value, np.maximum(err, _FLOOR * resabs), resabs
     mask = (resasc != 0.0) & (err != 0.0)
     scaled = np.ones_like(err)
     np.divide(200.0 * err, resasc, out=scaled, where=mask)
     err = np.where(mask, resasc * np.minimum(1.0, scaled**1.5), err)
-    floor = 50.0 * _EPS * resabs
-    err = np.where(resabs > _UFLOW / (50.0 * _EPS), np.maximum(err, floor), err)
+    floor = _FLOOR * resabs
+    err = np.where(resabs > _FLOOR_FROM, np.maximum(err, floor), err)
     return value, err, resabs
 
 
@@ -244,11 +249,14 @@ def _adaptive(f, segments, spec: QuadSpec):
         vals.append(v)
         errs.append(e)
         worst_err[i] = np.maximum.reduce(e, initial=-np.inf)
-    total_v = np.sum(vals, axis=0)
-    total_e = np.sum(errs, axis=0)
+    # the seed panels' sum, left to right (one addition for two halves)
+    total_v = sum(vals[1:], vals[0])
+    total_e = sum(errs[1:], errs[0])
     nsub = 0
     while True:
-        thresh = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total_v))
+        thresh = np.abs(total_v)
+        thresh *= spec.rel_tol
+        np.maximum(thresh, spec.abs_tol, out=thresh)
         if (total_e <= thresh).all():
             converged = True
             break

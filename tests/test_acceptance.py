@@ -269,11 +269,8 @@ class TestCriterion14Determinism:
             assert main(["bounds-check", "--config", str(cfg3),
                          "--out", str(out)]) == 0
             assert main(["report", "--out", str(out)]) == 0
-            names = ["identity_suite.csv", "identity_suite.summary.json",
-                     "limit_hdpsi_eps_to_0.csv",
-                     "limit_hdpsi_eps_to_0.summary.json",
-                     "bounds_check.csv", "bounds_check.summary.json",
-                     "report.md"]
+            names = ["ids.csv", "ids.summary.json", "rate.csv", "rate.summary.json",
+                     "bounds.csv", "bounds.summary.json", "report.md"]
             return {n: (out / n).read_bytes() for n in names}
 
         a = run_all(tmp_path / "run1")

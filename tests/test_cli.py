@@ -37,7 +37,7 @@ class TestEvalKernel:
         out = capsys.readouterr().out
         # 1/(2 pi) to within 1 ulp (the nearest double prints ...535)
         assert "0.15915494309189537" in out
-        assert (tmp_path / "eval_kernel.csv").exists()
+        assert (tmp_path / "eval-kernel.csv").exists()
 
     @pytest.mark.parametrize("kernel, extra, listed, number", [
         ("gamma", {}, [0.5], 0.5),
@@ -188,7 +188,7 @@ class TestChecks:
             "epsilon": [1.0], "delta": [0.5], "kappa": [1.0], "dim": [2],
             "x_n": [0.5], "t": [0.5]})
         assert rc == 0
-        summary = json.loads((tmp_path / "mass_check.summary.json").read_text())
+        summary = json.loads((tmp_path / "mass-check.summary.json").read_text())
         assert summary["pass"] is True
         assert summary["max_deviation"] <= 1e-6
 
@@ -196,14 +196,14 @@ class TestChecks:
         rc = run_cli(tmp_path, "identity-suite",
                      {"identities": ["marginal_masses", "k0_poisson"]})
         assert rc == 0
-        summary = json.loads((tmp_path / "identity_suite.summary.json").read_text())
+        summary = json.loads((tmp_path / "identity-suite.summary.json").read_text())
         assert set(summary["results"]) == {"marginal_masses", "k0_poisson"}
 
     def test_limit_rate_fast(self, tmp_path):
         rc = run_cli(tmp_path, "limit-rate", {"which": "hdpsi_eps_to_0"})
         assert rc == 0
         summary = json.loads(
-            (tmp_path / "limit_hdpsi_eps_to_0.summary.json").read_text())
+            (tmp_path / "limit-rate.summary.json").read_text())
         assert abs(summary["slope"] - 0.5) <= 0.1
         assert summary["pass"] is True
 
@@ -211,7 +211,7 @@ class TestChecks:
         # the summary's tolerance is the one the plain verdict used
         assert run_cli(tmp_path, "limit-rate", {"which": "ldd_delta_to_inf"}) == 0
         summary = json.loads(
-            (tmp_path / "limit_ldd_delta_to_inf.summary.json").read_text())
+            (tmp_path / "limit-rate.summary.json").read_text())
         assert summary["mode"] == "plain"
         assert summary["tolerance"] == float(summary["detail"].split()[-1]) == 0.01
 
@@ -228,7 +228,7 @@ class TestChecks:
     def test_bounds_check_small(self, tmp_path):
         rc = run_cli(tmp_path, "bounds-check", {"samples_per_region": 40})
         assert rc == 0
-        summary = json.loads((tmp_path / "bounds_check.summary.json").read_text())
+        summary = json.loads((tmp_path / "bounds-check.summary.json").read_text())
         assert summary["stability"] < 1.5
 
     def test_oracle_compare_small(self, tmp_path):
@@ -249,14 +249,30 @@ class TestReportAndDeterminism:
         assert "hdpsi_eps_to_0" in text
         assert "| yes |" in text
 
+    def test_configs_of_one_subcommand_keep_their_summaries(self, tmp_path):
+        # every output is named after its config file, up to the first dot
+        out = tmp_path / "out"
+        for name, xn in (("mass_a.json", 0.5), ("mass_b.v2.json", 3.0)):
+            (tmp_path / name).write_text(json.dumps(
+                {"epsilon": [1.0], "delta": [1.0], "kappa": [1.0], "dim": [2],
+                 "x_n": [xn], "t": [1.0]}))
+            assert main(["mass-check", "--config", str(tmp_path / name),
+                         "--out", str(out)]) == 0
+        assert sorted(f.name for f in out.iterdir()) == [
+            "mass_a.csv", "mass_a.summary.json", "mass_b.csv", "mass_b.summary.json"]
+        for name, xn in (("mass_a.csv", 0.5), ("mass_b.csv", 3.0)):
+            assert (out / name).read_text().splitlines()[1].split(",")[6] == repr(xn)
+        assert main(["report", "--out", str(out)]) == 0
+        assert (out / "report.md").read_text().count("| mass-check |") == 2
+
     def test_byte_identical_outputs(self, tmp_path):
         cfg = {"identities": ["marginal_masses"]}
         run_cli(tmp_path, "identity-suite", cfg)
-        first_csv = (tmp_path / "identity_suite.csv").read_bytes()
-        first_json = (tmp_path / "identity_suite.summary.json").read_bytes()
+        first_csv = (tmp_path / "identity-suite.csv").read_bytes()
+        first_json = (tmp_path / "identity-suite.summary.json").read_bytes()
         run_cli(tmp_path, "identity-suite", cfg)
-        assert (tmp_path / "identity_suite.csv").read_bytes() == first_csv
-        assert (tmp_path / "identity_suite.summary.json").read_bytes() == first_json
+        assert (tmp_path / "identity-suite.csv").read_bytes() == first_csv
+        assert (tmp_path / "identity-suite.summary.json").read_bytes() == first_json
 
     def test_unknown_command_exits_2(self, tmp_path):
         assert main(["frobnicate", "--out", str(tmp_path)]) == 2
@@ -423,15 +439,14 @@ def test_solve_probe_on_first_axis_is_accepted(tmp_path):
 _CAPPED = {"rel_tol": 1e-15, "abs_tol": 1e-300, "max_subdivisions": 1}
 _STRICT = {
     "eval-kernel": ({"kernel": "g", "t": 1.0, "x": {"normal": 0.5}, "quad": _CAPPED},
-                    "eval_kernel.csv"),
+                    "eval-kernel.csv"),
     "mass-check": ({"epsilon": [1.0], "delta": [1.0], "kappa": [1.0], "dim": [2],
-                    "x_n": [0.5], "t": [1.0], "quad": _CAPPED}, "mass_check.csv"),
+                    "x_n": [0.5], "t": [1.0], "quad": _CAPPED}, "mass-check.csv"),
     "solve": ({**_SOLVE, "data": _GAUSS, "quad": _CAPPED}, "solve.csv"),
-    "bounds-check": ({"samples_per_region": 8}, "bounds_check.csv"),
-    "limit-rate": ({"which": "hdpsi_eps_to_0", "quad": _CAPPED},
-                   "limit_hdpsi_eps_to_0.csv"),
+    "bounds-check": ({"samples_per_region": 8}, "bounds-check.csv"),
+    "limit-rate": ({"which": "hdpsi_eps_to_0", "quad": _CAPPED}, "limit-rate.csv"),
     "opnorm": ({"p": 1, "q": "inf", "quad": _CAPPED}, "opnorm.csv"),
-    "oracle-compare": ({**_ORACLE, "tol": 1.0, "quad": _CAPPED}, "oracle_compare.csv"),
+    "oracle-compare": ({**_ORACLE, "tol": 1.0, "quad": _CAPPED}, "oracle-compare.csv"),
 }
 
 
@@ -466,7 +481,7 @@ def test_mass_check_nan_deviation_fails(tmp_path, monkeypatch):
     cfg = {"epsilon": [1.0], "delta": [1.0], "kappa": [1.0], "dim": [2],
            "x_n": [0.0, 0.5], "t": [1.0]}
     assert run_cli(tmp_path, "mass-check", cfg, extra=["--strict"]) == 1
-    _assert_failed(tmp_path, "mass_check", "max_deviation")
+    _assert_failed(tmp_path, "mass-check", "max_deviation")
 
 
 def test_oracle_compare_nan_at_second_time_fails(tmp_path, monkeypatch):
@@ -479,7 +494,7 @@ def test_oracle_compare_nan_at_second_time_fails(tmp_path, monkeypatch):
     monkeypatch.setattr(verification, "compare", nan_second)
     cfg = {**_ORACLE, "times": [0.25, 0.5], "tol": 1.0}
     assert run_cli(tmp_path, "oracle-compare", cfg) == 1
-    _assert_failed(tmp_path, "oracle_compare", "sup_rel")
+    _assert_failed(tmp_path, "oracle-compare", "sup_rel")
 
 
 # ---------------------------------------------------------------------------

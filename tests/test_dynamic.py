@@ -38,6 +38,7 @@ from dynheat.kernels import (
     dirichlet_kernel,
     exp_flush,
     free_heat_radial,
+    gaussian_interval_mass,
     neumann_kernel,
     poisson_kernel,
 )
@@ -679,11 +680,17 @@ def test_nan_input_is_rejected(call):
     lambda t: laplace_dynamic_kernel(1.0, 1.0, _X, _Y, t),
     lambda t: dirichlet_layer_kernel(P111, 1.0, _X, _Y, t),
     lambda t: envelope(P111, _X, _Y, t),
+    lambda t: free_heat_radial(1, 0.0, t),
+    lambda t: free_heat_radial(2, [0.0, 1.0], [[1.0], [t]]),
+    lambda t: dirichlet_kernel(_X, _Y, t, 2),
+    lambda t: neumann_kernel(_X, _Y, t, 2),
+    lambda t: gaussian_interval_mass(0.0, -1.0, 1.0, [1.0, t]),
 ], ids=["exchange", "fundamental", "exchange-grid", "hdn-grid", "hdn", "ldd", "layer",
-        "envelope"])
+        "envelope", "free", "free-array", "dirichlet", "neumann", "interval-mass"])
 def test_pointwise_kernel_rejects_nonfinite_time(kernel, t):
     # as the mass entry points do: t = inf used to warn and raise
-    # EvaluationError, return 0.0 converged or give 0/0 envelopes
+    # EvaluationError, return 0.0 converged or give 0/0 envelopes; the
+    # closed forms returned 0.0 at t = inf
     with pytest.raises(ValueError, match="^time must be finite and (positive|nonnegative)$"):
         kernel(t)
 

@@ -443,8 +443,8 @@ def test_kernel_golden():
     # run through their batches' sinh frames.  Each value is within 6 ulp of
     # the nearest double to a 40-digit quadrature of the same integral (the
     # 6 is the third heat_neumann_kernel row, converged on its seed halves),
-    # and the first laplace_dynamic_kernel row, 1/(2 pi), within 1
-    # the last row pins a zoomed exchange batch by a sha256 prefix of float.hex
+    # and the first laplace_dynamic_kernel row, 1/(2 pi), within 1.  The
+    # last row pins a zoomed exchange batch by a sha256 prefix of float.hex
     assert _kernel_golden_points() == [
         ("-0x1.2572de5a2c2ddp+1", "0x1.42570d8563d0cp-41", 1, True),
         ("-0x1.08d3c4821772ap+3", "0x1.a05065d5ed87ep-39", 1, True),
