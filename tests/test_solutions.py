@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -368,3 +369,53 @@ class TestWitness:
         rho = np.hypot(xp, xn)
         ref = xn / 4.0 * free_heat_radial(2, rho, 2.0)
         assert np.max(np.abs(u - ref)) < 1e-9
+
+
+# solve_grid on every tag, pinned bit for bit: each admitted mix of a
+# centred interior Gaussian and heat-Gaussian or complement-indicator
+# boundary data, two Params and two times, with probes on the wall (x_N = 0)
+# and inside.  A tag's row is a sha256 prefix of the float.hex of every
+# value and error, and whether every solve converged.
+GOLDEN_PHI = Interior("heat_gaussian", a=0.4, center=-0.2,
+                      normal=NormalProfile("gaussian", m=0.6, b=0.3))
+GOLDEN_PSIS = (Boundary("heat_gaussian", a=0.5, center=0.3),
+               Boundary("complement_indicator", rho=0.8))
+GOLDEN_XP = np.array([0.0, 0.5, -1.0, 1.2, 0.3])
+GOLDEN_XN = np.array([0.0, 0.0, 0.0, 0.4, 1.5])
+
+
+def _solve_golden(tag):
+    if tag in ("LDD", "LD", "LDpsi", "LDPsi"):
+        cases = [InitialData(boundary=psi) for psi in GOLDEN_PSIS]
+    elif tag in ("HDN", "HhN", "HD0"):
+        cases = [InitialData(GOLDEN_PHI)]
+    else:
+        cases = [InitialData(GOLDEN_PHI, psi) for psi in GOLDEN_PSIS]
+    hexes, converged = [], True
+    for p in (P111, Params(0.5, 2.0, 0.3, 2)):
+        for data in cases:
+            for t in (0.5, 2.0):
+                u, err, conv = solve_grid(tag, p, data, GOLDEN_XP, GOLDEN_XN, t, theta=0.7)
+                hexes += [float(x).hex() for x in u] + [float(err).hex()]
+                converged = converged and bool(conv)
+    return hashlib.sha256(" ".join(hexes).encode()).hexdigest()[:32], converged
+
+
+_SOLVE_GOLDEN = {
+    "HDD": ("ffc2af40177e1102fcfbdd0b41b26a51", True),
+    "HD": ("0af49c0430e7b27d616892e1dc7874b0", True),
+    "LDD": ("881402e1993c2aef65f64754458595b3", True),
+    "LD": ("02cb9d4e5f7b3be41a9c3d1c231b7b49", True),
+    "HDN": ("19170c20b8aa885a22d89dee49661d8e", True),
+    "HhN": ("e0ce8b71b51a61bbcb7977c2d7674bdf", True),
+    "HD0": ("3ae9b1db78e4b6f1e13615e88a8ae16a", True),
+    "HDpsi": ("69c483ed04c7e8a7755fa13ead19a07f", True),
+    "HDPsi": ("02b14ab48575f75ba114fd6ea4d4e923", True),
+    "LDpsi": ("16024e16b373c6b513aacf84c93e919c", True),
+    "LDPsi": ("728f6ca65a8967943ddb219bc886ddc3", True),
+}
+
+
+@pytest.mark.parametrize("tag", PROBLEM_TAGS)
+def test_solve_golden(tag):
+    assert _solve_golden(tag) == _SOLVE_GOLDEN[tag]
