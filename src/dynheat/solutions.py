@@ -17,9 +17,12 @@ LDPsi     harmonic extension of diffusing boundary data
 ========  ==========================================================
 
 Tangential integrals are eliminated in closed form through the data
-family; what remains is one 1-D time integral for boundary data, a 2-D
-(time x normal) integral for interior data against the exchange kernel,
-and a 1-D normal integral for the reflected/absorbed part.
+family.  ``_solve`` sums each problem's terms: a 1-D normal integral for
+the reflected/absorbed part, a 2-D (normal x time) integral for interior
+data against an exchange-type kernel, a 1-D time integral for boundary
+data against the exchange kernel or a layer kernel.  At a probe on the
+wall a layer term is the boundary data carried by the tangential heat
+flow for the layer's time.
 """
 
 from __future__ import annotations
@@ -87,11 +90,7 @@ def _tan_factory(data, offsets, dim):
     """tan_fn(T) evaluating the closed tangential convolution of ``data``
     at Gaussian time arguments ``T``, one column per entry of ``offsets``."""
     offsets = np.asarray(offsets, dtype=float)[None, :]
-
-    def fn(T):
-        return tan_conv(data, offsets, T, dim)
-
-    return fn
+    return lambda T: tan_conv(data, offsets, T, dim)
 
 
 def _normal_window(phi: Interior, xn, reach):
@@ -129,13 +128,6 @@ def _reflected_term(eps, dim, phi: Interior, off, xn, t, spec, sign):
     return tanfac * vals, np.abs(tanfac) * errs, nsub, conv
 
 
-def _exchange_boundary_term(p, psi: Boundary, off, xn, t, spec):
-    """Boundary data against the exchange kernel (no 1/eps weight)."""
-    if psi.kind == "zero":
-        return _zero(off.size)
-    return exchange_weighted(p, xn, t, spec, _tan_factory(psi, off, p.dim))
-
-
 def _interior_term(dim, phi: Interior, off, xn, reach, spec, batch):
     """Interior data against an exchange-type kernel: 2-D (normal x time)
     quadrature with the tangential factor closed inside the time integral
@@ -164,62 +156,25 @@ def _interior_term(dim, phi: Interior, off, xn, reach, spec, batch):
                                        width=reach / math.sqrt(TAIL_EXPONENT)))
 
 
-def _exchange_interior_term(p, phi: Interior, off, xn, t, spec):
-    """Interior data against the exchange kernel (no 1/delta weight)."""
-    reach = math.sqrt(4.0 * t * TAIL_EXPONENT / p.epsilon)
-    return _interior_term(p.dim, phi, off, xn, reach, spec,
-                          lambda s, tan: exchange_weighted(p, s, t, spec, tan))
-
-
-def _hdn_interior_term(p, phi: Interior, off, xn, t, spec):
-    """Interior data against the diffusive-Neumann exchange part."""
-    reach = math.sqrt(4.0 * (t / p.epsilon) * TAIL_EXPONENT)
-    return _interior_term(
-        p.dim, phi, off, xn, reach, spec,
-        lambda s, tan: hdn_batch(p.epsilon, p.kappa, p.dim, s, t, spec, tan))
-
-
-def _layer_term(dim, psi: Boundary, off, z, trace, batch):
+def _layer_term(dim, psi: Boundary, off, z, T, weight, batch):
     """Boundary data carried into the bulk by the layer kernel
-    ``batch(idx, tan_fn)`` at the probes ``idx`` with z > 0; probes on the
-    boundary get ``trace(offsets)``."""
+    ``batch(z, tan_fn)`` at the probes with z > 0.  A probe on the wall
+    gets ``weight`` times the data carried by the tangential heat flow for
+    the time ``T``: the data itself when T = 0."""
     m = off.size
     if psi.kind == "zero":
         return _zero(m)
     out, err = np.empty(m), np.zeros(m)
     nsub, conv = 0, True
-    on_bdry = z <= 0.0
-    if on_bdry.any():
-        out[on_bdry] = trace(off[on_bdry])
-    if (~on_bdry).any():
-        idx = np.nonzero(~on_bdry)[0]
-        out[idx], err[idx], nsub, conv = batch(idx, _tan_factory(psi, off[idx], dim))
+    wall = z <= 0.0
+    if wall.any():
+        trace = (tan_conv(psi, off[wall], T, dim) if T > 0.0
+                 else boundary_value(psi, off[wall], dim))
+        out[wall] = weight * np.asarray(trace, dtype=float)
+    if (~wall).any():
+        idx = np.nonzero(~wall)[0]
+        out[idx], err[idx], nsub, conv = batch(z[idx], _tan_factory(psi, off[idx], dim))
     return out, err, nsub, conv
-
-
-def _dirichlet_layer_term(p, psi: Boundary, off, xn, t, theta, spec):
-    """Boundary data carried into the bulk by the Dirichlet boundary
-    layer; on the boundary itself the trace value is returned (times
-    eps, cancelling the caller's 1/eps weight)."""
-    def trace(offb):
-        if theta is None:
-            return p.epsilon * np.asarray(boundary_value(psi, offb, p.dim), dtype=float)
-        return p.epsilon * np.asarray(tan_conv(psi, offb, t / theta, p.dim), dtype=float)
-
-    return _layer_term(p.dim, psi, off, xn, trace, lambda idx, tan: dirichlet_layer_batch(
-        p.epsilon, p.dim, xn[idx], t, theta, spec, tan))
-
-
-def _harmonic_layer_term(dim, psi: Boundary, off, z, smoothing, spec):
-    """Harmonic-extension layer with tangential pre-smoothing; at z = 0
-    the trace of the (smoothed) data is returned."""
-    def trace(offb):
-        if smoothing > 0.0:
-            return np.asarray(tan_conv(psi, offb, smoothing, dim), dtype=float)
-        return np.asarray(boundary_value(psi, offb, dim), dtype=float)
-
-    return _layer_term(dim, psi, off, z, trace, lambda idx, tan: gauss_layer_batch(
-        dim, z[idx], smoothing, spec, tan))
 
 
 def _power_cutoff_term(p, phi: Interior, xp, xn, t, spec):
@@ -262,13 +217,22 @@ def _validate(tag, p: Params, data: InitialData, theta):
         raise UnsupportedDataError(f"{tag} admits boundary data only")
     if tag in _INTERIOR_ONLY and data.boundary.kind != "zero":
         raise UnsupportedDataError(f"{tag} admits interior data only")
-    if data.interior.kind == "heat_gaussian" and data.interior.is_power_cutoff:
+    if data.interior.is_power_cutoff:
         if tag not in ("HDD", "HD") or p.dim != 2:
             raise UnsupportedDataError(
                 "power-cutoff data is supported for HDD/HD with N = 2 only")
         if data.boundary.kind != "zero":
             raise UnsupportedDataError(
                 "power-cutoff data requires zero boundary data")
+
+
+def _admitted(tag, data: InitialData) -> InitialData:
+    """The part of ``data`` that problem ``tag`` admits."""
+    if tag in _BOUNDARY_ONLY:
+        return InitialData(boundary=data.boundary)
+    if tag in _INTERIOR_ONLY:
+        return InitialData(data.interior)
+    return data
 
 
 def _solve(tag, p: Params, data: InitialData, xp, xn, t, spec, theta):
@@ -295,29 +259,37 @@ def _solve(tag, p: Params, data: InitialData, xp, xn, t, spec, theta):
         return _reflected_term(p.epsilon, p.dim, phi, off_i, xn, t, spec, sign)
 
     if tag == "HDD":
-        boundary = (_exchange_boundary_term(p, psi, off_b, xn, t, spec), p.epsilon)
-        if phi.kind == "heat_gaussian" and phi.is_power_cutoff:
+        boundary = (_zero(xp.size) if psi.kind == "zero" else exchange_weighted(
+            p, xn, t, spec, _tan_factory(psi, off_b, p.dim)), p.epsilon)
+        if phi.is_power_cutoff:
             return add_terms(_power_cutoff_term(p, phi, xp, xn, t, spec), boundary)
-        return add_terms(reflected(-1.0),
-                          (_exchange_interior_term(p, phi, off_i, xn, t, spec), p.delta),
-                          boundary)
-    if tag == "HD0":
-        return reflected(-1.0)
-    if tag == "HhN":
-        return reflected(+1.0)
+        interior = _interior_term(p.dim, phi, off_i, xn,
+                                  math.sqrt(4.0 * t * TAIL_EXPONENT / p.epsilon), spec,
+                                  lambda s, tan: exchange_weighted(p, s, t, spec, tan))
+        return add_terms(reflected(-1.0), (interior, p.delta), boundary)
+    if tag in ("HD0", "HhN"):  # absorbing or reflecting wall
+        return reflected(-1.0 if tag == "HD0" else +1.0)
     if tag == "HDN":
-        return add_terms(reflected(-1.0),
-                          (_hdn_interior_term(p, phi, off_i, xn, t, spec), 1.0))
+        interior = _interior_term(
+            p.dim, phi, off_i, xn, math.sqrt(4.0 * (t / p.epsilon) * TAIL_EXPONENT), spec,
+            lambda s, tan: hdn_batch(p.epsilon, p.kappa, p.dim, s, t, spec, tan))
+        return add_terms(reflected(-1.0), (interior, 1.0))
     if tag in ("HDpsi", "HDPsi"):
+        # surface data frozen (theta None) or diffusing; the wall weight eps
+        # cancels the layer's 1/eps divisor
         layer_theta = theta if tag == "HDPsi" else None
-        return add_terms(reflected(-1.0), (_dirichlet_layer_term(
-            p, psi, off_b, xn, t, layer_theta, spec), p.epsilon))
+        layer = _layer_term(p.dim, psi, off_b, xn, t / theta if layer_theta else 0.0, p.epsilon,
+                            lambda z, tan: dirichlet_layer_batch(p.epsilon, p.dim, z, t,
+                                                                 layer_theta, spec, tan))
+        return add_terms(reflected(-1.0), (layer, p.epsilon))
+    # the harmonic layers, their data pre-smoothed for the time A
+    z, A = xn, 0.0  # LDpsi
     if tag == "LDD":
-        return _harmonic_layer_term(p.dim, psi, off_b, xn + t / p.delta,
-                                    p.kappa * t / p.delta, spec)
-    if tag == "LDpsi":
-        return _harmonic_layer_term(p.dim, psi, off_b, xn, 0.0, spec)
-    return _harmonic_layer_term(p.dim, psi, off_b, xn, t / theta, spec)  # LDPsi
+        z, A = xn + t / p.delta, p.kappa * t / p.delta
+    elif tag == "LDPsi":
+        A = t / theta
+    return _layer_term(p.dim, psi, off_b, z, A, 1.0,
+                       lambda z, tan: gauss_layer_batch(p.dim, z, A, spec, tan))
 
 
 def solve_grid(tag: str, p: Params, data: InitialData, xp, xn, t: float,

@@ -44,7 +44,7 @@ from .kernels import (
     poisson_kernel,
 )
 from .quadrature import DEFAULT_SPEC, TAIL_EXPONENT, QuadSpec, _time, integrate, integrate_nested
-from .solutions import _BOUNDARY_ONLY, _INTERIOR_ONLY, solve_grid
+from .solutions import _admitted, solve_grid
 
 __all__ = [
     "RateFit",
@@ -279,15 +279,6 @@ class LimitResult:
     monotone: bool
     converged: bool              # every solve_grid of either side converged
     detail: str = ""
-
-
-def _admitted(tag: str, data: InitialData) -> InitialData:
-    """The part of ``data`` that problem ``tag`` admits."""
-    if tag in _BOUNDARY_ONLY:
-        return InitialData(boundary=data.boundary)
-    if tag in _INTERIOR_ONLY:
-        return InitialData(data.interior)
-    return data
 
 
 def run_limit(exp: LimitExperiment | str, spec: QuadSpec = DEFAULT_SPEC) -> LimitResult:
