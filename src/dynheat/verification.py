@@ -308,7 +308,8 @@ def run_limit(exp: LimitExperiment | str, spec: QuadSpec = DEFAULT_SPEC) -> Limi
     if tag_b is None:
         side_b = [0.0] * len(masks)
     elif tag_b == "data":
-        side_b = [interior_value(exp.data.interior, np.abs(xp[m]), xn[m], exp.dim)
+        phi = exp.data.interior
+        side_b = [interior_value(phi, np.abs(xp[m] - phi.center), xn[m], exp.dim)
                   for _, m in masks]
     else:   # the limit problem reads none of the varied names
         side_b = solve(tag_b, Params(1, 1, 1, exp.dim), _admitted(tag_b, exp.data), exp.theta)
@@ -758,16 +759,16 @@ def opnorm_decay(p_exp: float, q_exp: float, p: Params | None = None,
     Gaussian slope profile of the same parameter; zero boundary data) to
     the ``omega_L_I`` probes.  For q = inf the ratio of the output's sup
     over the probes to the witness's p-norm must decay with slope -N/(2p)
-    in log t.  For p == q the constant pair (1, 1) is propagated instead
-    and the ratio must equal 1.  The probe grid gives no L^q norm for
-    finite q, so p < q < inf raises ValueError.  ``converged`` is False
+    in log t.  For p = q = inf the constant pair (1, 1) is propagated
+    instead and the ratio must equal 1.  The probe grid gives no L^q norm
+    for finite q, so a finite q raises ValueError.  ``converged`` is False
     when any ``solve_grid`` call did not; ``p`` defaults to Params(1, 1,
     1, 2).
     """
     if not 1 <= p_exp <= q_exp:
         raise ValueError("opnorm_decay needs 1 <= p <= q")
-    if p_exp < q_exp < math.inf:
-        raise ValueError("opnorm_decay supports p == q or q = inf: the probe grid "
+    if q_exp < math.inf:
+        raise ValueError("opnorm_decay supports q = inf only: the probe grid "
                          "gives no L^q norm for finite q")
     for t in t_ladder:
         _time(t, "t_ladder")

@@ -304,6 +304,8 @@ _REJECTED = {
     "opnorm-p-str": ("opnorm", {"p": "x", "q": "inf"}),
     "opnorm-q-below-p": ("opnorm", {"p": 2, "q": 1}),
     "opnorm-q-finite-above-p": ("opnorm", {"p": 1, "q": 2}),
+    "opnorm-one-one": ("opnorm", {"p": 1, "q": 1}),
+    "opnorm-two-two": ("opnorm", {"p": 2, "q": 2}),
     "opnorm-t-nan": ("opnorm", {"p": "inf", "q": "inf", "t_ladder": [math.nan, 1.0]}),
     "opnorm-t-empty": ("opnorm", {"p": "inf", "q": "inf", "t_ladder": []}),
     "bounds-samples-zero": ("bounds-check", {"samples_per_region": 0}),

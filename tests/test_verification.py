@@ -8,11 +8,10 @@ import pytest
 import dynheat.verification as verification
 from dynheat.kernels import Params
 from dynheat.quadrature import QuadSpec
-from dynheat.solutions import solve_grid
+from dynheat.solutions import _admitted, solve_grid
 from dynheat.verification import (
     EXPERIMENTS,
     IDENTITIES,
-    _admitted,
     check_identity,
     default_experiment,
     fit_rate,
@@ -86,6 +85,16 @@ class TestRunLimit:
         for ladder in ((0.5, 2.0), (1.0, 16.0)):
             with pytest.raises(ValueError, match="must exceed 1"):
                 run_limit(replace(log, ladder=ladder))
+
+    @pytest.mark.parametrize("name", ["eps_to_inf", "hdpsi_eps_to_inf"])
+    @pytest.mark.parametrize("center", [1.0, -0.5])
+    def test_data_side_reads_the_interior_center(self, name, center):
+        # the frozen data is compared at the offset from its centre, as
+        # solve_grid reads it on side A
+        exp = EXPERIMENTS[name]
+        phi = replace(exp.data.interior, center=center)
+        res = run_limit(replace(exp, data=replace(exp.data, interior=phi)))
+        assert res.passed and res.converged
 
     def test_registry_complete(self):
         for name in EXPERIMENTS:
@@ -270,9 +279,10 @@ class TestOpnorm:
             opnorm_decay(2.0, 1.0)
 
     @pytest.mark.parametrize("p_exp, q_exp", [(1.0, 2.0), (1.0, 4.0), (2.0, 4.0),
-                                              (1.0, 1.5), (1.5, 3.0), (2.0, 8.0)])
+                                              (1.0, 1.5), (1.5, 3.0), (2.0, 8.0),
+                                              (1.0, 1.0), (2.0, 2.0)])
     def test_rejects_finite_q_above_p(self, p_exp, q_exp):
-        # the probe grid has no L^q norm for finite q
+        # the probe grid has no L^q norm for finite q, p == q included
         with pytest.raises(ValueError, match="no L\\^q norm"):
             opnorm_decay(p_exp, q_exp)
 
