@@ -505,11 +505,12 @@ def cmd_report(c, out, args):
         if name.endswith(".summary.json"):
             with open(os.path.join(out, name)) as fh:
                 summaries.append((name, validate(json.load(fh), "summary", name)))
-    entries = []
+    entries = []   # each row names the summary file it came from by its stem
     for name, s in summaries:
+        stem = name[:-len(".summary.json")]
         if s["results"] is not None:  # identity suite: one row per identity
             for k, v in sorted(s["results"].items()):
-                entries.append((k, v["statement"], "",
+                entries.append((stem, k, v["statement"], "",
                                 f"{v['max_deviation']:.3e} <= {v['tolerance']:g}",
                                 v["pass"]))
             continue
@@ -517,19 +518,18 @@ def cmd_report(c, out, args):
             f"max dev {s['max_deviation']:.3e}" if s["max_deviation"] is not None
             else f"sup {s['sup_rel']:.3e}" if s["sup_rel"] is not None
             else "")
-        entries.append((name if s["experiment"] is None else s["experiment"],
+        entries.append((stem, name if s["experiment"] is None else s["experiment"],
                         s["theorem"], "" if s["slope"] is None else f"{s['slope']:.3f}",
                         detail, s["pass"]))
     lines = ["# Verification report", "",
-             "| experiment | statement | slope | detail | pass |",
-             "|---|---|---|---|---|"]
+             "| summary | experiment | statement | slope | detail | pass |",
+             "|---|---|---|---|---|---|"]
     for e in entries:
-        cells = [str(e[0]), str(e[1]), str(e[2]), str(e[3]),
-                 "yes" if e[4] else "NO"]
+        cells = [str(x) for x in e[:5]] + ["yes" if e[5] else "NO"]
         lines.append("| " + " | ".join(cell.replace("|", "\\|") for cell in cells) + " |")
     _atomic_write(os.path.join(out, "report.md"), "\n".join(lines) + "\n")
     print(f"report: {len(entries)} entries -> report.md")
-    return 0 if all(e[4] for e in entries) else 1
+    return 0 if all(e[5] for e in entries) else 1
 
 
 _COMMANDS = {

@@ -263,7 +263,8 @@ class TestReportAndDeterminism:
         for name, xn in (("mass_a.csv", 0.5), ("mass_b.csv", 3.0)):
             assert (out / name).read_text().splitlines()[1].split(",")[6] == repr(xn)
         assert main(["report", "--out", str(out)]) == 0
-        assert (out / "report.md").read_text().count("| mass-check |") == 2
+        rows = (out / "report.md").read_text()
+        assert "| mass_a | mass-check |" in rows and "| mass_b | mass-check |" in rows
 
     def test_byte_identical_outputs(self, tmp_path):
         cfg = {"identities": ["marginal_masses"]}
