@@ -278,9 +278,9 @@ def _solve(tag, p: Params, data: InitialData, xp, xn, t, spec, theta):
         # surface data frozen (theta None) or diffusing; the wall weight eps
         # cancels the layer's 1/eps divisor
         layer_theta = theta if tag == "HDPsi" else None
-        layer = _layer_term(p.dim, psi, off_b, xn, t / theta if layer_theta else 0.0, p.epsilon,
-                            lambda z, tan: dirichlet_layer_batch(p.epsilon, p.dim, z, t,
-                                                                 layer_theta, spec, tan))
+        layer = _layer_term(p.dim, psi, off_b, xn, t / layer_theta if layer_theta else 0.0,
+                            p.epsilon, lambda zs, tan: dirichlet_layer_batch(
+                                p.epsilon, p.dim, zs, t, layer_theta, spec, tan))
         return add_terms(reflected(-1.0), (layer, p.epsilon))
     # the harmonic layers, their data pre-smoothed for the time A
     z, A = xn, 0.0  # LDpsi
@@ -289,7 +289,7 @@ def _solve(tag, p: Params, data: InitialData, xp, xn, t, spec, theta):
     elif tag == "LDPsi":
         A = t / theta
     return _layer_term(p.dim, psi, off_b, z, A, 1.0,
-                       lambda z, tan: gauss_layer_batch(p.dim, z, A, spec, tan))
+                       lambda zs, tan: gauss_layer_batch(p.dim, zs, A, spec, tan))
 
 
 def solve_grid(tag: str, p: Params, data: InitialData, xp, xn, t: float,
