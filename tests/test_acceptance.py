@@ -8,6 +8,7 @@ documented defaults of the verification module.
 import json
 import math
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -125,7 +126,22 @@ RATE_CASES = [
     ("9h", "ldd_delta_to_0", "harmonic-layer rate 1 (N=2, p=1)"),
     ("9i", "hdn_k_to_0", "diffusive-to-plain Neumann rate 1"),
     ("9j", "hdpsi_eps_to_0", "Dirichlet-to-harmonic rate 1/2"),
+    ("9k", "k_to_inf_fp_log", "error law k/log k at the threshold index (N=3, p=1)"),
+    ("9l", "hdn_k_to_inf", "diffusive Neumann to absorbing wall rate -1/2"),
+    ("9m", "ldd_k_to_inf", "harmonic-layer large-diffusivity rate -1/2"),
+    ("9n", "hdpsi_theta_to_0", "fast surface diffusion rate 1/2"),
+    ("9o", "hdpsi_theta_to_inf", "slow surface diffusion rate -1"),
 ]
+PLAIN_CASES = [
+    ("10a", "ldd_delta_to_inf"),
+    ("10b", "eps_to_inf"),
+    ("10c", "hdpsi_eps_to_inf"),
+]
+
+
+def test_criteria_9_and_10_run_every_experiment():
+    named = [c[1] for c in RATE_CASES] + [which for _, which in PLAIN_CASES]
+    assert sorted(named) == sorted(verification.EXPERIMENTS)
 
 
 class TestCriterion09RateSuite:
@@ -135,13 +151,16 @@ class TestCriterion09RateSuite:
         res = run_limit(which)
         report(f"{tag} ({label})", res.passed, res.detail)
 
+    def test_log_corrected_negative_control(self):
+        # k_to_inf_fp_log holds e(k) k / log k constant within a ratio of
+        # about 1.016: a tolerance of 1 must fail it
+        exp = replace(verification.EXPERIMENTS["k_to_inf_fp_log"], tol=1.0)
+        res = run_limit(exp)
+        report("9k negative control", not res.passed, res.detail)
+
 
 class TestCriterion10PlainLimits:
-    @pytest.mark.parametrize("tag,which", [
-        ("10a", "ldd_delta_to_inf"),
-        ("10b", "eps_to_inf"),
-        ("10c", "hdpsi_eps_to_inf"),
-    ])
+    @pytest.mark.parametrize("tag,which", PLAIN_CASES)
     def test_plain_limit(self, tag, which):
         res = run_limit(which)
         report(f"{tag} ({which})", res.passed, res.detail)
