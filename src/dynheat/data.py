@@ -74,8 +74,9 @@ class NormalProfile:
 
     def support_cut(self, exponent: float) -> float:
         """y beyond which the profile is below exp(-exponent) relatively."""
-        if self.kind in ("gaussian", "gaussian_slope"):
-            return self.m + 2.0 * np.sqrt(self.b * exponent) + 1.0
+        if self.kind in ("gaussian", "gaussian_slope"):  # gaussian alone reads m
+            m = self.m if self.kind == "gaussian" else 0.0
+            return m + 2.0 * np.sqrt(self.b * exponent) + 1.0
         if self.kind == "indicator":
             return self.hi
         return 1.0

@@ -243,8 +243,8 @@ def _solve(tag, p: Params, data: InitialData, xp, xn, t, spec, theta):
     _time(t)
     xp = np.atleast_1d(np.asarray(xp, dtype=float))
     xn = np.atleast_1d(np.asarray(xn, dtype=float))
-    if xp.shape != xn.shape:
-        raise ValueError("xp and xn must have matching shapes")
+    if xp.ndim != 1 or xp.shape != xn.shape:
+        raise ValueError("xp and xn must be 1-D arrays of matching shapes")
     if not np.all(np.isfinite(xp)):
         raise ValueError("tangential coordinates must be finite")
     if not np.all((xn >= 0) & (xn < np.inf)):

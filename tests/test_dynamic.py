@@ -791,7 +791,13 @@ def test_laplace_dynamic_mass_accepts_zero_time():
     ([math.inf], [0.5], "tangential coordinates must be finite"),
     ([0.0, -math.inf], [0.5, 0.5], "tangential coordinates must be finite"),
     ([0.0], [math.inf], "normal coordinates must be finite and nonnegative"),
-], ids=["xp-nan", "xp-inf", "xp-minus-inf", "xn-inf"])
+    ([[0.0]], [[0.5]], "^xp and xn must be 1-D arrays of matching shapes$"),
+    ([[0.0], [0.5], [1.0]], [[0.5], [0.5], [0.5]],
+     "^xp and xn must be 1-D arrays of matching shapes$"),
+    ([[0.0, 0.5, 1.0]], [[0.5, 0.5, 0.5]], "^xp and xn must be 1-D arrays of matching shapes$"),
+], ids=["xp-nan", "xp-inf", "xp-minus-inf", "xn-inf", "shape-1x1", "shape-3x1", "shape-1x3"])
 def test_solve_grid_rejects_nonfinite_probes(xp, xn, match):
+    # checked before any work, as is the shape: a 2-D probe array used to
+    # fail deep inside numpy or the quadrature
     with pytest.raises(ValueError, match=match):
         solve_grid("HDD", P111, _GAUSS_PSI, xp, xn, 1.0)

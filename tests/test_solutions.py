@@ -326,6 +326,20 @@ class TestNormalProfileBelowTheWall:
         u, _, conv = solve(-12.0)   # cut just above 0: the quadrature as before
         assert conv and u[0] == pytest.approx(inside, rel=1e-8)
 
+    def test_gaussian_slope_ignores_m(self):
+        # the slope profile y/(2b) Gamma_1(y, b) never reads m, so neither
+        # does its support cut: m = -30 used to cut the normal integral at
+        # y <= 0 and return [0, 0], error 0, converged
+        def solve(m):
+            data = InitialData(Interior("heat_gaussian", a=1.0, normal=NormalProfile(
+                "gaussian_slope", m=m, b=1.0)))
+            return solve_grid("HDD", Params(1, 1, 1, 2), data, [0.0, 0.5], [0.5, 1.0], 1.0)
+
+        u, err, conv = solve(-30.0)
+        u0, err0, conv0 = solve(0.0)
+        assert u.tolist() == u0.tolist() and err == err0 and conv and conv0
+        assert u0 == pytest.approx([0.01030239, 0.01155767], rel=1e-6)
+
 
 class TestTraceBehaviour:
     def test_gaussian_boundary_trace_small_time(self):
