@@ -14,8 +14,8 @@ from dynheat import (
     Interior,
     NormalProfile,
     Params,
-    boundary_value,
     solve_grid,
+    tan_conv,
 )
 
 p = Params(epsilon=1.0, delta=1.0, kappa=1.0, dim=2)
@@ -33,7 +33,7 @@ for t in (0.25, 1.0, 4.0):
           + f"   (converged={conv})")
 
 print("\n== the boundary trace approaches the boundary data as t -> 0 ==")
-target = boundary_value(data.boundary, np.abs(xp), 2)
+target = tan_conv(data.boundary, np.abs(xp), 0.0, 2)  # T = 0: the data itself
 for t in (1e-1, 1e-2, 1e-3):
     u, _, _ = solve_grid("HDD", p, data, xp, np.zeros_like(xp), t)
     dev = np.max(np.abs(u - target))

@@ -25,7 +25,6 @@ from .data import (
     UnsupportedDataError,
     tan_conv,
     interior_value,
-    boundary_value,
 )
 from .dynamic import (
     Envelope,

@@ -5,6 +5,10 @@ pass through, tangential Gaussians add variances, and interval
 indicators (available for N = 2 only) convolve to erf differences.
 Every solution integral in :mod:`dynheat.solutions` therefore needs
 numerical quadrature only in the normal and time variables.
+
+``tan_conv`` is the one evaluator of a datum's tangential part, at every
+time T >= 0; at T = 0 it gives the data itself, so the boundary data at
+the wall, the finite-difference start and ``interior_value`` read it too.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ __all__ = [
     "UnsupportedDataError",
     "tan_conv",
     "interior_value",
-    "boundary_value",
 ]
 
 
@@ -138,64 +141,41 @@ class InitialData:
         return InitialData(interior or Interior("zero"), boundary or Boundary("zero"))
 
 
-def _check_indicator_dim(dim: int):
-    if dim != 2:
-        raise UnsupportedDataError("indicator data is available for N = 2 only")
-
-
 def tan_conv(data, offset, T, dim: int):
     """Closed tangential heat convolution of ``data`` at offset |x'-c'|.
 
-    ``T`` is the Gaussian time argument (array ok); returns the value of
-    (heat kernel at time T) * data evaluated at tangential offset
-    ``offset`` from the data centre.
+    ``T`` >= 0 is the Gaussian time argument (array ok); returns the value
+    of (heat kernel at time T) * data at tangential offset ``offset`` from
+    the data centre.  A T that is exactly 0 in every entry gives the data
+    itself: for the indicators the indicator, without erf.
     """
     T = np.asarray(T, dtype=float)
+    shape = np.broadcast(offset, T).shape
     if data.kind == "zero":
-        return np.zeros(np.broadcast(offset, T).shape)
+        return np.zeros(shape)
     if data.kind == "constant":
-        return np.broadcast_to(float(data.c), np.broadcast(offset, T).shape).copy()
+        return np.full(shape, float(data.c))
     if data.kind == "heat_gaussian":
         return free_heat_radial(dim - 1, offset, T + data.a)
-    if data.kind == "indicator":
-        _check_indicator_dim(dim)
-        return gaussian_interval_mass(offset, -data.rho, data.rho, T)
-    if data.kind == "complement_indicator":
-        _check_indicator_dim(dim)
-        return 1.0 - gaussian_interval_mass(offset, -data.rho, data.rho, T)
+    if data.kind in ("indicator", "complement_indicator"):
+        if dim != 2:
+            raise UnsupportedDataError("indicator data is available for N = 2 only")
+        inside = (gaussian_interval_mass(offset, -data.rho, data.rho, T) if T.any()
+                  else np.broadcast_to(np.abs(offset) <= data.rho, shape).astype(float))
+        return inside if data.kind == "indicator" else 1.0 - inside
     raise UnsupportedDataError(f"no tangential convolution for {data.kind!r}")
 
 
-def boundary_value(psi: Boundary, offset, dim: int):
-    """Pointwise value of boundary data at tangential offset from its centre."""
-    off = np.asarray(offset, dtype=float)
-    if psi.kind == "zero":
-        return np.zeros_like(off)
-    if psi.kind == "constant":
-        return np.full_like(off, float(psi.c))
-    if psi.kind == "heat_gaussian":
-        return free_heat_radial(dim - 1, off, psi.a)
-    if psi.kind == "indicator":
-        _check_indicator_dim(dim)
-        return (np.abs(off) <= psi.rho).astype(float)
-    if psi.kind == "complement_indicator":
-        _check_indicator_dim(dim)
-        return (np.abs(off) > psi.rho).astype(float)
-    raise UnsupportedDataError(psi.kind)
-
-
 def interior_value(phi: Interior, offset, xn, dim: int):
-    """Pointwise value of interior data."""
-    off = np.asarray(offset, dtype=float)
+    """Pointwise value of interior data: its tangential part (``tan_conv``
+    at T = 0) times its normal profile."""
     xn = np.asarray(xn, dtype=float)
-    if phi.kind == "zero":
-        return np.zeros(np.broadcast(off, xn).shape)
-    if phi.kind == "constant":
-        return np.full(np.broadcast(off, xn).shape, float(phi.c))
+    tang = tan_conv(phi, offset, 0.0, dim)
+    if phi.kind != "heat_gaussian":  # constant in the normal direction
+        return tang * np.ones_like(xn)
     if phi.is_power_cutoff:
+        off = np.asarray(offset, dtype=float)
         rr = off * off + xn * xn
-        inside = rr < 1.0
         with np.errstate(divide="ignore"):
-            out = np.where(inside, rr ** (-phi.normal.alpha / 2.0), 0.0)
-        return free_heat_radial(dim - 1, off, phi.a) * out
-    return free_heat_radial(dim - 1, off, phi.a) * phi.normal.value(xn)
+            return tang * np.where(rr < 1.0, rr ** (-phi.normal.alpha / 2.0), 0.0)
+    return tang * phi.normal.value(xn)

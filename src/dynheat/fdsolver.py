@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import InitialData, boundary_value, interior_value
+from .data import InitialData, interior_value, tan_conv
 from .kernels import Params
 from .quadrature import _count, _finite, _time
 
@@ -219,7 +219,7 @@ def _initial_state(p: Params, data: InitialData, grid: FdGrid) -> np.ndarray:
     offb = np.abs(xs[1:-1] - data.boundary.center)
     half = p.epsilon * grid.hz / 2.0
     phi0 = np.where(np.isfinite(u[0, 1:-1]), u[0, 1:-1], 0.0)
-    u[0, 1:-1] = (p.delta * boundary_value(data.boundary, offb, p.dim) + half * phi0) \
+    u[0, 1:-1] = (p.delta * tan_conv(data.boundary, offb, 0.0, p.dim) + half * phi0) \
         / _wall(p, grid)[0]
     return u
 

@@ -143,6 +143,14 @@ def free_heat_radial(d: int, r, t):
     return exp_flush(_log_heat(d, r, _times(t)))
 
 
+def reflected_normal(xn, yn, t, sign):
+    """Normal factor of the half-space heat kernel: the 1-D Gaussian at
+    xn - yn plus ``sign`` times its wall image at xn + yn, with sign -1
+    for an absorbing wall and +1 for a reflecting one."""
+    xn = np.asarray(xn)
+    return free_heat_radial(1, xn - yn, t) + sign * free_heat_radial(1, xn + yn, t)
+
+
 def dirichlet_kernel(x: HalfSpacePoint, y: HalfSpacePoint, t: float, dim: int):
     """Half-space heat kernel with absorbing boundary (reflection difference).
 
@@ -155,21 +163,13 @@ def dirichlet_kernel(x: HalfSpacePoint, y: HalfSpacePoint, t: float, dim: int):
 
 
 def dirichlet_radial(r, xn, yn, t, dim: int):
-    tang = free_heat_radial(dim - 1, r, t)
-    return tang * (free_heat_radial(1, np.asarray(xn) - yn, t)
-                   - free_heat_radial(1, np.asarray(xn) + yn, t))
+    return free_heat_radial(dim - 1, r, t) * reflected_normal(xn, yn, t, -1.0)
 
 
 def neumann_kernel(x: HalfSpacePoint, y: HalfSpacePoint, t: float, dim: int):
     """Half-space heat kernel with reflecting boundary (reflection sum)."""
     r = tangential_offset(x, y, dim)
-    return neumann_radial(r, x.normal, y.normal, t, dim)
-
-
-def neumann_radial(r, xn, yn, t, dim: int):
-    tang = free_heat_radial(dim - 1, r, t)
-    return tang * (free_heat_radial(1, np.asarray(xn) - yn, t)
-                   + free_heat_radial(1, np.asarray(xn) + yn, t))
+    return free_heat_radial(dim - 1, r, t) * reflected_normal(x.normal, y.normal, t, 1.0)
 
 
 def poisson_kernel(offset, height, dim: int):

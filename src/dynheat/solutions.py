@@ -37,7 +37,6 @@ from .data import (
     InitialData,
     Interior,
     UnsupportedDataError,
-    boundary_value,
     tan_conv,
 )
 from .dynamic import (
@@ -47,11 +46,7 @@ from .dynamic import (
     gauss_layer_batch,
     hdn_batch,
 )
-from .kernels import (
-    HalfSpacePoint,
-    Params,
-    free_heat_radial,
-)
+from .kernels import HalfSpacePoint, Params, reflected_normal
 from .quadrature import (
     DEFAULT_SPEC,
     QuadSpec,
@@ -118,8 +113,7 @@ def _reflected_term(eps, dim, phi: Interior, off, xn, t, spec, sign):
     tanfac = np.asarray(tan_conv(phi, off, T, dim), dtype=float)
 
     def f(ys):
-        k = free_heat_radial(1, xn[None, :] - ys[:, None], T) \
-            + sign * free_heat_radial(1, xn[None, :] + ys[:, None], T)
+        k = reflected_normal(xn[None, :], ys[:, None], T, sign)
         if prof is not None:
             k = k * prof.value(ys)[:, None]
         return k
@@ -168,9 +162,7 @@ def _layer_term(dim, psi: Boundary, off, z, T, weight, batch):
     nsub, conv = 0, True
     wall = z <= 0.0
     if wall.any():
-        trace = (tan_conv(psi, off[wall], T, dim) if T > 0.0
-                 else boundary_value(psi, off[wall], dim))
-        out[wall] = weight * np.asarray(trace, dtype=float)
+        out[wall] = weight * np.asarray(tan_conv(psi, off[wall], T, dim), dtype=float)
     if (~wall).any():
         idx = np.nonzero(~wall)[0]
         out[idx], err[idx], nsub, conv = batch(z[idx], _tan_factory(psi, off[idx], dim))
@@ -199,7 +191,7 @@ def _power_cutoff_term(p, phi: Interior, xp, xn, t, spec):
             yn = rhos[:, None, None] * st[None, :, None]
             g, err, nsub, conv = fundamental_grid(
                 p, np.abs(xp[None, None, :] - y1), xn[None, None, :], yn, t, spec)
-            w = k * free_heat_radial(1, y1 - phi.center, phi.a)
+            w = k * tan_conv(phi, y1 - phi.center, 0.0, p.dim)
             return (g * w).reshape(kk, n * m), (err * w).reshape(kk, n * m), nsub, conv
 
         vals, errs, nsub, conv = integrate_nested(inner, 0.0, 1.0, spec)

@@ -8,8 +8,7 @@ import scipy.sparse.linalg as spla
 from scipy.fft import dst
 
 from dynheat import fdsolver, verification
-from dynheat.data import (Boundary, InitialData, Interior, NormalProfile, boundary_value,
-                          interior_value)
+from dynheat.data import Boundary, InitialData, Interior, NormalProfile, interior_value, tan_conv
 from dynheat.fdsolver import FdGrid, SchemeError, compare, discrete_mass, fd_solve
 from dynheat.fdsolver import _assemble, _initial_state, _operators
 from dynheat.kernels import Params
@@ -125,7 +124,7 @@ class TestBasics:
         g = FdGrid(nx=32, nz=32)
         xs, zs = np.abs(g.x_nodes()[1:-1]), g.z_nodes()[:-1]
         phi = interior_value(data.interior, xs[None, :], zs[:, None], 2)
-        psi = boundary_value(data.boundary, xs, 2)
+        psi = tan_conv(data.boundary, xs, 0.0, 2)
         bulk = p.epsilon * g.hx * g.hz * (phi[1:].sum() + phi[0].sum() / 2.0)
         line = p.delta * g.hx * psi.sum()
         u0 = _initial_state(p, data, g)

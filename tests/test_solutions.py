@@ -12,8 +12,8 @@ from dynheat.data import (
     Interior,
     NormalProfile,
     UnsupportedDataError,
-    boundary_value,
     interior_value,
+    tan_conv,
 )
 from dynheat.kernels import Params, free_heat_radial
 from dynheat.quadrature import QuadSpec
@@ -134,7 +134,7 @@ class TestReductions:
     def test_ldpsi_trace_returns_data(self):
         data = InitialData(boundary=GAUSS_PSI)
         u, _, _ = solve_grid("LDpsi", P111, data, XP, np.zeros_like(XP), 1.0)
-        assert np.allclose(u, boundary_value(GAUSS_PSI, np.abs(XP), 2))
+        assert np.allclose(u, tan_conv(GAUSS_PSI, np.abs(XP), 0.0, 2))
 
     def test_ldd_reduces_to_ld_at_zero_kappa(self):
         data = InitialData(boundary=GAUSS_PSI)
@@ -345,7 +345,7 @@ class TestTraceBehaviour:
     def test_gaussian_boundary_trace_small_time(self):
         data = InitialData(boundary=GAUSS_PSI)
         u, _, _ = solve_grid("HDD", P111, data, XP, np.zeros_like(XP), 1e-3)
-        target = boundary_value(GAUSS_PSI, np.abs(XP), 2)
+        target = tan_conv(GAUSS_PSI, np.abs(XP), 0.0, 2)
         assert np.max(np.abs(u - target)) < 0.05
 
     def test_power_cutoff_subcritical_trace_vanishes(self):
