@@ -42,7 +42,7 @@ from .kernels import (
     poisson_kernel,
     tangential_offset,
 )
-from .quadrature import DEFAULT_SPEC, EvaluationError, QuadSpec, _time
+from .quadrature import DEFAULT_SPEC, EvaluationError, QuadResult, QuadSpec, _time
 from .solutions import PROBLEM_TAGS, first_axis, solve_grid
 from .verification import _DIM_AXIS, _PARAM_AXIS, _T_AXIS, _XN_AXIS, _mass_grid, _worst
 from .verification import (
@@ -151,7 +151,25 @@ def _block(name):
 
 
 _REQUIRED = object()
-_KERNELS = ("gamma", "g0", "gn", "poisson", "h", "g", "h_tilde", "g_ldd", "g_hdn")
+# eval-kernel's kernels: name -> function of the validated config, returning
+# a float (the closed forms) or a QuadResult
+_KERNELS = {
+    # x' is the point of R^d
+    "gamma": lambda c: free_heat_radial(c.d, np.linalg.norm(c.x.tangential_vector(c.d + 1)),
+                                        c.t),
+    "g0": lambda c: dirichlet_kernel(c.x, c.y, c.t, c.params.dim),
+    "gn": lambda c: neumann_kernel(c.x, c.y, c.t, c.params.dim),
+    "poisson": lambda c: poisson_kernel(tangential_offset(c.x, c.y, c.params.dim),
+                                        c.x.normal, c.params.dim),
+    "h": lambda c: exchange_kernel(c.params, c.x, c.y, c.t, c.quad),
+    "g": lambda c: fundamental_kernel(c.params, c.x, c.y, c.t, c.quad),
+    "h_tilde": lambda c: dirichlet_layer_kernel(
+        c.params, 1.0 if c.theta is None else c.theta, c.x, c.y, c.t, c.quad),
+    "g_ldd": lambda c: laplace_dynamic_kernel(c.params.delta, c.params.kappa, c.x, c.y, c.t,
+                                              c.params.dim, c.quad),
+    "g_hdn": lambda c: heat_neumann_kernel(c.params.epsilon, c.params.kappa, c.x, c.y, c.t,
+                                           c.params.dim, c.quad),
+}
 
 # block name -> (constructor, {key: (kind, default)}).  A missing key takes its
 # default, which is checked like a given value; a default of None also
@@ -335,32 +353,14 @@ def _finish(out, stem, summary, line, passed, converged, args):
 # ---------------------------------------------------------------------------
 
 def cmd_eval_kernel(c, out, args):
-    p, spec, x, y, t, kern = c.params, c.quad, c.x, c.y, c.t, c.kernel
-    converged = True
-    if kern == "gamma":  # x' is the point of R^d
-        r = np.linalg.norm(x.tangential_vector(c.d + 1))
-        value = float(free_heat_radial(c.d, r, t))
-    elif kern == "g0":
-        value = float(dirichlet_kernel(x, y, t, p.dim))
-    elif kern == "gn":
-        value = float(neumann_kernel(x, y, t, p.dim))
-    elif kern == "poisson":
-        value = float(poisson_kernel(tangential_offset(x, y, p.dim), x.normal, p.dim))
-    else:
-        theta = 1.0 if c.theta is None else c.theta
-        fn = {"h": lambda: exchange_kernel(p, x, y, t, spec),
-              "g": lambda: fundamental_kernel(p, x, y, t, spec),
-              "h_tilde": lambda: dirichlet_layer_kernel(p, theta, x, y, t, spec),
-              "g_ldd": lambda: laplace_dynamic_kernel(p.delta, p.kappa, x, y, t, p.dim, spec),
-              "g_hdn": lambda: heat_neumann_kernel(p.epsilon, p.kappa, x, y, t, p.dim, spec),
-              }[kern]
-        res = fn()
-        value, converged = res.value, res.converged
-    print(f"{kern} = {value!r}")
+    res = _KERNELS[c.kernel](c)
+    value, converged = ((res.value, res.converged) if isinstance(res, QuadResult)
+                        else (float(res), True))
+    print(f"{c.kernel} = {value!r}")
     write_csv(os.path.join(out, f"{_stem(args)}.csv"),
               _PARAM_HEADER + ["kernel", "t", "value", "converged"],
-              [_param_cols(p, c.theta) + [kern, repr(t), repr(value),
-                                          bool(converged)]])
+              [_param_cols(c.params, c.theta) + [c.kernel, repr(c.t), repr(value),
+                                                 bool(converged)]])
     return 0 if _verdict(True, converged, args) else 1
 
 

@@ -66,6 +66,38 @@ class TestEvalKernel:
         assert rc == 0
         assert capsys.readouterr().out == "poisson = 0.3183098861837907\n"
 
+    @pytest.mark.parametrize("kernel", ["gamma", "g0", "gn", "poisson", "h", "g", "h_tilde",
+                                        "g_ldd", "g_hdn"])
+    def test_every_kernel_matches_the_library(self, tmp_path, capsys, kernel):
+        import csv
+
+        import dynheat as dh
+        from dynheat.kernels import HalfSpacePoint
+
+        p = Params(0.7, 1.3, 0.4, 2)
+        x, y, t = HalfSpacePoint(0.3, 0.5), HalfSpacePoint(-0.2, 0.8), 0.9
+        rc = run_cli(tmp_path, "eval-kernel", {
+            "kernel": kernel, "t": t, "theta": 1.5,
+            "params": {"epsilon": 0.7, "delta": 1.3, "kappa": 0.4, "dim": 2},
+            "x": {"tangential": 0.3, "normal": 0.5}, "y": {"tangential": -0.2, "normal": 0.8}})
+        assert rc == 0
+        direct = {
+            "gamma": lambda: dh.free_heat_radial(1, 0.3, t),
+            "g0": lambda: dh.dirichlet_kernel(x, y, t, 2),
+            "gn": lambda: dh.neumann_kernel(x, y, t, 2),
+            "poisson": lambda: dh.poisson_kernel(0.5, 0.5, 2),
+            "h": lambda: dh.exchange_kernel(p, x, y, t).value,
+            "g": lambda: dh.fundamental_kernel(p, x, y, t).value,
+            "h_tilde": lambda: dh.dirichlet_layer_kernel(p, 1.5, x, y, t).value,
+            "g_ldd": lambda: dh.laplace_dynamic_kernel(1.3, 0.4, x, y, t, 2).value,
+            "g_hdn": lambda: dh.heat_neumann_kernel(0.7, 0.4, x, y, t, 2).value,
+        }[kernel]()
+        assert capsys.readouterr().out == f"{kernel} = {direct!r}\n"
+        with open(tmp_path / "eval-kernel.csv", newline="") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert row["kernel"] == kernel and row["value"] == repr(direct)
+        assert row["converged"] == "True"
+
     def test_unknown_kernel(self, tmp_path):
         rc = run_cli(tmp_path, "eval-kernel", {
             "kernel": "nope", "t": 1.0, "x": {"normal": 0.0}})
