@@ -42,7 +42,7 @@ from .kernels import (
     poisson_kernel,
     tangential_offset,
 )
-from .quadrature import DEFAULT_SPEC, EvaluationError, QuadResult, QuadSpec, _time
+from .quadrature import DEFAULT_SPEC, EvaluationError, QuadResult, QuadSpec, _positive
 from .solutions import PROBLEM_TAGS, first_axis, solve_grid
 from .verification import _DIM_AXIS, _PARAM_AXIS, _T_AXIS, _XN_AXIS, _mass_grid, _worst
 from .verification import (
@@ -111,7 +111,7 @@ def _bool(v, where):
 
 def _kernel_time(v, where):
     """eval-kernel's t under the time rule, 0 admitted (the Poisson kernel does not read it)."""
-    return float(_time(_num(v, where), where, zero=True))
+    return float(_positive(_num(v, where), where, zero=True))
 
 
 def _exponent(v, where):
@@ -238,7 +238,7 @@ _COMMAND_KEYS = {
         "times": (_list(_num), _REQUIRED), "quad": (_block("quad"), {})},
     "bounds-check": {
         "params": (_block("params"), {}), "samples_per_region": (_int, 500),
-        "seed": (_int, 7), "stability_factor": (_num, 1.5)},
+        "seed": (_int, 7)},
     "limit-rate": {
         "which": (_choice(EXPERIMENTS), _REQUIRED), "ladder": (_list(_num), None),
         "quad": (_block("quad"), {})},
@@ -425,8 +425,7 @@ def cmd_solve(c, out, args):
 
 def cmd_bounds_check(c, out, args):
     p = c.params
-    res = sandwich_check(p, n_per_region=c.samples_per_region, seed=c.seed,
-                         stability_factor=c.stability_factor)
+    res = sandwich_check(p, n_per_region=c.samples_per_region, seed=c.seed)
     rows = [_param_cols(p) + ["two-sided envelopes", tag,
                                  repr(v["upper_max"]), repr(v["lower_max"])]
             for tag, v in sorted(res.per_region.items())]

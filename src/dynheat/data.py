@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import free_heat_radial, gaussian_interval_mass
+from .quadrature import _finite, _positive
 
 __all__ = [
     "NormalProfile",
@@ -57,13 +58,15 @@ class NormalProfile:
         if self.kind not in ("gaussian", "indicator", "gaussian_slope",
                              "power_cutoff"):
             raise UnsupportedDataError(f"unknown normal profile {self.kind!r}")
-        if self.kind in ("gaussian", "gaussian_slope") and not self.b > 0:
-            raise ValueError("gaussian profile needs b > 0")
-        if self.kind == "indicator" and not (0 <= self.lo < self.hi):
-            raise ValueError("indicator profile needs 0 <= lo < hi")
         # |y|^(-alpha) is integrable on the unit half-disc for alpha < 2 only
         if self.kind == "power_cutoff" and not -np.inf < self.alpha < 2.0:
             raise ValueError("power_cutoff profile needs a finite alpha < 2")
+        for name in ("m", "hi", "alpha"):
+            _finite(getattr(self, name), name)
+        _positive(self.b, "b")
+        _positive(self.lo, "lo", zero=True)  # a normal coordinate, as hi
+        if self.kind == "indicator" and not self.lo < self.hi:
+            raise ValueError("indicator profile needs lo < hi")
 
     def value(self, y):
         y = np.asarray(y, dtype=float)
@@ -99,11 +102,11 @@ class Interior:
     def __post_init__(self):
         if self.kind not in ("zero", "constant", "heat_gaussian"):
             raise UnsupportedDataError(f"unknown interior data {self.kind!r}")
-        if self.kind == "heat_gaussian":
-            if not self.a > 0:
-                raise ValueError("tangential parameter a must be positive")
-            if self.normal is None:
-                raise ValueError("heat_gaussian interior data needs a normal profile")
+        _finite(self.c, "c")
+        _finite(self.center, "center")
+        _positive(self.a, "a")
+        if self.kind == "heat_gaussian" and self.normal is None:
+            raise ValueError("heat_gaussian interior data needs a normal profile")
 
     @property
     def is_power_cutoff(self) -> bool:
@@ -125,10 +128,10 @@ class Boundary:
         if self.kind not in ("zero", "constant", "heat_gaussian",
                              "indicator", "complement_indicator"):
             raise UnsupportedDataError(f"unknown boundary data {self.kind!r}")
-        if self.kind == "heat_gaussian" and not self.a > 0:
-            raise ValueError("tangential parameter a must be positive")
-        if self.kind in ("indicator", "complement_indicator") and not self.rho > 0:
-            raise ValueError("indicator radius must be positive")
+        _finite(self.c, "c")
+        _finite(self.center, "center")
+        _positive(self.a, "a")
+        _positive(self.rho, "rho")
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,7 @@ from .quadrature import (
     _adaptive,
     _finalize,
     _halves,
-    _time,
+    _positive,
     add_terms,
     integrate_nested,
     TAIL_EXPONENT,
@@ -272,7 +272,7 @@ def exchange_log_grid(p: Params, r, s, t: float, spec: QuadSpec = DEFAULT_SPEC):
     call: log(0) at xi = 0 in the frame and the integrand, and log(0) and
     0/0 on a zero value.
     """
-    _time(t)
+    _positive(t)
     r, s = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(s, dtype=float))
     shape, r, s = r.shape, r.ravel(), s.ravel()
 
@@ -377,7 +377,7 @@ def heat_neumann_grid(p: Params, r, xn, yn, t: float, spec: QuadSpec = DEFAULT_S
     ``hdn_batch``; reads epsilon, kappa and the dimension of ``p``.
     Returns (values, errors, subdivisions, converged) in the broadcast
     shape."""
-    _time(t)
+    _positive(t)
     r, xn, yn = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (r, xn, yn)))
     vals, errs, nsub, conv = hdn_batch(p.epsilon, p.kappa, p.dim, (xn + yn).ravel(), t, spec,
                                        _pointwise_tan(p.dim, r.ravel()))
@@ -440,7 +440,7 @@ def laplace_dynamic_kernel(delta: float, kappa: float, x: HalfSpacePoint,
     parameters are checked as a ``Params`` with epsilon = 1, which the
     kernel does not read."""
     p = Params(1.0, delta, kappa, dim)
-    _time(t, zero=True)
+    _positive(t, zero=True)
     r = tangential_offset(x, y, p.dim)
     tan = _pointwise_tan(p.dim, np.array([r]))
     return _finalize(*gauss_layer_batch(p.dim, [x.normal + y.normal + t / p.delta],
@@ -455,9 +455,7 @@ def dirichlet_layer_batch(eps, dim, xn, t, theta, spec, tan_fn):
     is (2 eps / sqrt(pi)) exp(-v^2) and the elapsed bulk time is
     w = eps x_N^2 / (4 v^2).  Strictly interior points only (x_N > 0).
     """
-    xn = np.asarray(xn, dtype=float).ravel()
-    if np.any(xn <= 0):
-        raise ValueError("dirichlet_layer_batch needs x_N > 0")
+    xn = _positive(np.asarray(xn, dtype=float).ravel(), "x_N")
     v0 = 0.5 * xn * math.sqrt(eps / t)
     log_pref = math.log(2.0 * eps) - 0.5 * math.log(math.pi)
 
@@ -480,9 +478,8 @@ def dirichlet_layer_kernel(p: Params, theta: float, x: HalfSpacePoint,
     """Kernel carrying diffusing boundary data into the bulk through the
     absorbing-boundary heat flow (the second point is read as a boundary
     point; its normal part is ignored)."""
-    _time(t)
-    if not theta > 0:
-        raise ValueError("theta must be positive")
+    _positive(t)
+    _positive(theta, "theta")
     if x.normal == 0.0:
         return QuadResult(0.0, 0.0, 0, True)
     r = tangential_offset(x, y, p.dim)
@@ -516,31 +513,29 @@ def region_tag(eps, delta, s, t):
 def envelope_log(p: Params, r, s, t):
     """log of the upper and lower envelopes at the scalar tangential
     offset ``r`` and s = x_N + y_N at time t, and the region of (s, t).
-    numpy's divide warning is silenced for the whole call (a time that
-    underflows to 0)."""
-    if p.kappa <= 0:
-        raise ValueError("envelopes require kappa > 0")
+    Every heat-kernel time it forms passes the time rule under its own
+    name, so a t whose quotient underflows to 0 is a ValueError."""
+    _positive(p.kappa, "kappa of an envelope")
     tag = region_tag(p.epsilon, p.delta, s, t)
     log_up = log_low = 0.0
-    with np.errstate(divide="ignore"):
-        if tag != "D1":
-            log_up = _log_heat(1, s, t / p.epsilon)
-            log_low = _log_heat(1, s, t / (2.0 * p.epsilon))
-            if tag == "D3":
-                log_lin = np.log(s + t / p.delta)
-                log_up, log_low = log_lin + log_up, log_lin + log_low
-        lam_big = max(p.delta, p.kappa * p.epsilon)
-        lam_small = min(p.delta, p.kappa * p.epsilon)
-        scale = t / (p.epsilon * p.delta)
-        log_up = log_up + _log_heat(p.dim - 1, r, lam_big * scale)
-        log_low = log_low + _log_heat(p.dim - 1, r, lam_small * scale)
+    if tag != "D1":
+        log_up = _log_heat(1, s, _positive(t / p.epsilon, "t/epsilon"))
+        log_low = _log_heat(1, s, _positive(t / (2.0 * p.epsilon), "t/(2 epsilon)"))
+        if tag == "D3":
+            log_lin = np.log(s + t / p.delta)
+            log_up, log_low = log_lin + log_up, log_lin + log_low
+    scale = t / (p.epsilon * p.delta)
+    t_big = _positive(max(p.delta, p.kappa * p.epsilon) * scale, "Lambda t/(epsilon delta)")
+    t_small = _positive(min(p.delta, p.kappa * p.epsilon) * scale, "lambda t/(epsilon delta)")
+    log_up = log_up + _log_heat(p.dim - 1, r, t_big)
+    log_low = log_low + _log_heat(p.dim - 1, r, t_small)
     return log_up, log_low, tag
 
 
 def envelope(p: Params, x: HalfSpacePoint, y: HalfSpacePoint, t: float) -> Envelope:
     """Upper and lower envelopes of the exchange kernel at (x, y, t), and
     the region D1-D4 that (x_N + y_N, t) lies in."""
-    _time(t)
+    _positive(t)
     r = tangential_offset(x, y, p.dim)
     lu, ll, tag = envelope_log(p, r, x.normal + y.normal, t)
     return Envelope(exp_flush(lu), exp_flush(ll), tag)
@@ -551,10 +546,10 @@ def envelope(p: Params, x: HalfSpacePoint, y: HalfSpacePoint, t: float) -> Envel
 # ---------------------------------------------------------------------------
 
 def _check_xn_t(xn, t, zero=False):
-    """The time rule ``_time`` on ``t``, and its finite, nonnegative form
+    """The time rule ``_positive`` on ``t``, and its finite, nonnegative form
     on the normal coordinate ``xn``."""
-    _time(xn, "x_N", zero=True)
-    _time(t, zero=zero)
+    _positive(xn, "x_N", zero=True)
+    _positive(t, zero=zero)
 
 
 def exchange_marginal_boundary(p: Params, xn: float, t: float,

@@ -61,7 +61,7 @@ import numpy as np
 
 from .data import InitialData, interior_value, tan_conv
 from .kernels import Params
-from .quadrature import _count, _finite, _time
+from .quadrature import _count, _positive
 
 __all__ = ["FdGrid", "FdResult", "SchemeError", "fd_solve", "discrete_mass", "compare"]
 
@@ -98,11 +98,11 @@ class FdGrid:
     flux: str = "compact"  # the only wall flux
 
     def __post_init__(self):
-        if (_finite(self.Lx, "Lx") <= 0 or _finite(self.Lz, "Lz") <= 0
-                or _count(self.nx, "nx") < 4 or _count(self.nz, "nz") < 4):
+        _positive(self.Lx, "Lx")
+        _positive(self.Lz, "Lz")
+        if _count(self.nx, "nx") < 4 or _count(self.nz, "nz") < 4:
             raise ValueError("degenerate grid")
-        if _finite(self.dt, "dt") <= 0:
-            raise ValueError("dt must be positive")
+        _positive(self.dt, "dt")
         if self.scheme != "crank_nicolson":
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.flux != "compact":
@@ -126,7 +126,7 @@ class FdGrid:
         """The step n of the time ``t`` on the clock n dt: the time rule
         (t = 0 admitted), then ``t`` within 1e-9 max(1, t) of n dt, the one
         tolerance of the clock; ValueError naming ``name`` otherwise."""
-        n = round(_time(t, name, zero=True) / self.dt)
+        n = round(_positive(t, name, zero=True) / self.dt)
         if abs(n * self.dt - t) > 1e-9 * max(1.0, t):
             raise ValueError(f"{name} must fall on multiples of dt, got {t!r}")
         return n

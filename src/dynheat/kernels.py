@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import _count, _finite
+from .quadrature import _count, _finite, _positive
 
 __all__ = [
     "LOG_FLUSH",
@@ -43,12 +43,9 @@ class Params:
     dim: int = 2
 
     def __post_init__(self):
-        if _finite(self.epsilon, "epsilon") <= 0:
-            raise ValueError("epsilon must be positive")
-        if _finite(self.delta, "delta") <= 0:
-            raise ValueError("delta must be positive")
-        if _finite(self.kappa, "kappa") < 0:
-            raise ValueError("kappa must be nonnegative")
+        _positive(self.epsilon, "epsilon")
+        _positive(self.delta, "delta")
+        _positive(self.kappa, "kappa", zero=True)
         if _count(self.dim, "dim") < 2:
             raise ValueError("dim must be at least 2")
 
@@ -67,11 +64,8 @@ class HalfSpacePoint:
     normal: float
 
     def __post_init__(self):
-        tang = self.tangential  # a scalar stays scalar: no array per point
-        for v in (tang,) if isinstance(tang, (int, float)) else np.ravel(tang):
-            _finite(v, "tangential coordinate")
-        if _finite(self.normal, "normal coordinate") < 0:
-            raise ValueError("normal coordinate must be nonnegative")
+        _finite(self.tangential, "tangential coordinate")
+        _positive(self.normal, "normal coordinate", zero=True)
 
     def tangential_vector(self, dim: int) -> np.ndarray:
         if dim < 2:
@@ -123,24 +117,13 @@ def _log_heat(d, r, t):
     return log_t - r * r / (4.0 * t)
 
 
-def _times(t):
-    """``t`` as a float array, each entry checked by the time rule of
-    ``quadrature._time`` (finite and positive), with its message."""
-    t = np.asarray(t, dtype=float)
-    # written so that NaN fails (a NaN least entry fails the first test)
-    if not (np.minimum.reduce(t, axis=None, initial=np.inf) > 0.0
-            and np.maximum.reduce(t, axis=None, initial=0.0) < np.inf):
-        raise ValueError("time must be finite and positive")
-    return t
-
-
 def free_heat_radial(d: int, r, t):
     """Whole-space heat kernel of R^d at radius ``r`` and time ``t``.
 
     Vectorized over ``r`` and ``t`` (broadcast); every t passes the time
-    rule (``_times``).
+    rule (``_positive``).
     """
-    return exp_flush(_log_heat(d, r, _times(t)))
+    return exp_flush(_log_heat(d, r, _positive(t)))
 
 
 def reflected_normal(xn, yn, t, sign):
@@ -178,9 +161,7 @@ def poisson_kernel(offset, height, dim: int):
     ``offset`` is the tangential offset |x' - y'| (scalar or array) and
     ``height`` the normal coordinate, which must be positive.
     """
-    height = np.asarray(height, dtype=float)
-    if not np.all(height > 0):
-        raise ValueError("height must be positive")
+    height = np.asarray(_positive(height, "height"), dtype=float)
     r = np.asarray(offset, dtype=float)
     c = math.pi ** (-dim / 2.0) * math.gamma(dim / 2.0)
     out = c * height * (r * r + height * height) ** (-dim / 2.0)
@@ -191,10 +172,10 @@ def poisson_kernel(offset, height, dim: int):
 
 def gaussian_interval_mass(x, lo, hi, t):
     """Integral of the 1-D heat kernel centred at ``x`` over [lo, hi];
-    every t passes the time rule (``_times``)."""
+    every t passes the time rule (``_positive``)."""
     from scipy.special import erf
 
-    s = 2.0 * np.sqrt(_times(t))
+    s = 2.0 * np.sqrt(_positive(t))
     out = 0.5 * (erf((np.asarray(x) - lo) / s) - erf((np.asarray(x) - hi) / s))
     if np.ndim(out) == 0:
         return float(out)
@@ -203,6 +184,5 @@ def gaussian_interval_mass(x, lo, hi, t):
 
 def sphere_area(d: int) -> float:
     """Surface area of the unit sphere in R^(d+1): |S^d|."""
-    if d < 0:
-        raise ValueError("d must be nonnegative")
+    _positive(d, "d", zero=True)
     return 2.0 * math.pi ** ((d + 1) / 2.0) / math.gamma((d + 1) / 2.0)

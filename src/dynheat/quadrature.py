@@ -122,12 +122,38 @@ _FLOOR = 50.0 * _EPS
 _FLOOR_FROM = _UFLOW / _FLOOR
 
 
+def _span(value):
+    """(float array, least entry, greatest entry) of a list, tuple or
+    ndarray.  ``_finite``, ``_positive`` and ``_count`` are the range rule
+    of every layer: they check an array entry by entry through this, and
+    any other value as one number, by comparisons alone, returned as
+    given.  Each test is written so that NaN fails it."""
+    value = np.asarray(value, dtype=float)
+    return (value, np.minimum.reduce(value, axis=None, initial=np.inf),
+            np.maximum.reduce(value, axis=None, initial=-np.inf))
+
+
+_ARRAYS = (list, tuple, np.ndarray)
+
+
 def _finite(value, name):
-    """``value`` if it is a finite real number, ValueError for NaN and
-    infinities (NaN fails every comparison, so a range check alone lets
-    it through)."""
-    if not math.isfinite(value):
+    """``value`` if it is finite, ValueError for NaN and infinities."""
+    lo = hi = value
+    if isinstance(value, _ARRAYS):
+        value, lo, hi = _span(value)
+    if not (-math.inf < lo and hi < math.inf):
         raise ValueError(f"{name} must be finite")
+    return value
+
+
+def _positive(value, name="time", zero=False):
+    """``value`` if it is finite and > 0 (>= 0 when ``zero``), ValueError
+    otherwise; times, scales and tolerances all pass this rule."""
+    lo = hi = value
+    if isinstance(value, _ARRAYS):
+        value, lo, hi = _span(value)
+    if not ((0.0 <= lo if zero else 0.0 < lo) and hi < math.inf):
+        raise ValueError(f"{name} must be finite and " + ("nonnegative" if zero else "positive"))
     return value
 
 
@@ -135,14 +161,6 @@ def _count(value, name):
     """``value`` if it is an integer (numpy integers included, bool not)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer")
-    return value
-
-
-def _time(value, name="time", zero=False):
-    """``value`` if it is a finite time, > 0 (>= 0 when ``zero``): the one
-    time rule of every layer.  Each test is written so that NaN fails it."""
-    if not (0.0 <= value if zero else 0.0 < value) or not value < math.inf:
-        raise ValueError(f"{name} must be finite and " + ("nonnegative" if zero else "positive"))
     return value
 
 
@@ -155,8 +173,8 @@ class QuadSpec:
     max_subdivisions: int = 2000
 
     def __post_init__(self):
-        if _finite(self.rel_tol, "rel_tol") <= 0 or _finite(self.abs_tol, "abs_tol") <= 0:
-            raise ValueError("tolerances must be positive")
+        _positive(self.rel_tol, "rel_tol")
+        _positive(self.abs_tol, "abs_tol")
         if _count(self.max_subdivisions, "max_subdivisions") < 1:
             raise ValueError("max_subdivisions must be >= 1")
 

@@ -54,7 +54,8 @@ from .quadrature import (
     integrate,
     integrate_nested,
     TAIL_EXPONENT,
-    _time,
+    _finite,
+    _positive,
 )
 
 __all__ = [
@@ -203,8 +204,10 @@ def _power_cutoff_term(p, phi: Interior, xp, xn, t, spec):
 def _validate(tag, p: Params, data: InitialData, theta):
     if tag not in PROBLEM_TAGS:
         raise ValueError(f"unknown problem tag {tag!r}")
-    if tag in _NEEDS_THETA and (theta is None or not theta > 0):
-        raise ValueError(f"{tag} requires theta > 0")
+    if tag in _NEEDS_THETA:
+        if theta is None:
+            raise ValueError(f"{tag} requires theta")
+        _positive(theta, "theta")
     if tag in _BOUNDARY_ONLY and data.interior.kind != "zero":
         raise UnsupportedDataError(f"{tag} admits boundary data only")
     if tag in _INTERIOR_ONLY and data.boundary.kind != "zero":
@@ -232,15 +235,13 @@ def _solve(tag, p: Params, data: InitialData, xp, xn, t, spec, theta):
     _validate(tag, p, data, theta)
     if tag in ("HD", "LD"):  # the kappa = 0 aliases
         return _solve(tag + "D", replace(p, kappa=0.0), data, xp, xn, t, spec, theta)
-    _time(t)
+    _positive(t)
     xp = np.atleast_1d(np.asarray(xp, dtype=float))
     xn = np.atleast_1d(np.asarray(xn, dtype=float))
     if xp.ndim != 1 or xp.shape != xn.shape:
         raise ValueError("xp and xn must be 1-D arrays of matching shapes")
-    if not np.all(np.isfinite(xp)):
-        raise ValueError("tangential coordinates must be finite")
-    if not np.all((xn >= 0) & (xn < np.inf)):
-        raise ValueError("normal coordinates must be finite and nonnegative")
+    _finite(xp, "tangential coordinates")
+    _positive(xn, "normal coordinates", zero=True)
     if xp.size == 0:
         return _zero(0)
     phi, psi = data.interior, data.boundary

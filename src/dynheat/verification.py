@@ -43,7 +43,8 @@ from .kernels import (
     neumann_kernel,
     poisson_kernel,
 )
-from .quadrature import DEFAULT_SPEC, TAIL_EXPONENT, QuadSpec, _time, integrate, integrate_nested
+from .quadrature import DEFAULT_SPEC, TAIL_EXPONENT, QuadSpec, _count, _positive
+from .quadrature import integrate, integrate_nested
 from .solutions import _admitted, solve_grid
 
 __all__ = [
@@ -374,9 +375,9 @@ def _mass_grid(spec, epsilon=_PARAM_AXIS, delta=_PARAM_AXIS, kappa=_PARAM_AXIS,
     is checked, named by axis and index, before the first ``total_mass``."""
     grid = [Params(e, d, k, n) for n in dim for e in epsilon for d in delta for k in kappa]
     for i, xn in enumerate(x_n):
-        _time(xn, f"x_n[{i}]", zero=True)
+        _positive(xn, f"x_n[{i}]", zero=True)
     for i, s in enumerate(t):
-        _time(s, f"t[{i}]")
+        _positive(s, f"t[{i}]")
     return [(p, xn, s, total_mass(p, xn, s, spec)) for p in grid for xn in x_n for s in t]
 
 
@@ -633,6 +634,9 @@ class SandwichResult:
     converged: bool
 
 
+# Bound on the growth of the empirical constants from half the samples to
+# all of them (criterion 8).
+_STABILITY_FACTOR = 1.5
 # Consecutive rejected draws after which a region counts as unreachable;
 # feasible parameters reject at most one draw in a row.
 _MAX_REJECTIONS = 1000
@@ -672,16 +676,16 @@ def _sample_regions(p: Params, n_per: int, rng):
 
 
 def sandwich_check(p: Params | None = None, n_per_region: int = 500,
-                   seed: int = 7, stability_factor: float = 1.5) -> SandwichResult:
+                   seed: int = 7) -> SandwichResult:
     """Empirical two-sided envelope constants over stratified samples.
 
     The maxima of kernel/upper-envelope and lower-envelope/kernel are the
     empirical comparison constants; sample doubling (the first half vs
-    the full set, nested) must move them by less than the stability
-    factor.  ``converged`` is False when any exchange-kernel value did not
-    converge.
+    the full set, nested) must move them by less than the factor
+    ``_STABILITY_FACTOR``.  ``converged`` is False when any exchange-kernel
+    value did not converge.
     """
-    if n_per_region < 2:
+    if _count(n_per_region, "n_per_region") < 2:
         raise ValueError("sandwich_check needs n_per_region >= 2")
     p = p or Params(1.0, 1.0, 1.0, 2)
     spec = QuadSpec(rel_tol=1e-8, abs_tol=1e-12)
@@ -711,7 +715,7 @@ def sandwich_check(p: Params | None = None, n_per_region: int = 500,
     stability = max(up_all.max() / up_half.max(), low_all.max() / low_half.max())
     finite = bool(np.all(np.isfinite(up_all)) and np.all(np.isfinite(low_all))
                   and np.all(up_all > 0) and np.all(low_all > 0))
-    passed = finite and stability < stability_factor
+    passed = finite and stability < _STABILITY_FACTOR
     return SandwichResult(float(up_all.max()), float(low_all.max()),
                           per_region, float(stability), passed, converged)
 
@@ -722,7 +726,7 @@ def sandwich_check(p: Params | None = None, n_per_region: int = 500,
 
 def witness_norm(p_exp: float, eps: float, t, dim: int = 2) -> float:
     """Closed Lebesgue norm of the witness profile at time t."""
-    t = float(_time(t))
+    t = float(_positive(t))
     T = t / eps
     if p_exp == math.inf:
         return (eps / (2.0 * t)) * math.sqrt(2.0 * T) \
@@ -770,8 +774,7 @@ def opnorm_decay(p_exp: float, q_exp: float, p: Params | None = None,
     if q_exp < math.inf:
         raise ValueError("opnorm_decay supports q = inf only: the probe grid "
                          "gives no L^q norm for finite q")
-    for t in t_ladder:
-        _time(t, "t_ladder")
+    _positive(t_ladder, "t_ladder")
     p = p or Params(1.0, 1.0, 1.0, 2)
     xp, xn, _ = probe_points("omega_L_I")
     ones = InitialData(Interior("constant", c=1.0), Boundary("constant", c=1.0))
@@ -813,8 +816,7 @@ def oracle_compare(p: Params, data: InitialData, grid: FdGrid, times,
     # checked here, not by solve_grid, so that bad times fail before the march
     if len(times) == 0:
         raise ValueError("oracle times must be non-empty")
-    for t in times:
-        _time(t, "oracle times")
+    _positive(times, "oracle times")
     res = fd_solve(p, data, grid, max(times), snapshots=times)
     xs, zs = grid.x_nodes(), grid.z_nodes()
     jj = np.nonzero(np.abs(xs) <= window[0])[0]

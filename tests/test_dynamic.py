@@ -630,6 +630,12 @@ class TestEnvelope:
             lin * free_heat_radial(1, 3.0, 1.0)
             * free_heat_radial(1, 0.0, 100.0 * 1.0 / 100.0), rel=1e-12)
 
+    def test_time_that_underflows_is_rejected(self):
+        # t/epsilon underflows to 0 in region D4: the envelopes were NaN
+        x, y = HalfSpacePoint(1.0, 1.0), HalfSpacePoint(0.0, 0.5)
+        with pytest.raises(ValueError, match="^t/epsilon must be finite and positive$"):
+            envelope(Params(2, 1, 1, 2), x, y, 5e-324)
+
     def test_envelopes_positive(self):
         env = envelope(P111, HalfSpacePoint(2.0, 4.0), HalfSpacePoint(0.0, 4.0), 0.3)
         assert isinstance(env, Envelope)
@@ -659,13 +665,21 @@ _GAUSS_PSI = InitialData(boundary=Boundary("heat_gaussian", a=0.5))
     lambda: solve_grid("HDD", P111, _GAUSS_PSI, [0.0], [0.5], _NAN),
     lambda: solve_grid("HDD", P111, _GAUSS_PSI, [0.0], [_NAN], 1.0),
     lambda: solve_grid("HDPsi", P111, _GAUSS_PSI, [0.0], [0.5], 1.0, theta=_NAN),
+    lambda: poisson_kernel(0.0, math.inf, 2),
+    lambda: poisson_kernel(0.0, [1.0, math.inf], 2),
+    lambda: dirichlet_layer_kernel(P111, math.inf, _X, _Y, 1.0),
+    lambda: solve_grid("HDPsi", P111, _GAUSS_PSI, [0.0], [0.5], 1.0, theta=math.inf),
+    lambda: solve_grid("LDPsi", P111, _GAUSS_PSI, [0.0], [0.5], 1.0, theta=math.inf),
 ], ids=["point-normal", "point-tangential", "point-vector", "dirichlet-t", "poisson-height",
         "envelope-t", "exchange-t", "hdn-t", "hdn-epsilon", "hdn-kappa", "ldd-delta",
         "ldd-kappa", "ldd-t", "layer-t", "layer-theta", "solve-t", "solve-normal",
-        "solve-theta"])
+        "solve-theta", "poisson-height-inf", "poisson-height-array-inf", "layer-theta-inf",
+        "solve-HDPsi-theta-inf", "solve-LDPsi-theta-inf"])
 def test_nan_input_is_rejected(call):
     # a NaN fails every comparison, so each range check is written to fail
-    # on it; the message is the one a finite out-of-range value gets
+    # on it; the message is the one a finite out-of-range value gets.  The
+    # infinite rows returned NaN (the Poisson height) or ran on an infinite
+    # theta
     with pytest.raises(ValueError, match="must be|need|requires"):
         call()
 
@@ -736,14 +750,14 @@ def _ldd_mass(delta, kappa, xn, t, dim=2):
 
 
 @pytest.mark.parametrize("mass, args, match", [
-    (_hdn_mass, (-1.0, 1.0, 0.5, 1.0), "epsilon must be positive"),
-    (_hdn_mass, (1.0, -1.0, 0.5, 1.0), "kappa must be nonnegative"),
+    (_hdn_mass, (-1.0, 1.0, 0.5, 1.0), "epsilon must be finite and positive"),
+    (_hdn_mass, (1.0, -1.0, 0.5, 1.0), "kappa must be finite and nonnegative"),
     (_hdn_mass, (_NAN, 1.0, 0.5, 1.0), "epsilon must be finite"),
     (_hdn_mass, (1.0, _NAN, 0.5, 1.0), "kappa must be finite"),
     (_hdn_mass, (1.0, 1.0, 0.5, 1.0, 1), "dim must be at least 2"),
     (_hdn_mass, (1.0, 1.0, 0.5, 1.0, 2.5), "dim must be an integer"),
-    (_ldd_mass, (-1.0, 1.0, 0.5, 1.0), "delta must be positive"),
-    (_ldd_mass, (1.0, -1.0, 0.5, 1.0), "kappa must be nonnegative"),
+    (_ldd_mass, (-1.0, 1.0, 0.5, 1.0), "delta must be finite and positive"),
+    (_ldd_mass, (1.0, -1.0, 0.5, 1.0), "kappa must be finite and nonnegative"),
     (_ldd_mass, (_NAN, 1.0, 0.5, 1.0), "delta must be finite"),
     (_ldd_mass, (1.0, _NAN, 0.5, 1.0), "kappa must be finite"),
     (_ldd_mass, (1.0, 1.0, 0.5, 1.0, 1), "dim must be at least 2"),
@@ -752,13 +766,13 @@ def _ldd_mass(delta, kappa, xn, t, dim=2):
     (_hdn_mass, (1.0, math.inf, 0.5, 1.0), "kappa must be finite"),
     (_ldd_mass, (math.inf, 1.0, 0.5, 1.0), "delta must be finite"),
     (_ldd_mass, (1.0, math.inf, 0.5, 1.0), "kappa must be finite"),
-    (heat_neumann_kernel, (-1.0, 1.0, _X, _Y, 1.0), "epsilon must be positive"),
+    (heat_neumann_kernel, (-1.0, 1.0, _X, _Y, 1.0), "epsilon must be finite and positive"),
     (heat_neumann_kernel, (math.inf, 1.0, _X, _Y, 1.0), "epsilon must be finite"),
     (heat_neumann_kernel, (1.0, math.inf, _X, _Y, 1.0), "kappa must be finite"),
     (heat_neumann_kernel, (1.0, 1.0, _X, _Y, 1.0, 0), "dim must be at least 2"),
     (heat_neumann_kernel, (1.0, 1.0, _X, _Y, 1.0, 1), "dim must be at least 2"),
     (heat_neumann_kernel, (1.0, 1.0, _X, _Y, 1.0, 2.0), "dim must be an integer"),
-    (laplace_dynamic_kernel, (-1.0, 1.0, _X, _Y, 1.0), "delta must be positive"),
+    (laplace_dynamic_kernel, (-1.0, 1.0, _X, _Y, 1.0), "delta must be finite and positive"),
     (laplace_dynamic_kernel, (math.inf, 1.0, _X, _Y, 1.0), "delta must be finite"),
     (laplace_dynamic_kernel, (1.0, math.inf, _X, _Y, 1.0), "kappa must be finite"),
     (laplace_dynamic_kernel, (1.0, 1.0, _X, _Y, 1.0, 0), "dim must be at least 2"),

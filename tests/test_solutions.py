@@ -295,6 +295,37 @@ class TestValidation:
         with pytest.raises(ValueError, match="^power_cutoff profile needs a finite alpha < 2$"):
             NormalProfile("power_cutoff", alpha=alpha)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("make, field", [
+        (NormalProfile, "m"), (NormalProfile, "b"), (NormalProfile, "lo"),
+        (NormalProfile, "hi"), (NormalProfile, "alpha"),
+        (Interior, "c"), (Interior, "center"), (Interior, "a"),
+        (Boundary, "c"), (Boundary, "center"), (Boundary, "a"), (Boundary, "rho"),
+    ], ids=lambda v: v if isinstance(v, str) else v.__name__)
+    def test_nonfinite_data_field_rejected(self, make, field, value):
+        # every float field of a datum passes the range rule whatever the
+        # kind reads; NormalProfile(m=nan) used to fail inside the
+        # quadrature and Interior(a=inf) with a message about time
+        kind = "gaussian" if make is NormalProfile else "constant"
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            make(kind, **{field: value})
+
+    @pytest.mark.parametrize("tag, data, xn, field", [
+        ("HD0", lambda: InitialData(Interior("constant", c=math.nan)), 0.5, "c"),
+        ("HhN", lambda: InitialData(Interior("constant", c=math.inf)), 0.5, "c"),
+        ("HDpsi", lambda: InitialData(boundary=Boundary("constant", c=math.nan)), 0.0, "c"),
+        ("LDpsi", lambda: InitialData(boundary=Boundary("heat_gaussian", center=math.nan)),
+         0.0, "center"),
+        ("HD0", lambda: InitialData(Interior("heat_gaussian", center=math.inf,
+                                             normal=NormalProfile("gaussian"))),
+         0.5, "center"),
+    ], ids=["HD0-c-nan", "HhN-c-inf", "HDpsi-c-nan", "LDpsi-center-nan", "HD0-center-inf"])
+    def test_nonfinite_data_never_solves(self, tag, data, xn, field):
+        # these returned (nan, nan, True), (inf, inf, True), NaN with error
+        # 0.0 converged twice, and (0.0, 0.0, True)
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            solve_grid(tag, Params(1, 1, 1, 2), data(), [0.0], [xn], 1.0)
+
     def test_negative_normal_rejected(self):
         with pytest.raises(ValueError):
             solve_grid("HDD", P111, ONES, [0.0], [-0.5], 1.0)

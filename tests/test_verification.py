@@ -256,6 +256,12 @@ class TestSandwich:
         with pytest.raises(ValueError, match="n_per_region >= 2"):
             sandwich_check(n_per_region=n)
 
+    @pytest.mark.parametrize("n", [2.5, math.nan])
+    def test_samples_per_region_is_a_count(self, n):
+        # a TypeError and "not enough values to unpack" before
+        with pytest.raises(ValueError, match="^n_per_region must be an integer$"):
+            sandwich_check(n_per_region=n)
+
 
 class TestOpnorm:
     def test_p_to_p_is_one(self):
