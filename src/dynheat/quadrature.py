@@ -122,26 +122,29 @@ _FLOOR = 50.0 * _EPS
 _FLOOR_FROM = _UFLOW / _FLOOR
 
 
+_ARRAYS = (list, tuple, np.ndarray)
+_MAX = math.nextafter(math.inf, 0.0)  # the largest float
+
+
 def _span(value):
-    """(float array, least entry, greatest entry) of a list, tuple or
-    ndarray.  ``_finite``, ``_positive`` and ``_count`` are the range rule
-    of every layer: they check an array entry by entry through this, and
-    any other value as one number, by comparisons alone, returned as
-    given.  Each test is written so that NaN fails it."""
-    value = np.asarray(value, dtype=float)
+    """(value, least entry, greatest entry) for ``_finite`` and ``_positive``,
+    the range rule of every layer: a list, tuple or ndarray as a float array,
+    anything else as one number, compared and returned as given.  Each test
+    is written so that NaN, or an int beyond float range, fails it."""
+    if not isinstance(value, _ARRAYS):
+        return value, value, value
+    try:
+        value = np.asarray(value, dtype=float)
+    except OverflowError:  # an int beyond float range
+        return value, math.nan, math.nan
     return (value, np.minimum.reduce(value, axis=None, initial=np.inf),
             np.maximum.reduce(value, axis=None, initial=-np.inf))
 
 
-_ARRAYS = (list, tuple, np.ndarray)
-
-
 def _finite(value, name):
     """``value`` if it is finite, ValueError for NaN and infinities."""
-    lo = hi = value
-    if isinstance(value, _ARRAYS):
-        value, lo, hi = _span(value)
-    if not (-math.inf < lo and hi < math.inf):
+    value, lo, hi = _span(value)
+    if not (-_MAX <= lo and hi <= _MAX):
         raise ValueError(f"{name} must be finite")
     return value
 
@@ -149,10 +152,8 @@ def _finite(value, name):
 def _positive(value, name="time", zero=False):
     """``value`` if it is finite and > 0 (>= 0 when ``zero``), ValueError
     otherwise; times, scales and tolerances all pass this rule."""
-    lo = hi = value
-    if isinstance(value, _ARRAYS):
-        value, lo, hi = _span(value)
-    if not ((0.0 <= lo if zero else 0.0 < lo) and hi < math.inf):
+    value, lo, hi = _span(value)
+    if not ((0.0 <= lo if zero else 0.0 < lo) and hi <= _MAX):
         raise ValueError(f"{name} must be finite and " + ("nonnegative" if zero else "positive"))
     return value
 

@@ -670,16 +670,20 @@ _GAUSS_PSI = InitialData(boundary=Boundary("heat_gaussian", a=0.5))
     lambda: dirichlet_layer_kernel(P111, math.inf, _X, _Y, 1.0),
     lambda: solve_grid("HDPsi", P111, _GAUSS_PSI, [0.0], [0.5], 1.0, theta=math.inf),
     lambda: solve_grid("LDPsi", P111, _GAUSS_PSI, [0.0], [0.5], 1.0, theta=math.inf),
+    lambda: Params(10**400, 1, 1, 2),
+    lambda: HalfSpacePoint(0.0, 10**400),
+    lambda: HalfSpacePoint((0.0, 10**400), 0.5),
 ], ids=["point-normal", "point-tangential", "point-vector", "dirichlet-t", "poisson-height",
         "envelope-t", "exchange-t", "hdn-t", "hdn-epsilon", "hdn-kappa", "ldd-delta",
         "ldd-kappa", "ldd-t", "layer-t", "layer-theta", "solve-t", "solve-normal",
         "solve-theta", "poisson-height-inf", "poisson-height-array-inf", "layer-theta-inf",
-        "solve-HDPsi-theta-inf", "solve-LDPsi-theta-inf"])
+        "solve-HDPsi-theta-inf", "solve-LDPsi-theta-inf", "params-huge-int",
+        "point-huge-int", "point-vector-huge-int"])
 def test_nan_input_is_rejected(call):
     # a NaN fails every comparison, so each range check is written to fail
     # on it; the message is the one a finite out-of-range value gets.  The
     # infinite rows returned NaN (the Poisson height) or ran on an infinite
-    # theta
+    # theta; an int beyond float range compares above the largest float
     with pytest.raises(ValueError, match="must be|need|requires"):
         call()
 

@@ -305,26 +305,16 @@ class TestValidation:
     def test_nonfinite_data_field_rejected(self, make, field, value):
         # every float field of a datum passes the range rule whatever the
         # kind reads; NormalProfile(m=nan) used to fail inside the
-        # quadrature and Interior(a=inf) with a message about time
+        # quadrature and Interior(a=inf) with a message about time.  As no
+        # such datum can be built, solve_grid can no longer return what it
+        # did at t = 1 with Params(1, 1, 1, 2): (nan, nan, True) for HD0 on
+        # an Interior c = nan, (inf, inf, True) for HhN on c = inf, NaN with
+        # error 0.0 converged for HDpsi on a Boundary c = nan and for LDpsi
+        # on a heat_gaussian Boundary center = nan (wall probes), and
+        # (0.0, 0.0, True) for HD0 on a heat_gaussian Interior center = inf
         kind = "gaussian" if make is NormalProfile else "constant"
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             make(kind, **{field: value})
-
-    @pytest.mark.parametrize("tag, data, xn, field", [
-        ("HD0", lambda: InitialData(Interior("constant", c=math.nan)), 0.5, "c"),
-        ("HhN", lambda: InitialData(Interior("constant", c=math.inf)), 0.5, "c"),
-        ("HDpsi", lambda: InitialData(boundary=Boundary("constant", c=math.nan)), 0.0, "c"),
-        ("LDpsi", lambda: InitialData(boundary=Boundary("heat_gaussian", center=math.nan)),
-         0.0, "center"),
-        ("HD0", lambda: InitialData(Interior("heat_gaussian", center=math.inf,
-                                             normal=NormalProfile("gaussian"))),
-         0.5, "center"),
-    ], ids=["HD0-c-nan", "HhN-c-inf", "HDpsi-c-nan", "LDpsi-center-nan", "HD0-center-inf"])
-    def test_nonfinite_data_never_solves(self, tag, data, xn, field):
-        # these returned (nan, nan, True), (inf, inf, True), NaN with error
-        # 0.0 converged twice, and (0.0, 0.0, True)
-        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
-            solve_grid(tag, Params(1, 1, 1, 2), data(), [0.0], [xn], 1.0)
 
     def test_negative_normal_rejected(self):
         with pytest.raises(ValueError):
