@@ -42,10 +42,11 @@ from .kernels import (
     poisson_kernel,
     tangential_offset,
 )
-from .quadrature import DEFAULT_SPEC, EvaluationError, QuadResult, QuadSpec, _positive
+from .quadrature import EvaluationError, QuadResult, QuadSpec, _positive
 from .solutions import PROBLEM_TAGS, first_axis, solve_grid
 from .verification import _DIM_AXIS, _PARAM_AXIS, _T_AXIS, _XN_AXIS, _mass_grid, _worst
 from .verification import (
+    _REFERENCE,
     EXPERIMENTS,
     IDENTITIES,
     check_identity,
@@ -151,6 +152,13 @@ def _block(name):
 
 
 _REQUIRED = object()
+
+
+def _owned(owner, **kinds):
+    """Keys that default to ``owner``'s attribute of their name, required where it has none."""
+    return {key: (kind, getattr(owner, key, _REQUIRED)) for key, kind in kinds.items()}
+
+
 # eval-kernel's kernels: name -> function of the validated config, returning
 # a float (the closed forms) or a QuadResult
 _KERNELS = {
@@ -173,32 +181,22 @@ _KERNELS = {
 
 # block name -> (constructor, {key: (kind, default)}).  A missing key takes its
 # default, which is checked like a given value; a default of None also
-# admits null and stands for "not given".
+# admits null and stands for "not given".  A library block's defaults are its
+# class's (``params``: the reference point); the CLI states only its own.
 _TABLE = {
-    "params": (Params, {
-        "epsilon": (_num, 1.0), "delta": (_num, 1.0), "kappa": (_num, 1.0),
-        "dim": (_int, 2)}),
-    "quad": (QuadSpec, {
-        "rel_tol": (_num, DEFAULT_SPEC.rel_tol),
-        "abs_tol": (_num, DEFAULT_SPEC.abs_tol),
-        "max_subdivisions": (_int, DEFAULT_SPEC.max_subdivisions)}),
+    "params": (Params, _owned(_REFERENCE, epsilon=_num, delta=_num, kappa=_num, dim=_int)),
+    "quad": (QuadSpec, _owned(QuadSpec, rel_tol=_num, abs_tol=_num, max_subdivisions=_int)),
     "point": (HalfSpacePoint, {
         "tangential": (_tangential, 0.0), "normal": (_num, _REQUIRED)}),
-    "data": (InitialData.of, {
-        "interior": (_block("interior"), None), "boundary": (_block("boundary"), None)}),
-    "interior": (Interior, {
-        "kind": (_str, _REQUIRED), "c": (_num, 1.0), "center": (_num, 0.0),
-        "a": (_num, 1.0), "normal": (_block("normal"), None)}),
-    "normal": (NormalProfile, {
-        "kind": (_str, _REQUIRED), "m": (_num, 0.0), "b": (_num, 1.0),
-        "lo": (_num, 0.0), "hi": (_num, 1.0), "alpha": (_num, 0.5)}),
-    "boundary": (Boundary, {
-        "kind": (_str, _REQUIRED), "c": (_num, 1.0), "center": (_num, 0.0),
-        "a": (_num, 1.0), "rho": (_num, 1.0)}),
-    "grid": (FdGrid, {
-        "Lx": (_num, 8.0), "Lz": (_num, 8.0), "nx": (_int, 256), "nz": (_int, 256),
-        "dt": (_num, 1e-3), "scheme": (_str, "crank_nicolson"),
-        "flux": (_str, "compact")}),
+    "data": (InitialData, {"interior": (_block("interior"), {"kind": "zero"}),
+                           "boundary": (_block("boundary"), {"kind": "zero"})}),
+    "interior": (Interior, _owned(Interior, kind=_str, c=_num, center=_num, a=_num,
+                                  normal=_block("normal"))),
+    "normal": (NormalProfile, _owned(NormalProfile, kind=_str, m=_num, b=_num, lo=_num,
+                                     hi=_num, alpha=_num)),
+    "boundary": (Boundary, _owned(Boundary, kind=_str, c=_num, center=_num, a=_num, rho=_num)),
+    "grid": (FdGrid, _owned(FdGrid, Lx=_num, Lz=_num, nx=_int, nz=_int, dt=_num,
+                            scheme=_str, flux=_str)),
     "window": (SimpleNamespace, {"x": (_num, 2.0), "z": (_num, 2.0)}),
     # the *.summary.json files that report reads
     "summary": (dict, {
@@ -305,15 +303,8 @@ def write_csv(path, header, rows):
     _atomic_write(path, buf.getvalue())
 
 
-def _json_default(o):
-    if isinstance(o, (np.bool_, np.integer, np.floating)):
-        return o.item()
-    raise TypeError(f"not JSON serializable: {type(o)}")
-
-
 def write_summary(path, obj):
-    _atomic_write(path, json.dumps(obj, sort_keys=True, indent=2,
-                                   default=_json_default) + "\n")
+    _atomic_write(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def _param_cols(p: Params, theta=None):

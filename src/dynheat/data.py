@@ -139,10 +139,6 @@ class InitialData:
     interior: Interior = Interior("zero")
     boundary: Boundary = Boundary("zero")
 
-    @staticmethod
-    def of(interior: Interior | None = None, boundary: Boundary | None = None):
-        return InitialData(interior or Interior("zero"), boundary or Boundary("zero"))
-
 
 def tan_conv(data, offset, T, dim: int):
     """Closed tangential heat convolution of ``data`` at offset |x'-c'|.

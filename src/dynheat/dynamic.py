@@ -354,7 +354,8 @@ def hdn_batch(eps, kappa, dim, s, t, spec, tan_fn):
 
     Semi-infinite integral written in the shifted Gaussian variable
     v = s/(2 sqrt(T)) + eta with T = t/eps; the tangential time argument
-    is T + 2 kappa sqrt(T) eta, independent of the normal offset.
+    is T + 2 kappa sqrt(T) eta, independent of the normal offset.  numpy's
+    divide warning is silenced for the whole call (log(0) at v = 0).
     """
     s = np.asarray(s, dtype=float).ravel()
     T = t / eps
@@ -363,12 +364,12 @@ def hdn_batch(eps, kappa, dim, s, t, spec, tan_fn):
 
     def normal(eta):
         v = v0 + eta
-        with np.errstate(divide="ignore"):
-            log_n = np.log(4.0 * v) + log_norm - v * v
+        log_n = np.log(4.0 * v) + log_norm - v * v
         return T + 2.0 * kappa * math.sqrt(T) * eta, log_n
 
     frame = (0.0, 0.0, 1.0, math.sqrt(TAIL_EXPONENT))  # the Gaussian's unit width
-    return _framed(normal, frame, spec, _weighted(tan_fn))
+    with np.errstate(divide="ignore"):
+        return _framed(normal, frame, spec, _weighted(tan_fn))
 
 
 def heat_neumann_grid(p: Params, r, xn, yn, t: float, spec: QuadSpec = DEFAULT_SPEC):

@@ -213,11 +213,9 @@ def _eval_panel(f, a, b):
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     fx = np.asarray(f(mid + half * _NODES), dtype=float)
-    if fx.ndim == 0:
-        fx = np.full(_NODES.size, float(fx))
     if fx.ndim == 1:
         fx = fx[:, None]
-    if fx.shape[0] != _NODES.size:
+    if fx.ndim != 2 or fx.shape[0] != _NODES.size:
         raise ValueError("integrand must return one value per node")
     # The K21 weights are positive, so resabs is NaN or inf where a column
     # of fx holds a NaN or an infinity (or sums past the float range), and

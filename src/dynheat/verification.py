@@ -66,6 +66,9 @@ __all__ = [
     "oracle_compare",
 ]
 
+# the lab's reference point: the base of every limit experiment, the default Params of a check
+_REFERENCE = Params(1.0, 1.0, 1.0, 2)
+
 
 # ---------------------------------------------------------------------------
 # rate fitting
@@ -86,9 +89,7 @@ def fit_rate(points) -> RateFit:
     pts = [(float(h), float(e)) for h, e in points]
     if len(pts) < 4:
         raise ValueError("fit_rate needs at least 4 points")
-    h, e = np.array(pts).T
-    if np.any(h <= 0) or np.any(e <= 0):
-        raise ValueError("fit_rate needs positive values")
+    h, e = _positive(np.array(pts), "fit_rate values").T
     lh, le = np.log(h), np.log(e)
     A = np.vstack([lh, np.ones_like(lh)]).T
     sol, *_ = np.linalg.lstsq(A, le, rcond=None)
@@ -96,6 +97,13 @@ def fit_rate(points) -> RateFit:
     denom = float(np.sum((le - le.mean()) ** 2))
     r2 = 1.0 if denom == 0.0 else 1.0 - float(np.sum((le - pred) ** 2)) / denom
     return RateFit(float(sol[0]), float(sol[1]), r2, pts)
+
+
+def _nonfinite_rung(table):
+    """The failure detail of the first (rung, value) row of ``table`` whose
+    value is NaN or infinite, None when every value is finite."""
+    return next((f"non-finite value {e!r} at rung {h:g}" for h, e in table
+                 if not math.isfinite(e)), None)
 
 
 def _worst(deviations) -> float:
@@ -151,12 +159,12 @@ class LimitExperiment:
     on which probe region as parameters run down the ladder, and the
     documented slope expectation.
 
-    At ladder value h, side A solves ``tags[0]`` with ``Params(1, 1, 1,
-    dim)`` and ``theta``, each name in ``vary`` (a ``Params`` field or
-    ``"theta"``) set to h.  Side B, ``tags[1]``, is the limit problem: a
-    problem tag that reads none of the names in ``vary`` and sees only the
-    part of ``data`` it admits, solved once per probe time with
-    ``Params(1, 1, 1, dim)`` and ``theta``; None compares with zero and
+    At ladder value h, side A solves ``tags[0]`` with ``_REFERENCE`` in
+    dimension ``dim`` and ``theta``, each name in ``vary`` (a ``Params``
+    field or ``"theta"``) set to h.  Side B, ``tags[1]``, is the limit
+    problem: a problem tag that reads none of the names in ``vary`` and
+    sees only the part of ``data`` it admits, solved once per probe time
+    with that base point and ``theta``; None compares with zero and
     ``"data"`` with the interior data.  ``tol`` bounds what ``mode``
     judges: the slope, the extreme-rung error ("plain") or the spread of
     e(k) k / log k ("log_corrected")."""
@@ -285,7 +293,8 @@ class LimitResult:
 def run_limit(exp: LimitExperiment | str, spec: QuadSpec = DEFAULT_SPEC) -> LimitResult:
     """Run a diffusion-limit experiment: sup |u_A - u_B| over the probe
     region down the parameter ladder, a log-log fit where a rate is
-    stated, and a pass flag.  Side B is solved once per probe time."""
+    stated, and a pass flag.  Side B is solved once per probe time.  A
+    rung whose sup error is NaN or infinite fails the check."""
     if isinstance(exp, str):
         exp = default_experiment(exp)
     if len(exp.ladder) < {"slope": 4, "bound": 4, "log_corrected": 2}.get(exp.mode, 1):
@@ -296,6 +305,7 @@ def run_limit(exp: LimitExperiment | str, spec: QuadSpec = DEFAULT_SPEC) -> Limi
     xp, xn, ts = probe_points(exp.region)
     masks = [(t, ts == t) for t in sorted(set(ts.tolist()))]
     converged = True
+    base = replace(_REFERENCE, dim=exp.dim)
 
     def solve(tag, p, data, theta):
         nonlocal converged
@@ -313,17 +323,20 @@ def run_limit(exp: LimitExperiment | str, spec: QuadSpec = DEFAULT_SPEC) -> Limi
         side_b = [interior_value(phi, np.abs(xp[m] - phi.center), xn[m], exp.dim)
                   for _, m in masks]
     else:   # the limit problem reads none of the varied names
-        side_b = solve(tag_b, Params(1, 1, 1, exp.dim), _admitted(tag_b, exp.data), exp.theta)
+        side_b = solve(tag_b, base, _admitted(tag_b, exp.data), exp.theta)
     table = []
     for h in exp.ladder:
-        p = replace(Params(1, 1, 1, exp.dim), **{f: h for f in exp.vary if f != "theta"})
+        p = replace(base, **{f: h for f in exp.vary if f != "theta"})
         side_a = solve(tag_a, p, exp.data, h if "theta" in exp.vary else exp.theta)
         table.append((h, _worst(np.max(np.abs(ua - ub)) for ua, ub in zip(side_a, side_b))))
     errs = np.array([e for _, e in table])
     monotone = bool(np.all(errs[1:] <= errs[:-1] * 1.01)) if errs.size > 1 else True
     fit = None
     tol = exp.tol
-    if exp.mode == "plain":
+    broken = _nonfinite_rung(table)
+    if broken:
+        passed, detail = False, broken
+    elif exp.mode == "plain":
         passed = bool(errs[-1] <= tol)
         detail = f"extreme-rung error {errs[-1]:.3e} vs tolerance {tol:g}"
     elif exp.mode == "log_corrected":
@@ -481,7 +494,7 @@ def _check_positivity(spec, seed):
 
 
 def _check_semigroup(spec, seed):
-    p = Params(1.0, 1.0, 1.0, 2)
+    p = _REFERENCE
     tight = QuadSpec(rel_tol=1e-7, abs_tol=1e-10,
                      max_subdivisions=spec.max_subdivisions)
     t = s = 0.5
@@ -675,7 +688,7 @@ def _sample_regions(p: Params, n_per: int, rng):
     return out
 
 
-def sandwich_check(p: Params | None = None, n_per_region: int = 500,
+def sandwich_check(p: Params = _REFERENCE, n_per_region: int = 500,
                    seed: int = 7) -> SandwichResult:
     """Empirical two-sided envelope constants over stratified samples.
 
@@ -687,7 +700,6 @@ def sandwich_check(p: Params | None = None, n_per_region: int = 500,
     """
     if _count(n_per_region, "n_per_region") < 2:
         raise ValueError("sandwich_check needs n_per_region >= 2")
-    p = p or Params(1.0, 1.0, 1.0, 2)
     spec = QuadSpec(rel_tol=1e-8, abs_tol=1e-12)
     rng = np.random.default_rng(seed)
     samples = _sample_regions(p, n_per_region, rng)
@@ -752,7 +764,7 @@ class OpnormResult:
     converged: bool
 
 
-def opnorm_decay(p_exp: float, q_exp: float, p: Params | None = None,
+def opnorm_decay(p_exp: float, q_exp: float, p: Params = _REFERENCE,
                  t_ladder=(1.0, 2.0, 4.0, 8.0),
                  spec: QuadSpec = DEFAULT_SPEC) -> OpnormResult:
     """Witness-based lower-bound curve for the operator norm between
@@ -765,9 +777,9 @@ def opnorm_decay(p_exp: float, q_exp: float, p: Params | None = None,
     over the probes to the witness's p-norm must decay with slope -N/(2p)
     in log t.  For p = q = inf the constant pair (1, 1) is propagated
     instead and the ratio must equal 1.  The probe grid gives no L^q norm
-    for finite q, so a finite q raises ValueError.  ``converged`` is False
-    when any ``solve_grid`` call did not; ``p`` defaults to Params(1, 1,
-    1, 2).
+    for finite q, so a finite q raises ValueError.  A NaN or infinite
+    ratio fails the check.  ``converged`` is False when any ``solve_grid``
+    call did not.
     """
     if not 1 <= p_exp <= q_exp:
         raise ValueError("opnorm_decay needs 1 <= p <= q")
@@ -775,7 +787,6 @@ def opnorm_decay(p_exp: float, q_exp: float, p: Params | None = None,
         raise ValueError("opnorm_decay supports q = inf only: the probe grid "
                          "gives no L^q norm for finite q")
     _positive(t_ladder, "t_ladder")
-    p = p or Params(1.0, 1.0, 1.0, 2)
     xp, xn, _ = probe_points("omega_L_I")
     ones = InitialData(Interior("constant", c=1.0), Boundary("constant", c=1.0))
     table, converged = [], True
@@ -789,12 +800,15 @@ def opnorm_decay(p_exp: float, q_exp: float, p: Params | None = None,
         u, _, conv = solve_grid("HDD", p, data, xp, xn, t, spec)
         converged = converged and bool(conv)
         table.append((t, float(np.max(np.abs(u))) / norm))
+    broken = _nonfinite_rung(table)
     if p_exp == q_exp:
         dev = _worst(abs(r - 1.0) for _, r in table)
         return OpnormResult(p_exp, q_exp, table, None, 0.0, dev <= 1e-6,
-                            f"max |ratio - 1| = {dev:.2e}", converged)
-    fit = fit_rate(table)
+                            broken or f"max |ratio - 1| = {dev:.2e}", converged)
     expected = -(p.dim / 2.0) * (1.0 / p_exp)
+    if broken:
+        return OpnormResult(p_exp, q_exp, table, None, expected, False, broken, converged)
+    fit = fit_rate(table)
     passed = abs(fit.slope - expected) <= 0.1 and fit.r_squared >= 0.98
     return OpnormResult(p_exp, q_exp, table, fit, expected, passed,
                         f"slope {fit.slope:.3f} vs {expected:+.3f} +/- 0.1", converged)

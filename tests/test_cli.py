@@ -1,18 +1,23 @@
+import inspect
 import json
 import math
 import os
 import tempfile
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import dynheat.verification as verification
-from dynheat.cli import main
-from dynheat.data import Boundary, InitialData
+from dynheat.cli import main, validate
+from dynheat.data import Boundary, InitialData, Interior, NormalProfile
+from dynheat.fdsolver import FdGrid
 from dynheat.kernels import Params
+from dynheat.quadrature import QuadSpec
 from dynheat.solutions import solve_grid
+from dynheat.verification import check_identity, opnorm_decay, oracle_compare, sandwich_check
 
 
 def run_cli(tmp_path, command, cfg=None, extra=()):
@@ -374,6 +379,9 @@ _REJECTED = {
                                       "quad": {"tail_cut": 1e-14}}),
     "identity-seed-str": ("identity-suite", {"identities": ["k0_poisson"], "seed": "x"}),
     "identity-name-list": ("identity-suite", {"identities": [[]]}),
+    # zero data is the default, given as {"kind": "zero"}; null is no object
+    "solve-data-interior-null": ("solve", {**_SOLVE, "data": {"interior": None}}),
+    "solve-data-boundary-null": ("solve", {**_SOLVE, "data": {"boundary": None}}),
     "report-empty-summary": ("report", "{}"),
 }
 # Values that must not be rounded, replaced or ignored.
@@ -530,6 +538,67 @@ def test_oracle_compare_nan_at_second_time_fails(tmp_path, monkeypatch):
     cfg = {**_ORACLE, "times": [0.25, 0.5], "tol": 1.0}
     assert run_cli(tmp_path, "oracle-compare", cfg) == 1
     _assert_failed(tmp_path, "oracle-compare", "sup_rel")
+
+
+@pytest.mark.parametrize("command, cfg, hit, rung", [
+    ("limit-rate", {"which": "hdpsi_eps_to_0"}, lambda p, t: p.epsilon == 0.025, "0.025"),
+    ("opnorm", {"p": 1, "q": "inf"}, lambda p, t: t == 4.0, "4"),
+], ids=["limit-rate", "opnorm"])
+def test_nonfinite_rung_fails(tmp_path, capsys, monkeypatch, command, cfg, hit, rung):
+    # a rung that reads inf is a failed check (exit 1), not fit_rate's
+    # ValueError (exit 2) and not a traceback
+    solve = verification.solve_grid
+
+    def inf_at_one_rung(tag, p, data, xp, xn, t, *args, **kwargs):
+        u, err, conv = solve(tag, p, data, xp, xn, t, *args, **kwargs)
+        return np.full_like(u, math.inf) if hit(p, t) else u, err, conv
+
+    monkeypatch.setattr(verification, "solve_grid", inf_at_one_rung)
+    assert run_cli(tmp_path, command, cfg) == 1
+    out = capsys.readouterr()
+    assert out.err == "" and out.out.endswith(f"non-finite value inf at rung {rung} -> FAIL\n")
+    summary = json.loads((tmp_path / f"{command}.summary.json").read_text())
+    assert summary["pass"] is False and summary["slope"] is None
+
+
+# ---------------------------------------------------------------------------
+# defaults: each default the CLI repeats is the library's
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name, block, built", [
+    ("params", {}, Params(1.0, 1.0, 1.0, 2)),
+    ("quad", {}, QuadSpec()),
+    ("grid", {}, FdGrid()),
+    ("data", {}, InitialData()),
+    ("interior", {"kind": "constant"}, Interior("constant")),
+    ("normal", {"kind": "gaussian"}, NormalProfile("gaussian")),
+    ("boundary", {"kind": "constant"}, Boundary("constant")),
+], ids=["params", "quad", "grid", "data", "interior", "normal", "boundary"])
+def test_block_defaults_are_the_library_defaults(name, block, built):
+    # a block given its required keys only is the class built from them
+    # alone; params is the lab's reference point
+    assert validate(block, name) == built
+
+
+def test_params_default_is_the_default_of_the_checks():
+    for function in (sandwich_check, opnorm_decay):
+        assert inspect.signature(function).parameters["p"].default == validate({}, "params")
+
+
+@pytest.mark.parametrize("command, cfg, read, function, keyword", [
+    ("identity-suite", {}, lambda c: c.seed, check_identity, "seed"),
+    ("bounds-check", {}, lambda c: c.samples_per_region, sandwich_check, "n_per_region"),
+    ("bounds-check", {}, lambda c: c.seed, sandwich_check, "seed"),
+    ("opnorm", {"p": "inf", "q": "inf"}, lambda c: tuple(c.t_ladder), opnorm_decay,
+     "t_ladder"),
+    ("oracle-compare", {}, lambda c: (c.window.x, c.window.z), oracle_compare, "window"),
+], ids=["identity-seed", "bounds-samples", "bounds-seed", "opnorm-t_ladder",
+        "oracle-window"])
+def test_command_defaults_are_the_library_defaults(command, cfg, read, function, keyword):
+    # a subcommand key states its own default; where it stands for a
+    # keyword of the library function it calls, the two agree
+    default = inspect.signature(function).parameters[keyword].default
+    assert read(validate(cfg, command)) == default
 
 
 # ---------------------------------------------------------------------------

@@ -69,7 +69,9 @@ class TestBasics:
         (-0.5, None, "t_end must be finite and nonnegative"),
         (0.05, [math.nan], "snapshots must be finite"),
         (0.05, [0.02, math.inf], "snapshots must be finite"),
-    ], ids=["t_end-nan", "t_end-inf", "t_end-negative", "snapshot-nan", "snapshot-inf"])
+        (0.05, [0.1], r"^snapshot outside \[0, t_end\]$"),
+    ], ids=["t_end-nan", "t_end-inf", "t_end-negative", "snapshot-nan", "snapshot-inf",
+            "snapshot-after-t_end"])
     def test_rejects_nonfinite_or_negative_times(self, t_end, snapshots, match):
         g = FdGrid(nx=8, nz=8, dt=1e-2)
         with pytest.raises(ValueError, match=match):
@@ -338,6 +340,12 @@ class TestAgreementAndOrder:
     def test_compare_rejects_empty_window(self):
         with pytest.raises(ValueError, match="empty probe window"):
             compare(np.zeros(0), np.zeros(0))
+
+    def test_compare_on_a_zero_kernel_field_is_absolute(self):
+        # a kernel field that is zero everywhere gives no scale: the
+        # discrepancies are then absolute
+        sup, l2 = compare(np.zeros(3), np.array([0.0, 0.5, -1.0]))
+        assert sup == 1.0 and l2 == math.sqrt(1.25 / 3.0)
 
     def test_compare_identical_is_zero(self):
         sup, l2 = compare(np.ones(5), np.ones(5))

@@ -265,6 +265,26 @@ def test_nan_raises_evaluation_error():
         integrate(bad, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("f", [
+    lambda x: np.ones(x.size - 1), lambda x: 1.0, lambda x: np.ones((x.size, 2, 2)),
+], ids=["short", "scalar", "3-d"])
+def test_integrand_must_return_one_value_per_node(f):
+    # 1-D and 2-D returns only: a scalar is not spread over the nodes
+    with pytest.raises(ValueError, match="^integrand must return one value per node$"):
+        integrate(f, 0.0, 1.0)
+
+
+def test_unbisectable_panel_is_not_converged():
+    # a one-ulp range has no float midpoint inside it, so a panel whose K21
+    # and G10 sums disagree stops there, flagged, instead of looping
+    a = 1.0
+    b = math.nextafter(a, math.inf)
+    pattern = np.abs(np.sin(np.arange(21.0) ** 2))
+    res = integrate(lambda x: pattern, a, b, QuadSpec(rel_tol=1e-15, abs_tol=1e-300))
+    assert res.error_estimate > 0.0
+    assert (res.subdivisions_used, res.converged) == (0, False)
+
+
 def test_nonconvergence_flagged():
     spec = QuadSpec(rel_tol=1e-15, abs_tol=1e-300, max_subdivisions=3)
     res = integrate(lambda x: np.abs(x - 1.0 / 3.0) ** 0.5, 0.0, 1.0, spec)

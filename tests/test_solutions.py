@@ -286,6 +286,9 @@ class TestValidation:
             solve_grid("HDN", P111, pc, XP, XN, 1.0)
         with pytest.raises(UnsupportedDataError):
             solve_grid("HDD", Params(1, 1, 1, 3), pc, XP, XN, 1.0)
+        with pytest.raises(UnsupportedDataError,
+                           match="^power-cutoff data requires zero boundary data$"):
+            solve_grid("HDD", P111, InitialData(pc.interior, GAUSS_PSI), XP, XN, 1.0)
 
     @pytest.mark.parametrize("alpha", [2.0, 2.5, math.inf, -math.inf, math.nan])
     def test_power_cutoff_alpha_rejected(self, alpha):
@@ -315,6 +318,17 @@ class TestValidation:
         kind = "gaussian" if make is NormalProfile else "constant"
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             make(kind, **{field: value})
+
+    @pytest.mark.parametrize("make, kwargs, match", [
+        (NormalProfile, {"kind": "indicator", "lo": 1.0, "hi": 1.0},
+         "^indicator profile needs lo < hi$"),
+        (NormalProfile, {"kind": "indicator", "lo": 2.0, "hi": 1.0},
+         "^indicator profile needs lo < hi$"),
+        (Boundary, {"kind": "ring"}, "^unknown boundary data 'ring'$"),
+    ], ids=["indicator-empty", "indicator-reversed", "boundary-unknown-kind"])
+    def test_datum_guards(self, make, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            make(**kwargs)
 
     def test_negative_normal_rejected(self):
         with pytest.raises(ValueError):

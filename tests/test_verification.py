@@ -43,12 +43,25 @@ class TestFitRate:
         with pytest.raises(ValueError):
             fit_rate([(1.0, 1.0), (0.5, 0.5), (0.25, -0.25), (0.1, 0.1)])
 
+    @pytest.mark.parametrize("row", [(1.0, math.nan), (1.0, math.inf), (math.nan, 1.0),
+                                     (-math.inf, 1.0)],
+                             ids=["e-nan", "e-inf", "h-nan", "h--inf"])
+    def test_rejects_nonfinite(self, row):
+        # a NaN row used to give NaN slope, prefactor and R^2, and an inf
+        # row an "invalid value" RuntimeWarning
+        with pytest.raises(ValueError, match="^fit_rate values must be finite and positive$"):
+            fit_rate([row, (0.5, 1.0), (0.25, 0.5), (0.125, 0.25)])
+
 
 class TestProbePoints:
     def test_regions_nonempty(self):
         for region in ("omega_L_I", "Q", "Q1", "omega_c", "K", "late", "omega_late"):
             xp, xn, ts = probe_points(region)
             assert len(xp) == len(xn) == len(ts) > 0
+
+    def test_unknown_region(self):
+        with pytest.raises(ValueError, match="^unknown probe region 'nowhere'$"):
+            probe_points("nowhere")
 
     def test_q_region_filter(self):
         xp, xn, ts = probe_points("Q")
@@ -198,6 +211,33 @@ class TestNanFails:
         monkeypatch.setattr(verification, "solve_grid", self.nan_at(1.0))
         res = opnorm_decay(math.inf, math.inf, t_ladder=(0.5, 1.0))
         assert math.isnan(res.table[1][1]) and not res.passed
+
+    @staticmethod
+    def set_where(value, hit):
+        """solve_grid with every value of a call that ``hit(tag, p, t)``
+        selects set to ``value``."""
+        def solve(tag, p, data, xp, xn, t, *args, **kwargs):
+            u, err, conv = solve_grid(tag, p, data, xp, xn, t, *args, **kwargs)
+            return np.full_like(u, value) if hit(tag, p, t) else u, err, conv
+        return solve
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_run_limit_nonfinite_rung_fails(self, monkeypatch, value):
+        # a failed verdict, not fit_rate's ValueError, and no RuntimeWarning
+        monkeypatch.setattr(verification, "solve_grid", self.set_where(
+            value, lambda tag, p, t: tag == "HDpsi" and p.epsilon == 0.025))
+        res = run_limit("hdpsi_eps_to_0")
+        assert [h for h, e in res.table if not math.isfinite(e)] == [0.025]
+        assert (res.passed, res.fit) == (False, None)
+        assert res.detail == f"non-finite value {value!r} at rung 0.025"
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_opnorm_nonfinite_rung_fails(self, monkeypatch, value):
+        monkeypatch.setattr(verification, "solve_grid",
+                            self.set_where(value, lambda tag, p, t: t == 4.0))
+        res = opnorm_decay(1.0, math.inf)
+        assert (res.passed, res.fit) == (False, None)
+        assert res.detail == f"non-finite value {value!r} at rung 4"
 
     def test_pde_residual_nan_wall_values(self, monkeypatch):
         monkeypatch.setattr(verification, "dirichlet_radial", lambda *args: math.nan)
