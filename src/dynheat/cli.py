@@ -5,9 +5,10 @@ Subcommands: eval-kernel, mass-check, identity-suite, solve, bounds-check,
 limit-rate, opnorm, oracle-compare, report.  Results are written as CSV
 tables (RFC-4180 quoting) and JSON summaries, named after the config file
 up to its first dot; identical configs produce byte-identical outputs.
-Exit codes: 0 all checks passed, 1 a check
-failed (reports are still written), 2 configuration or I/O error, or a
-value the library rejects.
+Exit codes: 0 every check passed and every quadrature converged, 1 a
+check failed or a quadrature did not converge (reports are still
+written; for report, also when it found no summary), 2 configuration or
+I/O error, or a value the library rejects.
 """
 
 from __future__ import annotations
@@ -159,6 +160,13 @@ def _owned(owner, **kinds):
     return {key: (kind, getattr(owner, key, _REQUIRED)) for key, kind in kinds.items()}
 
 
+def _theta(c):
+    """eval-kernel's theta, which h_tilde requires: the library states no default."""
+    if c.theta is None:
+        raise ConfigError(f"{c.kernel} requires theta")
+    return c.theta
+
+
 # eval-kernel's kernels: name -> function of the validated config, returning
 # a float (the closed forms) or a QuadResult
 _KERNELS = {
@@ -171,8 +179,7 @@ _KERNELS = {
                                         c.x.normal, c.params.dim),
     "h": lambda c: exchange_kernel(c.params, c.x, c.y, c.t, c.quad),
     "g": lambda c: fundamental_kernel(c.params, c.x, c.y, c.t, c.quad),
-    "h_tilde": lambda c: dirichlet_layer_kernel(
-        c.params, 1.0 if c.theta is None else c.theta, c.x, c.y, c.t, c.quad),
+    "h_tilde": lambda c: dirichlet_layer_kernel(c.params, _theta(c), c.x, c.y, c.t, c.quad),
     "g_ldd": lambda c: laplace_dynamic_kernel(c.params.delta, c.params.kappa, c.x, c.y, c.t,
                                               c.params.dim, c.quad),
     "g_hdn": lambda c: heat_neumann_kernel(c.params.epsilon, c.params.kappa, c.x, c.y, c.t,
@@ -315,11 +322,6 @@ def _param_cols(p: Params, theta=None):
 _PARAM_HEADER = ["epsilon", "delta", "kappa", "theta", "dim"]
 
 
-def _verdict(passed, converged, args):
-    """The one exit rule: the check passed and, under --strict, every quadrature converged."""
-    return bool(passed) and (bool(converged) or not args.strict)
-
-
 def _stem(args):
     """The name of every output of a run: its config file's name up to the
     first dot, so that several configs of one subcommand run into one
@@ -329,10 +331,11 @@ def _stem(args):
     return stem or args.command.replace("-", "_")
 
 
-def _finish(out, stem, summary, line, passed, converged, args):
-    """Write ``<stem>.summary.json`` with the verdict as ``pass``, print
-    ``<line> -> PASS|FAIL`` and return the exit code."""
-    passed = _verdict(passed, converged, args)
+def _finish(out, stem, summary, line, passed, converged):
+    """The one exit rule: a run passes when its check passed and every
+    quadrature converged.  Write ``<stem>.summary.json`` with that verdict
+    as ``pass``, print ``<line> -> PASS|FAIL`` and return the exit code."""
+    passed = bool(passed) and bool(converged)
     write_summary(os.path.join(out, f"{stem}.summary.json"), {**summary, "pass": passed})
     print(f"{line} -> {'PASS' if passed else 'FAIL'}")
     return 0 if passed else 1
@@ -340,25 +343,24 @@ def _finish(out, stem, summary, line, passed, converged, args):
 
 # ---------------------------------------------------------------------------
 # subcommands: each takes the validated config, the output directory and
-# the parsed flags
+# the stem that names its outputs
 # ---------------------------------------------------------------------------
 
-def cmd_eval_kernel(c, out, args):
+def cmd_eval_kernel(c, out, stem):
     res = _KERNELS[c.kernel](c)
     value, converged = ((res.value, res.converged) if isinstance(res, QuadResult)
                         else (float(res), True))
     print(f"{c.kernel} = {value!r}")
-    write_csv(os.path.join(out, f"{_stem(args)}.csv"),
+    write_csv(os.path.join(out, f"{stem}.csv"),
               _PARAM_HEADER + ["kernel", "t", "value", "converged"],
               [_param_cols(c.params, c.theta) + [c.kernel, repr(c.t), repr(value),
                                                  bool(converged)]])
-    return 0 if _verdict(True, converged, args) else 1
+    return 0 if converged else 1
 
 
-def cmd_mass_check(c, out, args):
+def cmd_mass_check(c, out, stem):
     grid = _mass_grid(c.quad, c.epsilon, c.delta, c.kappa, c.dim, c.x_n, c.t)
     devs = [abs(res.value - 1.0) for *_, res in grid]
-    stem = _stem(args)
     write_csv(os.path.join(out, f"{stem}.csv"),
               _PARAM_HEADER + ["theorem", "x_n", "t", "mass", "deviation"],
               [_param_cols(p) + ["total-mass identity", repr(xn), repr(t),
@@ -369,29 +371,29 @@ def cmd_mass_check(c, out, args):
                    {"experiment": "mass-check", "theorem": "total-mass identity",
                     "max_deviation": max_dev, "tolerance": c.tol},
                    f"mass-check: max deviation {max_dev:.3e} (tol {c.tol:g})",
-                   max_dev <= c.tol, all(res.converged for *_, res in grid), args)
+                   max_dev <= c.tol, all(res.converged for *_, res in grid))
 
 
-def cmd_identity_suite(c, out, args):
+def cmd_identity_suite(c, out, stem):
     reps = []
     for name in c.identities:
         reps.append(rep := check_identity(name, c.quad, c.seed))
         print(f"identity {name}: max dev {rep.max_dev:.3e} (tol {rep.tol:g}) "
               f"-> {'PASS' if rep.passed else 'FAIL'}")
-    stem = _stem(args)
     write_csv(os.path.join(out, f"{stem}.csv"),
               ["identity", "statement", "tolerance", "max_deviation", "pass"],
               [[r.name, r.statement, repr(r.tol), repr(r.max_dev), r.passed] for r in reps])
-    passed = all(r.passed for r in reps)
-    write_summary(os.path.join(out, f"{stem}.summary.json"),
-                  {"experiment": "identity-suite", "pass": passed,
-                   "results": {r.name: {"statement": r.statement, "tolerance": r.tol,
-                                        "max_deviation": r.max_dev, "pass": r.passed}
-                               for r in reps}})
-    return 0 if passed else 1
+    # identity rows carry no converged flag yet (ROADMAP item 5)
+    return _finish(out, stem,
+                   {"experiment": "identity-suite",
+                    "results": {r.name: {"statement": r.statement, "tolerance": r.tol,
+                                         "max_deviation": r.max_dev, "pass": r.passed}
+                                for r in reps}},
+                   f"identity-suite: {len(reps)} identities",
+                   all(r.passed for r in reps), True)
 
 
-def cmd_solve(c, out, args):
+def cmd_solve(c, out, stem):
     p = c.params
     xp = np.array([first_axis(q, p.dim) for q in c.points])
     xn = np.array([q.normal for q in c.points])
@@ -405,22 +407,20 @@ def cmd_solve(c, out, args):
             rows.append(_param_cols(p, c.theta) +
                         [c.tag, repr(t), repr(float(xpi)), repr(float(xni)),
                          repr(float(val)), repr(err), bool(conv)])
-    stem = _stem(args)
     write_csv(os.path.join(out, f"{stem}.csv"),
               _PARAM_HEADER + ["tag", "t", "x_tangential", "x_normal", "value",
                                "error", "converged"],
               rows)
     print(f"solve: wrote {len(rows)} values to {stem}.csv")
-    return 0 if _verdict(True, converged, args) else 1
+    return 0 if converged else 1
 
 
-def cmd_bounds_check(c, out, args):
+def cmd_bounds_check(c, out, stem):
     p = c.params
     res = sandwich_check(p, n_per_region=c.samples_per_region, seed=c.seed)
     rows = [_param_cols(p) + ["two-sided envelopes", tag,
                                  repr(v["upper_max"]), repr(v["lower_max"])]
             for tag, v in sorted(res.per_region.items())]
-    stem = _stem(args)
     write_csv(os.path.join(out, f"{stem}.csv"),
               _PARAM_HEADER + ["theorem", "region", "kernel_over_upper_max",
                                "lower_over_kernel_max"], rows)
@@ -433,17 +433,16 @@ def cmd_bounds_check(c, out, args):
                               f"{res.lower_max:.4g}), doubling stability "
                               f"{res.stability:.4g}"},
                    f"bounds-check: constants ({res.upper_max:.3f}, {res.lower_max:.3f}), "
-                   f"stability {res.stability:.3f}", res.passed, res.converged, args)
+                   f"stability {res.stability:.3f}", res.passed, res.converged)
 
 
-def cmd_limit_rate(c, out, args):
+def cmd_limit_rate(c, out, stem):
     exp = default_experiment(c.which)
     if c.ladder is not None:
         exp = replace(exp, ladder=tuple(c.ladder))
     res = run_limit(exp, c.quad)
     rows = [[res.which, res.theorem, repr(float(h)), repr(float(e))]
             for h, e in res.table]
-    stem = _stem(args)
     write_csv(os.path.join(out, f"{stem}.csv"),
               ["experiment", "theorem", "ladder_value", "sup_error"], rows)
     return _finish(out, stem,
@@ -452,13 +451,12 @@ def cmd_limit_rate(c, out, args):
                     "r2": None if res.fit is None else res.fit.r_squared,
                     "expected_slope": res.expected_slope,
                     "tolerance": res.tolerance, "mode": res.mode, "detail": res.detail},
-                   f"limit-rate {c.which}: {res.detail}", res.passed, res.converged, args)
+                   f"limit-rate {c.which}: {res.detail}", res.passed, res.converged)
 
 
-def cmd_opnorm(c, out, args):
+def cmd_opnorm(c, out, stem):
     p_exp, q_exp = (math.inf if v == "inf" else v for v in (c.p, c.q))
     res = opnorm_decay(p_exp, q_exp, c.params, tuple(c.t_ladder), c.quad)
-    stem = _stem(args)
     write_csv(os.path.join(out, f"{stem}.csv"),
               ["p", "q", "theorem", "t", "ratio"],
               [[str(c.p), str(c.q), "operator-norm decay",
@@ -468,17 +466,16 @@ def cmd_opnorm(c, out, args):
                     "p": c.p, "q": c.q,
                     "slope": None if res.fit is None else res.fit.slope,
                     "expected_slope": res.expected_slope, "detail": res.detail},
-                   f"opnorm ({c.p},{c.q}): {res.detail}", res.passed, res.converged, args)
+                   f"opnorm ({c.p},{c.q}): {res.detail}", res.passed, res.converged)
 
 
-def cmd_oracle_compare(c, out, args):
+def cmd_oracle_compare(c, out, stem):
     p = c.params
     table, converged, _ = oracle_compare(p, c.data, c.grid, c.times,
                                          (c.window.x, c.window.z), c.quad)
     worst = _worst(sup for _, sup, _ in table)
     rows = [_param_cols(p) + ["kernel/finite-difference agreement",
                               repr(t), repr(sup), repr(l2)] for t, sup, l2 in table]
-    stem = _stem(args)
     write_csv(os.path.join(out, f"{stem}.csv"),
               _PARAM_HEADER + ["theorem", "t", "sup_rel", "l2_rel"], rows)
     return _finish(out, stem,
@@ -486,10 +483,10 @@ def cmd_oracle_compare(c, out, args):
                     "theorem": "kernel/finite-difference agreement",
                     "sup_rel": worst, "tolerance": c.tol},
                    f"oracle-compare: sup rel {worst:.3e} (tol {c.tol:g})",
-                   worst <= c.tol, converged, args)
+                   worst <= c.tol, converged)
 
 
-def cmd_report(c, out, args):
+def cmd_report(c, out, stem):
     summaries = []
     for name in sorted(os.listdir(out)):
         if name.endswith(".summary.json"):
@@ -519,7 +516,8 @@ def cmd_report(c, out, args):
         lines.append("| " + " | ".join(cell.replace("|", "\\|") for cell in cells) + " |")
     _atomic_write(os.path.join(out, "report.md"), "\n".join(lines) + "\n")
     print(f"report: {len(entries)} entries -> report.md")
-    return 0 if all(e[5] for e in entries) else 1
+    # a report over no summary checked nothing
+    return 0 if summaries and all(e[5] for e in entries) else 1
 
 
 _COMMANDS = {
@@ -541,9 +539,6 @@ def main(argv=None) -> int:
     ap.add_argument("command", choices=sorted(_COMMANDS))
     ap.add_argument("--config", help="JSON run configuration")
     ap.add_argument("--out", default="out", help="output directory")
-    ap.add_argument("--strict", action="store_true",
-                    help="treat flagged quadrature as failure (every "
-                         "subcommand but identity-suite and report)")
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:
@@ -555,7 +550,7 @@ def main(argv=None) -> int:
                 cfg = json.load(fh)
         c = validate(cfg, args.command)
         os.makedirs(args.out, exist_ok=True)
-        return _COMMANDS[args.command](c, args.out, args)
+        return _COMMANDS[args.command](c, args.out, _stem(args))
     except (OSError, ValueError, EvaluationError, SchemeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,13 +20,13 @@ from dynheat.solutions import solve_grid
 from dynheat.verification import check_identity, opnorm_decay, oracle_compare, sandwich_check
 
 
-def run_cli(tmp_path, command, cfg=None, extra=()):
+def run_cli(tmp_path, command, cfg=None):
     args = [command, "--out", str(tmp_path)]
     if cfg is not None:
         cfg_path = tmp_path / f"{command}.config.json"
         cfg_path.write_text(json.dumps(cfg))
         args += ["--config", str(cfg_path)]
-    return main(args + list(extra))
+    return main(args)
 
 
 class TestEvalKernel:
@@ -193,7 +193,8 @@ class TestSolveCommand:
             "tag": "HDD", "data": {"boundary": {"kind": "heat_gaussian", "a": 0.5}},
             "points": [{"tangential": 0.0, "normal": 0.5}], "times": [1.0],
             "quad": {"rel_tol": 1e-15, "abs_tol": 1e-300, "max_subdivisions": 1}})
-        assert rc == 0
+        # a quadrature that did not converge fails the run; its CSV says which
+        assert rc == 1
         row = (tmp_path / "solve.csv").read_text().splitlines()[1]
         assert row.endswith(",False")
 
@@ -235,6 +236,13 @@ class TestChecks:
         assert rc == 0
         summary = json.loads((tmp_path / "identity-suite.summary.json").read_text())
         assert set(summary["results"]) == {"marginal_masses", "k0_poisson"}
+
+    def test_identity_suite_ends_with_one_verdict(self, tmp_path, capsys):
+        # one line per identity, then the run's one verdict line
+        assert run_cli(tmp_path, "identity-suite", {"identities": ["k0_poisson"]}) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "identity-suite: 1 identities -> PASS"
+        assert [line for line in lines if line.startswith("identity-suite:")] == lines[-1:]
 
     def test_limit_rate_fast(self, tmp_path):
         rc = run_cli(tmp_path, "limit-rate", {"which": "hdpsi_eps_to_0"})
@@ -315,6 +323,18 @@ class TestReportAndDeterminism:
     def test_unknown_command_exits_2(self, tmp_path):
         assert main(["frobnicate", "--out", str(tmp_path)]) == 2
 
+    def test_strict_flag_is_gone(self, tmp_path, capsys):
+        # non-converged quadrature always fails, so there is no flag for it
+        assert main(["report", "--out", str(tmp_path), "--strict"]) == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --strict" in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
+    def test_report_over_no_summary_fails(self, tmp_path, capsys):
+        # a report that found nothing to check passes nothing
+        assert run_cli(tmp_path, "report") == 1
+        assert capsys.readouterr().out == "report: 0 entries -> report.md\n"
+
 
 # ---------------------------------------------------------------------------
 # the exit-2 contract: one error line, no traceback, no output file
@@ -386,6 +406,9 @@ _REJECTED = {
 }
 # Values that must not be rounded, replaced or ignored.
 _NOT_COERCED = {
+    # the library states no default theta
+    "eval-h_tilde-theta-missing": ("eval-kernel", {"kernel": "h_tilde", "t": 1.0,
+                                                   "x": {"normal": 0.5}}),
     "eval-h_tilde-theta-zero": ("eval-kernel", {"kernel": "h_tilde", "theta": 0, "t": 1.0,
                                                 "x": {"normal": 0.5}}),
     "mass-dim-fraction": ("mass-check", {"epsilon": [1.0], "delta": [1.0], "kappa": [1.0],
@@ -495,17 +518,25 @@ _STRICT = {
 
 @pytest.mark.parametrize("command", sorted(_STRICT))
 def test_honours_strict(tmp_path, monkeypatch, command):
+    # the one exit rule: a run whose quadrature did not converge fails, and
+    # still writes its CSV and, where it writes one, a summary with "pass": false
     cfg, csv_name = _STRICT[command]
     if command == "bounds-check":  # it takes no quad block: force non-convergence
         exchange = verification.exchange_log_grid
         monkeypatch.setattr(verification, "exchange_log_grid",
                             lambda *a: (*exchange(*a)[:3], False))
-    (tmp_path / "plain").mkdir()
-    (tmp_path / "strict").mkdir()
-    assert run_cli(tmp_path / "plain", command, cfg) == 0
-    assert run_cli(tmp_path / "strict", command, cfg, extra=["--strict"]) == 1
-    assert ((tmp_path / "plain" / csv_name).read_bytes()
-            == (tmp_path / "strict" / csv_name).read_bytes())
+    assert run_cli(tmp_path, command, cfg) == 1
+    assert (tmp_path / csv_name).read_text().count("\n") >= 2
+    summary = tmp_path / f"{command}.summary.json"
+    assert summary.exists() == (command not in ("eval-kernel", "solve"))
+    if summary.exists():
+        assert json.loads(summary.read_text())["pass"] is False
+
+
+def test_report_lists_unconverged_run(tmp_path):
+    assert run_cli(tmp_path, "limit-rate", _STRICT["limit-rate"][0]) == 1
+    assert run_cli(tmp_path, "report") == 1
+    assert (tmp_path / "report.md").read_text().splitlines()[-1].endswith(" | NO |")
 
 
 def _assert_failed(tmp_path, stem, key):
@@ -523,7 +554,7 @@ def test_mass_check_nan_deviation_fails(tmp_path, monkeypatch):
     monkeypatch.setattr(verification, "total_mass", nan_at_half)
     cfg = {"epsilon": [1.0], "delta": [1.0], "kappa": [1.0], "dim": [2],
            "x_n": [0.0, 0.5], "t": [1.0]}
-    assert run_cli(tmp_path, "mass-check", cfg, extra=["--strict"]) == 1
+    assert run_cli(tmp_path, "mass-check", cfg) == 1
     _assert_failed(tmp_path, "mass-check", "max_deviation")
 
 
