@@ -558,3 +558,7 @@ def main(argv=None) -> int:
 
 def entry():  # console-script hook
     raise SystemExit(main())
+
+
+if __name__ == "__main__":  # python -m dynheat.cli
+    entry()

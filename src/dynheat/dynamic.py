@@ -125,7 +125,7 @@ def _xi_map(eps, delta, kappa, s, t):
         t_tan += w
         q *= q_scale
         q += xi
-        log_n = np.log(xi)
+        log_n = np.log(xi, out=w)
         log_n -= np.log(q, out=q)
         log_n += log_pref
         np.multiply(xi, eps, out=q)
@@ -147,6 +147,8 @@ _COARSE = np.unique(np.concatenate([4.0 ** -np.arange(26.0, 2.0, -1.0),
 _ZOOM = np.linspace(0.0, 1.0, 17)[:, None]
 _LADDER = np.concatenate([-8.0 ** np.arange(-17.0, 3.0), 8.0 ** np.arange(-17.0, 3.0)])[:, None]
 _ABS_LADDER = np.abs(_LADDER)
+# components per peak search of ``_frame``
+_FRAME_CHUNK = 256
 
 
 def _frame(eps, delta, kappa, s, t, log_tan):
@@ -157,7 +159,16 @@ def _frame(eps, delta, kappa, s, t, log_tan):
     than 2 from the best node to a neighbour.  ``scale`` is the nearest
     ``_LADDER`` offset where the log has dropped by 1, ``log_mass`` is
     log(peak * scale) and ``eta_hi`` the first coarse node past the last
-    one within exp(-TAIL_EXPONENT) of the peak."""
+    one within exp(-TAIL_EXPONENT) of the peak.
+
+    The search runs on ``_FRAME_CHUNK`` components at a time.  Each of its
+    steps is per component, so the chunks bound the size of its arrays
+    and leave every result bit as it is."""
+    if s.size > _FRAME_CHUNK:
+        parts = [_frame(eps, delta, kappa, s[lo:lo + _FRAME_CHUNK], t,
+                        lambda T, idx, lo=lo: log_tan(T, idx + lo))
+                 for lo in range(0, s.size, _FRAME_CHUNK)]
+        return tuple(np.concatenate(part) for part in zip(*parts))
     cols = np.arange(s.size)
     lc = TAIL_EXPONENT
     reach = math.sqrt(4.0 * t * lc / eps)
@@ -222,6 +233,7 @@ def _framed(normal, frame, spec, tan_fn):
         t_tan, log_n = normal(eta)
         log_n += np.log(np.cosh(v, out=v), out=v)
         log_n += log_len
+        del v, eta  # freed before tan_fn makes its arrays, which lowers the peak
         return tan_fn(t_tan, log_n)
 
     return _adaptive(f, _halves(0.0, 1.0), spec)
@@ -271,6 +283,19 @@ def exchange_log_grid(p: Params, r, s, t: float, spec: QuadSpec = DEFAULT_SPEC):
     -inf.  numpy's divide and invalid warnings are silenced for the whole
     call: log(0) at xi = 0 in the frame and the integrand, and log(0) and
     0/0 on a zero value.
+
+    The relative error is the quadrature's plus 12 spacings of the
+    returned log.  Where the integrand has its mass, the shifted
+    exponent sums terms as large as the shift, and these 12 roundings have
+    results of that size: the normal Gaussian eps xi^2/4t (two products and
+    a quotient), the tangential one r^2/4T (a square and a quotient), the
+    map's log-length minus the shift (one difference), the five sums that
+    join them (log_n - eps xi^2/4t, + log cosh v, + the log-length,
+    log(4 pi T) term - r^2/4T, + the weight) and the return's log(value) +
+    shift.  Each is at most half the spacing of a result below twice the
+    returned log, so at most one of its spacings.  The node's own rounding
+    moves every term together, and the roundings of T enter r^2/4T as
+    relative errors of a few eps that average out over the nodes.
     """
     _positive(t)
     r, s = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(s, dtype=float))
@@ -286,8 +311,9 @@ def exchange_log_grid(p: Params, r, s, t: float, spec: QuadSpec = DEFAULT_SPEC):
             p.epsilon, p.delta, p.kappa, s, t, spec,
             lambda T, log_w: exp_flush(_log_heat(p.dim - 1, rows, T) + log_w), frame, "xi")
         logv = np.log(vals) + frame[0]
-        # the error of the value plus one rounding of the returned log
-        rel = np.where(vals > 0.0, errs / vals + np.spacing(np.abs(logv)), errs)
+        # the error of the value plus one spacing per rounding of the
+        # exponent (the docstring's 12)
+        rel = np.where(vals > 0.0, errs / vals + 12.0 * np.spacing(np.abs(logv)), errs)
     return logv.reshape(shape), rel.reshape(shape), nsub, conv
 
 

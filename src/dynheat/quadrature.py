@@ -8,9 +8,9 @@ called with a 1-D numpy array of nodes and may return either a matching
 integrands sharing one subdivision tree (the panel error is then the
 worst component).
 
-Every panel runs QUADPACK's qk21 rule: 10-point Gauss and its 21-point
-Kronrod extension, exact for polynomials of degree 19 and 31.  Each panel
-is one integrand call on its 21 nodes and one ``_eval_panel``, so an
+Every panel runs QUADPACK's qk31 rule: 15-point Gauss and its 31-point
+Kronrod extension, exact for polynomials of degree 29 and 46.  Each panel
+is one integrand call on its 31 nodes and one ``_eval_panel``, so an
 integral over ``k`` seed segments with ``n`` bisections makes ``k + 2 n``
 integrand calls; the benchmark tracer asserts that count, so evaluating
 several panels per call waits for a tracer that counts panels another
@@ -18,7 +18,7 @@ way.
 
 A single-range integral starts from the two halves of its range
 (``_halves``), since almost every root panel would be bisected and its
-21 nodes thrown away.  Where the root would be bisected the result keeps
+31 nodes thrown away.  Where the root would be bisected the result keeps
 its bits; ``subdivisions_used`` and ``max_subdivisions`` count the
 bisections after those two seed panels, and an integral that would
 converge on one panel costs two.
@@ -35,10 +35,10 @@ spreading them over its reach.
 
 Iterated integrals all go through ``integrate_nested`` and share one
 error rule: the error of the outer integral is its own estimate plus the
-outer K21 rule's integral of the absolute inner errors over its final
+outer K31 rule's integral of the absolute inner errors over its final
 panels, the errors taking the same map and Jacobian as the values (the
 global sum over final panels of QUADPACK, Piessens et al. 1983).  The
-K21 weights are positive, so this is the outer rule's own estimate of
+K31 weights are positive, so this is the outer rule's own estimate of
 the error the inner estimates carry into its sum.  A panel that a later
 bisection replaced adds nothing, so the carried error depends on the
 final panels only, not on the bisection history.
@@ -70,49 +70,63 @@ class EvaluationError(RuntimeError):
     """Integrand returned NaN or an infinity inside a panel."""
 
 
-# 21-point Kronrod extension of 10-point Gauss (nodes on [-1, 1]), the
-# constants of QUADPACK's qk21 (Piessens et al. 1983).
+# 31-point Kronrod extension of 15-point Gauss (nodes on [-1, 1]), the
+# constants of QUADPACK's qk31 (Piessens et al. 1983).
 _XGK = np.array([
-    0.995657163025808080735527280689003,
-    0.973906528517171720077964012084452,
-    0.930157491355708226001207180059508,
-    0.865063366688984510732096688423493,
-    0.780817726586416897063717578345042,
-    0.679409568299024406234327365114874,
-    0.562757134668604683339000099272694,
-    0.433395394129247190799265943165784,
-    0.294392862701460198131126603103866,
-    0.148874338981631210884826001129720,
+    0.998002298693397060285172840152271,
+    0.987992518020485428489565718586613,
+    0.967739075679139134257347978784337,
+    0.937273392400705904307758947710209,
+    0.897264532344081900882509656454496,
+    0.848206583410427216200648320774217,
+    0.790418501442465932967649294817947,
+    0.724417731360170047416186054613938,
+    0.650996741297416970533735895313275,
+    0.570972172608538847537226737253911,
+    0.485081863640239680693655740232351,
+    0.394151347077563369897207370981045,
+    0.299180007153168812166780024266389,
+    0.201194093997434522300628303394596,
+    0.101142066918717499027074231447392,
     0.0,
 ])
 _WGK = np.array([
-    0.011694638867371874278064396062192,
-    0.032558162307964727478818972459390,
-    0.054755896574351996031381300244580,
-    0.075039674810919952767043140916190,
-    0.093125454583697605535065465083366,
-    0.109387158802297641899210590325805,
-    0.123491976262065851077958109831074,
-    0.134709217311473325928054001771707,
-    0.142775938577060080797094273138717,
-    0.147739104901338491374841515972068,
-    0.149445554002916905664936468389821,
+    0.005377479872923348987792051430128,
+    0.015007947329316122538374763075807,
+    0.025460847326715320186874001019653,
+    0.035346360791375846222037948478360,
+    0.044589751324764876608227299373280,
+    0.053481524690928087265343147239430,
+    0.062009567800670640285139230960803,
+    0.069854121318728258709520077099147,
+    0.076849680757720378894432777482659,
+    0.083080502823133021038289247286104,
+    0.088564443056211770647275443693774,
+    0.093126598170825321225486872747346,
+    0.096642726983623678505179907627589,
+    0.099173598721791959332393173484603,
+    0.100769845523875595044946662617570,
+    0.101330007014791549017374792767493,
 ])
-# Gauss weights of the nodes _XGK[1], _XGK[3], ..., _XGK[9]
+# Gauss weights of the nodes _XGK[1], _XGK[3], ..., _XGK[13] and of the
+# middle node 0
 _WG = np.array([
-    0.066671344308688137593568809893332,
-    0.149451349150580593145776339657697,
-    0.219086362515982043995534934228163,
-    0.269266719309996355091226921569469,
-    0.295524224714752870173892994651338,
+    0.030753241996117268354628393577204,
+    0.070366047488108124709267416450667,
+    0.107159220467171935011869546685869,
+    0.139570677926154314447804794511028,
+    0.166269205816993933553200860481209,
+    0.186161000015562211026800561866423,
+    0.198431485327111576456118326443839,
+    0.202578241925561272880620199967519,
 ])
 
-# Ascending node layout: -x0..-x9, 0, x9..x0; the Gauss nodes sit at the
-# odd indices, and the middle node 0 is a Kronrod node only.
-_NODES = np.concatenate([-_XGK[:10], [0.0], _XGK[9::-1]])
-_WK = np.concatenate([_WGK[:10], [_WGK[10]], _WGK[9::-1]])
-_WGFULL = np.zeros(21)
-_WGFULL[1:20:2] = np.concatenate([_WG, _WG[::-1]])
+# Ascending node layout: -x0..-x14, 0, x14..x0; the Gauss nodes, the
+# middle node 0 among them, sit at the odd indices.
+_NODES = np.concatenate([-_XGK[:15], _XGK[15::-1]])
+_WK = np.concatenate([_WGK[:15], _WGK[15::-1]])
+_WGFULL = np.zeros(31)
+_WGFULL[1:30:2] = np.concatenate([_WG, _WG[6::-1]])
 
 _EPS = np.finfo(float).eps
 _UFLOW = np.finfo(float).tiny
@@ -209,7 +223,7 @@ class QuadResult:
 
 
 def _eval_panel(f, a, b):
-    """One G10/K21 panel; returns (value, err, resabs) per component."""
+    """One G15/K31 panel; returns (value, err, resabs) per component."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     fx = np.asarray(f(mid + half * _NODES), dtype=float)
@@ -217,7 +231,7 @@ def _eval_panel(f, a, b):
         fx = fx[:, None]
     if fx.ndim != 2 or fx.shape[0] != _NODES.size:
         raise ValueError("integrand must return one value per node")
-    # The K21 weights are positive, so resabs is NaN or inf where a column
+    # The K31 weights are positive, so resabs is NaN or inf where a column
     # of fx holds a NaN or an infinity (or sums past the float range), and
     # so is its sum (0 for an empty batch).  Checked before the Gauss
     # matvec, whose zero weights turn an inf into a NaN.
@@ -234,7 +248,7 @@ def _eval_panel(f, a, b):
     np.subtract(fx, mean, out=dev)
     resasc = abs_half * (_WK @ np.abs(dev, out=dev))
     err = np.abs(half * (sk - sg))
-    # QUADPACK-style sharpening of the raw K21-G10 difference, then a floor
+    # QUADPACK-style sharpening of the raw K31-G15 difference, then a floor
     # of 50 eps resabs where resabs is above underflow.  With every resasc
     # positive and every resabs above underflow both masks below are all
     # true (a zero err sharpens to the same +0.0), so they are skipped.
@@ -399,7 +413,7 @@ def integrate_nested(inner, a: float, b: float,
     with x = a + width sinh(v), so its nodes crowd where the integrand is.
     """
     seeds, to_x = _range(a, b, width)
-    records = []  # (midpoint, half-width, K21 sum of the mapped inner errors)
+    records = []  # (midpoint, half-width, K31 sum of the mapped inner errors)
     inner_ok = True
     inner_sub = 0
 
@@ -412,7 +426,8 @@ def integrate_nested(inner, a: float, b: float,
         if jac is not None:
             jac = jac.reshape((-1,) + (1,) * (v.ndim - 1))
             v, e = v * jac, e * jac
-        half = (u[-1] - u[0]) / (2.0 * _XGK[0])
+        # the panel's half-width, from its outermost nodes +-_NODES[-1]
+        half = (u[-1] - u[0]) / (2.0 * _NODES[-1])
         records.append((u[u.size // 2], half, half * (_WK @ e)))
         inner_ok = inner_ok and converged
         inner_sub += nsub

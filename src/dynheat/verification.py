@@ -394,14 +394,18 @@ def _mass_grid(spec, epsilon=_PARAM_AXIS, delta=_PARAM_AXIS, kappa=_PARAM_AXIS,
     return [(p, xn, s, total_mass(p, xn, s, spec)) for p in grid for xn in x_n for s in t]
 
 
+# criterion 1's (eps, delta, kappa, N, x_N, t) spots with the tangential
+# integral done numerically
+_RADIAL_SPOTS = ((1.0, 1.0, 1.0, 2, 0.5, 1.0),
+                 (2.0, 0.5, 1.0, 3, 0.0, 1.0),
+                 (0.5, 2.0, 0.5, 2, 0.0, 0.1),
+                 (1.0, 1.0, 2.0, 3, 0.5, 0.5))
+
+
 def _check_mass(spec, seed):
     rows = [(f"eps={p.epsilon},delta={p.delta},kappa={p.kappa},N={p.dim},x_n={xn},t={t}",
              abs(res.value - 1.0)) for p, xn, t, res in _mass_grid(spec)]
-    # spot configurations with the tangential integral done numerically
-    for (eps, delta, kappa, dim, xn, t) in ((1.0, 1.0, 1.0, 2, 0.5, 1.0),
-                                            (2.0, 0.5, 1.0, 3, 0.0, 1.0),
-                                            (0.5, 2.0, 0.5, 2, 0.0, 0.1),
-                                            (1.0, 1.0, 2.0, 3, 0.5, 0.5)):
+    for (eps, delta, kappa, dim, xn, t) in _RADIAL_SPOTS:
         res = total_mass_radial(Params(eps, delta, kappa, dim), xn, t, spec)
         rows.append((f"radial eps={eps},delta={delta},kappa={kappa},N={dim},"
                      f"x_n={xn},t={t}", abs(res.value - 1.0)))

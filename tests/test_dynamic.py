@@ -211,6 +211,24 @@ class TestExchangeKernel:
         with pytest.raises(ValueError):
             exchange_log_grid(P111, [0.0], [0.0], 0.0)
 
+    def test_frame_chunks_keep_every_bit(self, monkeypatch):
+        # the peak search runs on chunks of components; each of its steps is
+        # per component, so one search over the whole batch gives the same
+        # frame, and so the same values and errors, bit for bit
+        import dynheat.dynamic as dynamic
+
+        rng = np.random.default_rng(3)
+        r, s = rng.uniform(0.0, 5.0, 600), rng.uniform(0.0, 5.0, 600)
+        s[::17] = 0.0
+        p = Params(0.5, 2.0, 0.5, 2)
+        assert 2 * dynamic._FRAME_CHUNK < s.size
+        chunked = exchange_log_grid(p, r, s, 0.1)
+        monkeypatch.setattr(dynamic, "_FRAME_CHUNK", s.size)
+        whole = exchange_log_grid(p, r, s, 0.1)
+        for a, b in zip(chunked[:2], whole[:2]):
+            assert a.tobytes() == b.tobytes()
+        assert chunked[2:] == whole[2:]
+
 
 class TestExchangeSweep:
     @pytest.mark.filterwarnings("error")

@@ -22,32 +22,43 @@ SPEC = QuadSpec()
 
 
 def _moment_miss(weights, k):
-    """Distance of the rule's integral of x^k on [-1, 1] from the exact
-    one, in units of the rounding bound 4 eps sum |w x^k|."""
-    exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
-    terms = weights * _NODES ** k
-    scale = 4.0 * np.finfo(float).eps * math.fsum(np.abs(terms))
+    """Distance of the rule's integral of the Legendre polynomial P_k on
+    [-1, 1] from the exact one, in units of the rounding bound
+    (k + 1) eps sum |w P_k|: the k steps of its recurrence and the weight.
+    Unlike x^k, P_k stays of size 1, so the miss of a rule one degree past
+    its exactness stands far above that bound."""
+    exact = 2.0 if k == 0 else 0.0
+    terms = weights * np.polynomial.legendre.legval(_NODES, np.eye(k + 1)[k])
+    scale = (k + 1) * np.finfo(float).eps * math.fsum(np.abs(terms))
     return abs(math.fsum(terms) - exact) / scale
 
 
 def test_rule_constants():
-    # K21 integrates x^k exactly up to degree 31 and G10 up to degree 19, to
+    # K31 integrates P_k exactly up to degree 46 and G15 up to degree 29, to
     # rounding; neither at the next even degree, so a mistyped digit that
     # moves a moment past rounding fails here
-    assert max(_moment_miss(_WK, k) for k in range(32)) <= 1.0
-    assert max(_moment_miss(_WGFULL, k) for k in range(20)) <= 1.0
-    assert _moment_miss(_WK, 32) > 1e3
-    assert _moment_miss(_WGFULL, 20) > 1e3
+    assert _NODES.size == 31
+    assert max(_moment_miss(_WK, k) for k in range(47)) <= 1.0
+    assert max(_moment_miss(_WGFULL, k) for k in range(30)) <= 1.0
+    assert _moment_miss(_WK, 48) > 1e3
+    assert _moment_miss(_WGFULL, 30) > 1e3
     assert np.all(np.diff(_NODES) > 0) and _NODES[_NODES.size // 2] == 0.0
     np.testing.assert_array_equal(_NODES, -_NODES[::-1])
     np.testing.assert_array_equal(_WK, _WK[::-1])
     np.testing.assert_array_equal(_WGFULL, _WGFULL[::-1])
     assert np.all(_WK > 0)
-    # G10 lives on the odd nodes, the Gauss-Legendre rule of that order
-    gx, gw = np.polynomial.legendre.leggauss(10)
-    assert np.count_nonzero(_WGFULL) == 10
+    # G15 lives on the odd nodes, the middle one among them, the
+    # Gauss-Legendre rule of that order
+    gx, gw = np.polynomial.legendre.leggauss(15)
+    assert np.count_nonzero(_WGFULL) == 15
     np.testing.assert_allclose(_NODES[1::2], gx, rtol=0, atol=1e-15)
     np.testing.assert_allclose(_WGFULL[1::2], gw, rtol=0, atol=1e-15)
+    # QUADPACK's qk31 table: the outermost Kronrod node and weight, and the
+    # outermost Gauss node and weight
+    assert _NODES[-1] == 0.998002298693397060285172840152271
+    assert _WK[-1] == 0.005377479872923348987792051430128
+    assert _NODES[-2] == 0.987992518020485428489565718586613
+    assert _WGFULL[-2] == 0.030753241996117268354628393577204
 
 
 def test_polynomial():
@@ -195,12 +206,12 @@ def test_range_rule_rejects(a, b):
 # (value, error, subdivisions, converged) of [a, inf) integrals, pinned to
 # the bits of the u = 1/(1 + x - a) rule they have always run through
 _SEMI_INFINITE_GOLDEN = {
-    "exp": ((["0x1.ffffffffffffcp-1"], ["0x1.9c60ff66b9220p-32"]), 2, True),
-    "shifted_gauss": ((["0x1.b60e4bace8730p-1"], ["0x1.a2d0cb31ebd81p-43"]), 3, True),
-    "poisson_tail": ((["0x1.0000000000000p+0"], ["0x1.3efd1c3924fa0p-42"]), 0, True),
-    "batch": ((["0x1.78b56362cef36p-1", "0x1.152aaa3bf81ccp-3", "0x1.5fc21041027acp-14"],
-               ["0x1.701051927ff8ep-33", "0x1.14c0eb7106286p-47", "0x1.12cf9cb2cb38fp-60"]),
-              3, True),
+    "exp": ((["0x1.ffffffffffff8p-1"], ["0x1.0fc6d12b6d116p-33"]), 1, True),
+    "shifted_gauss": ((["0x1.b60e4bace8730p-1"], ["0x1.f79344daba38ep-41"]), 2, True),
+    "poisson_tail": ((["0x1.0000000000000p+0"], ["0x1.9000000000000p-47"]), 0, True),
+    "batch": ((["0x1.78b56362cef34p-1", "0x1.152aaa3bf81cbp-3", "0x1.5fc21041027adp-14"],
+               ["0x1.e529296c7d434p-35", "0x1.194343faefba2p-49", "0x1.12cf9cb2caa84p-60"]),
+              2, True),
 }
 
 
@@ -275,11 +286,11 @@ def test_integrand_must_return_one_value_per_node(f):
 
 
 def test_unbisectable_panel_is_not_converged():
-    # a one-ulp range has no float midpoint inside it, so a panel whose K21
-    # and G10 sums disagree stops there, flagged, instead of looping
+    # a one-ulp range has no float midpoint inside it, so a panel whose K31
+    # and G15 sums disagree stops there, flagged, instead of looping
     a = 1.0
     b = math.nextafter(a, math.inf)
-    pattern = np.abs(np.sin(np.arange(21.0) ** 2))
+    pattern = np.abs(np.sin(np.arange(float(_NODES.size)) ** 2))
     res = integrate(lambda x: pattern, a, b, QuadSpec(rel_tol=1e-15, abs_tol=1e-300))
     assert res.error_estimate > 0.0
     assert (res.subdivisions_used, res.converged) == (0, False)
@@ -407,13 +418,13 @@ def _golden_runs():
 
 
 _GOLDEN = {
-    "scalar_smooth": ((["0x1.0aabeec406a38p+1"], ["0x1.a0aca5124a5f9p-46"]), 3, True),
-    "peaked_batch_225": ("b442c041d75a5663606bdfc880054a63", 505, True),
-    "gauss_layer_framed": ((["0x1.f54aeff5031f2p-2", "0x1.9e789c7b439ffp-3",
+    "scalar_smooth": ((["0x1.0aabeec406a38p+1"], ["0x1.77f6855f5ffb8p-43"]), 1, True),
+    "peaked_batch_225": ("770b40e77772b330aab6ee503c1209fa", 335, True),
+    "gauss_layer_framed": ((["0x1.f54aeff5031f3p-2", "0x1.9e789c7b43a00p-3",
                              "0x1.b1c67b874fb99p-5"],
-                            ["0x1.6ff68c6540caep-38", "0x1.c43ab0401f491p-48",
-                             "0x1.6cfe9fbbd9277p-51"]), 4, True),
-    "max_subdivisions": ((["0x1.f6f9d66120527p-2"], ["0x1.9716cd8c46f35p-48"]), 60, False),
+                            ["0x1.71504712deec2p-37", "0x1.33cdc26022170p-41",
+                             "0x1.57c5f6939322bp-51"]), 2, True),
+    "max_subdivisions": ((["0x1.f6f9d66120528p-2"], ["0x1.972efb75e2bf7p-48"]), 60, False),
 }
 
 
@@ -461,21 +472,21 @@ def test_kernel_golden():
     # and laplace_dynamic_kernel (value, error), three points each; all
     # count bisections after their two seed halves.  The limit-kernel rows
     # run through their batches' sinh frames.  Each value is within 6 ulp of
-    # the nearest double to a 40-digit quadrature of the same integral (the
-    # 6 is the third heat_neumann_kernel row, converged on its seed halves),
-    # and the first laplace_dynamic_kernel row, 1/(2 pi), within 1.  The
-    # last row pins a zoomed exchange batch by a sha256 prefix of float.hex
+    # the nearest double to a 40-digit quadrature of the same integral, each
+    # limit-kernel value within 3 (the second and third heat_neumann_kernel
+    # rows), and the first laplace_dynamic_kernel row, 1/(2 pi), within 1.
+    # The last row pins a zoomed exchange batch by a sha256 prefix of float.hex
     assert _kernel_golden_points() == [
-        ("-0x1.2572de5a2c2ddp+1", "0x1.42570d8563d0cp-41", 1, True),
-        ("-0x1.08d3c4821772ap+3", "0x1.a05065d5ed87ep-39", 1, True),
-        ("-0x1.bf7b22c8d5f63p+1", "0x1.b2f0a3cd20400p-33", 1, True),
-        ("0x1.a9ba9ae3b1af2p-4", "0x1.274df43106f19p-47", 1, True),
-        ("0x1.506d6b1591c4cp-7", "0x1.d63bde5e0834fp-45", 1, True),
-        ("0x1.6b8db104064a7p-5", "0x1.713a111dffa58p-35", 0, True),
-        ("0x1.45f306dc9c884p-3", "0x1.fc190d6e22853p-41", 1, True),
-        ("0x1.72f44f8f98c10p-5", "0x1.d90815c72aedap-45", 2, True),
-        ("0x1.38cdb2f4a85f1p-5", "0x1.6eea9e7d0d25ep-36", 1, True),
-        ("f5149c3ef7b93c1cb7ed34759cd38921", 5, True),
+        ("-0x1.2572de5a2c2ddp+1", "0x1.c97ea56c3a776p-46", 0, True),
+        ("-0x1.08d3c4821772ap+3", "0x1.d4cc689cfe012p-42", 0, True),
+        ("-0x1.bf7b22c8d5f63p+1", "0x1.7408a012cbfa2p-44", 0, True),
+        ("0x1.a9ba9ae3b1af3p-4", "0x1.df8794c1e3cfap-50", 0, True),
+        ("0x1.506d6b1591c4bp-7", "0x1.4da78711383cap-51", 0, True),
+        ("0x1.6b8db104064a4p-5", "0x1.8879df4a3f142p-51", 0, True),
+        ("0x1.45f306dc9c882p-3", "0x1.e47eb87925586p-47", 0, True),
+        ("0x1.72f44f8f98c10p-5", "0x1.3f828b399c72bp-45", 0, True),
+        ("0x1.38cdb2f4a85f3p-5", "0x1.367b0f19f7a5ap-51", 0, True),
+        ("9cd2cf65a9aa8dd40fe3eefff7d4ebf0", 3, True),
     ]
 
 
@@ -506,7 +517,7 @@ def test_infinite_panel_raises_after_one_call():
 def test_equal_panel_errors_bisect_the_lower_index_first():
     # an integrand that ignores x gives every panel of equal length the same
     # error; the lower index is bisected first, then the longer panel
-    pattern = np.abs(np.sin(np.arange(21.0) ** 2))
+    pattern = np.abs(np.sin(np.arange(float(_NODES.size)) ** 2))
     mids = []
 
     def f(x):
@@ -561,6 +572,6 @@ def test_range_without_interior_midpoint_has_one_seed():
         return np.ones_like(x)
 
     res = integrate(f, a, b)
-    assert calls == [21]
+    assert calls == [_NODES.size]
     assert res.value == b - a
     assert res.converged

@@ -451,17 +451,17 @@ def _solve_golden(tag):
 
 
 _SOLVE_GOLDEN = {
-    "HDD": ("ffc2af40177e1102fcfbdd0b41b26a51", True),
-    "HD": ("0af49c0430e7b27d616892e1dc7874b0", True),
-    "LDD": ("881402e1993c2aef65f64754458595b3", True),
-    "LD": ("02cb9d4e5f7b3be41a9c3d1c231b7b49", True),
-    "HDN": ("19170c20b8aa885a22d89dee49661d8e", True),
-    "HhN": ("e0ce8b71b51a61bbcb7977c2d7674bdf", True),
-    "HD0": ("3ae9b1db78e4b6f1e13615e88a8ae16a", True),
-    "HDpsi": ("69c483ed04c7e8a7755fa13ead19a07f", True),
-    "HDPsi": ("02b14ab48575f75ba114fd6ea4d4e923", True),
-    "LDpsi": ("16024e16b373c6b513aacf84c93e919c", True),
-    "LDPsi": ("728f6ca65a8967943ddb219bc886ddc3", True),
+    "HDD": ("a6dbccfdf13fe4d531830229652adcee", True),
+    "HD": ("3d42b244c8c8998eb65f0aa7ccb079ce", True),
+    "LDD": ("7044676ac9d26bce9bc54fc2250a8a8a", True),
+    "LD": ("b611ef2be857f4874ea582958c2b7afe", True),
+    "HDN": ("4e4c4bc07e4fff9e4b0ba6f17b0eb4b4", True),
+    "HhN": ("c120163a1c7935c1d4c375e633829a7f", True),
+    "HD0": ("9afff57be938a99829e8aa90def98968", True),
+    "HDpsi": ("fcf6d67fffdfa5fbf359aba543083a35", True),
+    "HDPsi": ("24d5e63bb7ca6aa9e14c90af0bd78f50", True),
+    "LDpsi": ("737435dda70feb09aed5d98d41914f88", True),
+    "LDPsi": ("3d9bb15d25ac9e36eae1d8ee8fc8ea7e", True),
 }
 
 

@@ -368,3 +368,19 @@ class TestMassGrid:
         monkeypatch.setattr(verification, "total_mass", total_mass)
         with pytest.raises(ValueError, match=match):
             verification._mass_grid(QuadSpec(), **axes)
+
+    def test_mass_rows_converge_near_their_seed_panels(self):
+        # total_mass reads neither kappa nor N, so one kappa and one N give
+        # criterion 1's 81 distinct rows; a K21 panel rule took 165
+        # subdivisions on them
+        rows = verification._mass_grid(QuadSpec(), kappa=(1.0,), dim=(2,))
+        assert len(rows) == 81
+        assert sum(res.subdivisions_used for *_, res in rows) <= 20
+
+    @pytest.mark.parametrize("spot", verification._RADIAL_SPOTS,
+                             ids=lambda s: "eps={},delta={},kappa={},N={},x_n={},t={}".format(*s))
+    def test_radial_spot_converges_near_its_seed_panels(self, spot):
+        # a K21 panel rule took 11, 34, 54 and 48 subdivisions on the four
+        eps, delta, kappa, dim, xn, t = spot
+        res = verification.total_mass_radial(Params(eps, delta, kappa, dim), xn, t)
+        assert res.subdivisions_used <= 15
