@@ -233,7 +233,7 @@ def _framed(normal, frame, spec, tan_fn):
         t_tan, log_n = normal(eta)
         log_n += np.log(np.cosh(v, out=v), out=v)
         log_n += log_len
-        del v, eta  # freed before tan_fn makes its arrays, which lowers the peak
+        del v, eta  # freed before tan_fn makes its arrays: a lower peak memory
         return tan_fn(t_tan, log_n)
 
     return _adaptive(f, _halves(0.0, 1.0), spec)
