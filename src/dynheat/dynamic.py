@@ -140,66 +140,65 @@ def _xi_map(eps, delta, kappa, s, t):
 # Peak-search nodes in units of the normal Gaussian's reach: the coarse
 # grid is geometric towards 0 (boundary-layer peaks), uniform on [0, 1]
 # and geometric up to 64 (tangential factors that grow with eta); the
-# width ladder holds the offsets 8^-17 .. 64 on both sides of the peak
-# (a column, and its absolute values).
+# frame's widths are the rungs 8^-17 .. 1.
 _COARSE = np.unique(np.concatenate([4.0 ** -np.arange(26.0, 2.0, -1.0),
                                     np.linspace(0.0, 1.0, 33), 2.0 ** np.arange(1.0, 7.0)]))
 _ZOOM = np.linspace(0.0, 1.0, 17)[:, None]
-_LADDER = np.concatenate([-8.0 ** np.arange(-17.0, 3.0), 8.0 ** np.arange(-17.0, 3.0)])[:, None]
-_ABS_LADDER = np.abs(_LADDER)
+_RUNGS = 8.0 ** np.arange(-17.0, 1.0)
 # components per peak search of ``_frame``
 _FRAME_CHUNK = 256
 
 
-def _frame(eps, delta, kappa, s, t, log_tan):
+def _frame(p, r, s, t):
     """Per-component (log_mass, centre, scale, eta_hi) of the exchange
-    integrand exp(log_n(eta) + log_tan(T(eta), idx)), eta >= 0, taken
-    unimodal.  Its peak is bracketed on ``_COARSE``, then the bracket is
-    zoomed (17 nodes, 8x narrower per pass) while the log drops by more
-    than 2 from the best node to a neighbour.  ``scale`` is the nearest
-    ``_LADDER`` offset where the log has dropped by 1, ``log_mass`` is
-    log(peak * scale) and ``eta_hi`` the first coarse node past the last
-    one within exp(-TAIL_EXPONENT) of the peak.
+    integrand exp(log_n(eta)) times the heat kernel of R^(N-1) at (r, T),
+    eta >= 0, taken unimodal.  Its peak is bracketed on ``_COARSE``, then
+    the bracket is zoomed (17 nodes, 8x narrower per pass) while the log
+    drops by more than 2 from the best node to a neighbour.  The pass that
+    ends a component's search sets ``scale``: the distance to that pass's
+    nearest node more than 1 below the peak, less 1e-12 of it (a distance
+    that rounds onto a rung stays there), rounded up to a rung
+    reach * ``_RUNGS``; ``reach`` past the last rung or with no such node.
+    ``log_mass`` is log(peak * scale) and ``eta_hi`` the first coarse node
+    past the last one within exp(-TAIL_EXPONENT) of the peak.
 
     The search runs on ``_FRAME_CHUNK`` components at a time.  Each of its
     steps is per component, so the chunks bound the size of its arrays
     and leave every result bit as it is."""
     if s.size > _FRAME_CHUNK:
-        parts = [_frame(eps, delta, kappa, s[lo:lo + _FRAME_CHUNK], t,
-                        lambda T, idx, lo=lo: log_tan(T, idx + lo))
+        parts = [_frame(p, r[lo:lo + _FRAME_CHUNK], s[lo:lo + _FRAME_CHUNK], t)
                  for lo in range(0, s.size, _FRAME_CHUNK)]
         return tuple(np.concatenate(part) for part in zip(*parts))
-    cols = np.arange(s.size)
     lc = TAIL_EXPONENT
-    reach = math.sqrt(4.0 * t * lc / eps)
+    reach = math.sqrt(4.0 * t * lc / p.epsilon)
+    rungs = reach * _RUNGS
 
-    def log_f(normal, eta, idx):
-        t_tan, log_n = normal(eta)
-        return log_n + log_tan(t_tan, idx)
+    def log_f(eta, idx):
+        t_tan, log_n = _xi_map(p.epsilon, p.delta, p.kappa, s[idx], t)(eta)
+        return log_n + _log_heat(p.dim - 1, r[idx][None, :], t_tan)
 
-    normal = _xi_map(eps, delta, kappa, s, t)
+    active = np.arange(s.size)
     grid = reach * _COARSE[:, None]  # one column that every component shares
-    lg = log_f(normal, grid, cols)
+    lg = log_f(grid, active)
     peak = np.maximum.reduce(lg, axis=0)
     last = len(grid) - 1 - (lg >= peak - lc)[::-1].argmax(axis=0)
     eta_hi = reach * _COARSE[np.minimum(last + 1, len(grid) - 1)]
-    centre, lo, hi = np.empty((3, s.size))
-    active = cols
+    centre, scale, lo, hi = np.empty((4, s.size))
     while True:  # the bracket shrinks 8x per pass until nodes coincide
         a = np.arange(active.size)
         g = np.arange(grid.shape[1])  # [0] broadcasts the shared column
         j = lg.argmax(axis=0)
         below, above = np.maximum(j - 1, 0), np.minimum(j + 1, len(grid) - 1)
         centre[active], lo[active], hi[active] = grid[j, g], grid[below, g], grid[above, g]
+        near = np.minimum.reduce(np.where(lg < peak[active] - 1.0,
+                                          np.abs(grid - centre[active]), np.inf), axis=0)
+        scale[active] = rungs.take(np.searchsorted(rungs, near * (1.0 - 1e-12)), mode="clip")
         active = active[lg[j, a] - np.minimum(lg[below, a], lg[above, a]) > 2.0]
         if not active.size:
             break
         grid = lo[active] + (hi[active] - lo[active]) * _ZOOM
-        lg = log_f(_xi_map(eps, delta, kappa, s[active], t), grid, active)
+        lg = log_f(grid, active)
         peak[active] = np.maximum(peak[active], np.maximum.reduce(lg, axis=0))
-    offsets = centre + reach * _LADDER
-    fell = (log_f(normal, np.abs(offsets), cols) < peak - 1.0) & (offsets >= 0.0)
-    scale = np.minimum.reduce(np.where(fell, reach * _ABS_LADDER, reach), axis=0)
     return peak + np.log(scale), centre, scale, np.maximum(eta_hi, centre + scale)
 
 
@@ -278,11 +277,11 @@ def _pointwise_tan(dim, r):
 
 def exchange_log_grid(p: Params, r, s, t: float, spec: QuadSpec = DEFAULT_SPEC):
     """log of the exchange kernel on arrays of (r, s) pairs at fixed t,
-    each component framed and shifted by ``_frame``.  Returns (log_values,
-    rel_errors, subdivisions, converged); values of exactly zero map to
-    -inf.  numpy's divide and invalid warnings are silenced for the whole
-    call: log(0) at xi = 0 in the frame and the integrand, and log(0) and
-    0/0 on a zero value.
+    each component framed and shifted by ``_frame``; both offsets are
+    distances (``_positive`` with 0).  Returns (log_values, rel_errors,
+    subdivisions, converged); values of exactly zero map to -inf.  numpy's
+    divide and invalid warnings are silenced for the whole call: log(0) at
+    xi = 0 in the frame and the integrand, and log(0) and 0/0 on a zero value.
 
     The relative error is the quadrature's plus 12 spacings of the
     returned log.  Where the integrand has its mass, the shifted
@@ -299,17 +298,14 @@ def exchange_log_grid(p: Params, r, s, t: float, spec: QuadSpec = DEFAULT_SPEC):
     """
     _positive(t)
     r, s = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(s, dtype=float))
+    _positive(r, "tangential offsets r", zero=True)
+    _positive(s, "normal offsets s", zero=True)
     shape, r, s = r.shape, r.ravel(), s.ravel()
-
-    def log_tan(T, idx):
-        return _log_heat(p.dim - 1, r[idx][None, :], T)
-
-    rows = r[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
-        frame = _frame(p.epsilon, p.delta, p.kappa, s, t, log_tan)
+        frame = _frame(p, r, s, t)
         vals, errs, nsub, conv = _exchange_core(
             p.epsilon, p.delta, p.kappa, s, t, spec,
-            lambda T, log_w: exp_flush(_log_heat(p.dim - 1, rows, T) + log_w), frame, "xi")
+            lambda T, log_w: exp_flush(_log_heat(p.dim - 1, r[None, :], T) + log_w), frame, "xi")
         logv = np.log(vals) + frame[0]
         # the error of the value plus one spacing per rounding of the
         # exponent (the docstring's 12)

@@ -17,9 +17,11 @@ several panels per call waits for a tracer that counts panels another
 way.
 
 A single-range integral starts from the two halves of its range
-(``_halves``), since almost every root panel would be bisected and its
-31 nodes thrown away.  Where the root would be bisected the result keeps
-its bits; ``subdivisions_used`` and ``max_subdivisions`` count the
+(``_halves``): on the benchmark's traced passes a root seed took ``mass``
+from 4,050 to 5,456 panels and ``rates`` from 2,808 to 4,185, and
+``pointwise`` from 11,308 to 10,722, as 55% of its roots converge (the
+README has the times).  Where the root would be bisected the result
+keeps its bits; ``subdivisions_used`` and ``max_subdivisions`` count the
 bisections after those two seed panels, and an integral that would
 converge on one panel costs two.
 
@@ -31,7 +33,7 @@ x = a + (1 - u)/u and Jacobian 1/u^2 (integrands must then decay faster
 than any power); with a ``width`` w (``integrate_nested`` only) on v in
 [0, asinh((b - a)/w)] with x = a + w sinh(v) and Jacobian w cosh(v),
 which puts the nodes of a Gaussian tail of width w near a instead of
-spreading them over its reach.
+spreading them over its reach (a ``rates`` pass: 2,808 panels, 2,992 without).
 
 Iterated integrals all go through ``integrate_nested`` and share one
 error rule: the error of the outer integral is its own estimate plus the
@@ -294,8 +296,7 @@ def _adaptive(f, segments, spec: QuadSpec):
         if nsub >= spec.max_subdivisions:
             converged = False
             break
-        # Worst panel first; np.argmax takes the lowest index on ties and
-        # the first NaN.
+        # Worst panel first; np.argmax takes the lowest index on ties.
         n = len(errs)
         worst = int(worst_err[:n].argmax())
         a, b = lefts[worst], rights[worst]

@@ -229,6 +229,48 @@ class TestExchangeKernel:
             assert a.tobytes() == b.tobytes()
         assert chunked[2:] == whole[2:]
 
+    def test_frame_evaluates_only_its_search_nodes(self, monkeypatch):
+        # the frame reads its width off the nodes of its peak search: each
+        # component is evaluated on the coarse grid once and on 17 nodes per
+        # zoom pass, and on no further node
+        import dynheat.dynamic as dynamic
+
+        calls, xi_map = [], dynamic._xi_map
+
+        def counted(eps, delta, kappa, s, t):
+            normal = xi_map(eps, delta, kappa, s, t)
+
+            def wrapped(eta):
+                calls.append((eta.shape[0], s.size))
+                return normal(eta)
+
+            return wrapped
+
+        monkeypatch.setattr(dynamic, "_xi_map", counted)
+        # the quadrature is left out, so only the frame's nodes are counted
+        monkeypatch.setattr(dynamic, "_exchange_core",
+                            lambda eps, delta, kappa, s, *_: (np.ones(s.size), np.zeros(s.size),
+                                                              0, True))
+        # the zoomed 78-wide batch of test_kernel_golden: 5 components zoom
+        exchange_log_grid(Params(0.5, 2, 0.5, 2), np.linspace(0, 6, 13)[:, None],
+                          [[0, 0.01, 0.1, 0.5, 1, 3]], 0.1)
+        assert calls[0] == (dynamic._COARSE.size, 78) and dynamic._COARSE.size == 63
+        assert len(calls) > 1
+        assert all(nodes == 17 and 0 < width < 78 for nodes, width in calls[1:])
+
+    @pytest.mark.parametrize("r, s, name", [
+        ([0.5], [-1.0], "normal offsets s"),
+        ([0.5], [math.nan], "normal offsets s"),
+        ([0.5], [math.inf], "normal offsets s"),
+        ([math.nan], [0.5], "tangential offsets r"),
+        ([0.5, 1.0], [[0.5], [-math.inf]], "normal offsets s"),
+    ], ids=["s-negative", "s-nan", "s-inf", "r-nan", "s-broadcast-minus-inf"])
+    def test_offsets_pass_the_range_rule(self, r, s, name):
+        # both are distances, checked after the broadcast; they used to fail
+        # on the first panel with an EvaluationError that named neither
+        with pytest.raises(ValueError, match=f"^{name} must be finite and nonnegative$"):
+            exchange_log_grid(P111, r, s, 1.0)
+
 
 class TestExchangeSweep:
     @pytest.mark.filterwarnings("error")
@@ -248,6 +290,60 @@ class TestExchangeSweep:
             lo = float(Decimal(ref) - Decimal(hi))  # hi + lo carries all 25 digits
             assert conv
             assert abs(math.expm1((lv[0] - hi) - lo)) <= rel[0]
+
+
+_REGIME_PARAMS = [(1.0, 1.0, 1.0), (0.5, 2.0, 0.5), (2.0, 0.5, 2.0)]
+_LONG_T, _SHORT_T = 1e10, 1e-8
+_X_FAR, _Y_FAR = HalfSpacePoint(0.0, 1.0), HalfSpacePoint(0.5, 0.5)
+
+
+def _long_time_limit(p):
+    """2 (eps/4 pi t)^(N/2) at t = _LONG_T: the wall's capacity is negligible
+    against the bulk, and G tends to the Neumann half-space kernel of
+    eps u_t = Laplace u with unit bulk mass."""
+    return 2.0 * (p.epsilon / (4.0 * math.pi * _LONG_T)) ** (p.dim / 2)
+
+
+def _short_time_wall(p):
+    """Wall points x, y at r = 0.3 sqrt(T), T = kappa t/delta, t = _SHORT_T,
+    and the limit (eps/delta) K_(N-1)(r, T) there: the mass starts on the
+    wall, where delta u_t = kappa Laplace' u + d_z u."""
+    T = p.kappa * _SHORT_T / p.delta
+    r = 0.3 * math.sqrt(T)
+    limit = p.epsilon / p.delta * free_heat_radial(p.dim - 1, r, T)
+    return HalfSpacePoint(r, 0.0), HalfSpacePoint(0.0, 0.0), limit
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("eps, delta, kappa", _REGIME_PARAMS)
+class TestTimeRegimes:
+    # the fundamental solution at both ends of the time axis, far outside
+    # the sweep's t in [1e-3, 10].  Measured deviations: at most 4.4e-5 at
+    # t = 1e10 (4.4e-4 at 1e8) and 2.7e-4 at t = 1e-8 (2.7e-3 at 1e-6),
+    # every call converged; the gates leave 4.5x and 3.7x.  A kernel built
+    # with 1.01 eps misses each limit by about 1e-2
+
+    def test_long_time_limit(self, eps, delta, kappa, dim):
+        p = Params(eps, delta, kappa, dim)
+        g = fundamental_kernel(p, _X_FAR, _Y_FAR, _LONG_T)
+        assert g.converged
+        assert abs(g.value / _long_time_limit(p) - 1.0) <= 2e-4
+        # the absorbing kernel decays faster: it reads -1
+        g0 = dirichlet_kernel(_X_FAR, _Y_FAR, _LONG_T / eps, dim)
+        assert g0 / _long_time_limit(p) - 1.0 < -0.99
+        off = fundamental_kernel(Params(1.01 * eps, delta, kappa, dim), _X_FAR, _Y_FAR, _LONG_T)
+        assert abs(off.value / _long_time_limit(p) - 1.0) > 2e-4
+
+    def test_short_time_wall_limit(self, eps, delta, kappa, dim):
+        p = Params(eps, delta, kappa, dim)
+        x, y, limit = _short_time_wall(p)
+        g = fundamental_kernel(p, x, y, _SHORT_T)
+        assert g.converged
+        assert abs(g.value / limit - 1.0) <= 1e-3
+        # not 1.01 delta: in N = 3 its weight eps/delta and its time
+        # kappa t/delta cancel to about 4e-4
+        off = fundamental_kernel(Params(1.01 * eps, delta, kappa, dim), x, y, _SHORT_T)
+        assert abs(off.value / limit - 1.0) > 1e-3
 
 
 class TestMarginals:

@@ -468,3 +468,36 @@ _SOLVE_GOLDEN = {
 @pytest.mark.parametrize("tag", PROBLEM_TAGS)
 def test_solve_golden(tag):
     assert _solve_golden(tag) == _SOLVE_GOLDEN[tag]
+
+
+_PROFILE_PHI = Interior("heat_gaussian", a=0.5, normal=NormalProfile("gaussian", m=0.6, b=0.3))
+_PROFILE_PSI = Boundary("heat_gaussian", a=0.4)
+_PROFILE_T = 1e10
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("eps, delta, kappa", [(0.7, 1.3, 0.8), (1.0, 1.0, 1.0),
+                                                (2.0, 0.5, 2.0)])
+@pytest.mark.parametrize("tag", ["HDD", "HDN"])
+def test_large_time_profile(tag, eps, delta, kappa, dim):
+    # with the conserved mass M = int phi + (delta/eps) int psi, t^(N/2) u
+    # tends to 2 (eps/4 pi)^(N/2) M on bounded sets, the long-time limit of
+    # the fundamental solution; HDN with interior data alone conserves
+    # M = int phi.  The first check of N = 3 solution values.  Measured at
+    # t = 1e10: at most 4.4e-5 (HDD) and 5.0e-5 (HDN), every solve
+    # converged; the gate leaves 4x.  A 1.01 delta HDD solve misses by at
+    # least 2.4e-3, a 1.01 eps HDN solve by at least 1.0e-2
+    phi_mass = 0.5 * math.erfc(-_PROFILE_PHI.normal.m / math.sqrt(4.0 * _PROFILE_PHI.normal.b))
+    if tag == "HDD":
+        data, mass = InitialData(_PROFILE_PHI, _PROFILE_PSI), phi_mass + delta / eps
+        off = Params(eps, 1.01 * delta, kappa, dim)
+    else:
+        data, mass = InitialData(_PROFILE_PHI), phi_mass
+        off = Params(1.01 * eps, delta, kappa, dim)
+    limit = 2.0 * (eps / (4.0 * math.pi * _PROFILE_T)) ** (dim / 2) * mass
+    xp, xn = [0.0, 1.0], [0.5, 0.0]
+    u, _, conv = solve_grid(tag, Params(eps, delta, kappa, dim), data, xp, xn, _PROFILE_T)
+    assert conv
+    assert np.max(np.abs(u / limit - 1.0)) <= 2e-4
+    u_off, _, _ = solve_grid(tag, off, data, xp, xn, _PROFILE_T)
+    assert np.min(np.abs(u_off / limit - 1.0)) > 2e-4
