@@ -140,7 +140,7 @@ def _xi_map(eps, delta, kappa, s, t):
 # Peak-search nodes in units of the normal Gaussian's reach: the coarse
 # grid is geometric towards 0 (boundary-layer peaks), uniform on [0, 1]
 # and geometric up to 64 (tangential factors that grow with eta); the
-# frame's widths are the rungs 8^-17 .. 1.
+# frame's widths are the rungs 8^-17 .. 1 of the reach.
 _COARSE = np.unique(np.concatenate([4.0 ** -np.arange(26.0, 2.0, -1.0),
                                     np.linspace(0.0, 1.0, 33), 2.0 ** np.arange(1.0, 7.0)]))
 _ZOOM = np.linspace(0.0, 1.0, 17)[:, None]
@@ -278,10 +278,11 @@ def _pointwise_tan(dim, r):
 def exchange_log_grid(p: Params, r, s, t: float, spec: QuadSpec = DEFAULT_SPEC):
     """log of the exchange kernel on arrays of (r, s) pairs at fixed t,
     each component framed and shifted by ``_frame``; both offsets are
-    distances (``_positive`` with 0).  Returns (log_values, rel_errors,
-    subdivisions, converged); values of exactly zero map to -inf.  numpy's
-    divide and invalid warnings are silenced for the whole call: log(0) at
-    xi = 0 in the frame and the integrand, and log(0) and 0/0 on a zero value.
+    distances, finite and >= 0 by the range rule.  Returns (log_values,
+    rel_errors, subdivisions, converged); values of exactly zero map to
+    -inf.  numpy's divide and invalid warnings are silenced for the whole
+    call: log(0) at xi = 0 in the frame and the integrand, and log(0) and
+    0/0 on a zero value.
 
     The relative error is the quadrature's plus 12 spacings of the
     returned log.  Where the integrand has its mass, the shifted

@@ -258,19 +258,6 @@ class TestExchangeKernel:
         assert len(calls) > 1
         assert all(nodes == 17 and 0 < width < 78 for nodes, width in calls[1:])
 
-    @pytest.mark.parametrize("r, s, name", [
-        ([0.5], [-1.0], "normal offsets s"),
-        ([0.5], [math.nan], "normal offsets s"),
-        ([0.5], [math.inf], "normal offsets s"),
-        ([math.nan], [0.5], "tangential offsets r"),
-        ([0.5, 1.0], [[0.5], [-math.inf]], "normal offsets s"),
-    ], ids=["s-negative", "s-nan", "s-inf", "r-nan", "s-broadcast-minus-inf"])
-    def test_offsets_pass_the_range_rule(self, r, s, name):
-        # both are distances, checked after the broadcast; they used to fail
-        # on the first panel with an EvaluationError that named neither
-        with pytest.raises(ValueError, match=f"^{name} must be finite and nonnegative$"):
-            exchange_log_grid(P111, r, s, 1.0)
-
 
 class TestExchangeSweep:
     @pytest.mark.filterwarnings("error")
@@ -787,17 +774,25 @@ _GAUSS_PSI = InitialData(boundary=Boundary("heat_gaussian", a=0.5))
     lambda: Params(10**400, 1, 1, 2),
     lambda: HalfSpacePoint(0.0, 10**400),
     lambda: HalfSpacePoint((0.0, 10**400), 0.5),
+    lambda: exchange_log_grid(P111, [0.5], [-1.0], 1.0),
+    lambda: exchange_log_grid(P111, [0.5], [_NAN], 1.0),
+    lambda: exchange_log_grid(P111, [0.5], [math.inf], 1.0),
+    lambda: exchange_log_grid(P111, [_NAN], [0.5], 1.0),
+    lambda: exchange_log_grid(P111, [0.5, 1.0], [[0.5], [-math.inf]], 1.0),
 ], ids=["point-normal", "point-tangential", "point-vector", "dirichlet-t", "poisson-height",
         "envelope-t", "exchange-t", "hdn-t", "hdn-epsilon", "hdn-kappa", "ldd-delta",
         "ldd-kappa", "ldd-t", "layer-t", "layer-theta", "solve-t", "solve-normal",
         "solve-theta", "poisson-height-inf", "poisson-height-array-inf", "layer-theta-inf",
         "solve-HDPsi-theta-inf", "solve-LDPsi-theta-inf", "params-huge-int",
-        "point-huge-int", "point-vector-huge-int"])
+        "point-huge-int", "point-vector-huge-int", "exchange-s-negative", "exchange-s-nan",
+        "exchange-s-inf", "exchange-r-nan", "exchange-s-broadcast-minus-inf"])
 def test_nan_input_is_rejected(call):
     # a NaN fails every comparison, so each range check is written to fail
     # on it; the message is the one a finite out-of-range value gets.  The
     # infinite rows returned NaN (the Poisson height) or ran on an infinite
-    # theta; an int beyond float range compares above the largest float
+    # theta; an int beyond float range compares above the largest float.
+    # The exchange offsets, checked after their broadcast, failed on the
+    # first panel with an EvaluationError that named neither
     with pytest.raises(ValueError, match="must be|need|requires"):
         call()
 
