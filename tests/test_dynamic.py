@@ -1,3 +1,4 @@
+import hashlib
 import math
 from decimal import Decimal
 
@@ -43,7 +44,7 @@ from dynheat.kernels import (
     poisson_kernel,
 )
 from dynheat.quadrature import DEFAULT_SPEC, EvaluationError, QuadSpec, integrate
-from dynheat.solutions import solve_grid
+from dynheat.solutions import _tan_factory, solve_grid
 from dynheat.verification import _DIM_AXIS, _PARAM_AXIS, _T_AXIS, _XN_AXIS
 
 P111 = Params(1.0, 1.0, 1.0, 2)
@@ -663,6 +664,39 @@ def test_batch_tangential_factor_takes_T_alone(name):
     assert calls and all(len(shape) == 2 for shape in calls)
     assert vals.tobytes() == ref_vals.tobytes() and errs.tobytes() == ref_errs.tobytes()
     assert (nsub, conv) == (ref_nsub, ref_conv)
+
+
+# The three shared-frame batches on 20 components whose 5 normal offsets
+# repeat in scrambled order, each against its own tangential offset, as the
+# solution operators' probe grids call them.  A row pins a sha256 prefix of
+# the float.hex of the values, then the errors, with the subdivisions and
+# the converged flag; the pins were made by evaluating every component.
+_REPEATED_S = np.array([0.05, 0.3, 0.8, 1.5, 2.5])[
+    [3, 0, 4, 1, 2, 0, 2, 3, 1, 4, 4, 1, 0, 3, 2, 2, 4, 0, 3, 1]]
+_REPEATED_TAN = _tan_factory(Boundary("heat_gaussian", a=0.5), np.linspace(0.0, 3.8, 20), 2)
+_P_OFF = Params(0.7, 1.3, 2.0, 2)  # kappa eps / delta != 1: T moves with eta
+_REPEATED_RUNS = {
+    "exchange_weighted": lambda s, tan: exchange_weighted(_P_OFF, s, 0.8, DEFAULT_SPEC, tan),
+    "hdn": lambda s, tan: hdn_batch(0.7, 2.0, 2, s, 0.8, DEFAULT_SPEC, tan),
+    "dirichlet_layer": lambda s, tan: dirichlet_layer_batch(
+        0.7, 2, s, 0.8, 2.0, DEFAULT_SPEC, tan),
+}
+_REPEATED_GOLDEN = {
+    "dirichlet_layer": ("482bef0a923f2f484c6bf287afdd32f2", 1, True),
+    "exchange_weighted": ("e9408f2b3858e171bf50be4b17f4b2f8", 0, True),
+    "hdn": ("cc5692eb97a4b1c234c88ab69d7e21f8", 0, True),
+}
+
+
+def _hex_pin(vals, errs):
+    hexes = " ".join(float(x).hex() for x in np.concatenate([vals, errs]))
+    return hashlib.sha256(hexes.encode()).hexdigest()[:32]
+
+
+@pytest.mark.parametrize("name", sorted(_REPEATED_RUNS))
+def test_repeated_offsets_golden(name):
+    vals, errs, nsub, conv = _REPEATED_RUNS[name](_REPEATED_S, _REPEATED_TAN)
+    assert (_hex_pin(vals, errs), nsub, conv) == _REPEATED_GOLDEN[name]
 
 
 class TestRegions:
