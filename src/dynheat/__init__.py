@@ -40,6 +40,7 @@ from .dynamic import (
     exchange_marginal_boundary,
     marginal_interior_reference,
     marginal_boundary_reference,
+    separable_exchange_log,
     total_mass,
     total_mass_radial,
     laplace_dynamic_mass,

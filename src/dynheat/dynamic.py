@@ -25,8 +25,14 @@ kernel G0 + H_N, on broadcast arrays of (r, x_N, y_N) in one batch.  The
 pointwise kernels and every quadrature over G call them.
 
 Batched evaluation shares one subdivision tree across all requested
-components (arrays ``r``, ``s``); results are identical to sequential
-evaluation of the same component set.
+components (arrays ``r``, ``s``).  A batch is bit-reproducible: the same
+components in the same order give the same bits.  It need not match one
+call per component to the last bit, since a panel's matrix products
+round a column's sum by the batch's width.  ``exchange_weighted``,
+``hdn_batch`` and ``dirichlet_layer_batch`` evaluate the normal factor
+once per distinct normal offset and gather it out to the components
+before each panel (``_distinct``, ``_weighted``), so a repeated offset
+costs one normal-factor evaluation and moves no bit.
 """
 
 from __future__ import annotations
@@ -72,6 +78,7 @@ __all__ = [
     "exchange_marginal_boundary",
     "marginal_interior_reference",
     "marginal_boundary_reference",
+    "separable_exchange_log",
     "total_mass",
     "total_mass_radial",
     "laplace_dynamic_mass",
@@ -103,20 +110,32 @@ def _xi_map(eps, delta, kappa, s, t):
     owns; it applies the same operation to the same operands as that
     formula read left to right (a product or sum with its operands
     swapped is the same float), so the values are those of the formula.
+
+    Where (4t/delta) z can pass the float range (the product with the
+    largest s reaches 1e300, t above about 5e149 delta), q is formed
+    divided through by sqrt(z), as
+    2 sqrt(t) sqrt(z) / (xi/sqrt(z) + sqrt(xi^2/z + 4t/delta)), whose
+    terms stay near sqrt(t); below that bound the formula above runs.
     """
+    four_t_delta = 4.0 * t / delta
+    big = four_t_delta * (float(np.maximum.reduce(s, initial=0.0)) + t / delta) >= 1e300
     s = s[None, :]
     z = s + t / delta
-    z_root = (4.0 * t / delta) * z
-    z_num = 2.0 * math.sqrt(t) * z
+    if big:  # xi and z_num divided through by root_z
+        root_z = np.sqrt(z)
+        z_num, z_root = 2.0 * math.sqrt(t) * root_z, four_t_delta
+    else:
+        z_num, z_root = 2.0 * math.sqrt(t) * z, four_t_delta * z
     log_pref = math.log(2.0 * eps) + 0.5 * (math.log(eps) - math.log(4.0 * math.pi * t))
     w_scale, q_scale, four_t = kappa / delta, (2.0 / delta) * math.sqrt(t), 4.0 * t
 
     def normal(eta):
         xi = s + eta
-        q = xi * xi
+        x = xi / root_z if big else xi
+        q = x * x
         q += z_root
         np.sqrt(q, out=q)
-        q += xi
+        q += x
         np.divide(z_num, q, out=q)
         w = q * q
         t_tan = w / eps
@@ -238,9 +257,36 @@ def _framed(normal, frame, spec, tan_fn):
     return _adaptive(f, _halves(0.0, 1.0), spec)
 
 
-def _weighted(tan_fn):
-    """``_framed``'s ``tan_fn(T, log_w)`` for a factor ``tan_fn(T)``."""
-    return lambda T, log_w: tan_fn(T) * exp_flush(log_w)
+def _distinct(s):
+    """(values, inv): the distinct entries of the 1-D ``s`` and, for each
+    entry, its index among them; (s, None) where no entry repeats, so that
+    such a batch runs as it is.  The tests are exact: at most one entry,
+    or strictly increasing entries, cannot repeat."""
+    if s.size < 2 or (s[1:] > s[:-1]).all():
+        return s, None
+    values = np.unique(s)
+    if values.size == s.size:
+        return s, None
+    return values, np.searchsorted(values, s)
+
+
+def _weighted(tan_fn, inv=None):
+    """``_framed``'s ``tan_fn(T, log_w)`` for a factor ``tan_fn(T)``.  With
+    ``inv``, the normal factor ran on distinct offsets, one column each:
+    the weight exp(log_w), and T where it has a column per offset, are
+    gathered out to the components (``inv`` as from ``_distinct``) before
+    ``tan_fn`` is called, so every panel sees the components' columns.
+    ``take`` keeps the gathered arrays C-ordered, as the panel's matrix
+    products need for their bits."""
+    if inv is None:
+        return lambda T, log_w: tan_fn(T) * exp_flush(log_w)
+
+    def weighted(T, log_w):
+        if T.shape[1] == log_w.shape[1]:
+            T = T.take(inv, axis=1)
+        return tan_fn(T) * exp_flush(log_w).take(inv, axis=1)
+
+    return weighted
 
 
 def _exchange_core(eps, delta, kappa, s, t, spec, tan_fn, frame, path):
@@ -321,16 +367,17 @@ def exchange_weighted(p: Params, s, t: float, spec: QuadSpec, tan_fn):
 
     Used by the solution operators, where ``tan_fn`` is the closed
     tangential convolution of the data.  No rescaling: values carry the
-    natural magnitude of the data.  numpy's divide warning is silenced
-    for the whole call (log(0) at xi = 0).
+    natural magnitude of the data.  The normal factor runs once per
+    distinct offset of ``s``; ``tan_fn`` sees every component.  numpy's
+    divide warning is silenced for the whole call (log(0) at xi = 0).
     """
-    s = np.asarray(s, dtype=float).ravel()
+    s, inv = _distinct(np.asarray(s, dtype=float).ravel())
     # the data factor's peak is unknown: no shift, and one frame for every
     # component, the normal Gaussian's width sqrt(4t/eps) and its reach
     frame = (0.0, 0.0, math.sqrt(4.0 * t / p.epsilon),
              math.sqrt(4.0 * t * TAIL_EXPONENT / p.epsilon))
     with np.errstate(divide="ignore"):
-        return _exchange_core(p.epsilon, p.delta, p.kappa, s, t, spec, _weighted(tan_fn),
+        return _exchange_core(p.epsilon, p.delta, p.kappa, s, t, spec, _weighted(tan_fn, inv),
                               frame, "xi")
 
 
@@ -377,10 +424,12 @@ def hdn_batch(eps, kappa, dim, s, t, spec, tan_fn):
 
     Semi-infinite integral written in the shifted Gaussian variable
     v = s/(2 sqrt(T)) + eta with T = t/eps; the tangential time argument
-    is T + 2 kappa sqrt(T) eta, independent of the normal offset.  numpy's
-    divide warning is silenced for the whole call (log(0) at v = 0).
+    is T + 2 kappa sqrt(T) eta, independent of the normal offset.  The
+    normal factor runs once per distinct offset of ``s``, and its weight is
+    gathered out to the components.  numpy's divide warning is silenced
+    for the whole call (log(0) at v = 0).
     """
-    s = np.asarray(s, dtype=float).ravel()
+    s, inv = _distinct(np.asarray(s, dtype=float).ravel())
     T = t / eps
     v0 = s / (2.0 * math.sqrt(T))
     log_norm = -0.5 * math.log(4.0 * math.pi * T)
@@ -392,7 +441,7 @@ def hdn_batch(eps, kappa, dim, s, t, spec, tan_fn):
 
     frame = (0.0, 0.0, 1.0, math.sqrt(TAIL_EXPONENT))  # the Gaussian's unit width
     with np.errstate(divide="ignore"):
-        return _framed(normal, frame, spec, _weighted(tan_fn))
+        return _framed(normal, frame, spec, _weighted(tan_fn, inv))
 
 
 def heat_neumann_grid(p: Params, r, xn, yn, t: float, spec: QuadSpec = DEFAULT_SPEC):
@@ -478,8 +527,9 @@ def dirichlet_layer_batch(eps, dim, xn, t, theta, spec, tan_fn):
     Uses v = (x_N / 2) sqrt(eps / t) + eta, under which the normal factor
     is (2 eps / sqrt(pi)) exp(-v^2) and the elapsed bulk time is
     w = eps x_N^2 / (4 v^2).  Strictly interior points only (x_N > 0).
+    The normal factor and the frame run once per distinct x_N.
     """
-    xn = _positive(np.asarray(xn, dtype=float).ravel(), "x_N")
+    xn, inv = _distinct(_positive(np.asarray(xn, dtype=float).ravel(), "x_N"))
     v0 = 0.5 * xn * math.sqrt(eps / t)
     log_pref = math.log(2.0 * eps) - 0.5 * math.log(math.pi)
 
@@ -493,7 +543,7 @@ def dirichlet_layer_batch(eps, dim, xn, t, theta, spec, tan_fn):
 
     # scaled to the near-wall window v0; the floor keeps asinh(eta_hi/scale) finite
     frame = (0.0, 0.0, np.clip(v0, 1e-8, 1.0), math.sqrt(TAIL_EXPONENT))
-    return _framed(normal, frame, spec, _weighted(tan_fn))
+    return _framed(normal, frame, spec, _weighted(tan_fn, inv))
 
 
 def dirichlet_layer_kernel(p: Params, theta: float, x: HalfSpacePoint,
@@ -595,13 +645,18 @@ def exchange_marginal_interior(p: Params, xn: float, t: float,
         width=math.sqrt(4.0 * t / p.epsilon))
 
 
-def _marginal_terms(p: Params, xn: float, t: float):
-    """erfc(a) and e^(-a^2) erfcx(c) with a = sqrt(eps) x_N / (2 sqrt(t))
-    and c = sqrt(eps) (x_N + 2t/delta) / (2 sqrt(t))."""
-    from scipy.special import erfcx
-
+def _marginal_args(p: Params, xn, t: float):
+    """a = sqrt(eps) x_N / (2 sqrt(t)) and c = sqrt(eps) (x_N + 2t/delta) / (2 sqrt(t))."""
     a = math.sqrt(p.epsilon) * xn / (2.0 * math.sqrt(t))
     c = math.sqrt(p.epsilon) * (xn + 2.0 * t / p.delta) / (2.0 * math.sqrt(t))
+    return a, c
+
+
+def _marginal_terms(p: Params, xn: float, t: float):
+    """erfc(a) and e^(-a^2) erfcx(c), with a and c of ``_marginal_args``."""
+    from scipy.special import erfcx
+
+    a, c = _marginal_args(p, xn, t)
     return math.erfc(a), math.exp(-a * a) * float(erfcx(c))
 
 
@@ -617,6 +672,24 @@ def marginal_boundary_reference(p: Params, xn: float, t: float) -> float:
     weight): e^(-a^2) erfcx(c), see ``_marginal_terms``.  With the
     absorbing-boundary mass erf(a) the two marginals sum to 1."""
     return _marginal_terms(p, xn, t)[1]
+
+
+def separable_exchange_log(p: Params, r, s, t: float):
+    """Closed form of log H on kappa eps / delta = 1, where the tangential
+    time w/eps + (kappa/delta)(t - w) is t/eps for every bulk time w, so
+    the tangential heat kernel leaves the time integral and what is left
+    is the boundary marginal: H = eps K_(N-1)(r, t/eps) e^(-a^2) erfcx(c),
+    with K_(N-1) the heat kernel of R^(N-1) and a, c of ``_marginal_args``
+    (s in place of x_N).  Offsets may be arrays; ValueError off that
+    surface."""
+    from scipy.special import erfcx
+
+    if abs(p.kappa * p.epsilon / p.delta - 1.0) > 4.0 * np.finfo(float).eps:
+        raise ValueError("the closed form needs kappa epsilon / delta = 1")
+    _positive(t)
+    a, c = _marginal_args(p, np.asarray(s, dtype=float), t)
+    return (math.log(p.epsilon) + _log_heat(p.dim - 1, np.asarray(r, dtype=float), t / p.epsilon)
+            - a * a + np.log(erfcx(c)))
 
 
 def total_mass(p: Params, xn: float, t: float,

@@ -5,6 +5,7 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
+from dynheat import dynamic
 from dynheat.data import Boundary, InitialData
 from dynheat.dynamic import (
     Envelope,
@@ -30,6 +31,7 @@ from dynheat.dynamic import (
     marginal_boundary_reference,
     marginal_interior_reference,
     region_tag,
+    separable_exchange_log,
     total_mass,
     total_mass_radial,
 )
@@ -332,6 +334,49 @@ class TestTimeRegimes:
         # kappa t/delta cancel to about 4e-4
         off = fundamental_kernel(Params(1.01 * eps, delta, kappa, dim), x, y, _SHORT_T)
         assert abs(off.value / limit - 1.0) > 1e-3
+
+
+# Points on kappa eps / delta = 1, where the exchange kernel has a closed
+# form (``separable_exchange_log``): the reference point in N = 2 and 3,
+# and a point with eps, delta and kappa all off 1.
+_SEPARABLE = [Params(1.0, 1.0, 1.0, 2), Params(1.0, 1.0, 1.0, 3), Params(0.5, 2.0, 4.0, 3)]
+_SEPARABLE_RS = [(0.0, 0.2), (0.5, 0.5), (1.5, 1.0)]
+
+
+class TestSeparableSurface:
+    @pytest.mark.parametrize("t", [1e160, 1e200, 1e300])
+    @pytest.mark.parametrize("p", _SEPARABLE, ids=["111-2", "111-3", "off-unit-3"])
+    def test_large_time_matches_the_closed_form(self, p, t):
+        # from t of about 5e149 delta, (4t/delta) z passes the float range:
+        # the map that did not divide it through by sqrt(z) read log H 185
+        # too high at t = 1e160 and 231 at 1e200, both converged, and raised
+        # EvaluationError at 1e300.  Measured: within 1.7e-16
+        lv, rel, _, conv = exchange_log_grid(p, [0.5], [0.5], t)
+        ref = separable_exchange_log(p, 0.5, 0.5, t)
+        assert conv
+        assert abs(lv[0] - ref) <= 1e-10 * abs(ref)
+
+    def test_large_time_profile_of_the_fundamental_solution(self):
+        # t G -> 2 eps / (4 pi) in N = 2 (TestTimeRegimes), here at t = 1e200
+        g = fundamental_kernel(P111, _X_FAR, _Y_FAR, 1e200)
+        assert g.converged
+        assert abs(1e200 * g.value * 2.0 * math.pi - 1.0) <= 1e-10
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("r, s", _SEPARABLE_RS)
+    def test_a_kernel_off_the_surface_misses_it(self, r, s, dim):
+        # the control: 1.01 kappa leaves kappa eps / delta = 1, and its log H
+        # missed the closed form by 7.7e-5 to 1.8e-3 relative on these rows
+        p = Params(1.0, 1.0, 1.0, dim)
+        ref = separable_exchange_log(p, r, s, 1.0)
+        lv, _, _, conv = exchange_log_grid(p, [r], [s], 1.0)
+        assert conv and abs(lv[0] - ref) <= 1e-10 * abs(ref)
+        off, _, _, conv = exchange_log_grid(Params(1.0, 1.0, 1.01, dim), [r], [s], 1.0)
+        assert conv and abs(off[0] - ref) > 1e-10 * abs(ref)
+
+    def test_the_closed_form_holds_only_on_the_surface(self):
+        with pytest.raises(ValueError, match="kappa epsilon / delta = 1"):
+            separable_exchange_log(Params(1.0, 1.0, 1.01, 2), 0.5, 0.5, 1.0)
 
 
 class TestMarginals:
@@ -697,6 +742,46 @@ def _hex_pin(vals, errs):
 def test_repeated_offsets_golden(name):
     vals, errs, nsub, conv = _REPEATED_RUNS[name](_REPEATED_S, _REPEATED_TAN)
     assert (_hex_pin(vals, errs), nsub, conv) == _REPEATED_GOLDEN[name]
+
+
+# One offset for all 20 components: the normal factor runs on one column,
+# and the diffusive-Neumann T, shared by every offset, is one column too
+_ONE_OFFSET_GOLDEN = {
+    "dirichlet_layer": ("591f6c0c4caddda4f9750a31148d4825", 0, True),
+    "exchange_weighted": ("b3c4f4ccd2d3502378f2cc342d89afa8", 0, True),
+    "hdn": ("48c66cb0ffc988a9cd1256122bce88a1", 0, True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REPEATED_RUNS))
+def test_one_repeated_offset_golden(name):
+    vals, errs, nsub, conv = _REPEATED_RUNS[name](np.full(20, 0.8), _REPEATED_TAN)
+    assert (_hex_pin(vals, errs), nsub, conv) == _ONE_OFFSET_GOLDEN[name]
+
+
+def test_repeated_offsets_reach_the_normal_factor_once(monkeypatch):
+    # the normal factor runs on the 5 distinct offsets, not the 20 components
+    sizes = []
+    xi_map = dynamic._xi_map
+
+    def recording(eps, delta, kappa, s, t):
+        sizes.append(s.size)
+        return xi_map(eps, delta, kappa, s, t)
+
+    monkeypatch.setattr(dynamic, "_xi_map", recording)
+    _REPEATED_RUNS["exchange_weighted"](_REPEATED_S, _REPEATED_TAN)
+    assert sizes == [5]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", ["exchange_weighted", "hdn"])
+def test_a_nonfinite_repeated_offset_fails_the_panel(name, bad):
+    # as with no repeat: the first panel's NaN is rejected.  An infinite
+    # offset also meets inf - inf on the way, whose warning is silenced here
+    s = np.concatenate([_REPEATED_S, [bad, bad]])
+    tan = _pointwise_tan(2, np.linspace(0.0, 4.0, s.size))
+    with np.errstate(invalid="ignore"), pytest.raises(EvaluationError, match="NaN or inf"):
+        _REPEATED_RUNS[name](s, tan)
 
 
 class TestRegions:
