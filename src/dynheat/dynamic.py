@@ -114,8 +114,8 @@ def _xi_map(eps, delta, kappa, s, t):
     Where (4t/delta) z can pass the float range (the product with the
     largest s reaches 1e300, t above about 5e149 delta), q is formed
     divided through by sqrt(z), as
-    2 sqrt(t) sqrt(z) / (xi/sqrt(z) + sqrt(xi^2/z + 4t/delta)), whose
-    terms stay near sqrt(t); below that bound the formula above runs.
+    2 sqrt(t) sqrt(z) / (xi/sqrt(z) + sqrt(xi^2/z + 4t/delta)), none of
+    whose terms overflows; below that bound the formula above runs.
     """
     four_t_delta = 4.0 * t / delta
     big = four_t_delta * (float(np.maximum.reduce(s, initial=0.0)) + t / delta) >= 1e300

@@ -777,7 +777,8 @@ def test_repeated_offsets_reach_the_normal_factor_once(monkeypatch):
 @pytest.mark.parametrize("name", ["exchange_weighted", "hdn"])
 def test_a_nonfinite_repeated_offset_fails_the_panel(name, bad):
     # as with no repeat: the first panel's NaN is rejected.  An infinite
-    # offset also meets inf - inf on the way, whose warning is silenced here
+    # offset also meets inf/inf or inf - inf on the way, whose warning is
+    # silenced here
     s = np.concatenate([_REPEATED_S, [bad, bad]])
     tan = _pointwise_tan(2, np.linspace(0.0, 4.0, s.size))
     with np.errstate(invalid="ignore"), pytest.raises(EvaluationError, match="NaN or inf"):
