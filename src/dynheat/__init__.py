@@ -6,6 +6,7 @@ from .quadrature import (
     EvaluationError,
     integrate,
     integrate_nested,
+    tally,
 )
 from .kernels import (
     Params,

@@ -43,7 +43,7 @@ from .kernels import (
     poisson_kernel,
     tangential_offset,
 )
-from .quadrature import EvaluationError, QuadResult, QuadSpec, _positive
+from .quadrature import EvaluationError, QuadResult, QuadSpec, _positive, tally
 from .solutions import PROBLEM_TAGS, first_axis, solve_grid
 from .verification import _DIM_AXIS, _PARAM_AXIS, _T_AXIS, _XN_AXIS, _mass_grid, _worst
 from .verification import (
@@ -331,34 +331,33 @@ def _stem(args):
     return stem or args.command.replace("-", "_")
 
 
-def _finish(out, stem, summary, line, passed, converged):
-    """The one exit rule: a run passes when its check passed and every
-    quadrature converged.  Write ``<stem>.summary.json`` with that verdict
-    as ``pass``, print ``<line> -> PASS|FAIL`` and return the exit code."""
-    passed = bool(passed) and bool(converged)
+def _finish(out, stem, run, summary, line, passed):
+    """The one exit rule: a run passes when its check passed and its tally
+    ``run`` counted no unconverged integral.  Write ``<stem>.summary.json``
+    with that verdict as ``pass``, print ``<line> -> PASS|FAIL``, return 0|1."""
+    passed = bool(passed) and run.unconverged == 0
     write_summary(os.path.join(out, f"{stem}.summary.json"), {**summary, "pass": passed})
     print(f"{line} -> {'PASS' if passed else 'FAIL'}")
     return 0 if passed else 1
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each takes the validated config, the output directory and
-# the stem that names its outputs
+# subcommands: each takes the validated config, the output directory, the
+# stem that names its outputs and the run's tally
 # ---------------------------------------------------------------------------
 
-def cmd_eval_kernel(c, out, stem):
+def cmd_eval_kernel(c, out, stem, run):
     res = _KERNELS[c.kernel](c)
-    value, converged = ((res.value, res.converged) if isinstance(res, QuadResult)
-                        else (float(res), True))
+    value = res.value if isinstance(res, QuadResult) else float(res)
     print(f"{c.kernel} = {value!r}")
     write_csv(os.path.join(out, f"{stem}.csv"),
               _PARAM_HEADER + ["kernel", "t", "value", "converged"],
               [_param_cols(c.params, c.theta) + [c.kernel, repr(c.t), repr(value),
-                                                 bool(converged)]])
-    return 0 if converged else 1
+                                                 run.unconverged == 0]])
+    return 0 if run.unconverged == 0 else 1
 
 
-def cmd_mass_check(c, out, stem):
+def cmd_mass_check(c, out, stem, run):
     grid = _mass_grid(c.quad, c.epsilon, c.delta, c.kappa, c.dim, c.x_n, c.t)
     devs = [abs(res.value - 1.0) for *_, res in grid]
     write_csv(os.path.join(out, f"{stem}.csv"),
@@ -367,14 +366,13 @@ def cmd_mass_check(c, out, stem):
                                  repr(res.value), repr(dev)]
                for (p, xn, t, res), dev in zip(grid, devs)])
     max_dev = _worst(devs)
-    return _finish(out, stem,
+    return _finish(out, stem, run,
                    {"experiment": "mass-check", "theorem": "total-mass identity",
                     "max_deviation": max_dev, "tolerance": c.tol},
-                   f"mass-check: max deviation {max_dev:.3e} (tol {c.tol:g})",
-                   max_dev <= c.tol, all(res.converged for *_, res in grid))
+                   f"mass-check: max deviation {max_dev:.3e} (tol {c.tol:g})", max_dev <= c.tol)
 
 
-def cmd_identity_suite(c, out, stem):
+def cmd_identity_suite(c, out, stem, run):
     reps = []
     for name in c.identities:
         reps.append(rep := check_identity(name, c.quad, c.seed))
@@ -383,26 +381,22 @@ def cmd_identity_suite(c, out, stem):
     write_csv(os.path.join(out, f"{stem}.csv"),
               ["identity", "statement", "tolerance", "max_deviation", "pass"],
               [[r.name, r.statement, repr(r.tol), repr(r.max_dev), r.passed] for r in reps])
-    # identity rows carry no converged flag yet (ROADMAP item 5)
-    return _finish(out, stem,
+    return _finish(out, stem, run,
                    {"experiment": "identity-suite",
                     "results": {r.name: {"statement": r.statement, "tolerance": r.tol,
                                          "max_deviation": r.max_dev, "pass": r.passed}
                                 for r in reps}},
-                   f"identity-suite: {len(reps)} identities",
-                   all(r.passed for r in reps), True)
+                   f"identity-suite: {len(reps)} identities", all(r.passed for r in reps))
 
 
-def cmd_solve(c, out, stem):
+def cmd_solve(c, out, stem, run):
     p = c.params
     xp = np.array([first_axis(q, p.dim) for q in c.points])
     xn = np.array([q.normal for q in c.points])
     rows = []
-    converged = True
     for t in c.times:
         # err bounds the quadrature error at every probe of this time
         u, err, conv = solve_grid(c.tag, p, c.data, xp, xn, t, c.quad, theta=c.theta)
-        converged = converged and conv
         for xpi, xni, val in zip(xp, xn, u):
             rows.append(_param_cols(p, c.theta) +
                         [c.tag, repr(t), repr(float(xpi)), repr(float(xni)),
@@ -412,10 +406,10 @@ def cmd_solve(c, out, stem):
                                "error", "converged"],
               rows)
     print(f"solve: wrote {len(rows)} values to {stem}.csv")
-    return 0 if converged else 1
+    return 0 if run.unconverged == 0 else 1
 
 
-def cmd_bounds_check(c, out, stem):
+def cmd_bounds_check(c, out, stem, run):
     p = c.params
     res = sandwich_check(p, n_per_region=c.samples_per_region, seed=c.seed)
     rows = [_param_cols(p) + ["two-sided envelopes", tag,
@@ -424,7 +418,7 @@ def cmd_bounds_check(c, out, stem):
     write_csv(os.path.join(out, f"{stem}.csv"),
               _PARAM_HEADER + ["theorem", "region", "kernel_over_upper_max",
                                "lower_over_kernel_max"], rows)
-    return _finish(out, stem,
+    return _finish(out, stem, run,
                    {"experiment": "bounds-check",
                     "theorem": "two-sided envelope stability",
                     "upper_constant": res.upper_max, "lower_constant": res.lower_max,
@@ -433,60 +427,58 @@ def cmd_bounds_check(c, out, stem):
                               f"{res.lower_max:.4g}), doubling stability "
                               f"{res.stability:.4g}"},
                    f"bounds-check: constants ({res.upper_max:.3f}, {res.lower_max:.3f}), "
-                   f"stability {res.stability:.3f}", res.passed, res.converged)
+                   f"stability {res.stability:.3f}", res.passed)
 
 
-def cmd_limit_rate(c, out, stem):
+def cmd_limit_rate(c, out, stem, run):
     exp = default_experiment(c.which)
     if c.ladder is not None:
         exp = replace(exp, ladder=tuple(c.ladder))
     res = run_limit(exp, c.quad)
-    rows = [[res.which, res.theorem, repr(float(h)), repr(float(e))]
+    rows = [[exp.which, exp.theorem, repr(float(h)), repr(float(e))]
             for h, e in res.table]
     write_csv(os.path.join(out, f"{stem}.csv"),
               ["experiment", "theorem", "ladder_value", "sup_error"], rows)
-    return _finish(out, stem,
-                   {"experiment": c.which, "theorem": res.theorem,
+    return _finish(out, stem, run,
+                   {"experiment": c.which, "theorem": exp.theorem,
                     "slope": None if res.fit is None else res.fit.slope,
                     "r2": None if res.fit is None else res.fit.r_squared,
-                    "expected_slope": res.expected_slope,
-                    "tolerance": res.tolerance, "mode": res.mode, "detail": res.detail},
-                   f"limit-rate {c.which}: {res.detail}", res.passed, res.converged)
+                    "expected_slope": exp.expected_slope,
+                    "tolerance": exp.tol, "mode": exp.mode, "detail": res.detail},
+                   f"limit-rate {c.which}: {res.detail}", res.passed)
 
 
-def cmd_opnorm(c, out, stem):
+def cmd_opnorm(c, out, stem, run):
     p_exp, q_exp = (math.inf if v == "inf" else v for v in (c.p, c.q))
     res = opnorm_decay(p_exp, q_exp, c.params, tuple(c.t_ladder), c.quad)
     write_csv(os.path.join(out, f"{stem}.csv"),
               ["p", "q", "theorem", "t", "ratio"],
               [[str(c.p), str(c.q), "operator-norm decay",
                 repr(float(t)), repr(float(v))] for t, v in res.table])
-    return _finish(out, stem,
+    return _finish(out, stem, run,
                    {"experiment": "opnorm", "theorem": "operator-norm decay",
                     "p": c.p, "q": c.q,
                     "slope": None if res.fit is None else res.fit.slope,
                     "expected_slope": res.expected_slope, "detail": res.detail},
-                   f"opnorm ({c.p},{c.q}): {res.detail}", res.passed, res.converged)
+                   f"opnorm ({c.p},{c.q}): {res.detail}", res.passed)
 
 
-def cmd_oracle_compare(c, out, stem):
+def cmd_oracle_compare(c, out, stem, run):
     p = c.params
-    table, converged, _ = oracle_compare(p, c.data, c.grid, c.times,
-                                         (c.window.x, c.window.z), c.quad)
+    table, _ = oracle_compare(p, c.data, c.grid, c.times, (c.window.x, c.window.z), c.quad)
     worst = _worst(sup for _, sup, _ in table)
     rows = [_param_cols(p) + ["kernel/finite-difference agreement",
                               repr(t), repr(sup), repr(l2)] for t, sup, l2 in table]
     write_csv(os.path.join(out, f"{stem}.csv"),
               _PARAM_HEADER + ["theorem", "t", "sup_rel", "l2_rel"], rows)
-    return _finish(out, stem,
+    return _finish(out, stem, run,
                    {"experiment": "oracle-compare",
                     "theorem": "kernel/finite-difference agreement",
                     "sup_rel": worst, "tolerance": c.tol},
-                   f"oracle-compare: sup rel {worst:.3e} (tol {c.tol:g})",
-                   worst <= c.tol, converged)
+                   f"oracle-compare: sup rel {worst:.3e} (tol {c.tol:g})", worst <= c.tol)
 
 
-def cmd_report(c, out, stem):
+def cmd_report(c, out, stem, run):
     summaries = []
     for name in sorted(os.listdir(out)):
         if name.endswith(".summary.json"):
@@ -550,7 +542,8 @@ def main(argv=None) -> int:
                 cfg = json.load(fh)
         c = validate(cfg, args.command)
         os.makedirs(args.out, exist_ok=True)
-        return _COMMANDS[args.command](c, args.out, _stem(args))
+        with tally() as run:
+            return _COMMANDS[args.command](c, args.out, _stem(args), run)
     except (OSError, ValueError, EvaluationError, SchemeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

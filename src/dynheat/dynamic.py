@@ -257,11 +257,12 @@ def _framed(normal, frame, spec, tan_fn):
     return _adaptive(f, _halves(0.0, 1.0), spec)
 
 
-def _distinct(s):
-    """(values, inv): the distinct entries of the 1-D ``s`` and, for each
-    entry, its index among them; (s, None) where no entry repeats, so that
-    such a batch runs as it is.  The tests are exact: at most one entry,
-    or strictly increasing entries, cannot repeat."""
+def _distinct(s, name="normal offsets s", zero=True):
+    """(values, inv): the distinct entries of ``s``, flattened and checked
+    by ``_positive``, and each entry's index among them; (s, None) where no
+    entry repeats, so that such a batch runs as it is.  The tests are exact:
+    at most one entry, or strictly increasing entries, cannot repeat."""
+    s = _positive(np.asarray(s, dtype=float).ravel(), name, zero)
     if s.size < 2 or (s[1:] > s[:-1]).all():
         return s, None
     values = np.unique(s)
@@ -371,7 +372,7 @@ def exchange_weighted(p: Params, s, t: float, spec: QuadSpec, tan_fn):
     distinct offset of ``s``; ``tan_fn`` sees every component.  numpy's
     divide warning is silenced for the whole call (log(0) at xi = 0).
     """
-    s, inv = _distinct(np.asarray(s, dtype=float).ravel())
+    s, inv = _distinct(s)
     # the data factor's peak is unknown: no shift, and one frame for every
     # component, the normal Gaussian's width sqrt(4t/eps) and its reach
     frame = (0.0, 0.0, math.sqrt(4.0 * t / p.epsilon),
@@ -429,7 +430,7 @@ def hdn_batch(eps, kappa, dim, s, t, spec, tan_fn):
     gathered out to the components.  numpy's divide warning is silenced
     for the whole call (log(0) at v = 0).
     """
-    s, inv = _distinct(np.asarray(s, dtype=float).ravel())
+    s, inv = _distinct(s)
     T = t / eps
     v0 = s / (2.0 * math.sqrt(T))
     log_norm = -0.5 * math.log(4.0 * math.pi * T)
@@ -529,7 +530,7 @@ def dirichlet_layer_batch(eps, dim, xn, t, theta, spec, tan_fn):
     w = eps x_N^2 / (4 v^2).  Strictly interior points only (x_N > 0).
     The normal factor and the frame run once per distinct x_N.
     """
-    xn, inv = _distinct(_positive(np.asarray(xn, dtype=float).ravel(), "x_N"))
+    xn, inv = _distinct(xn, "x_N", zero=False)
     v0 = 0.5 * xn * math.sqrt(eps / t)
     log_pref = math.log(2.0 * eps) - 0.5 * math.log(math.pi)
 

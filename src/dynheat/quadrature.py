@@ -48,6 +48,10 @@ final panels only, not on the bisection history.
 Weighted sums of terms all go through ``add_terms`` and share one rule:
 each term's value and error are divided by the same divisor, the
 subdivisions add, and ``converged`` is the AND of the terms.
+
+``tally()`` yields a ``Tally`` that counts each ``_adaptive`` integral,
+at any depth, that ends unconverged while it is open; a ``ContextVar``
+holds the open tallies, so no signature carries them.
 """
 
 from __future__ import annotations
@@ -55,6 +59,8 @@ from __future__ import annotations
 import bisect
 import math
 import numbers
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +71,7 @@ __all__ = [
     "EvaluationError",
     "integrate",
     "integrate_nested",
+    "tally",
 ]
 
 
@@ -224,6 +231,25 @@ class QuadResult:
                      self.converged))
 
 
+@dataclass
+class Tally:
+    unconverged: int = 0  # integrals that ended unconverged in the scope
+
+
+_TALLIES: ContextVar[tuple] = ContextVar("dynheat_tallies", default=())
+
+
+@contextmanager
+def tally():
+    """Open a scope and yield its ``Tally``; an integral counts in every open tally."""
+    run = Tally()
+    token = _TALLIES.set(_TALLIES.get() + (run,))
+    try:
+        yield run
+    finally:
+        _TALLIES.reset(token)
+
+
 def _eval_panel(f, a, b):
     """One G15/K31 panel; returns (value, err, resabs) per component."""
     half = 0.5 * (b - a)
@@ -323,6 +349,9 @@ def _adaptive(f, segments, spec: QuadSpec):
     order = np.argsort(np.asarray(lefts), kind="stable")
     value = np.add.reduce([vals[i] for i in order])
     error = np.add.reduce([errs[i] for i in order])
+    if not converged:
+        for run in _TALLIES.get():
+            run.unconverged += 1
     return value, error, nsub, converged
 
 

@@ -277,16 +277,10 @@ def default_experiment(which: str) -> LimitExperiment:
 
 @dataclass
 class LimitResult:
-    which: str
-    theorem: str
     table: list                  # (ladder value, sup error)
     fit: RateFit | None
-    expected_slope: float | None
-    tolerance: float             # the verdict's: the experiment's tol
-    mode: str
     passed: bool
     monotone: bool
-    converged: bool              # every solve_grid of either side converged
     detail: str = ""
 
 
@@ -294,7 +288,8 @@ def run_limit(exp: LimitExperiment | str, spec: QuadSpec = DEFAULT_SPEC) -> Limi
     """Run a diffusion-limit experiment: sup |u_A - u_B| over the probe
     region down the parameter ladder, a log-log fit where a rate is
     stated, and a pass flag.  Side B is solved once per probe time.  A
-    rung whose sup error is NaN or infinite fails the check."""
+    rung whose sup error is NaN or infinite fails the check.  An
+    unconverged solve counts in the open ``quadrature.tally()``."""
     if isinstance(exp, str):
         exp = default_experiment(exp)
     if len(exp.ladder) < {"slope": 4, "bound": 4, "log_corrected": 2}.get(exp.mode, 1):
@@ -304,17 +299,11 @@ def run_limit(exp: LimitExperiment | str, spec: QuadSpec = DEFAULT_SPEC) -> Limi
     tag_a, tag_b = exp.tags
     xp, xn, ts = probe_points(exp.region)
     masks = [(t, ts == t) for t in sorted(set(ts.tolist()))]
-    converged = True
     base = replace(_REFERENCE, dim=exp.dim)
 
     def solve(tag, p, data, theta):
-        nonlocal converged
-        out = []
-        for t, m in masks:
-            u, _, conv = solve_grid(tag, p, data, xp[m], xn[m], t, spec, theta=theta)
-            converged = converged and bool(conv)
-            out.append(u)
-        return out
+        return [solve_grid(tag, p, data, xp[m], xn[m], t, spec, theta=theta)[0]
+                for t, m in masks]
 
     if tag_b is None:
         side_b = [0.0] * len(masks)
@@ -356,8 +345,7 @@ def run_limit(exp: LimitExperiment | str, spec: QuadSpec = DEFAULT_SPEC) -> Limi
                       and fit.r_squared >= 0.98 and monotone)
             detail = (f"slope {fit.slope:.3f} vs {exp.expected_slope:+.3f}"
                       f" +/- {tol:g}, R^2 {fit.r_squared:.4f}")
-    return LimitResult(exp.which, exp.theorem, table, fit, exp.expected_slope,
-                       tol, exp.mode, passed, monotone, converged, detail)
+    return LimitResult(table, fit, passed, monotone, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +636,6 @@ class SandwichResult:
     per_region: dict
     stability: float
     passed: bool
-    converged: bool
 
 
 # Bound on the growth of the empirical constants from half the samples to
@@ -699,8 +686,8 @@ def sandwich_check(p: Params = _REFERENCE, n_per_region: int = 500,
     The maxima of kernel/upper-envelope and lower-envelope/kernel are the
     empirical comparison constants; sample doubling (the first half vs
     the full set, nested) must move them by less than the factor
-    ``_STABILITY_FACTOR``.  ``converged`` is False when any exchange-kernel
-    value did not converge.
+    ``_STABILITY_FACTOR``.  An exchange-kernel value that did not
+    converge counts in the open ``quadrature.tally()``.
     """
     if _count(n_per_region, "n_per_region") < 2:
         raise ValueError("sandwich_check needs n_per_region >= 2")
@@ -709,14 +696,11 @@ def sandwich_check(p: Params = _REFERENCE, n_per_region: int = 500,
     samples = _sample_regions(p, n_per_region, rng)
     per_region = {}
     ups, lows = [], []
-    converged = True
     for tag, pts in samples.items():
         logs = []   # (kernel, upper, lower) per sample
         for (r, s, t) in pts:
-            lh, _, _, conv = exchange_log_grid(p, [r], [s], t, spec)
-            converged = converged and bool(conv)
-            lu, ll, _ = envelope_log(p, r, s, t)
-            logs.append((lh[0], lu, ll))
+            lh = exchange_log_grid(p, [r], [s], t, spec)[0][0]
+            logs.append((lh, *envelope_log(p, r, s, t)[:2]))
         lh, lu, ll = np.array(logs).T
         up = np.exp(lh - lu)
         low = np.exp(ll - lh)
@@ -733,7 +717,7 @@ def sandwich_check(p: Params = _REFERENCE, n_per_region: int = 500,
                   and np.all(up_all > 0) and np.all(low_all > 0))
     passed = finite and stability < _STABILITY_FACTOR
     return SandwichResult(float(up_all.max()), float(low_all.max()),
-                          per_region, float(stability), passed, converged)
+                          per_region, float(stability), passed)
 
 
 # ---------------------------------------------------------------------------
@@ -758,14 +742,11 @@ def witness_norm(p_exp: float, eps: float, t, dim: int = 2) -> float:
 
 @dataclass
 class OpnormResult:
-    p_exp: float
-    q_exp: float
     table: list
     fit: RateFit | None
     expected_slope: float | None
     passed: bool
     detail: str
-    converged: bool
 
 
 def opnorm_decay(p_exp: float, q_exp: float, p: Params = _REFERENCE,
@@ -782,8 +763,8 @@ def opnorm_decay(p_exp: float, q_exp: float, p: Params = _REFERENCE,
     in log t.  For p = q = inf the constant pair (1, 1) is propagated
     instead and the ratio must equal 1.  The probe grid gives no L^q norm
     for finite q, so a finite q raises ValueError.  A NaN or infinite
-    ratio fails the check.  ``converged`` is False when any ``solve_grid``
-    call did not.
+    ratio fails the check.  An unconverged ``solve_grid`` counts in the
+    open ``quadrature.tally()``.
     """
     if not 1 <= p_exp <= q_exp:
         raise ValueError("opnorm_decay needs 1 <= p <= q")
@@ -793,7 +774,7 @@ def opnorm_decay(p_exp: float, q_exp: float, p: Params = _REFERENCE,
     _positive(t_ladder, "t_ladder")
     xp, xn, _ = probe_points("omega_L_I")
     ones = InitialData(Interior("constant", c=1.0), Boundary("constant", c=1.0))
-    table, converged = [], True
+    table = []
     for t in t_ladder:
         data, norm = ones, 1.0
         if p_exp < q_exp:
@@ -801,21 +782,20 @@ def opnorm_decay(p_exp: float, q_exp: float, p: Params = _REFERENCE,
             data = InitialData(Interior("heat_gaussian", a=T,
                                         normal=NormalProfile("gaussian_slope", b=T)))
             norm = witness_norm(p_exp, p.epsilon, t, p.dim)
-        u, _, conv = solve_grid("HDD", p, data, xp, xn, t, spec)
-        converged = converged and bool(conv)
+        u = solve_grid("HDD", p, data, xp, xn, t, spec)[0]
         table.append((t, float(np.max(np.abs(u))) / norm))
     broken = _nonfinite_rung(table)
     if p_exp == q_exp:
         dev = _worst(abs(r - 1.0) for _, r in table)
-        return OpnormResult(p_exp, q_exp, table, None, 0.0, dev <= 1e-6,
-                            broken or f"max |ratio - 1| = {dev:.2e}", converged)
+        return OpnormResult(table, None, 0.0, dev <= 1e-6,
+                            broken or f"max |ratio - 1| = {dev:.2e}")
     expected = -(p.dim / 2.0) * (1.0 / p_exp)
     if broken:
-        return OpnormResult(p_exp, q_exp, table, None, expected, False, broken, converged)
+        return OpnormResult(table, None, expected, False, broken)
     fit = fit_rate(table)
     passed = abs(fit.slope - expected) <= 0.1 and fit.r_squared >= 0.98
-    return OpnormResult(p_exp, q_exp, table, fit, expected, passed,
-                        f"slope {fit.slope:.3f} vs {expected:+.3f} +/- 0.1", converged)
+    return OpnormResult(table, fit, expected, passed,
+                        f"slope {fit.slope:.3f} vs {expected:+.3f} +/- 0.1")
 
 
 # ---------------------------------------------------------------------------
@@ -828,8 +808,8 @@ def oracle_compare(p: Params, data: InitialData, grid: FdGrid, times,
     with |x| <= window[0] and z <= window[1].
 
     One ``fd_solve`` runs to max(times).  Returns the rows (t, sup_rel,
-    l2_rel), one per time, whether every ``solve_grid`` converged, and the
-    ``FdResult``.
+    l2_rel), one per time, and the ``FdResult``; an unconverged
+    ``solve_grid`` counts in the open ``quadrature.tally()``.
     """
     # checked here, not by solve_grid, so that bad times fail before the march
     if len(times) == 0:
@@ -841,10 +821,5 @@ def oracle_compare(p: Params, data: InitialData, grid: FdGrid, times,
     ii = np.nonzero(zs <= window[1])[0]
     xp = np.repeat(xs[jj], len(ii))
     xn = np.tile(zs[ii], len(jj))
-    rows, converged = [], True
-    for t in times:
-        uk, _, conv = solve_grid("HDD", p, data, xp, xn, t, spec)
-        converged = converged and bool(conv)
-        sup, l2 = compare(uk, res.field_at(t)[np.ix_(ii, jj)].T.ravel())
-        rows.append((t, sup, l2))
-    return rows, converged, res
+    return [(t, *compare(solve_grid("HDD", p, data, xp, xn, t, spec)[0],
+                         res.field_at(t)[np.ix_(ii, jj)].T.ravel())) for t in times], res

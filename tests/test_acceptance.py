@@ -228,7 +228,7 @@ class TestCriterion13Oracle:
         return oracle_compare(self.P, self.DATA, FdGrid(), self.TIMES)
 
     def test_default_grid_agreement(self, default_grid_run):
-        table, _, _ = default_grid_run
+        table, _ = default_grid_run
         worst = max(sup for _, sup, _ in table)
         report("13a (kernel vs finite differences)", worst <= self.GATE,
                f"sup relative discrepancy {worst:.3e} <= {self.GATE:g} "
@@ -239,8 +239,8 @@ class TestCriterion13Oracle:
     def test_perturbed_kernel_fails_the_gate(self, monkeypatch, default_grid_run, perturbed):
         # negative control: the kernel at perturbed parameters against the
         # finite-difference field at the true ones, on 13a's window
-        monkeypatch.setattr(verification, "fd_solve", lambda *args, **kwargs: default_grid_run[2])
-        table, _, _ = oracle_compare(perturbed, self.DATA, FdGrid(), self.TIMES)
+        monkeypatch.setattr(verification, "fd_solve", lambda *args, **kwargs: default_grid_run[1])
+        table, _ = oracle_compare(perturbed, self.DATA, FdGrid(), self.TIMES)
         worst = max(sup for _, sup, _ in table)
         report("13a negative control", worst > self.GATE,
                f"{perturbed}: sup relative discrepancy {worst:.3e} > {self.GATE:g}")
@@ -259,7 +259,7 @@ class TestCriterion13Oracle:
             errs = []
             for nx, steps in ((64, 32), (128, 64), (256, 128)):
                 grid = FdGrid(nx=nx, nz=nx, dt=t_end / steps)
-                table, _, _ = oracle_compare(self.P, data, grid, (t_end,))
+                table, _ = oracle_compare(self.P, data, grid, (t_end,))
                 errs.append(table[0][1])
             orders[name] = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
         ok = all(1.7 <= o <= 2.3 for os in orders.values() for o in os)

@@ -516,7 +516,7 @@ def test_solve_probe_on_first_axis_is_accepted(tmp_path):
 
 # a tolerance at rounding level with max_subdivisions 1 leaves a quadrature
 # of each case unconverged while its check still passes: |m - 1| = 0 for
-# the mass case
+# the mass case, and every k0_poisson deviation stays within 1e-8
 _CAPPED = {"rel_tol": 1e-15, "abs_tol": 1e-300, "max_subdivisions": 1}
 _STRICT = {
     "eval-kernel": ({"kernel": "g", "t": 1.0, "x": {"normal": 0.5}, "quad": _CAPPED},
@@ -525,6 +525,8 @@ _STRICT = {
                     "x_n": [0.5], "t": [1.0], "quad": _CAPPED}, "mass-check.csv"),
     "solve": ({**_SOLVE, "data": _GAUSS, "quad": _CAPPED}, "solve.csv"),
     "bounds-check": ({"samples_per_region": 8}, "bounds-check.csv"),
+    "identity-suite": ({"identities": ["k0_poisson"], "quad": _CAPPED},
+                       "identity-suite.csv"),
     "limit-rate": ({"which": "hdpsi_eps_to_0", "quad": _CAPPED}, "limit-rate.csv"),
     "opnorm": ({"p": 1, "q": "inf", "quad": _CAPPED}, "opnorm.csv"),
     "oracle-compare": ({**_ORACLE, "tol": 1.0, "quad": _CAPPED}, "oracle-compare.csv"),
@@ -536,10 +538,8 @@ def test_honours_strict(tmp_path, monkeypatch, command):
     # the one exit rule: a run whose quadrature did not converge fails, and
     # still writes its CSV and, where it writes one, a summary with "pass": false
     cfg, csv_name = _STRICT[command]
-    if command == "bounds-check":  # it takes no quad block: force non-convergence
-        exchange = verification.exchange_log_grid
-        monkeypatch.setattr(verification, "exchange_log_grid",
-                            lambda *a: (*exchange(*a)[:3], False))
+    if command == "bounds-check":  # it takes no quad block: cap the spec it builds
+        monkeypatch.setattr(verification, "QuadSpec", lambda **_: QuadSpec(**_CAPPED))
     assert run_cli(tmp_path, command, cfg) == 1
     assert (tmp_path / csv_name).read_text().count("\n") >= 2
     summary = tmp_path / f"{command}.summary.json"

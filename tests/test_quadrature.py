@@ -16,6 +16,7 @@ from dynheat.quadrature import (
     add_terms,
     integrate,
     integrate_nested,
+    tally,
 )
 
 SPEC = QuadSpec()
@@ -575,3 +576,21 @@ def test_range_without_interior_midpoint_has_one_seed():
     assert calls == [_NODES.size]
     assert res.value == b - a
     assert res.converged
+
+
+def test_tally_counts_each_unconverged_integral_in_every_open_scope():
+    # the capped nested integral counts its outer rule and each of its 4
+    # inner ones (one per outer panel: 2 seeds, 2 halves of one bisection); a scope
+    # left by an exception stops counting, and so does a closed one
+    capped = QuadSpec(rel_tol=1e-15, abs_tol=1e-300, max_subdivisions=1)
+    with tally() as outer:
+        assert not integrate(np.sqrt, 0.0, 1.0, capped).converged
+        with tally() as inner:
+            integrate(np.square, 0.0, 1.0)
+            integrate_nested(lambda x: integrate(lambda y: np.sqrt(np.outer(y, x)), 0.0, 1.0,
+                                                 capped), 0.0, 1.0, capped)
+        with pytest.raises(RuntimeError), tally() as left:
+            integrate(np.sqrt, 0.0, 1.0, capped)
+            raise RuntimeError
+    integrate(np.sqrt, 0.0, 1.0, capped)
+    assert (outer.unconverged, inner.unconverged, left.unconverged) == (7, 5, 1)

@@ -7,7 +7,7 @@ import pytest
 
 import dynheat.verification as verification
 from dynheat.kernels import Params
-from dynheat.quadrature import QuadSpec
+from dynheat.quadrature import QuadSpec, tally
 from dynheat.solutions import _admitted, solve_grid
 from dynheat.verification import (
     EXPERIMENTS,
@@ -72,12 +72,13 @@ class TestProbePoints:
 
 class TestRunLimit:
     def test_fast_slope_experiment(self):
-        res = run_limit("hdpsi_eps_to_0")
+        with tally() as run:
+            res = run_limit("hdpsi_eps_to_0")
         assert res.passed
         assert res.fit is not None
         assert abs(res.fit.slope - 0.5) <= 0.1
         assert res.monotone
-        assert res.converged
+        assert run.unconverged == 0
 
     def test_plain_experiment(self):
         res = run_limit("ldd_delta_to_inf")
@@ -106,8 +107,9 @@ class TestRunLimit:
         # solve_grid reads it on side A
         exp = EXPERIMENTS[name]
         phi = replace(exp.data.interior, center=center)
-        res = run_limit(replace(exp, data=replace(exp.data, interior=phi)))
-        assert res.passed and res.converged
+        with tally() as run:
+            res = run_limit(replace(exp, data=replace(exp.data, interior=phi)))
+        assert res.passed and run.unconverged == 0
 
     def test_registry_complete(self):
         for name in EXPERIMENTS:
